@@ -252,8 +252,23 @@ class Instance:
     # ------------------------------------------------------------------
 
     def copy(self) -> "Instance":
-        """An independent copy (indexes are rebuilt incrementally)."""
-        result = Instance(self._atoms)
+        """An independent copy.
+
+        The indexes are cloned bucket by bucket rather than rebuilt atom
+        by atom: every atom here is already ground and indexed, and core
+        computation copies whole canonical solutions on every call.
+        """
+        result = Instance.__new__(Instance)
+        result._atoms = set(self._atoms)
+        result._by_relation = {
+            name: set(bucket) for name, bucket in self._by_relation.items()
+        }
+        result._by_position = {
+            key: set(bucket) for key, bucket in self._by_position.items()
+        }
+        result._by_tuple = {
+            name: set(bucket) for name, bucket in self._by_tuple.items()
+        }
         # Same atom set, same digests: seed the copy's caches.  The
         # copy's first mutation rebinds them without touching ours.
         result._fingerprints = dict(self._fingerprints)

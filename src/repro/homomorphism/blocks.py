@@ -2,36 +2,52 @@
 
 The *Gaifman blocks* of an instance are the connected components of its
 nulls under co-occurrence in an atom.  Every null-carrying atom belongs
-to exactly one block, and any endomorphism decomposes blockwise: fixing
-all values outside one block's nulls still yields an endomorphism,
-because no atom mixes nulls of two blocks.  Hence
+to exactly one block (its *owned* atoms), and any endomorphism
+decomposes blockwise: fixing all values outside one block's nulls still
+yields an endomorphism, because no atom mixes nulls of two blocks.
+Hence
 
-* an instance is a core iff no single block can be folded, and
-* the core can be computed by minimizing each block against the full
-  instance independently.
+* an instance is a core iff no single block can be folded -- which is
+  how :func:`~repro.homomorphism.core_computation.fold_step` certifies
+  cores, one small block pattern at a time, and
+* the core is computed by minimizing each block in turn against the
+  current instance.
+
+One pass over one working copy suffices.  A block fold maps the block's
+atoms onto atoms that are already present, so it only ever deletes
+atoms, and only atoms of its own block.  The block->owned-atoms index
+built once up front (:func:`block_index`) therefore stays exact for
+every later block, and a block minimized earlier stays unfoldable, as
+the instance around it only shrinks.  Folds may map nulls onto another
+block's nulls; the image atoms then belong to that block and are still
+present, so the argument is unaffected.
 
 For canonical solutions of s-t exchanges the blocks are tiny (bounded
 by the number of existential variables per tgd), which is what makes
 core computation polynomial there [FKP, "getting to the core"]; target
-tgds and egds can grow or merge blocks (the complication Gottlob-Nash
-address), so after the blockwise pass we verify with a global fold step
-and fall back to global folding in the (rare) cases where the
-block structure changed mid-flight.  The result is always exactly the
-core; the block pass is a speedup, never an approximation.
+tgds and egds can grow blocks (the complication Gottlob-Nash address),
+and the cost is then exponential only in the largest block.  The pass
+ends with the exact ``fold_step`` verification and falls back to global
+folding if it ever finds a fold; the block pass is a speedup, never an
+approximation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.instance import Instance
-from ..core.terms import Null, Value
-from ..obs import span
+from ..core.terms import Null, Value, Variable
+from ..logic.matching import attributed, first_match
+from ..obs import counter, span
 from ..obs.provenance import active_ledger
-from .core_computation import _FOLDS, _RETRACTS
-from .core_computation import core as global_core
-from .core_computation import fold_step
+
+# Prefetched handles (counters survive ``repro.obs.reset``): the kernel
+# and ``fold_step`` count once per retract attempt.
+_RETRACTS = counter("core.retract_attempts")
+_FOLDS = counter("core.folds")
+_PATTERN_REUSE = counter("core.block_pattern_reuse")
 
 
 def null_blocks(instance: Instance) -> List[FrozenSet[Null]]:
@@ -74,6 +90,25 @@ def null_blocks(instance: Instance) -> List[FrozenSet[Null]]:
     ]
 
 
+def block_index(instance: Instance) -> List[List[Atom]]:
+    """The sorted owned atoms of every block, in :func:`null_blocks` order.
+
+    One pass over the atoms: every null-carrying atom's nulls lie in a
+    single block, so its first null names its owner.
+    """
+    blocks = null_blocks(instance)
+    block_of = {null: index for index, block in enumerate(blocks) for null in block}
+    owned_by: List[List[Atom]] = [[] for _ in blocks]
+    for atom in instance:
+        for value in atom.args:
+            if isinstance(value, Null):
+                owned_by[block_of[value]].append(atom)
+                break
+    for owned in owned_by:
+        owned.sort()
+    return owned_by
+
+
 def block_atoms(instance: Instance, block: FrozenSet[Null]) -> List[Atom]:
     """The atoms owned by a block: those mentioning one of its nulls."""
     return sorted(
@@ -95,35 +130,37 @@ def block_statistics(instance: Instance) -> Dict[str, float]:
 
 
 #: Bounded memo of compiled block patterns keyed by the exact owned
-#: atom tuple and block -- the pattern is a pure function of both.  Core
-#: computation revisits unchanged blocks constantly (every verification
-#: pass, every repeated minimization of an already-minimal block), and
-#: this skips rebuilding the variable-lifted atoms each round.  Hits
-#: land in ``core.block_pattern_reuse``.
-_PATTERN_CACHE: "Dict[Tuple[Tuple[Atom, ...], FrozenSet[Null]], Tuple]" = {}
+#: atom tuple -- the pattern is a pure function of it.  Core computation
+#: revisits unchanged blocks constantly (the verification fold after
+#: every block pass, every repeated minimization of an already-minimal
+#: block), and this skips rebuilding the variable-lifted atoms each
+#: round.  Hits land in ``core.block_pattern_reuse``.
+_PATTERN_CACHE: Dict[Tuple[Atom, ...], Tuple] = {}
 _PATTERN_CACHE_LIMIT = 1024
 
 
-def _block_pattern(
-    owned: List[Atom], block: FrozenSet[Null]
-) -> "Tuple[Tuple[Atom, ...], Dict]":
+def block_pattern(
+    owned: List[Atom],
+) -> Tuple[Tuple[Atom, ...], Dict[Variable, Null]]:
     """The canonical pattern of a block's atoms, nulls-as-variables.
 
-    Nulls outside the block are frozen (treated as rigid values), so the
-    extension of any match by the identity is an endomorphism of the
-    whole instance.  Computed once per owned set and reused for every
-    dropped-atom attempt -- the attempts then share one compiled plan --
-    and memoized across invocations for unchanged blocks.
+    The block's nulls are exactly the nulls of its owned atoms; every
+    other value is frozen (treated as rigid), so the extension of any
+    match by the identity is an endomorphism of the whole instance.
+    Computed once per owned set and reused for every dropped-atom
+    attempt -- the attempts then share one compiled plan -- and memoized
+    across invocations for unchanged blocks.
     """
-    from ..core.terms import Variable
-    from ..obs import counter
-
-    key = (tuple(owned), block)
+    key = tuple(owned)
     cached = _PATTERN_CACHE.get(key)
     if cached is not None:
-        counter("core.block_pattern_reuse").inc()
+        _PATTERN_REUSE.inc()
         return cached
-    to_variable = {null: Variable(f"_b{null.ident}") for null in block}
+    to_variable: Dict[Value, Variable] = {}
+    for atom in owned:
+        for value in atom.args:
+            if isinstance(value, Null) and value not in to_variable:
+                to_variable[value] = Variable(f"_b{value.ident}")
     pattern = tuple(
         Atom(
             atom.relation,
@@ -138,174 +175,94 @@ def _block_pattern(
     return pattern, back
 
 
-def _minimize_block(
-    instance: Instance, block: FrozenSet[Null]
-) -> Optional[Instance]:
-    """Fold one block as far as it goes; None if nothing folded.
+def minimize_block(
+    working: Instance, owned: List[Atom], *, via: str = "blockwise"
+) -> Optional[Tuple[Dict[Null, Value], Tuple[Atom, ...], bool]]:
+    """Fold one block of ``working`` in place as far as it goes.
 
-    Searches for a block-local homomorphism of the block's atoms into
-    the full instance that drops at least one of them; applies the
-    induced endomorphism (identity outside the block) and repeats.
+    ``owned`` is the block's sorted owned atoms (an entry of
+    :func:`block_index`).  Each round drops one owned atom, searches a
+    block-local match of the block pattern into the rest (drop, search,
+    put back), and applies the first one found: the owned atoms outside
+    the image are deleted -- the images are already present -- and the
+    next round works on the survivors.  Retractions are recorded in the
+    active provenance ledger under ``via``.
 
-    One working copy per *invocation* is mutated throughout (drop the
-    atom, search, put it back; apply folds in place) -- ``instance``
-    itself is never modified, and no per-round copies are taken.
-    """
-    from ..logic.matching import attributed, first_match
+    Returns None when nothing folded, else ``(mapping, images,
+    crossed)``:
 
-    changed = False
-    working: Optional[Instance] = None
-    while block:
-        base = working if working is not None else instance
-        owned = block_atoms(base, block)
-        if not owned:
-            break
-        pattern, back = _block_pattern(owned, block)
-        if working is None:
-            working = instance.copy()
-        folded_once = False
-        for atom in owned:
-            working.discard(atom)
-            _RETRACTS.inc()
-            with attributed("hom"):
-                found = first_match(pattern, working)
-            working.add(atom)
-            if found is None:
-                continue
-            _FOLDS.inc()
-            mapping = {
-                back[variable]: value for variable, value in found.items()
-            }
-            images = [item.rename_values(mapping) for item in owned]
-            for item in owned:
-                working.discard(item)
-            for item in images:
-                working.add(item)
-            ledger = active_ledger()
-            if ledger is not None:
-                ledger.record_retraction(
-                    "blockwise", set(owned) - set(images), mapping
-                )
-            # Nulls folded onto other blocks leave this block's care.
-            block = frozenset(
-                value
-                for value in (mapping.get(null, null) for null in block)
-                if isinstance(value, Null) and value in block
-            )
-            changed = True
-            folded_once = True
-            break
-        if not folded_once:
-            break
-    return working if changed else None
-
-
-def minimize_block_tracked(
-    instance: Instance, block: FrozenSet[Null], *, via: str = "incremental"
-):
-    """:func:`_minimize_block` with fold tracking for memoized replay.
-
-    Performs exactly the same fold search and applications (same
-    deterministic order, same first-match choices), but additionally
-    composes the applied folds into one total endomorphism of the
-    block's nulls and records the final images of the originally owned
-    atoms.  Returns ``(working, mapping, images, crossed)``:
-
-    * ``working`` -- the minimized instance, or None if nothing folded;
-    * ``mapping`` -- the composed ``{null: value}`` endomorphism over
-      the original block (identity entries included);
-    * ``images`` -- sorted tuple ``h(owned)``: replaying the fold on a
-      later instance is ``(I \\ owned) ∪ images``;
+    * ``mapping`` -- the applied folds composed into one endomorphism
+      of the block's nulls (identity entries included);
+    * ``images`` -- sorted tuple ``mapping(owned)``: replaying the fold
+      on a later instance is ``(I \\ owned) ∪ images``;
     * ``crossed`` -- True when some fold mapped a null onto a null of
-      *another* block; the caller must then fall back to a full
-      :func:`blockwise_core` pass (the memoized per-block replay
-      argument assumes folds stay inside their block), and ``mapping``/
-      ``images`` are meaningless.
+      *another* block.  The result is exact either way, but memoized
+      per-block replay (:mod:`repro.incremental.core`) assumes folds
+      stay inside their block.
     """
-    from ..logic.matching import attributed, first_match
-
-    original_block = block
-    original_owned: Optional[List[Atom]] = None
-    total: Dict[Null, Value] = {}
-    changed = False
-    working: Optional[Instance] = None
-    while block:
-        base = working if working is not None else instance
-        owned = block_atoms(base, block)
-        if original_owned is None:
-            original_owned = owned
-        if not owned:
-            break
-        pattern, back = _block_pattern(owned, block)
-        if working is None:
-            working = instance.copy()
-        folded_once = False
-        for atom in owned:
+    pattern, back = block_pattern(owned)
+    block = frozenset(back.values())
+    total: Dict[Null, Value] = {null: null for null in block}
+    folded = crossed = False
+    survivors = owned
+    while True:
+        for atom in survivors:
             working.discard(atom)
             _RETRACTS.inc()
             with attributed("hom"):
                 found = first_match(pattern, working)
             working.add(atom)
-            if found is None:
-                continue
-            _FOLDS.inc()
-            mapping = {
-                back[variable]: value for variable, value in found.items()
-            }
-            images = [item.rename_values(mapping) for item in owned]
-            for item in owned:
-                working.discard(item)
-            for item in images:
-                working.add(item)
-            ledger = active_ledger()
-            if ledger is not None:
-                ledger.record_retraction(
-                    via, set(owned) - set(images), mapping
-                )
-            if any(
-                isinstance(value, Null) and value not in original_block
-                for value in mapping.values()
-            ):
-                return working, {}, (), True
-            for null in original_block:
-                value = total.get(null, null)
-                total[null] = mapping.get(value, value)
-            block = frozenset(
-                value
-                for value in (mapping.get(null, null) for null in block)
-                if isinstance(value, Null) and value in block
-            )
-            changed = True
-            folded_once = True
+            if found is not None:
+                break
+        else:
             break
-        if not folded_once:
+        _FOLDS.inc()
+        folded = True
+        mapping = {back[variable]: value for variable, value in found.items()}
+        images = {item.rename_values(mapping) for item in survivors}
+        dropped = [item for item in survivors if item not in images]
+        for item in dropped:
+            working.discard(item)
+        ledger = active_ledger()
+        if ledger is not None:
+            ledger.record_retraction(via, dropped, mapping)
+        crossed = crossed or any(
+            isinstance(value, Null) and value not in block
+            for value in mapping.values()
+        )
+        total = {null: mapping.get(value, value) for null, value in total.items()}
+        survivors = sorted(images.intersection(survivors))
+        if not survivors:
             break
-    final_images = tuple(
-        sorted({item.rename_values(total) for item in (original_owned or ())})
-    )
-    return (working if changed else None), total, final_images, False
+        pattern, back = block_pattern(survivors)
+    if not folded:
+        return None
+    images = tuple(sorted({item.rename_values(total) for item in owned}))
+    return total, images, crossed
+
+
+def core_in_place(working: Instance) -> Tuple[Instance, int]:
+    """The core of ``working``, minimized in place, and its block count.
+
+    One block index, every block minimized in place (see the module
+    docstring for why one pass is exact); then the block-local
+    ``fold_step`` verifies the result, with global folding as the
+    fallback should it ever find a fold.  ``working`` must be private to
+    the caller: it is mutated and, normally, returned.
+    """
+    # Deferred: core_computation builds fold_step on this module.
+    from .core_computation import core, fold_step
+
+    blocks = block_index(working)
+    for owned in blocks:
+        minimize_block(working, owned)
+    remainder = fold_step(working)
+    if remainder is not None:
+        working = core(remainder)
+    return working, len(blocks)
 
 
 def blockwise_core(instance: Instance) -> Instance:
-    """The core of ``instance``, computed block-by-block.
-
-    Exact: after the blockwise pass a global fold step verifies the
-    result; if the pass left folds on the table (possible when a fold
-    rewired blocks), global folding finishes the job.
-    """
+    """The core of ``instance``, computed block-by-block on one copy."""
     with span("core.blockwise"):
-        current = instance.copy()
-        for block in null_blocks(current):
-            live = frozenset(block & current.nulls())
-            if not live:
-                continue
-            minimized = _minimize_block(current, live)
-            if minimized is not None:
-                current = minimized
-
-        # Verification / completion: the blockwise pass is usually already
-        # a core; fall back to global folding otherwise.
-        remainder = fold_step(current)
-        if remainder is None:
-            return current
-        return global_core(remainder)
+        return core_in_place(instance.copy())[0]

@@ -17,67 +17,65 @@ its own core:
 * constants are fixed by homomorphisms, so atoms containing only
   constants can never be dropped -- the search skips them.
 
-This is simple and exact; it is worst-case exponential (homomorphism
-checks are NP-hard in general), unlike the polynomial Gottlob-Nash
-algorithm the paper cites [8], but on chase results with the indexed
-matcher it is fast at every scale our benchmarks use (see DESIGN.md,
+Each search is *block-local*: only the pattern of A's Gaifman null-block
+(see :mod:`repro.homomorphism.blocks`) is matched against I ∖ {A}, with
+every value outside the block frozen.  This is exact.  If h maps I into
+I ∖ {A}, then h on A's block and the identity elsewhere does too, since
+no atom mixes nulls of two blocks; conversely a block match extends to
+a full homomorphism by the identity.  A fold step therefore costs the
+sum over blocks of a search exponential only in the block's size, not
+in the whole instance, and the matcher's recursion depth is the block
+size.  This is the block decomposition of the FKP blocks algorithm;
+unlike the polynomial Gottlob-Nash algorithm the paper cites [8] it is
+still exponential in the largest block (homomorphism checks are NP-hard
+in general), but chase results have small blocks (see DESIGN.md,
 "Deviations").
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from ..core.atoms import Atom
 from ..core.instance import Instance
-from ..obs import counter, span
+from ..obs import span
 from ..obs.provenance import active_ledger
-from .search import canonical_pattern, has_homomorphism, homomorphism_via_pattern
-
-# Prefetched handles (counters survive ``repro.obs.reset``): fold_step
-# runs once per retained atom per fold round, so per-call registry
-# lookups would add up on large canonical solutions.
-_RETRACTS = counter("core.retract_attempts")
-_FOLDS = counter("core.folds")
-
-
-def _foldable_atoms(instance: Instance) -> List[Atom]:
-    """Atoms that could possibly be dropped: those containing a null."""
-    return [item for item in instance.sorted_atoms() if item.nulls]
+from .blocks import _FOLDS, _RETRACTS, block_index, block_pattern
+from .search import has_homomorphism, homomorphism_via_pattern
 
 
 def fold_step(instance: Instance) -> Optional[Instance]:
     """One folding step: return a proper retract of ``instance``, or None.
 
-    Tries to drop each null-containing atom; on success returns the
-    *image* of the found homomorphism (which may drop several atoms at
-    once, accelerating convergence).
+    Tries to drop each null-containing atom, block by block, searching
+    only its block's pattern (see the module docstring); on success
+    returns the image of the block-local homomorphism, which may drop
+    several atoms of the block at once.
 
-    The canonical pattern of ``instance`` is computed once and reused
-    for every retract attempt (each attempt then hits the plan cache),
-    and instead of copying the instance per attempt a single working
-    copy is mutated -- drop the atom, search, put it back -- so a round
-    over n atoms costs one copy, not n.
+    One block index is built per call, each block pattern is reused for
+    all of its atoms (the attempts then share one compiled plan), and a
+    single working copy is mutated -- drop the atom, search, put it
+    back -- so a round over n atoms costs one copy, not n.
     """
-    foldable = _foldable_atoms(instance)
-    if not foldable:
+    blocks = block_index(instance)
+    if not blocks:
         return None
-    pattern, back = canonical_pattern(instance)
     working = instance.copy()
-    for item in foldable:
-        working.discard(item)
-        _RETRACTS.inc()
-        mapping = homomorphism_via_pattern(pattern, back, working)
-        working.add(item)
-        if mapping is not None:
-            _FOLDS.inc()
-            image = instance.rename_values(mapping)
-            ledger = active_ledger()
-            if ledger is not None:
-                ledger.record_retraction(
-                    "folding", set(instance) - set(image), mapping
-                )
-            return image
+    for owned in blocks:
+        pattern, back = block_pattern(owned)
+        for item in owned:
+            working.discard(item)
+            _RETRACTS.inc()
+            mapping = homomorphism_via_pattern(pattern, back, working)
+            working.add(item)
+            if mapping is not None:
+                _FOLDS.inc()
+                image = instance.rename_values(mapping)
+                ledger = active_ledger()
+                if ledger is not None:
+                    ledger.record_retraction(
+                        "folding", set(instance) - set(image), mapping
+                    )
+                return image
     return None
 
 

@@ -2,10 +2,9 @@
 
 :func:`repro.homomorphism.blocks.blockwise_core` already minimizes one
 Gaifman block at a time, but every block is matched against the *whole*
-instance -- on an instance with many value-connected components the cost
-of each block therefore grows with the total size, making the core pass
-superlinear in the number of components.  This module removes that
-coupling and adds process parallelism on top:
+instance, whose index buckets grow with the total size.  This module
+keeps each block's search inside its value component and adds process
+parallelism on top:
 
 * the instance is split into value components (:meth:`Instance.components`);
 * each component's blocks are minimized against that component only,
@@ -20,10 +19,12 @@ constant, hence is the component itself.  When every component carries
 at least one constant, endomorphisms therefore decompose componentwise
 and ``core(A ∪ B) = core(A) ∪ core(B)``.  Instances with an all-null
 component (which could fold into any other component) fall back to the
-global blockwise pass, counted in ``core.partition_fallbacks``.  Within
-a component the exact ``fold_step`` verification of the blockwise
-algorithm still runs, so the result is always exactly the core -- the
-partition is a speedup, never an approximation.
+global blockwise pass, counted in ``core.partition_fallbacks``.  Each
+component runs the in-place block kernel
+:func:`~repro.homomorphism.blocks.core_in_place` -- every block
+minimized, then the exact block-local ``fold_step`` verification -- so
+the result is always exactly the core: the partition is a speedup,
+never an approximation.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from typing import List, Tuple
 from ..core.instance import Instance
 from ..obs import attribution, counter, span
 from ..obs.provenance import active_ledger
-from .blocks import _minimize_block, blockwise_core, null_blocks
-from .core_computation import core as global_core
-from .core_computation import fold_step
+from .blocks import blockwise_core, core_in_place
 
 
 def _partitionable(components: List[Instance]) -> bool:
@@ -52,27 +51,16 @@ def _partitionable(components: List[Instance]) -> bool:
 
 
 def _minimize_component(component: Instance) -> Instance:
-    """The exact core of one value component (blockwise + verification).
+    """The exact core of one value component, minimized in place.
 
-    The body of :func:`repro.homomorphism.blocks.blockwise_core`, run on
-    a component instead of the full instance; ``core.blocks_parallel``
-    counts the per-block minimizations performed (merged back from
-    workers by the executor harness).
+    Components are private to this pass (fresh from
+    :meth:`Instance.components` or unpickled in a worker), so no copy is
+    taken.  ``core.blocks_parallel`` counts the blocks minimized (merged
+    back from workers by the executor harness).
     """
-    current = component.copy()
-    blocks = null_blocks(current)
-    counter("core.blocks_parallel").inc(len(blocks))
-    for block in blocks:
-        live = frozenset(block & current.nulls())
-        if not live:
-            continue
-        minimized = _minimize_block(current, live)
-        if minimized is not None:
-            current = minimized
-    remainder = fold_step(current)
-    if remainder is None:
-        return current
-    return global_core(remainder)
+    result, blocks = core_in_place(component)
+    counter("core.blocks_parallel").inc(blocks)
+    return result
 
 
 def _minimize_components(components: Tuple[Instance, ...]) -> List[Instance]:
@@ -83,12 +71,13 @@ def _minimize_components(components: Tuple[Instance, ...]) -> List[Instance]:
     # size and seconds out), merged back by the executor harness.
     minimized = []
     for component in components:
+        size = len(component)
         component_started = time.perf_counter()
         result = _minimize_component(component)
         attribution.record_component(
             "core.partition",
-            size=len(component),
-            steps=len(component) - len(result),
+            size=size,
+            steps=size - len(result),
             seconds=time.perf_counter() - component_started,
         )
         minimized.append(result)

@@ -21,8 +21,8 @@ that was unfoldable last round can only have become foldable if some
 *changed* atom is a potential image of one of its owned atoms
 (:func:`_may_image`).  Unchanged blocks failing that touch test are
 provably still unfoldable, *provided no fold ever crosses blocks*:
-:func:`~repro.homomorphism.blocks.minimize_block_tracked` detects a
-cross-block fold and this module then falls back to a full
+the block kernel :func:`~repro.homomorphism.blocks.minimize_block`
+reports a cross-block fold and this module then falls back to a full
 :func:`~repro.homomorphism.blocks.blockwise_core` pass and clears the
 memo (``incremental.core_fallbacks``).  The fallback keeps the result
 exact in all cases; the memo is a speedup, never an approximation.
@@ -35,11 +35,7 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.terms import Null
-from ..homomorphism.blocks import (
-    blockwise_core,
-    minimize_block_tracked,
-    null_blocks,
-)
+from ..homomorphism.blocks import block_index, blockwise_core, minimize_block
 from ..obs import counter, span
 from ..obs.provenance import active_ledger
 
@@ -87,10 +83,13 @@ def _may_image(changed: Atom, owned: Atom) -> bool:
     return True
 
 
-def _touched(owned: Iterable[Atom], changed: Iterable[Atom]) -> bool:
-    """True if any changed atom is a potential fold image of the block."""
-    for changed_atom in changed:
-        for owned_atom in owned:
+def _touched(owned: Iterable[Atom], changed: Dict[str, List[Atom]]) -> bool:
+    """True if any changed atom is a potential fold image of the block.
+
+    ``changed`` holds the changed atoms by relation name.
+    """
+    for owned_atom in owned:
+        for changed_atom in changed.get(owned_atom.relation.name, ()):
             if _may_image(changed_atom, owned_atom):
                 return True
     return False
@@ -109,34 +108,20 @@ def incremental_core(
     way: entries for vanished blocks are dropped, so it never grows
     beyond the live block count.
     """
-    changed = tuple(changed)
+    changed_by_relation: Dict[str, List[Atom]] = {}
+    for atom in changed:
+        changed_by_relation.setdefault(atom.relation.name, []).append(atom)
     with span("core.incremental"):
         current = instance.copy()
         new_records: Dict[FrozenSet[Atom], _Record] = {}
-        # One-pass block->owned-atoms index (every atom's nulls live in a
-        # single block).  blockwise_core re-scans the instance per block
-        # because its folds may cross blocks and reshape them mid-pass;
-        # here a crossing fold aborts to the fallback below, so within a
-        # completed pass each block's owned set at its turn is exactly
-        # its owned set now, and the per-block scans would be the
-        # quadratic dominant cost of re-solving an untouched instance.
-        blocks = null_blocks(current)
-        block_of: Dict[Null, int] = {}
-        for index, block in enumerate(blocks):
-            for item in block:
-                block_of[item] = index
-        owned_by: List[List[Atom]] = [[] for _ in blocks]
-        for atom in current:
-            for item in atom.nulls:
-                owned_by[block_of[item]].append(atom)
-                break
-        for index, live in enumerate(blocks):
-            owned = sorted(owned_by[index])
-            if not owned:
-                continue
+        # One block index for the whole pass: folds only delete atoms of
+        # the block being folded, so every later block's owned set at its
+        # turn is exactly its owned set now (and replays below delete
+        # only the replayed block's own atoms).
+        for owned in block_index(current):
             key = frozenset(owned)
             record = memo.records.get(key)
-            if record is not None and not _touched(owned, changed):
+            if record is not None and not _touched(owned, changed_by_relation):
                 folded, mapping, images = record
                 if not folded:
                     counter("incremental.blocks_skipped").inc()
@@ -158,15 +143,15 @@ def incremental_core(
                 # An image atom is gone: the recorded fold no longer
                 # applies verbatim; fall through to a fresh minimize.
             counter("incremental.blocks_reminimized").inc()
-            minimized, mapping, images, crossed = minimize_block_tracked(
-                current, live
-            )
+            fold = minimize_block(current, owned, via="incremental")
+            if fold is None:
+                new_records[key] = (False, {}, ())
+                continue
+            mapping, images, crossed = fold
             if crossed:
                 counter("incremental.core_fallbacks").inc()
                 memo.clear()
                 return blockwise_core(instance), True
-            if minimized is not None:
-                current = minimized
-            new_records[key] = (minimized is not None, mapping, images)
+            new_records[key] = (True, mapping, images)
         memo.records = new_records
         return current, False

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from repro.core import Atom, Const, Instance, Null, RelationSymbol, isomorphic
 from repro.homomorphism import core
 from repro.homomorphism.blocks import (
-    _minimize_block,
     block_atoms,
+    block_index,
     block_statistics,
     blockwise_core,
+    minimize_block,
     null_blocks,
 )
 from repro.logic import parse_instance
@@ -82,16 +83,41 @@ class TestBlockwiseCore:
 
 class TestMinimizeBlock:
     def test_input_instance_is_never_mutated(self):
+        # The kernel works in place on the caller's working copy; the
+        # public entry points take that copy, never touching the input.
+        from repro.homomorphism import fold_step
+
         inst = parse_instance("E('a', #1), E('a', 'b')")
         snapshot = set(inst.sorted_atoms())
-        block = frozenset({Null(1)})
-        folded = _minimize_block(inst, block)
-        assert folded is not None
+        assert blockwise_core(inst) == parse_instance("E('a', 'b')")
+        assert fold_step(inst) is not None
         assert set(inst.sorted_atoms()) == snapshot
+
+    def test_folds_in_place_and_reports_the_fold(self):
+        inst = parse_instance("E('a', #1), E('a', 'b'), E('c', #2)")
+        first = block_index(inst)[0]
+        fold = minimize_block(inst, first)
+        assert fold is not None
+        mapping, images, crossed = fold
+        assert mapping == {Null(1): Const("b")}
+        assert images == (Atom(E, (Const("a"), Const("b"))),)
+        assert not crossed
+        # Only the folded block's atom left; the other block is intact.
+        assert inst == parse_instance("E('a', 'b'), E('c', #2)")
+
+    def test_cross_block_fold_is_reported(self):
+        inst = parse_instance("E('a', #1), E('a', #2), E(#2, 'b')")
+        first = block_index(inst)[0]
+        assert first == [Atom(E, (Const("a"), Null(1)))]
+        mapping, images, crossed = minimize_block(inst, first)
+        assert mapping == {Null(1): Null(2)}
+        assert crossed
+        assert len(inst) == 2
 
     def test_returns_none_when_block_is_minimal(self):
         inst = parse_instance("E('a', #1)")
-        assert _minimize_block(inst, frozenset({Null(1)})) is None
+        assert minimize_block(inst, block_index(inst)[0]) is None
+        assert inst == parse_instance("E('a', #1)")
 
     def test_pattern_cache_reuse_is_counted(self):
         import repro.obs as obs
@@ -100,12 +126,25 @@ class TestMinimizeBlock:
         # Distinctive constants guarantee a cache key no earlier test
         # populated; the second pass over the unchanged block must hit.
         inst = parse_instance("E('reuse_probe', #1), E(#1, 'reuse_probe')")
-        block = frozenset({Null(1)})
-        _minimize_block(inst, block)
+        owned = block_index(inst)[0]
+        minimize_block(inst, owned)
         before = obs.counter("core.block_pattern_reuse").value
-        _minimize_block(inst, block)
+        minimize_block(inst, owned)
         assert obs.counter("core.block_pattern_reuse").value > before
         obs.reset()
+
+
+class TestBlockIndex:
+    def test_matches_block_atoms_per_block(self):
+        inst = parse_instance(
+            "E(#1, #2), E(#2, #3), E('a', #4), E('a', 'b'), E(#4, #4)"
+        )
+        assert block_index(inst) == [
+            block_atoms(inst, block) for block in null_blocks(inst)
+        ]
+
+    def test_ground_instance_has_no_entries(self):
+        assert block_index(parse_instance("E('a','b')")) == []
 
 
 def small_instances():

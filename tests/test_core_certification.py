@@ -1,0 +1,203 @@
+"""Block-local core certification and the in-place block kernel.
+
+``fold_step`` certifies a core one Gaifman block at a time, and
+``blockwise_core`` minimizes every block in place over one working copy.
+These tests pin the scaling that buys (linear in the number of blocks,
+independent of the hash seed), the two inputs that used to hit an
+exponential and a recursion cliff, and exactness against the old
+whole-instance search, which survives here only as a test oracle.
+"""
+
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    Atom,
+    Const,
+    DataExchangeSetting,
+    Instance,
+    Null,
+    RelationSymbol,
+    Schema,
+    solve,
+)
+from repro.engine import fingerprint_instance
+from repro.generators import example_2_1_scaled_source
+from repro.generators.settings_library import example_2_1_setting
+from repro.homomorphism import blockwise_core, core, fold_step, partitioned_core
+from repro.homomorphism.search import canonical_pattern, homomorphism_via_pattern
+from repro.obs.provenance import recording
+
+P = RelationSymbol("P", 1)
+E = RelationSymbol("E", 2)
+F = RelationSymbol("F", 2)
+
+SWEEP = (8, 16, 32, 64)
+
+
+def symmetric_canonical(k: int) -> Instance:
+    """k disjoint cores, each with a null-swap automorphism."""
+    setting = DataExchangeSetting.from_strings(
+        Schema.of(P=1),
+        Schema.of(E=2, F=2),
+        ["P(a) -> exists x, y . E(a,x) & E(a,y) & F(x,y) & F(y,x)"],
+        [],
+    )
+    source = Instance(Atom(P, (Const(f"a{index}"),)) for index in range(k))
+    return setting.canonical_universal_solution(source)
+
+
+_SWEEP_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+import repro.obs as obs
+from repro import Atom, Const, DataExchangeSetting, Instance, RelationSymbol, Schema
+from repro.homomorphism import blockwise_core
+setting = DataExchangeSetting.from_strings(
+    Schema.of(P=1),
+    Schema.of(E=2, F=2),
+    ["P(a) -> exists x, y . E(a,x) & E(a,y) & F(x,y) & F(y,x)"],
+    [],
+)
+P = RelationSymbol("P", 1)
+for k in {sweep!r}:
+    source = Instance(Atom(P, (Const(f"a{{index}}"),)) for index in range(k))
+    canonical = setting.canonical_universal_solution(source)
+    obs.reset()
+    blockwise_core(canonical)
+    print(k, obs.counter("hom.candidates").value)
+"""
+
+
+def _sweep_under_hash_seed(seed: str):
+    import repro
+
+    src_dir = repro.__file__.rsplit("/repro/", 1)[0]
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            _SWEEP_SCRIPT.format(src=src_dir, sweep=SWEEP),
+        ],
+        capture_output=True,
+        text=True,
+        env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+        check=True,
+    )
+    return [
+        tuple(int(field) for field in line.split())
+        for line in completed.stdout.splitlines()
+    ]
+
+
+class TestSymmetricSweep:
+    def test_candidates_linear_in_k_and_seed_independent(self):
+        first = _sweep_under_hash_seed("0")
+        assert first == _sweep_under_hash_seed("1")
+        assert [k for k, _ in first] == list(SWEEP)
+        per_component = {count // k for k, count in first}
+        assert len(per_component) == 1
+        assert all(count % k == 0 for k, count in first)
+
+    @pytest.mark.parametrize("k", SWEEP)
+    def test_core_algorithms_agree(self, k):
+        canonical = symmetric_canonical(k)
+        expected = fingerprint_instance(canonical)
+        for result in (
+            core(canonical),
+            blockwise_core(canonical),
+            partitioned_core(canonical),
+        ):
+            assert fingerprint_instance(result) == expected
+            assert len(result) == 4 * k
+
+
+class TestFormerCliffs:
+    def test_global_folding_on_scaled_example_2_1(self):
+        # Global folding ran for over ten minutes here when every fold
+        # step matched the whole instance as one pattern.
+        setting = example_2_1_setting()
+        source = example_2_1_scaled_source(64, seed=1)
+        canonical = setting.canonical_universal_solution(source)
+        assert fingerprint_instance(core(canonical)) == fingerprint_instance(
+            blockwise_core(canonical)
+        )
+
+    def test_anchored_solve_at_1000_rows(self):
+        # The whole-instance pattern recursed once per atom and raised
+        # RecursionError from 400 rows on.
+        setting = DataExchangeSetting.from_strings(
+            Schema.of(R=2),
+            Schema.of(A=2, B=2, C=2),
+            ["R(x,y) -> exists z . A(x,z) & B(z,y)"],
+            ["B(z,y) -> exists w . C(y,w)"],
+        )
+        R = RelationSymbol("R", 2)
+        source = Instance(
+            Atom(R, (Const(f"s{index}"), Const(f"t{index}")))
+            for index in range(1000)
+        )
+        result = solve(setting, source)
+        assert result.core_solution is not None
+        assert len(result.core_solution) == 3000
+
+
+def _whole_pattern_is_core(instance: Instance) -> bool:
+    """The old certification: the whole canonical pattern per atom."""
+    pattern, back = canonical_pattern(instance)
+    for item in instance.sorted_atoms():
+        if not item.nulls:
+            continue
+        working = instance.copy()
+        working.discard(item)
+        if homomorphism_via_pattern(pattern, back, working) is not None:
+            return False
+    return True
+
+
+def instances_with_nulls():
+    values = st.one_of(
+        st.sampled_from([Const("a"), Const("b")]),
+        st.integers(min_value=0, max_value=4).map(Null),
+    )
+    atoms = st.one_of(
+        st.tuples(values, values).map(lambda pair: Atom(E, pair)),
+        st.tuples(values, values).map(lambda pair: Atom(F, pair)),
+    )
+    return st.lists(atoms, min_size=1, max_size=8).map(Instance)
+
+
+@given(instances_with_nulls())
+@settings(max_examples=150, deadline=None)
+def test_block_local_fold_step_agrees_with_whole_pattern(instance):
+    folded = fold_step(instance)
+    assert (folded is None) == _whole_pattern_is_core(instance)
+    if folded is not None:
+        assert folded.issubset(instance) and len(folded) < len(instance)
+
+
+@given(instances_with_nulls())
+@settings(max_examples=100, deadline=None)
+def test_retraction_rows_are_well_formed(instance):
+    with recording() as ledger:
+        result = blockwise_core(instance)
+    retracts = [step for step in ledger.steps if step.kind == "retract"]
+    dropped = [item for step in retracts for item in step.dropped]
+    # Block folds only delete: every retracted atom came from the input,
+    # none is retracted twice, and the core is what is left.
+    assert len(dropped) == len(set(dropped))
+    assert set(dropped) <= set(instance)
+    assert result == Instance(set(instance) - set(dropped))
+    for step in retracts:
+        assert step.via == "blockwise"
+        assert step.dropped and list(step.dropped) == sorted(step.dropped)
+        mapping = dict(step.mapping)
+        assert mapping and all(isinstance(key, Null) for key in mapping)
+        assert all(key != value for key, value in mapping.items())
+        for item in step.dropped:
+            assert item.rename_values(mapping) in instance
+    assert fingerprint_instance(result) == fingerprint_instance(core(instance))
