@@ -168,7 +168,7 @@ def alpha_chase(
     run = ChaseRun(
         "alpha",
         "α-chase",
-        instance,
+        instance.copy(),
         max_steps=max_steps,
         trace=trace,
         fresh_witnesses=False,

@@ -36,10 +36,13 @@ DEFAULT_MAX_STEPS = 200_000
 class ChaseRun:
     """The observer bundle of one chase run.
 
-    Owns the working copy of the input and every observer hook, so an
-    engine only decides *which* tgd to fire with *which* witnesses and
-    which egd to apply.  ``engine`` names the run in ledger ``via``
-    fields and heartbeat records; ``label`` names it in budget reasons.
+    Owns the working instance and every observer hook, so an engine
+    only decides *which* tgd to fire with *which* witnesses and which
+    egd to apply.  The run works on ``instance`` in place: the engines
+    hand it a private copy of their input, and a caller continuing a
+    chase of its own state (the incremental session) hands it that
+    state.  ``engine`` names the run in ledger ``via`` fields and
+    heartbeat records; ``label`` names it in budget reasons.
 
     ``fresh_witnesses`` is False for the α-chase, whose witnesses need
     not be fresh: its created nulls are counted by set difference
@@ -63,7 +66,7 @@ class ChaseRun:
         self._initial_nulls = (
             None if fresh_witnesses else set(instance.nulls())
         )
-        self.current = instance.copy()
+        self.current = instance
         self.steps = 0
         self.nulls_created = 0
         #: Rounds of :func:`chase_rounds`; the α-chase reports 0.
@@ -167,7 +170,7 @@ class ChaseRun:
         if self._initial_nulls is not None:
             self._nulls.inc(created)
         gauge("chase.steps_to_fixpoint").set(self.steps)
-        gauge("instance.nulls").set(len(self.current.nulls()))
+        gauge("instance.nulls").set(self.current.null_count())
         self.size_gauges()
         return ChaseOutcome(
             status,
@@ -236,7 +239,7 @@ def chase_rounds(
     own firing time -- each firing is checked against the current
     instance, so this is a valid standard chase sequence.
     ``trigger_source`` builds that source from the tgds and the working
-    copy.
+    instance, which is ``instance`` itself, chased in place.
     """
     tgds, egds = split_dependencies(list(dependencies))
     run = ChaseRun(engine, label, instance, max_steps=max_steps, trace=trace)

@@ -79,7 +79,7 @@ def fire_all_source_justifications(
     Returns ``(S ∪ fired atoms, justification table)``.
     """
     factory = null_factory or source.null_factory()
-    run = ChaseRun("oblivious", "oblivious chase", source)
+    run = ChaseRun("oblivious", "oblivious chase", source.copy())
     table: Dict[JustificationKey, Tuple[Value, ...]] = {}
     with span("chase.fire_all_source_justifications"):
         for tgd in st_tgds:

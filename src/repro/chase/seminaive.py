@@ -12,10 +12,14 @@ the matcher from the delta:
             complete the match against the full instance.
 
 Egd applications rewrite atoms; rewritten atoms re-enter the delta so
-matches they enable are found again.  The engine produces a valid
-standard chase sequence (every firing is checked against the current
-instance), hence for weakly acyclic settings its result is a canonical
-universal solution, hom-equivalent to the batched engine's.
+matches they enable are found again.  A later merge of the same egd
+fixpoint can rewrite them once more, so each pass first drops the delta
+atoms that are no longer in the instance: a stale copy would seed
+matches for premises the instance no longer satisfies.  The engine
+produces a valid standard chase sequence (every firing is checked
+against the current instance), hence for weakly acyclic settings its
+result is a canonical universal solution, hom-equivalent to the
+batched engine's.
 
 Both engines run the one round loop of :mod:`repro.chase.loop`; this
 module only supplies its trigger source, :class:`DeltaSource`.  The
@@ -76,7 +80,8 @@ class DeltaSource(TriggerSource):
     """Semi-naive triggers: premise matches that use a delta atom.
 
     The delta of a pass is what the previous pass added plus every atom
-    an egd merge rewrote since; the chase ends when it is empty.
+    an egd merge rewrote since, less the atoms a merge has rewritten
+    away again; the chase ends when it is empty.
     """
 
     def __init__(
@@ -89,6 +94,7 @@ class DeltaSource(TriggerSource):
         # keeps its identity across passes so completions hit the plan
         # cache.
         self._seeds = {id(tgd): _seed_decomposition(tgd) for tgd in tgds}
+        self._instance = instance
         self._delta: List[Atom] = (
             list(instance)
             if initial_delta is None
@@ -97,6 +103,8 @@ class DeltaSource(TriggerSource):
         self._next: List[Atom] = []
 
     def pending(self) -> bool:
+        # Runs after each egd fixpoint, right before the pass.
+        self._delta = [item for item in self._delta if item in self._instance]
         return bool(self._delta)
 
     def matches(self, tgd: Tgd, instance: Instance) -> Iterable[Substitution]:
@@ -165,7 +173,7 @@ def seminaive_chase(
     return chase_rounds(
         "seminaive",
         "semi-naive chase",
-        instance,
+        instance.copy(),
         dependencies,
         lambda tgds, current: DeltaSource(tgds, current, initial_delta),
         max_steps=max_steps,

@@ -47,7 +47,7 @@ def standard_chase(
     return chase_rounds(
         "standard",
         "standard chase",
-        instance,
+        instance.copy(),
         dependencies,
         TriggerSource,
         max_steps=max_steps,

@@ -19,6 +19,8 @@ class Atom:
     """An atom ``R(t1, ..., tr)`` where each ``ti`` is a value or variable.
 
     Atoms are immutable and hashable.  The constructor checks arity.
+    Their total order (:meth:`sort_key`) is computed once per atom, on
+    first use, and cached; the cache never enters the pickled form.
 
     >>> R = RelationSymbol("R", 2)
     >>> Atom(R, (Const("a"), Null(0))).is_ground
@@ -27,7 +29,7 @@ class Atom:
     False
     """
 
-    __slots__ = ("relation", "args", "_hash")
+    __slots__ = ("relation", "args", "_hash", "_key")
 
     def __init__(self, relation: RelationSymbol, args: Iterable[Term]):
         args = tuple(args)
@@ -100,13 +102,32 @@ class Atom:
     def __lt__(self, other) -> bool:
         if not isinstance(other, Atom):
             return NotImplemented
-        return self._sort_key() < other._sort_key()
+        return self.sort_key() < other.sort_key()
 
-    def _sort_key(self):
-        return (
-            self.relation.name,
-            tuple(_term_sort_key(arg) for arg in self.args),
-        )
+    def sort_key(self):
+        """The key of the deterministic atom order, built on first use.
+
+        ``sorted(atoms, key=Atom.sort_key)`` gives the order of
+        ``sorted(atoms)`` with one key lookup per atom instead of two
+        per comparison.
+        """
+        try:
+            return self._key
+        except AttributeError:
+            key = self._key = (
+                self.relation.name,
+                tuple(_term_sort_key(arg) for arg in self.args),
+            )
+            return key
+
+    def __getstate__(self):
+        # Only the identity fields: the sort key is a cache, rebuilt on
+        # demand, and never ships to pool workers.
+        return None, {
+            "relation": self.relation,
+            "args": self.args,
+            "_hash": self._hash,
+        }
 
     def __repr__(self) -> str:
         inner = ", ".join(str(arg) for arg in self.args)

@@ -12,7 +12,9 @@ mutable container with two indexes that the conjunctive matcher exploits:
   ground-membership probe that never constructs an :class:`Atom`.
 
 All indexes are maintained incrementally on ``add``/``discard``, so the
-chase (which adds atoms in a loop) never rebuilds them.
+chase (which adds atoms in a loop) never rebuilds them.  So is a count
+of the occurrences of each null, which makes :meth:`Instance.nulls`
+cost the number of nulls and :attr:`Instance.is_ground` constant time.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class Instance:
         "_by_relation",
         "_by_position",
         "_by_tuple",
+        "_null_refs",
         "_fingerprints",
         "_canonical_cache",
     )
@@ -64,6 +67,8 @@ class Instance:
         self._by_relation: Dict[str, Set[Atom]] = {}
         self._by_position: Dict[Tuple[str, int, Value], Set[Atom]] = {}
         self._by_tuple: Dict[str, Set[Tuple[Value, ...]]] = {}
+        # Occurrences (atom, position) of each null.
+        self._null_refs: Dict[Null, int] = {}
         # Memoized fingerprint()/canonical() results, dropped on any
         # mutation.  The incremental re-solve loop fingerprints the same
         # unchanged instances once per edit; these make that free.
@@ -86,6 +91,11 @@ class Instance:
         if item in self._atoms:
             return False
         self._invalidate_caches()
+        self._insert(item)
+        return True
+
+    def _insert(self, item: Atom) -> None:
+        """Index a new ground atom (no checks, no cache invalidation)."""
         self._atoms.add(item)
         name = item.relation.name
         self._by_relation.setdefault(name, set()).add(item)
@@ -95,7 +105,8 @@ class Instance:
         for position, value in enumerate(item.args):
             key = (name, position, value)
             self._by_position.setdefault(key, set()).add(item)
-        return True
+            if value.__class__ is Null:
+                self._null_refs[value] = self._null_refs.get(value, 0) + 1
 
     def add_all(self, items: Iterable[Atom]) -> int:
         """Insert several atoms; return how many were new."""
@@ -125,6 +136,12 @@ class Instance:
                 slot.discard(item)
                 if not slot:
                     del self._by_position[key]
+            if value.__class__ is Null:
+                left = self._null_refs[value] - 1
+                if left:
+                    self._null_refs[value] = left
+                else:
+                    del self._null_refs[value]
         return True
 
     def _invalidate_caches(self) -> None:
@@ -236,12 +253,16 @@ class Instance:
 
     def nulls(self) -> FrozenSet[Null]:
         """``Null(I) = Dom(I) ∩ Null``."""
-        return frozenset(v for v in self.active_domain() if isinstance(v, Null))
+        return frozenset(self._null_refs)
+
+    def null_count(self) -> int:
+        """``|Null(I)|``, in constant time."""
+        return len(self._null_refs)
 
     @property
     def is_ground(self) -> bool:
         """True if the instance contains no nulls (e.g. a source instance)."""
-        return not self.nulls()
+        return not self._null_refs
 
     def null_factory(self) -> NullFactory:
         """A factory of nulls fresh with respect to this instance."""
@@ -269,6 +290,7 @@ class Instance:
         result._by_tuple = {
             name: set(bucket) for name, bucket in self._by_tuple.items()
         }
+        result._null_refs = dict(self._null_refs)
         # Same atom set, same digests: seed the copy's caches.  The
         # copy's first mutation rebinds them without touching ours.
         result._fingerprints = dict(self._fingerprints)
@@ -293,10 +315,26 @@ class Instance:
         return all(item in other for item in self._atoms)
 
     def reduct(self, schema: Schema) -> "Instance":
-        """The σ-reduct ``I|σ``: atoms whose relation belongs to ``schema``."""
-        return Instance(
-            item for item in self._atoms if item.relation in schema
-        )
+        """The σ-reduct ``I|σ``: atoms whose relation belongs to ``schema``.
+
+        Schema membership is decided once per relation, and the kept
+        atoms are indexed without ``add``'s per-atom checks.  They are
+        inserted in this instance's iteration order, as ``add`` would,
+        so the reduct's sets iterate (and searches over it run) exactly
+        as those of ``Instance(filtered atoms)``.
+        """
+        # The indexes key relations by name, and one name has one arity
+        # within an instance, so one atom decides for its whole bucket.
+        kept = {
+            name
+            for name, bucket in self._by_relation.items()
+            if next(iter(bucket)).relation in schema
+        }
+        result = Instance()
+        for item in self._atoms:
+            if item.relation.name in kept:
+                result._insert(item)
+        return result
 
     def rename_values(self, mapping: Mapping[Value, Value]) -> "Instance":
         """The image of this instance under a value mapping (h(I))."""
@@ -375,7 +413,8 @@ class Instance:
         if cached is not None:
             _cache_hit()
             return cached
-        target = self.canonical() if canonical else self
+        # A ground instance is its own canonical form.
+        target = self.canonical() if canonical and not self.is_ground else self
         digest = hashlib.sha256()
         for token in sorted(_atom_token(item) for item in target._atoms):
             digest.update(token)
@@ -406,7 +445,7 @@ class Instance:
         """
         ordering: List[Null] = []
         seen: Set[Null] = set()
-        for item in sorted(self._atoms):
+        for item in self.sorted_atoms():
             for value in item.args:
                 if isinstance(value, Null) and value not in seen:
                     seen.add(value)
@@ -426,6 +465,9 @@ class Instance:
         stability the ``repro.io`` codec and the ``repro.engine`` cache
         keys rely on.
 
+        A ground instance has no nulls to rename: its form is a copy of
+        itself, with no renaming rounds.
+
         The form is memoized until the next mutation (callers must not
         mutate the returned instance); hits count towards
         ``fingerprint.cache_hits``.
@@ -433,6 +475,11 @@ class Instance:
         if self._canonical_cache is not None:
             _cache_hit()
             return self._canonical_cache
+        if self.is_ground:
+            result = self.copy()
+            result._canonical_cache = result  # idempotent
+            self._canonical_cache = result
+            return result
         history: List[Tuple[Atom, ...]] = []
         forms: Dict[Tuple[Atom, ...], "Instance"] = {}
         current = self
@@ -451,7 +498,7 @@ class Instance:
 
     def sorted_atoms(self) -> List[Atom]:
         """The atoms in deterministic order (for printing and tests)."""
-        return sorted(self._atoms)
+        return sorted(self._atoms, key=Atom.sort_key)
 
     def __repr__(self) -> str:
         if not self._atoms:

@@ -105,7 +105,7 @@ def block_index(instance: Instance) -> List[List[Atom]]:
                 owned_by[block_of[value]].append(atom)
                 break
     for owned in owned_by:
-        owned.sort()
+        owned.sort(key=Atom.sort_key)
     return owned_by
 
 
@@ -231,13 +231,14 @@ def minimize_block(
             for value in mapping.values()
         )
         total = {null: mapping.get(value, value) for null, value in total.items()}
-        survivors = sorted(images.intersection(survivors))
+        survivors = sorted(images.intersection(survivors), key=Atom.sort_key)
         if not survivors:
             break
         pattern, back = block_pattern(survivors)
     if not folded:
         return None
-    images = tuple(sorted({item.rename_values(total) for item in owned}))
+    images = {item.rename_values(total) for item in owned}
+    images = tuple(sorted(images, key=Atom.sort_key))
     return total, images, crossed
 
 

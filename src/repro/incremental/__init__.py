@@ -4,8 +4,9 @@
 instead of re-chasing from scratch: the provenance ledger doubles as a
 fact-level dependency DAG (deletion cones, DRed-style re-derivation),
 the semi-naive engine continues from the surviving chase state seeded
-with just the edit, and the blockwise core pass skips or replays the
-Gaifman blocks the edit provably could not have touched.  See
+with just the edit, and the blockwise core pass keeps its block index
+alive between edits and revisits only the Gaifman blocks the edit
+reaches.  See
 ``docs/performance.md`` ("Incremental maintenance") for the
 architecture and the exactness argument.
 """

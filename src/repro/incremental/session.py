@@ -6,7 +6,8 @@ three artifacts alive between edits:
 * the **chase state** (source ∪ derived target facts),
 * the **provenance ledger** -- a fact-level derivation DAG recording,
   for every fact, which firing produced it from which parents, and
-* the **block memo** -- per-Gaifman-block core minimization outcomes
+* the **block memo** -- the maintained core with its Gaifman blocks,
+  their minimization outcomes and the touch index
   (:mod:`repro.incremental.core`).
 
 :meth:`apply` then maintains the CWA-solution under a
@@ -20,8 +21,13 @@ three artifacts alive between edits:
 * **Insertions** seed the semi-naive engine's per-tgd delta joins with
   just the inserted atoms (plus the re-derivation frontier), so trigger
   discovery only inspects matches that can involve the edit.
-* The **core** is re-minimized blockwise, skipping or replaying blocks
-  the edit provably could not have touched.
+* The **core** is re-minimized blockwise, only over the blocks the
+  edit reaches; the ledger steps the apply recorded name the changed
+  atoms, so no pass over the whole instance finds them.
+
+Every apply hands out fresh snapshots (the result's source, canonical
+solution and core, and the cache payload); the rest of its work is
+proportional to the edit.
 
 The continuation chase is a valid (semi-naive standard) chase of the new
 source from an intermediate state every from-scratch chase can reach, so
@@ -50,11 +56,11 @@ deletions.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Set, Tuple, Union
 
 from ..chase.result import ChaseOutcome, ChaseStatus
-from ..chase.loop import DEFAULT_MAX_STEPS
-from ..chase.seminaive import seminaive_chase
+from ..chase.loop import DEFAULT_MAX_STEPS, chase_rounds
+from ..chase.seminaive import DeltaSource, seminaive_chase
 from ..core.atoms import Atom
 from ..core.errors import ChaseDivergence, ReproError
 from ..core.instance import Instance
@@ -114,7 +120,15 @@ class DeltaSession:
 
     def _analyze(self) -> None:
         """Static per-setting facts the apply path consults."""
-        self._dependencies = list(self.setting.all_dependencies)
+        setting = self.setting
+        self._dependencies = list(setting.all_dependencies)
+        # Every (relation, position) of the chase state, for index probes.
+        self._positions = [
+            (relation.name, position)
+            for schema in (setting.source_schema, setting.target_schema)
+            for relation in schema
+            for position in range(relation.arity)
+        ]
         tgds = [d for d in self._dependencies if d.is_tgd]
         self._fo_premises = any(t.premise_atoms is None for t in tgds)
         # Tgds with a frontier-free conclusion atom derive facts sharing
@@ -207,7 +221,6 @@ class DeltaSession:
             value for atom in target.facts() for value in atom.args
         )
         session._failed = False
-        session._canonical_atoms = frozenset()
         # Verify the recorded state: with a complete, successful ledger
         # this matching pass fires nothing (every trigger is satisfied);
         # a partial ledger is chased to fixpoint and a failing one fails
@@ -224,13 +237,17 @@ class DeltaSession:
             session._finish(outcome, changed=None)
             return session
         session._chase = outcome.instance
-        canonical = chase.reduct(setting.target_schema)
-        session._canonical_atoms = frozenset(canonical)
+        session._canonical = chase.reduct(setting.target_schema)
+        # A fresh memo: a from-scratch core pass.
         core_instance, _ = incremental_core(
-            canonical, tuple(canonical), session._memo
+            session._canonical, (), session._memo
         )
         session.result = ExchangeResult(
-            setting, session.source.copy(), canonical, core_instance, 0
+            setting,
+            session.source.copy(),
+            session._canonical.copy(),
+            core_instance,
+            0,
         )
         return session
 
@@ -250,34 +267,44 @@ class DeltaSession:
             insertions, deletions = delta.effective(self.source)
             if not insertions and not deletions:
                 return self.result
-            new_source = self.source.copy()
+            # The session's source was valid; only the insertions are new.
+            self.setting.validate_source(Instance(insertions))
             for atom in deletions:
-                new_source.discard(atom)
+                self.source.discard(atom)
             for atom in insertions:
-                new_source.add(atom)
-            self.setting.validate_source(new_source)
+                self.source.add(atom)
             if self._needs_full(deletions):
                 counter("incremental.full_fallbacks").inc()
-                return self._full_resolve(new_source)
+                return self._full_resolve()
 
+            # The chase state is edited in place from here on; until
+            # _finish succeeds, an interrupted apply leaves it unusable.
+            self._failed = True
+            mark = len(self.ledger)
             cone: Tuple[Atom, ...] = ()
-            seeds: List[Atom] = []
+            seeds: Set[Atom] = set()
             if deletions:
-                cone = tuple(sorted(self.ledger.downstream_cone(deletions)))
+                over = self.ledger.downstream_cone(deletions)
+                cone = tuple(sorted(over, key=Atom.sort_key))
                 removed = [a for a in cone if self._chase.discard(a)]
                 self.ledger.record_deletion("incremental", removed)
                 counter("incremental.retracted").inc(len(removed))
                 seeds = self._rederivation_seeds(cone)
             for atom in insertions:
                 self._chase.add(atom)
-            initial = sorted(set(insertions).union(seeds))
+            initial = sorted(seeds.union(insertions), key=Atom.sort_key)
+            # The semi-naive chase of the session's own chase state, in
+            # place: ``seminaive_chase`` would first copy all of it.
             with recording(self.ledger):
-                outcome = seminaive_chase(
+                outcome = chase_rounds(
+                    "seminaive",
+                    "semi-naive chase",
                     self._chase,
                     self._dependencies,
+                    lambda tgds, current: DeltaSource(tgds, current, initial),
                     max_steps=self.max_steps,
+                    trace=False,
                     null_factory=self._factory,
-                    initial_delta=initial,
                 )
             counter("incremental.delta_rounds").inc(outcome.rounds)
             if cone:
@@ -285,8 +312,8 @@ class DeltaSession:
                     1 for atom in cone if atom in outcome.instance
                 )
                 counter("incremental.rederived").inc(rederived)
-            self.source = new_source
-            return self._finish(outcome, changed="diff")
+            changed = self.ledger.changed_facts(mark)
+            return self._finish(outcome, changed=changed)
 
     def _needs_full(self, deletions: Sequence[Atom]) -> bool:
         if self._failed:
@@ -297,16 +324,15 @@ class DeltaSession:
             return True  # deletion cones through merges are inexact
         return False
 
-    def _full_resolve(self, new_source: Instance) -> ExchangeResult:
+    def _full_resolve(self) -> ExchangeResult:
         """From-scratch re-solve; resets ledger, memo, and null factory."""
         with span("incremental.full_resolve"):
             self.ledger.clear()
             self._memo.clear()
-            self.source = new_source
-            self._factory = NullFactory.above(new_source.active_domain())
+            self._factory = NullFactory.above(self.source.active_domain())
             return self._solve_initial()
 
-    def _rederivation_seeds(self, cone: Sequence[Atom]) -> List[Atom]:
+    def _rederivation_seeds(self, cone: Sequence[Atom]) -> Set[Atom]:
         """Surviving atoms that can participate in re-deriving the cone.
 
         A firing that re-derives a cone member binds its frontier from
@@ -317,21 +343,23 @@ class DeltaSession:
         without frontier variables; for tgds that have one, all atoms of
         their premise relations are seeded whenever the cone touches
         their conclusion relations.
+
+        The survivors are found through the chase state's position index,
+        one probe per cone value and relation position.
         """
         values = set()
         for atom in cone:
             values.update(atom.args)
-        seeds = [
-            atom
-            for atom in self._chase
-            if any(value in values for value in atom.args)
-        ]
+        seeds: Set[Atom] = set()
+        for value in values:
+            for name, position in self._positions:
+                seeds.update(self._chase.probe_position(name, position, value))
         if self._frontier_free:
             cone_relations = {atom.relation for atom in cone}
             for tgd in self._frontier_free:
                 if cone_relations & tgd.conclusion_relations():
                     for relation in tgd.premise_relations():
-                        seeds.extend(self._chase.atoms_of(relation))
+                        seeds.update(self._chase.probe_relation(relation.name))
         return seeds
 
     # ------------------------------------------------------------------
@@ -339,39 +367,51 @@ class DeltaSession:
     # ------------------------------------------------------------------
 
     def _finish(
-        self, outcome: ChaseOutcome, *, changed
+        self, outcome: ChaseOutcome, *, changed: Optional[Set[Atom]]
     ) -> ExchangeResult:
+        """Core, result and cache entry after a chase.
+
+        ``changed`` holds the chase facts the apply's ledger steps
+        touched; None (a from-scratch chase) recomputes the core from
+        scratch.
+        """
         if outcome.status is ChaseStatus.DIVERGED:
             self._failed = True  # poisoned: next apply re-solves fully
             raise ChaseDivergence(outcome.steps, outcome.reason)
         self._chase = outcome.instance
         if outcome.status is ChaseStatus.FAILURE:
             self._failed = True
-            self._canonical_atoms = frozenset()
             self._memo.clear()
             self.result = ExchangeResult(
                 self.setting, self.source.copy(), None, None, outcome.steps
             )
         else:
             self._failed = False
-            canonical = self._chase.reduct(self.setting.target_schema)
-            new_atoms = frozenset(canonical)
+            target = self.setting.target_schema
             if changed is None:
                 self._memo.clear()
-                changed_atoms: Tuple[Atom, ...] = tuple(new_atoms)
+                self._canonical = self._chase.reduct(target)
+                edit = []
             else:
-                changed_atoms = tuple(
-                    new_atoms.symmetric_difference(self._canonical_atoms)
+                # The canonical solution is the chase state's target part:
+                # keep it current from the changed atoms alone.
+                edit = sorted(
+                    (atom for atom in changed if atom.relation in target),
+                    key=Atom.sort_key,
                 )
+                for atom in edit:
+                    if atom in self._chase:
+                        self._canonical.add(atom)
+                    else:
+                        self._canonical.discard(atom)
             with recording(self.ledger):
                 core_instance, _ = incremental_core(
-                    canonical, changed_atoms, self._memo
+                    self._canonical, edit, self._memo
                 )
-            self._canonical_atoms = new_atoms
             self.result = ExchangeResult(
                 self.setting,
                 self.source.copy(),
-                canonical,
+                self._canonical.copy(),
                 core_instance,
                 outcome.steps,
             )

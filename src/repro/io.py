@@ -190,7 +190,7 @@ def instance_to_payload(instance: Instance, *, canonical: bool = False) -> dict:
         instance = instance.canonical()
     relations = {}
     for name in instance.relation_names():
-        atoms = sorted(instance.atoms_of(name))
+        atoms = sorted(instance.probe_relation(name), key=Atom.sort_key)
         relations[name] = {
             "arity": atoms[0].relation.arity,
             "rows": [

@@ -48,6 +48,7 @@ content-addressable and cacheable alongside solve results.
 
 from __future__ import annotations
 
+import heapq
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -175,6 +176,9 @@ class ProvenanceLedger:
         # core-folded atoms (folds shrink the core, not the chase).
         self._chase_state: Set[Atom] = set()
         self._merges: int = 0
+        # Fact -> indexes of the tgd steps using it as a parent and the
+        # egd steps rewriting it: the edges downstream_cone follows.
+        self._consumers: Dict[Atom, List[int]] = {}
 
     def clear(self) -> None:
         """Reset the ledger in place (keeping external references valid).
@@ -191,11 +195,20 @@ class ProvenanceLedger:
         self._live.clear()
         self._chase_state.clear()
         self._merges = 0
+        self._consumers.clear()
 
     # -- recording (called by the engines) ------------------------------
 
     def _append(self, step: Step) -> Step:
         self._steps.append(step)
+        if step.kind == "tgd":
+            used = step.parents
+        elif step.kind == "egd":
+            used = [before for before, _ in step.rewrites]
+        else:
+            return step
+        for item in used:
+            self._consumers.setdefault(item, []).append(step.index)
         return step
 
     def _produce(self, item: Atom, index: int) -> None:
@@ -223,9 +236,14 @@ class ProvenanceLedger:
         source record (its old derivation no longer exists).
         """
         fresh = tuple(
-            item
-            for item in sorted(atoms)
-            if item not in self._producers or item in self._deleted
+            sorted(
+                (
+                    item
+                    for item in atoms
+                    if item not in self._producers or item in self._deleted
+                ),
+                key=Atom.sort_key,
+            )
         )
         if not fresh:
             return
@@ -288,8 +306,10 @@ class ProvenanceLedger:
         """
         rewrites = tuple(
             (item, item.rename_values({old: new}))
-            for item in sorted(self._chase_state)
-            if old in item.args
+            for item in sorted(
+                (item for item in self._chase_state if old in item.args),
+                key=Atom.sort_key,
+            )
         )
         step = self._append(
             Step(
@@ -396,6 +416,27 @@ class ProvenanceLedger:
         """
         return tuple(sorted(self._chase_state))
 
+    def changed_facts(self, since: int) -> Set[Atom]:
+        """Facts the steps from ``since`` on moved into or out of the chase.
+
+        Every fact a ``source``/``tgd`` step added, an ``egd`` step
+        rewrote (both forms) or a ``delete`` step removed -- so a fact
+        deleted and re-derived is included, and one added and rewritten
+        within the steps may be.  ``retract`` steps change the core, not
+        the chase state, and do not count.
+        """
+        changed: Set[Atom] = set()
+        for step in self._steps[since:]:
+            if step.kind == "egd":
+                for before, after in step.rewrites:
+                    changed.add(before)
+                    changed.add(after)
+            elif step.kind == "delete":
+                changed.update(step.dropped)
+            elif step.kind != "retract":
+                changed.update(step.added)
+        return changed
+
     def downstream_cone(self, roots: Iterable[Atom]) -> Set[Atom]:
         """``roots`` plus every fact derived (transitively) from them.
 
@@ -404,18 +445,36 @@ class ProvenanceLedger:
         rewrote a cone member into it.  One forward pass suffices --
         every derivation edge points from an earlier step to a later
         one, even across incremental continuation rounds.
+
+        The pass visits only the steps that consume a cone member, in
+        step order, through the consumer index: a fact that joins the
+        cone at step ``k`` reaches the consumers recorded after ``k``,
+        exactly as in a scan of every step.
         """
         cone: Set[Atom] = set(roots)
-        if not cone:
-            return cone
-        for step in self._steps:
+        pending: List[int] = []
+        for item in cone:
+            pending.extend(self._consumers.get(item, ()))
+        heapq.heapify(pending)
+        done: Set[int] = set()
+        while pending:
+            index = heapq.heappop(pending)
+            if index in done:
+                continue
+            done.add(index)
+            step = self._steps[index]
             if step.kind == "tgd":
-                if any(parent in cone for parent in step.parents):
-                    cone.update(step.added)
-            elif step.kind == "egd":
-                for before, after in step.rewrites:
-                    if before in cone:
-                        cone.add(after)
+                joined = step.added
+            else:
+                joined = [
+                    after for before, after in step.rewrites if before in cone
+                ]
+            for item in joined:
+                if item not in cone:
+                    cone.add(item)
+                    for consumer in self._consumers.get(item, ()):
+                        if consumer > index:
+                            heapq.heappush(pending, consumer)
         return cone
 
     def why(self, fact: Atom) -> Optional[Justification]:
@@ -584,8 +643,7 @@ class ProvenanceLedger:
                 f"(expected {SCHEMA!r})"
             )
         for index, body in enumerate(payload.get("steps", ())):
-            step = _step_from_json(index, body)
-            self._steps.append(step)
+            step = self._append(_step_from_json(index, body))
             if step.kind in ("source", "tgd"):
                 for item in step.added:
                     self._produce(item, step.index)

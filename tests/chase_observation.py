@@ -83,6 +83,25 @@ def _merge_reactivation():
     return parse_instance("E('a','b'), G('a','c'), K('c')"), deps
 
 
+def _stale_delta():
+    """Chained merges in one egd fixpoint rewrite a delta atom twice.
+
+    ``R(a,⊥0)`` enters the semi-naive delta; the merge ``⊥0 := c`` makes
+    it stale before the pass that would seed ``R(x,y) → S(y)`` from it.
+    Both engines must end with ``R(a,c), S(c)`` only.
+    """
+    deps = parse_dependencies(
+        [
+            "P(x) -> exists y . R(x, y)",
+            "Q(x) -> exists y . R(x, y)",
+            "T(x, y) -> R(x, y)",
+            "R(x, y) & R(x, z) -> y = z",
+            "R(x, y) -> S(y)",
+        ]
+    )
+    return parse_instance("P('a'), Q('a'), T('a','c')"), deps
+
+
 def _continuation():
     """A solved Example 2.1 chase plus one inserted source atom.
 
@@ -159,6 +178,8 @@ RUNS = {
     "seminaive/merge_reactivation": _batched(
         seminaive_chase, _merge_reactivation
     ),
+    "standard/stale_delta": _batched(standard_chase, _stale_delta),
+    "seminaive/stale_delta": _batched(seminaive_chase, _stale_delta),
     "standard/continuation": _resumed(standard_chase),
     "seminaive/continuation": _resumed(seminaive_chase),
     "oblivious/example_2_1": _oblivious,

@@ -1,6 +1,10 @@
 """Unit tests for atoms and substitutions."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ArityError,
@@ -99,3 +103,104 @@ class TestSubstitution:
         right = Substitution({Variable("x"): Const("a")})
         assert left == right
         assert hash(left) == hash(right)
+
+
+# ----------------------------------------------------------------------
+# The cached sort key
+# ----------------------------------------------------------------------
+
+S = RelationSymbol("S", 3)
+
+
+def _uncached_sort_key(item):
+    """The atom order as it was before the key was cached."""
+
+    def term_key(term):
+        if isinstance(term, Const):
+            return (0, term.name)
+        if isinstance(term, Null):
+            return (1, term.ident)
+        return (2, term.name)
+
+    return (item.relation.name, tuple(term_key(arg) for arg in item.args))
+
+
+def _values():
+    return st.one_of(
+        st.sampled_from(["a", "b", "c10", "c9", ""]).map(Const),
+        st.integers(min_value=0, max_value=12).map(Null),
+    )
+
+
+def _atoms():
+    return st.one_of(
+        st.tuples(_values()).map(lambda args: Atom(P, args)),
+        st.tuples(_values(), _values()).map(lambda args: Atom(R, args)),
+        st.tuples(_values(), _values(), _values()).map(
+            lambda args: Atom(S, args)
+        ),
+    )
+
+
+class TestCachedSortKey:
+    @given(st.lists(_atoms(), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_order_matches_uncached_key(self, atoms):
+        expected = sorted(atoms, key=_uncached_sort_key)
+        assert sorted(atoms) == expected
+        assert sorted(atoms, key=Atom.sort_key) == expected
+        # A second sort reads the cached keys and agrees again.
+        assert sorted(atoms) == expected
+        for item in atoms:
+            assert item.sort_key() == _uncached_sort_key(item)
+
+    def test_key_is_cached(self):
+        item = Atom(R, (Const("a"), Null(3)))
+        assert item.sort_key() is item.sort_key()
+
+    def test_pickle_leaves_the_key_behind(self):
+        item = Atom(R, (Const("a"), Null(3)))
+        before = pickle.dumps(item)
+        item.sort_key()
+        assert pickle.dumps(item) == before
+        again = pickle.loads(before)
+        assert again == item and hash(again) == hash(item)
+        assert not hasattr(again, "_key")
+
+    @given(st.lists(_atoms(), max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_pickle_roundtrip_keeps_equality_hash_and_order(self, atoms):
+        for item in atoms:
+            item.sort_key()
+        again = pickle.loads(pickle.dumps(atoms))
+        assert again == atoms
+        assert [hash(item) for item in again] == [hash(item) for item in atoms]
+        assert sorted(again) == sorted(atoms)
+
+
+def _worker_view(atoms):
+    """Runs in a pool worker: what the unpickled atoms look like there."""
+    shipped_keys = [hasattr(item, "_key") for item in atoms]
+    return atoms, [hash(item) for item in atoms], sorted(atoms), shipped_keys
+
+
+def test_pool_roundtrip_keeps_equality_hash_and_order(monkeypatch):
+    from repro.engine import Executor
+
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    atoms = [
+        Atom(R, (Const("b"), Null(2))),
+        Atom(P, (Null(1),)),
+        Atom(R, (Const("a"), Const("z"))),
+        Atom(S, (Null(0), Const("a"), Null(7))),
+    ]
+    expected = sorted(atoms)  # computes every key before shipping
+    with Executor() as executor:
+        assert executor.parallel
+        results = executor.map_tasks(_worker_view, [(atoms,), (atoms[::-1],)])
+    shipped_lists = (atoms, atoms[::-1])
+    for shipped, (back, hashes, order, keys) in zip(shipped_lists, results):
+        assert back == shipped
+        assert hashes == [hash(item) for item in shipped]
+        assert order == expected
+        assert not any(keys)

@@ -28,6 +28,7 @@ from repro.generators import (
     random_source_for,
     random_weakly_acyclic_setting,
 )
+from repro.homomorphism.blocks import null_blocks
 from repro.io import dumps_delta, loads_delta
 from repro.obs.provenance import recording
 
@@ -557,3 +558,267 @@ class TestEditStreamParity:
         victim = atoms[seed % len(atoms)]
         result = session.apply(SourceDelta(deletions=[victim]))
         _assert_parity(result, setting, session.source)
+
+
+# ----------------------------------------------------------------------
+# Per-delta apply: work proportional to the edit
+# ----------------------------------------------------------------------
+
+
+def _swap(session, victims, fresh):
+    """Delete ``victims`` (indexes into the sorted source), insert
+    ``fresh`` new anchored rows."""
+    r = RelationSymbol("R", 2)
+    atoms = sorted(session.source)
+    return SourceDelta(
+        insertions=[
+            Atom(r, (Const(f"{tag}a"), Const(f"{tag}b"))) for tag in fresh
+        ],
+        deletions=[atoms[index] for index in victims],
+    )
+
+
+_WORK = (
+    "incremental.blocks_reminimized",
+    "incremental.blocks_touched",
+    "incremental.blocks_skipped",
+    "incremental.blocks_replayed",
+    "hom.candidates",
+)
+
+
+def _work_of(session, delta):
+    obs.reset()
+    session.apply(delta)
+    return {name: obs.counter(name).value for name in _WORK}
+
+
+def _check_memo(session):
+    """The persistent block state describes the session's result."""
+    memo = session._memo
+    canonical = session.result.canonical_solution
+    assert canonical == session._chase.reduct(session.setting.target_schema)
+    assert memo.core == session.result.core_solution
+    owned = [atom for atoms, _ in memo.blocks.values() for atom in atoms]
+    assert len(owned) == len(set(owned))
+    assert set(owned) == {atom for atom in canonical if atom.nulls}
+    assert set(memo.block_of) == canonical.nulls()
+    assert {
+        frozenset(null for atom in atoms for null in atom.nulls)
+        for atoms, _ in memo.blocks.values()
+    } == set(null_blocks(canonical))
+    assert memo.folded == sum(folded for _, folded in memo.blocks.values())
+    rebuilt = {}
+    for block_id, (atoms, _) in memo.blocks.items():
+        for atom in atoms:
+            assert all(memo.block_of[null] == block_id for null in atom.nulls)
+            positions = tuple(
+                i
+                for i, value in enumerate(atom.args)
+                if value not in atom.nulls
+            )
+            rebuilt.setdefault(atom.relation, {}).setdefault(
+                positions, {}
+            ).setdefault(tuple(atom.args[i] for i in positions), set()).add(
+                block_id
+            )
+    assert memo.touch == rebuilt
+    # No atom the core folded away is live in the ledger, even when the
+    # apply deleted and re-derived it.
+    live = set(session.ledger.live_facts())
+    assert live & set(canonical) <= set(memo.core)
+
+
+class TestPerDeltaApply:
+    def test_work_does_not_grow_with_the_instance(self):
+        """A 2+2 swap re-minimizes and touch-tests the same blocks at
+        200 and at 2,000 rows; every other block is reused unvisited."""
+        setting = _anchored_setting()
+        work = {}
+        for rows in (200, 2000):
+            session = DeltaSession(setting, _anchored_source(rows))
+            work[rows] = _work_of(session, _swap(session, (5, 7), ("x", "y")))
+            blocks = 2 * rows  # anchored: an A/B block and a C block per row
+            assert (
+                work[rows]["incremental.blocks_reminimized"]
+                + work[rows]["incremental.blocks_skipped"]
+                + work[rows]["incremental.blocks_replayed"]
+                == blocks
+            )
+            _check_memo(session)
+            _assert_parity(session.result, setting, session.source)
+        small, large = work[200], work[2000]
+        for name in (
+            "incremental.blocks_reminimized",
+            "incremental.blocks_touched",
+            "hom.candidates",
+        ):
+            assert small[name] == large[name], name
+        assert small["incremental.blocks_reminimized"] == 4  # the new rows
+        assert small["incremental.blocks_skipped"] == 2 * 200 - 4
+        assert small["incremental.blocks_replayed"] == 0
+
+    def test_insertion_that_is_a_fold_image_of_an_untouched_block(self):
+        # E(b, ⊥) is unfoldable until M(b,'d') adds E(b,d): a ground
+        # atom sharing no null with the block, found by its skeleton.
+        setting = DataExchangeSetting.from_strings(
+            Schema.of(M=2, N=1),
+            Schema.of(E=2),
+            ["N(x) -> exists z . E(x,z)", "M(x,y) -> E(x,y)"],
+        )
+        source = parse_instance("N('a'), N('b'), N('c')")
+        session = DeltaSession(setting, source)
+        assert len(session.result.core_solution) == 3
+        work = _work_of(
+            session, SourceDelta(insertions=parse_instance("M('b','d')"))
+        )
+        assert work["incremental.blocks_touched"] == 1
+        assert work["incremental.blocks_reminimized"] == 1
+        assert work["incremental.blocks_skipped"] == 2
+        core = session.result.core_solution
+        assert parse_instance("E('b','d')").issubset(core) and len(core) == 3
+        _check_memo(session)
+        _assert_parity(session.result, setting, session.source)
+
+    def test_deletion_of_a_folded_blocks_image(self):
+        setting = DataExchangeSetting.from_strings(
+            Schema.of(M=2, N=1),
+            Schema.of(E=2),
+            ["N(x) -> exists z . E(x,z)", "M(x,y) -> E(x,y)"],
+        )
+        source = parse_instance("N('a'), N('b'), M('a','d'), M('b','e')")
+        session = DeltaSession(setting, source)
+        assert session._memo.folded == 2  # both E(x, ⊥) fold
+        work = _work_of(
+            session, SourceDelta(deletions=parse_instance("M('a','d')"))
+        )
+        # E(a,d) was the fold image of E(a, ⊥): that block unfolds.
+        assert work["incremental.blocks_reminimized"] == 1
+        assert work["incremental.blocks_replayed"] == 1
+        core = session.result.core_solution
+        assert len(core.atoms_with("E", 0, Const("a"))) == 1
+        assert core.atoms_with("E", 0, Const("a")) != parse_instance(
+            "E('a','d')"
+        ).frozen()
+        _check_memo(session)
+        _assert_parity(session.result, setting, session.source)
+
+    def test_cross_block_fold_falls_back(self):
+        # E(a, ⊥0) folds onto E(a, ⊥1), whose null lives in the G block:
+        # a fold across blocks, so the pass falls back to a full one.
+        setting = DataExchangeSetting.from_strings(
+            Schema.of(K=1, N=1),
+            Schema.of(E=2, G=1),
+            ["N(x) -> exists z . E(x,z)", "K(x) -> exists w . E(x,w) & G(w)"],
+        )
+        session = DeltaSession(setting, parse_instance("N('a'), N('b')"))
+        work = _work_of(
+            session, SourceDelta(insertions=parse_instance("K('a')"))
+        )
+        assert obs.counter("incremental.core_fallbacks").value == 1
+        assert work["incremental.blocks_reminimized"] >= 1
+        assert len(session._memo) == 0  # cleared: the next pass is full
+        _assert_parity(session.result, setting, session.source)
+        result = session.apply(
+            SourceDelta(insertions=parse_instance("N('c')"))
+        )
+        _assert_parity(result, setting, session.source)
+
+    def test_rederived_atoms_keep_the_ledger_exact(self):
+        # F(a, ⊥) is derived through Kt(a) first; deleting K(a) deletes
+        # it, and G(a, ⊥) re-derives it.  The canonical solution only
+        # loses Kt(a), but the re-derived F(a, ⊥) is live again in the
+        # ledger, so its folded block is re-minimized (and re-retracted).
+        setting = DataExchangeSetting.from_strings(
+            Schema.of(N=1, K=1, M=2),
+            Schema.of(H=2, Kt=1, G=2, F=2),
+            [
+                "N(x) -> exists z . H(x,z)",
+                "K(x) -> Kt(x)",
+                "M(x,y) -> H(x,y)",
+            ],
+            [
+                "H(x,z) & Kt(x) -> F(x,z)",
+                "H(x,z) -> G(x,z)",
+                "G(x,z) -> F(x,z)",
+            ],
+        )
+        source = parse_instance("N('a'), K('a'), M('a','b')")
+        session = DeltaSession(setting, source)
+        assert session._memo.folded == 1
+        work = _work_of(
+            session, SourceDelta(deletions=parse_instance("K('a')"))
+        )
+        assert obs.counter("incremental.rederived").value > 0
+        assert work["incremental.blocks_reminimized"] == 1
+        assert session._memo.folded == 1
+        _check_memo(session)
+        _assert_parity(session.result, setting, session.source)
+
+    @given(seed=_SETTING_SEEDS, script=_EDIT_SCRIPTS)
+    @settings(max_examples=25, deadline=None)
+    def test_memo_describes_every_result(self, seed, script):
+        setting = random_weakly_acyclic_setting(seed, egd_probability=0.4)
+        source = random_source_for(setting, seed=seed + 2)
+        try:
+            session = DeltaSession(setting, source)
+        except Exception:
+            return
+        r_atoms = sorted(session.source)
+        for step, (pick, insert_count, delete_count) in enumerate(script):
+            atoms = sorted(session.source) or r_atoms
+            template = atoms[pick % len(atoms)]
+            insertions = [
+                Atom(
+                    template.relation,
+                    tuple(
+                        Const(f"k{step}_{i}_{j % 2}")
+                        for j in range(template.relation.arity)
+                    ),
+                )
+                for i in range(insert_count)
+            ]
+            deletions = [atoms[pick % len(atoms)]] if delete_count else []
+            result = session.apply(
+                SourceDelta(
+                    insertions=Instance(insertions),
+                    deletions=Instance(deletions),
+                )
+            )
+            if result.cwa_solution_exists and len(session._memo):
+                _check_memo(session)
+            _assert_parity(result, setting, session.source)
+
+
+def _scanned_cone(ledger, roots):
+    """``downstream_cone`` as one forward scan over every step."""
+    cone = set(roots)
+    for step in ledger.steps:
+        if step.kind == "tgd":
+            if any(parent in cone for parent in step.parents):
+                cone.update(step.added)
+        elif step.kind == "egd":
+            for before, after in step.rewrites:
+                if before in cone:
+                    cone.add(after)
+    return cone
+
+
+class TestDownstreamCone:
+    @given(
+        seed=_SETTING_SEEDS,
+        picks=st.lists(st.integers(0, 10_000), max_size=4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_indexed_cone_equals_a_full_scan(self, seed, picks):
+        setting = random_weakly_acyclic_setting(seed, egd_probability=0.5)
+        source = random_source_for(setting, seed=seed + 3)
+        with recording() as ledger:
+            solve(setting, source, engine="seminaive")
+        facts = ledger.facts()
+        if not facts:
+            return
+        roots = [facts[pick % len(facts)] for pick in picks]
+        assert ledger.downstream_cone(roots) == _scanned_cone(ledger, roots)
+        again = type(ledger).loads(ledger.dumps())
+        assert again.downstream_cone(roots) == _scanned_cone(ledger, roots)

@@ -190,3 +190,123 @@ class TestIsomorphism:
     @settings(max_examples=50, deadline=None)
     def test_isomorphism_reflexive(self, inst):
         assert isomorphic(inst, inst.copy())
+
+
+def _legacy_canonical(instance):
+    """The renaming fixpoint ``canonical()`` runs on instances with nulls."""
+    history, forms = [], {}
+    current = instance
+    while True:
+        current = current.rename_values(current.canonical_renaming())
+        key = tuple(current.sorted_atoms())
+        if key in forms:
+            start = history.index(key)
+            return forms[min(history[start:])]
+        history.append(key)
+        forms[key] = current
+
+
+def _internals(instance):
+    return (
+        instance._atoms,
+        instance._by_relation,
+        instance._by_position,
+        instance._by_tuple,
+        instance._null_refs,
+    )
+
+
+def mixed_instances(max_atoms=10):
+    return st.lists(
+        st.one_of(
+            st.tuples(values(), values()).map(lambda pair: Atom(E, pair)),
+            st.tuples(values()).map(lambda args: Atom(P, args)),
+        ),
+        max_size=max_atoms,
+    ).map(Instance)
+
+
+class TestGroundCanonical:
+    @given(instances())
+    @settings(max_examples=50, deadline=None)
+    def test_equals_the_renaming_fixpoint(self, inst):
+        ground = Instance(item for item in inst if not item.nulls)
+        assert ground.is_ground
+        assert ground.canonical() == _legacy_canonical(ground) == ground
+
+    def test_memoized_and_idempotent(self):
+        from repro import obs
+
+        inst = Instance([atom(E, "a", "b"), atom(P, "c")])
+        form = inst.canonical()
+        assert form is not inst
+        hits = obs.counter("fingerprint.cache_hits").value
+        assert inst.canonical() is form
+        assert obs.counter("fingerprint.cache_hits").value == hits + 1
+        assert form.canonical() is form
+        inst.add(atom(P, "d"))
+        assert inst.canonical() is not form
+
+    @given(instances())
+    @settings(max_examples=50, deadline=None)
+    def test_fingerprints_unchanged(self, inst):
+        ground = Instance(item for item in inst if not item.nulls)
+        # The digest of the ground form is the digest of the atom set.
+        assert ground.fingerprint(canonical=True) == ground.fingerprint()
+        assert ground.fingerprint(canonical=True) == _legacy_canonical(
+            ground
+        ).fingerprint()
+
+
+class TestReductIndexes:
+    @given(mixed_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_rebuilt_instance(self, inst):
+        for schema in (Schema.of(E=2), Schema.of(P=1), Schema.of(E=2, P=1)):
+            expected = Instance(
+                item for item in inst if item.relation in schema
+            )
+            reduct = inst.reduct(schema)
+            assert _internals(reduct) == _internals(expected)
+            # Same iteration orders too, so searches over the reduct run
+            # exactly as over the rebuilt instance.
+            assert list(reduct) == list(expected)
+            for name in expected._by_relation:
+                assert list(reduct.probe_relation(name)) == list(
+                    expected.probe_relation(name)
+                )
+
+    def test_empty_reduct(self):
+        inst = Instance([atom(E, "a", Null(0)), atom(P, Null(1))])
+        reduct = inst.reduct(Schema.of(Q=1))
+        assert _internals(reduct) == _internals(Instance())
+        assert reduct.is_ground and not reduct
+
+    def test_reduct_is_independent(self):
+        inst = Instance([atom(E, "a", Null(0))])
+        reduct = inst.reduct(Schema.of(E=2))
+        reduct.add(atom(E, "b", Null(1)))
+        assert len(inst) == 1 and inst.nulls() == frozenset({Null(0)})
+
+
+class TestNullCounts:
+    @given(st.lists(st.tuples(st.booleans(), values(), values()), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_track_adds_and_discards(self, script):
+        inst = Instance()
+        for adding, left, right in script:
+            item = Atom(E, (left, right))
+            if adding:
+                inst.add(item)
+            else:
+                inst.discard(item)
+            expected = frozenset(
+                value
+                for item in inst
+                for value in item.args
+                if isinstance(value, Null)
+            )
+            assert inst.nulls() == expected
+            assert inst.null_count() == len(expected)
+            assert inst.is_ground == (not expected)
+            assert inst.copy().nulls() == expected

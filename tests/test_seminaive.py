@@ -80,6 +80,22 @@ class TestAgreementWithStandard:
         assert outcome.successful
         assert outcome.instance.count_of("H") == 1
 
+    def test_stale_delta_after_merge(self):
+        """A delta atom an egd merge rewrote away seeds no match.
+
+        ``R(a,⊥0)`` is in the delta when ``⊥0 := c`` rewrites it; the
+        pass after the merge must not fire ``R(x,y) → S(y)`` on it and
+        keep ``S(⊥0)`` for the merged-away null.
+        """
+        source = parse_instance("P('a'), Q('a'), T('a','c')")
+        semi = seminaive_chase(source, STALE_DEPS)
+        full = standard_chase(source, STALE_DEPS)
+        assert semi.successful and full.successful
+        assert semi.instance == full.instance
+        assert semi.instance.atoms_of("S") == frozenset(
+            {Atom(RelationSymbol("S", 1), (Const("c"),))}
+        )
+
     def test_example_2_1(self, setting_2_1, source_2_1):
         deps = list(setting_2_1.all_dependencies)
         semi = seminaive_chase(source_2_1, deps)
@@ -94,6 +110,17 @@ class TestAgreementWithStandard:
             parse_instance("E('a','b')"), deps, trace=True
         )
         assert len(outcome.trace) == 1
+
+
+STALE_DEPS = parse_dependencies(
+    [
+        "P(x) -> exists y . R(x, y)",
+        "Q(x) -> exists y . R(x, y)",
+        "T(x, y) -> R(x, y)",
+        "R(x, y) & R(x, z) -> y = z",
+        "R(x, y) -> S(y)",
+    ]
+)
 
 
 @st.composite
@@ -130,3 +157,46 @@ def test_seminaive_agrees_with_standard_on_random_inputs(source):
     if semi.successful:
         assert satisfies_all(semi.instance, DEPS)
         assert hom_equivalent(semi.instance, full.instance)
+
+
+@st.composite
+def stale_delta_sources(draw):
+    pool = [Const(name) for name in "abc"]
+    unary = [RelationSymbol("P", 1), RelationSymbol("Q", 1)]
+    atoms = [
+        Atom(relation, (value,))
+        for relation in unary
+        for value in draw(st.lists(st.sampled_from(pool), max_size=3))
+    ]
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+            max_size=3,
+        )
+    )
+    atoms.extend(Atom(RelationSymbol("T", 2), pair) for pair in pairs)
+    return Instance(atoms)
+
+
+def _merged_away(outcome):
+    return {step.merged[0] for step in outcome.trace if step.kind == "egd"}
+
+
+@pytest.mark.parametrize(
+    "deps, sources",
+    [(DEPS, random_sources()), (STALE_DEPS, stale_delta_sources())],
+    ids=["example_2_1_shape", "stale_delta"],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_seminaive_keeps_no_merged_away_null(deps, sources, data):
+    """Parity with the standard chase, and no null an egd merged away
+    survives: hom-equivalence alone cannot see a stale ``S(⊥0)``."""
+    source = data.draw(sources)
+    semi = seminaive_chase(source, deps, trace=True)
+    full = standard_chase(source, deps)
+    assert semi.status == full.status
+    if semi.successful:
+        assert satisfies_all(semi.instance, deps)
+        assert hom_equivalent(semi.instance, full.instance)
+        assert not _merged_away(semi) & semi.instance.nulls()
