@@ -12,16 +12,18 @@ and finishes through: the working copy, the step and null counts, the
 per-dependency attribution and the heartbeat.  :func:`chase_rounds` is
 the egd-fixpoint → tgd-pass round loop of the two batched engines; its
 only parameter is the :class:`TriggerSource` that feeds each pass.
+The loop checks each trigger's conclusion at most once per run
+(:class:`SatisfiedTriggers`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom, Substitution
 from ..core.instance import Instance
-from ..core.terms import NullFactory, Value
+from ..core.terms import Null, NullFactory, Value
 from ..dependencies.base import Dependency, split_dependencies
 from ..dependencies.egd import Egd
 from ..dependencies.tgd import Tgd
@@ -220,6 +222,37 @@ class TriggerSource:
         return fired
 
 
+class SatisfiedTriggers:
+    """Per-run memo of frontier tuples whose tgd conclusion holds.
+
+    :meth:`Tgd.conclusion_holds` reads only the frontier binding ū of a
+    premise match, so one set of frontier tuples per tgd records every
+    ū with ``I ⊨ ∃z̄ ψ[ū, z̄]`` known.  A tuple enters when its check
+    succeeds or right after the loop fires it.  Firings only add atoms,
+    so a recorded tuple stays satisfied; an egd merge ``old := new``
+    maps every witness to a witness and leaves tuples without ``old``
+    unchanged, so :meth:`forget` drops exactly the tuples holding
+    ``old``.  Merges only ever replace nulls (footnote 4), so tuples
+    are indexed by the nulls they hold.
+    """
+
+    def __init__(self, tgds: Sequence[Tgd]):
+        #: One set of frontier tuples per tgd, in ``tgds`` order.
+        self.per_tgd: List[Set[Tuple[Value, ...]]] = [set() for _ in tgds]
+        self._by_null: Dict[Null, List[Tuple[Set, Tuple[Value, ...]]]] = {}
+
+    def add(self, satisfied: Set[Tuple[Value, ...]], key: Tuple[Value, ...]) -> None:
+        satisfied.add(key)
+        for value in key:
+            if value.__class__ is Null:
+                self._by_null.setdefault(value, []).append((satisfied, key))
+
+    def forget(self, old: Value) -> None:
+        """An egd merge replaced ``old``: drop the tuples that held it."""
+        for satisfied, key in self._by_null.pop(old, ()):
+            satisfied.discard(key)
+
+
 def chase_rounds(
     engine: str,
     label: str,
@@ -237,7 +270,9 @@ def chase_rounds(
     given order, which makes runs deterministic.  A pass fires every
     trigger the trigger source yields that is still unsatisfied at its
     own firing time -- each firing is checked against the current
-    instance, so this is a valid standard chase sequence.
+    instance, so this is a valid standard chase sequence.  A trigger
+    whose frontier tuple :class:`SatisfiedTriggers` already holds is
+    skipped without the check, which would succeed.
     ``trigger_source`` builds that source from the tgds and the working
     instance, which is ``instance`` itself, chased in place.
     """
@@ -246,6 +281,7 @@ def chase_rounds(
     current = run.current
     factory = null_factory or current.null_factory()
     feed = trigger_source(tgds, current)
+    memo = SatisfiedTriggers(tgds)
     with span(f"chase.{engine}"):
         # Phase timing only (egds vs tgds), recorded once per round -- a
         # span per dependency pass costs enough relative to the pass
@@ -273,6 +309,7 @@ def chase_rounds(
                                 )
                             old, new = direction
                             run.merge(egd, old, new)
+                            memo.forget(old)
                             run.attribute(
                                 egd, run.rounds, started, triggers=1, merges=1
                             )
@@ -291,18 +328,21 @@ def chase_rounds(
             fired_any = False
             pass_started = time.perf_counter()
             try:
-                for tgd in tgds:
+                for tgd, satisfied in zip(tgds, memo.per_tgd):
                     started = run.clock()
                     triggers = list(feed.matches(tgd, current))
                     firings = 0
                     for premise_match in triggers:
                         if run.steps >= max_steps:
                             return run.out_of_budget()
-                        if tgd.conclusion_holds(current, premise_match):
+                        key = premise_match.as_tuple(tgd.frontier)
+                        if key in satisfied:
                             continue
-                        witnesses = factory.fresh_tuple(len(tgd.existential))
-                        feed.added(run.fire(tgd, premise_match, witnesses))
-                        firings += 1
+                        if not tgd.conclusion_holds(current, premise_match):
+                            witnesses = factory.fresh_tuple(len(tgd.existential))
+                            feed.added(run.fire(tgd, premise_match, witnesses))
+                            firings += 1
+                        memo.add(satisfied, key)
                     if triggers:
                         run.attribute(
                             tgd,

@@ -142,7 +142,7 @@ class DeltaSource(TriggerSource):
         # Every atom holding the surviving value: a superset of the
         # atoms whose shape changed, which is what delta correctness
         # needs.
-        self._delta.extend(atom for atom in instance if value in atom.args)
+        self._delta.extend(instance.atoms_containing(value))
 
     def advance(self, fired: bool) -> bool:
         self._delta, self._next = self._next, []

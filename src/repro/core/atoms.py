@@ -207,8 +207,16 @@ class Substitution:
         return atom_.substitute(self._mapping)
 
     def restrict(self, variables_: Iterable[Variable]) -> "Substitution":
-        """The restriction of this substitution to ``variables_``."""
-        keep = set(variables_)
+        """The restriction of this substitution to ``variables_``.
+
+        A set or frozenset is used as given; any other iterable is
+        collected into a set first.
+        """
+        keep = (
+            variables_
+            if isinstance(variables_, (set, frozenset))
+            else set(variables_)
+        )
         return Substitution(
             {v: t for v, t in self._mapping.items() if v in keep}
         )

@@ -163,7 +163,7 @@ class Instance:
         """
         if old == new:
             return
-        affected = [item for item in self._atoms if old in item.args]
+        affected = self.atoms_containing(old)
         for item in affected:
             self.discard(item)
         for item in affected:
@@ -194,6 +194,22 @@ class Instance:
         """All atoms of ``relation`` having ``value`` at ``position`` (0-based)."""
         name = relation.name if isinstance(relation, RelationSymbol) else relation
         return frozenset(self._by_position.get((name, position, value), ()))
+
+    def atoms_containing(self, value: Value) -> Set[Atom]:
+        """Every atom with ``value`` at some position.
+
+        Probes the position index once per relation and position, so
+        the cost is O(relations × arity + atoms found), not O(|I|).  A
+        relation name fixes its arity, as everywhere in this class.
+        """
+        found: Set[Atom] = set()
+        for name, bucket in self._by_relation.items():
+            arity = next(iter(bucket)).relation.arity
+            for position in range(arity):
+                slot = self._by_position.get((name, position, value))
+                if slot:
+                    found |= slot
+        return found
 
     def count_with(self, relation, position: int, value: Value) -> int:
         """Cardinality of :meth:`atoms_with`, without materializing the set."""

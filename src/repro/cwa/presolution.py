@@ -56,7 +56,7 @@ def _candidate_witnesses(
     tgd, premise_match: Substitution, goal: Instance
 ) -> Tuple[Tuple[Value, ...], ...]:
     """All w̄ with atoms(ψ[ū, w̄]) ⊆ goal."""
-    frontier_binding = premise_match.restrict(tgd.frontier)
+    frontier_binding = premise_match.restrict(tgd.frontier_set)
     found: Set[Tuple[Value, ...]] = set()
     for sub in match(tgd.conclusion_atoms, goal, initial=frontier_binding):
         found.add(sub.as_tuple(tgd.existential))

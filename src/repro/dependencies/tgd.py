@@ -88,6 +88,8 @@ class Tgd(Dependency):
         self.existential: Tuple[Variable, ...] = tuple(
             sorted(conclusion_variables - premise_variables, key=lambda v: v.name)
         )
+        #: x̄ as a set, for restricting premise matches to the frontier.
+        self.frontier_set: FrozenSet[Variable] = frozenset(self.frontier)
 
     def _premise_variables(self) -> Set[Variable]:
         if self.premise_atoms is not None:
@@ -148,7 +150,7 @@ class Tgd(Dependency):
         Used by the standard chase (fire only if this fails) -- condition
         (2) in Remark 4.3 of the paper.
         """
-        frontier_binding = premise_match.restrict(self.frontier)
+        frontier_binding = premise_match.restrict(self.frontier_set)
         return exists_match(
             self.conclusion_atoms, instance, initial=frontier_binding
         )
@@ -162,7 +164,7 @@ class Tgd(Dependency):
                 f"{len(self.existential)} witnesses expected, "
                 f"got {len(witnesses)}"
             )
-        binding = premise_match.restrict(self.frontier).extend_many(
+        binding = premise_match.restrict(self.frontier_set).extend_many(
             zip(self.existential, witnesses)
         )
         return tuple(binding.apply(atom) for atom in self.conclusion_atoms)

@@ -310,3 +310,51 @@ class TestNullCounts:
             assert inst.null_count() == len(expected)
             assert inst.is_ground == (not expected)
             assert inst.copy().nulls() == expected
+
+
+class TestAtomsContaining:
+    """The position-index lookup finds exactly what a full scan finds."""
+
+    DOMAIN = [Const(f"c{i}") for i in range(4)] + [Null(i) for i in range(4)]
+
+    def assert_matches_scan(self, inst):
+        for value in self.DOMAIN:
+            expected = {item for item in inst if value in item.args}
+            assert inst.atoms_containing(value) == expected
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add", "discard", "merge"]),
+                st.one_of(
+                    st.tuples(values(), values()).map(lambda pair: Atom(E, pair)),
+                    st.tuples(values()).map(lambda args: Atom(P, args)),
+                ),
+                values(),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_scan_after_edits(self, script):
+        inst = Instance()
+        for operation, item, value in script:
+            if operation == "add":
+                inst.add(item)
+            elif operation == "discard":
+                inst.discard(item)
+            else:
+                old = item.args[0]
+                expected = {
+                    other.rename_values({old: value}) for other in inst
+                }
+                inst.replace_value(old, value)
+                assert inst.frozen() == expected
+            self.assert_matches_scan(inst)
+        self.assert_matches_scan(inst.copy())
+
+    def test_value_at_several_positions(self):
+        inst = Instance([atom(E, "a", "a"), atom(E, "a", "b"), atom(P, "a")])
+        assert inst.atoms_containing(Const("a")) == set(inst)
+        assert inst.atoms_containing(Const("b")) == {atom(E, "a", "b")}
+        assert inst.atoms_containing(Const("z")) == set()
