@@ -19,6 +19,7 @@ from .semantics import (
     potential_certain_answers,
 )
 from .valuations import (
+    certain_and_maybe_on,
     certain_holds_on,
     certain_on,
     maybe_holds_on,
@@ -38,6 +39,7 @@ __all__ = [
     "potential_certain_language",
     "all_four_semantics",
     "answers_over_space",
+    "certain_and_maybe_on",
     "certain_answers",
     "certain_holds_on",
     "certain_on",

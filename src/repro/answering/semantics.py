@@ -13,11 +13,25 @@ Theorem 7.1 reduces the □-intersections to the minimal CWA-solution
 ◇-unions to CanSol.  This module implements both the direct definitions
 (over an explicit or enumerated solution space) and the fast paths, so
 tests can cross-validate them.
+
+:func:`all_four_semantics` shares the work the four definitions have in
+common.  Two halves each compute one input once and walk each of its
+possible worlds once, folding every ``Q(R)`` into a □ (∩) and a ◇ (∪)
+accumulator together:
+
+* the core half: ``Core_D(S)`` once, one walk over ``Rep_D(Core)``,
+  giving ``certain□ = □Q(Core)`` and ``maybe□ = ◇Q(Core)``;
+* the space half: the solution space once (``solutions=``, else CanSol
+  for Proposition 5.4's classes, else one enumeration) and one walk per
+  member, giving ``certain◇ = ⋃ □Q(T)`` and ``maybe◇ = ⋃ ◇Q(T)``.
+
+With a ``cache`` a half runs lazily, on the first verdict it misses.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
 from ..core.instance import Instance
@@ -26,11 +40,34 @@ from ..cwa.solution import cansol, core_solution
 from ..exchange.setting import DataExchangeSetting
 from ..logic.queries import AnswerSet, Query
 from ..obs import counter, span
-from .valuations import certain_on, maybe_on
+from .valuations import certain_and_maybe_on, certain_on, maybe_on
 
 
 class NoCwaSolutionError(ReproError):
     """Query answering was requested but no CWA-solution exists."""
+
+
+def _no_solution() -> NoCwaSolutionError:
+    return NoCwaSolutionError(
+        "no CWA-solution exists for this source instance"
+    )
+
+
+def _core(setting: DataExchangeSetting, source: Instance) -> Instance:
+    """``Core_D(S)``, the minimal CWA-solution; raises if none exists."""
+    minimal = core_solution(setting, source)
+    if minimal is None:
+        raise _no_solution()
+    return minimal
+
+
+def _cansol(setting: DataExchangeSetting, source: Instance) -> Instance:
+    """``CanSol_D(S)``, maximal in Proposition 5.4's classes; raises if
+    no CWA-solution exists."""
+    maximal = cansol(setting, source)
+    if maximal is None:
+        raise _no_solution()
+    return maximal
 
 
 def _solution_space(
@@ -43,9 +80,7 @@ def _solution_space(
     else:
         found = enumerate_cwa_solutions(setting, source)
     if not found:
-        raise NoCwaSolutionError(
-            "no CWA-solution exists for this source instance"
-        )
+        raise _no_solution()
     return found
 
 
@@ -58,13 +93,11 @@ def certain_answers(
 ) -> AnswerSet:
     """``certain□(Q, S)``, via Theorem 7.1: ``□Q(Core_D(S))``."""
     with span("answering.certain"):
-        minimal = core_solution(setting, source)
-        if minimal is None:
-            raise NoCwaSolutionError(
-                "no CWA-solution exists for this source instance"
-            )
         return certain_on(
-            query, minimal, setting.target_dependencies, executor=executor
+            query,
+            _core(setting, source),
+            setting.target_dependencies,
+            executor=executor,
         )
 
 
@@ -77,13 +110,11 @@ def persistent_maybe_answers(
 ) -> AnswerSet:
     """``maybe□(Q, S)``, via Theorem 7.1: ``◇Q(Core_D(S))``."""
     with span("answering.persistent_maybe"):
-        minimal = core_solution(setting, source)
-        if minimal is None:
-            raise NoCwaSolutionError(
-                "no CWA-solution exists for this source instance"
-            )
         return maybe_on(
-            query, minimal, setting.target_dependencies, executor=executor
+            query,
+            _core(setting, source),
+            setting.target_dependencies,
+            executor=executor,
         )
 
 
@@ -105,13 +136,11 @@ def potential_certain_answers(
     """
     with span("answering.potential_certain"):
         if solutions is None and _cansol_applies(setting):
-            maximal = cansol(setting, source)
-            if maximal is None:
-                raise NoCwaSolutionError(
-                    "no CWA-solution exists for this source instance"
-                )
             return certain_on(
-                query, maximal, setting.target_dependencies, executor=executor
+                query,
+                _cansol(setting, source),
+                setting.target_dependencies,
+                executor=executor,
             )
         space = _solution_space(setting, source, solutions)
         return answers_over_space(
@@ -135,13 +164,11 @@ def maybe_answers(
     :func:`potential_certain_answers`, with ◇Q in place of □Q."""
     with span("answering.maybe"):
         if solutions is None and _cansol_applies(setting):
-            maximal = cansol(setting, source)
-            if maximal is None:
-                raise NoCwaSolutionError(
-                    "no CWA-solution exists for this source instance"
-                )
             return maybe_on(
-                query, maximal, setting.target_dependencies, executor=executor
+                query,
+                _cansol(setting, source),
+                setting.target_dependencies,
+                executor=executor,
             )
         space = _solution_space(setting, source, solutions)
         return answers_over_space(
@@ -189,13 +216,17 @@ _SEMANTICS_FNS = {
 }
 
 
+def _unknown_semantics(semantics: str) -> ReproError:
+    return ReproError(
+        f"unknown semantics {semantics!r}; pick one of {SEMANTICS_NAMES}"
+    )
+
+
 def _semantics_fn(semantics: str):
     try:
         return _SEMANTICS_FNS[semantics]
     except KeyError:
-        raise ReproError(
-            f"unknown semantics {semantics!r}; pick one of {SEMANTICS_NAMES}"
-        ) from None
+        raise _unknown_semantics(semantics) from None
 
 
 def _cached_answers(cache, key: str, compute) -> AnswerSet:
@@ -216,6 +247,50 @@ def _cached_answers(cache, key: str, compute) -> AnswerSet:
     return answers
 
 
+def _core_pair(
+    setting: DataExchangeSetting, source: Instance, query: Query, executor
+) -> Tuple[AnswerSet, AnswerSet]:
+    """``(certain□, maybe□)``: one walk over the core's worlds (Thm 7.1)."""
+    with span("answering.over_core"):
+        return certain_and_maybe_on(
+            query,
+            _core(setting, source),
+            setting.target_dependencies,
+            executor=executor,
+        )
+
+
+def _space_pair(
+    setting: DataExchangeSetting,
+    source: Instance,
+    query: Query,
+    solutions: Optional[Sequence[Instance]],
+    executor,
+) -> Tuple[AnswerSet, AnswerSet]:
+    """``(certain◇, maybe◇)``: one walk over each solution's worlds.
+
+    The space is CanSol alone when Theorem 7.1 applies, as in
+    :func:`potential_certain_answers` and :func:`maybe_answers`.
+    """
+    with span("answering.over_space"):
+        if solutions is None and _cansol_applies(setting):
+            return certain_and_maybe_on(
+                query,
+                _cansol(setting, source),
+                setting.target_dependencies,
+                executor=executor,
+            )
+        per_target = _per_solution(
+            query,
+            _solution_space(setting, source, solutions),
+            setting.target_dependencies,
+            executor,
+        )
+        boxes = frozenset().union(*(box for box, _ in per_target))
+        diamonds = frozenset().union(*(diamond for _, diamond in per_target))
+        return boxes, diamonds
+
+
 def all_four_semantics(
     setting: DataExchangeSetting,
     source: Instance,
@@ -227,6 +302,10 @@ def all_four_semantics(
 ) -> dict:
     """All four answer sets at once (used by examples and benchmarks).
 
+    Equal to the four single-semantics functions, but the core, the
+    solution space and each world are computed once, not twice (see the
+    module docstring).
+
     Corollary 7.2 guarantees the chain
     ``certain□ ⊆ certain◇ ⊆ maybe□ ⊆ maybe◇``; the property tests check
     it on every evaluated query.
@@ -235,19 +314,17 @@ def all_four_semantics(
     space, per-solution) work; ``cache`` memoizes each of the four
     verdicts under an :func:`repro.engine.fingerprint.answer_key`.
     """
+    core_pair = lru_cache(maxsize=None)(
+        lambda: _core_pair(setting, source, query, executor)
+    )
+    space_pair = lru_cache(maxsize=None)(
+        lambda: _space_pair(setting, source, query, solutions, executor)
+    )
     computations = {
-        "certain": lambda: certain_answers(
-            setting, source, query, executor=executor
-        ),
-        "potential_certain": lambda: potential_certain_answers(
-            setting, source, query, solutions=solutions, executor=executor
-        ),
-        "persistent_maybe": lambda: persistent_maybe_answers(
-            setting, source, query, executor=executor
-        ),
-        "maybe": lambda: maybe_answers(
-            setting, source, query, solutions=solutions, executor=executor
-        ),
+        "certain": lambda: core_pair()[0],
+        "potential_certain": lambda: space_pair()[0],
+        "persistent_maybe": lambda: core_pair()[1],
+        "maybe": lambda: space_pair()[1],
     }
     if cache is None:
         return {name: compute() for name, compute in computations.items()}
@@ -263,10 +340,42 @@ def all_four_semantics(
     }
 
 
-def _solution_answers(target, query, target_dependencies, box: bool):
-    """Worker: one solution's □Q or ◇Q (module-level for pickling)."""
-    per_solution = certain_on if box else maybe_on
-    return per_solution(query, target, target_dependencies)
+def _solution_answers(target, query, target_dependencies, box_only: bool):
+    """Worker: one solution's ``(□Q, ◇Q)`` (module-level for pickling).
+
+    ``box_only`` computes □Q alone, with :func:`certain_on`'s early exit,
+    and returns None for ◇Q.
+    """
+    if box_only:
+        return certain_on(query, target, target_dependencies), None
+    return certain_and_maybe_on(query, target, target_dependencies)
+
+
+def _per_solution(
+    query: Query,
+    space: List[Instance],
+    target_dependencies,
+    executor,
+    box_only: bool = False,
+) -> List[Tuple[AnswerSet, Optional[AnswerSet]]]:
+    """:func:`_solution_answers` for each solution, in solution order.
+
+    With a parallel ``executor``, each solution is evaluated in its own
+    task.
+    """
+    if executor is not None and executor.parallel and len(space) > 1:
+        return executor.map_worlds(
+            _solution_answers,
+            space,
+            query,
+            tuple(target_dependencies),
+            box_only,
+            label="engine.worlds",
+        )
+    return [
+        _solution_answers(target, query, tuple(target_dependencies), box_only)
+        for target in space
+    ]
 
 
 def answers_over_space(
@@ -280,33 +389,25 @@ def answers_over_space(
     """Direct-definition evaluation over an explicit solution space.
 
     ``mode`` is one of ``"certain"`` (⋂□), ``"potential_certain"`` (⋃□),
-    ``"persistent_maybe"`` (⋂◇), ``"maybe"`` (⋃◇).  Used by tests to
-    cross-validate the fast paths of Theorem 7.1.
+    ``"persistent_maybe"`` (⋂◇), ``"maybe"`` (⋃◇); any other name raises
+    :class:`ReproError`.  Used by tests to cross-validate the fast paths
+    of Theorem 7.1.
 
     With a parallel ``executor``, each solution is evaluated in its own
     task; intersection/union over the per-solution answer sets happens
     in the parent, in solution order, so the result equals the serial
     one exactly.
     """
+    if mode not in SEMANTICS_NAMES:
+        raise _unknown_semantics(mode)
     box = mode in ("certain", "potential_certain")
     intersect = mode in ("certain", "persistent_maybe")
-    space = list(solutions)
-    if executor is not None and executor.parallel and len(space) > 1:
-        per_target = executor.map_worlds(
-            _solution_answers,
-            space,
-            query,
-            tuple(target_dependencies),
-            box,
-            label="engine.worlds",
-        )
-    else:
-        per_target = [
-            _solution_answers(target, query, tuple(target_dependencies), box)
-            for target in space
-        ]
+    per_target = _per_solution(
+        query, list(solutions), target_dependencies, executor, box_only=box
+    )
     result: Optional[frozenset] = None
-    for answers in per_target:
+    for pair in per_target:
+        answers = pair[0 if box else 1]
         if result is None:
             result = answers
         elif intersect:

@@ -52,6 +52,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 from ..core.instance import Instance
@@ -210,65 +211,83 @@ def _pool_extras(
     )
 
 
-def _certain_chunk(chunk, query, target, target_dependencies):
-    """Worker: intersect □Q over one batch of valuations.
+def _worlds_chunk(
+    chunk, query, target, target_dependencies, early_exit: bool = False
+):
+    """Worker: fold one batch of valuations into □Q and ◇Q in one walk.
 
-    Returns ``(worlds_visited, answers or None)`` -- None when no
-    valuation in the batch produced a Σ_t-satisfying world, so the batch
-    contributes nothing to the global intersection.
+    Returns ``(worlds_visited, box, diamond)``: ``box`` intersects and
+    ``diamond`` unites ``Q(R)`` over the batch's Σ_t-satisfying worlds R.
+    ``box`` is None when the batch has no such world, so it contributes
+    nothing to the global intersection.  ``early_exit`` stops at the
+    first empty intersection (serial :func:`certain_on`); ``diamond`` is
+    then partial.
     """
     worlds = 0
-    answers: Optional[Set[AnswerTuple]] = None
+    box: Optional[Set[AnswerTuple]] = None
+    diamond: Set[AnswerTuple] = set()
     for valuation in chunk:
         image = target.rename_values(valuation)
-        if satisfies_all(image, target_dependencies):
-            worlds += 1
-            result = query.evaluate(image)
-            answers = set(result) if answers is None else answers & result
-    return worlds, None if answers is None else frozenset(answers)
+        if not satisfies_all(image, target_dependencies):
+            continue
+        worlds += 1
+        result = query.evaluate(image)
+        if box is None:
+            box = set(result)
+        else:
+            box &= result
+        diamond |= result
+        if early_exit and not box:
+            break
+    return worlds, None if box is None else frozenset(box), frozenset(diamond)
 
 
-def _maybe_chunk(chunk, query, target, target_dependencies):
-    """Worker: union ◇Q over one batch of valuations."""
-    worlds = 0
-    answers: Set[AnswerTuple] = set()
-    for valuation in chunk:
-        image = target.rename_values(valuation)
-        if satisfies_all(image, target_dependencies):
-            worlds += 1
-            answers |= query.evaluate(image)
-    return worlds, frozenset(answers)
-
-
-def _map_chunks(
-    executor,
-    worker,
+def _walk_worlds(
     query: Query,
     target: Instance,
     target_dependencies: Sequence[Dependency],
-    extras: Set[Const],
+    extra_constants: Iterable[Const],
     anchors: Optional[Iterable[Const]],
-):
-    """Fan the canonical valuations of ``target`` out over ``executor``.
+    executor,
+    early_exit: bool = False,
+) -> Tuple[AnswerSet, AnswerSet]:
+    """``(□Q(T), ◇Q(T))`` from one walk over the canonical worlds of T.
 
-    Materializes the valuation stream (so ``valuations_enumerated``
-    counts in the parent) and hands batches to the workers; per-batch
-    world counts are folded back into ``worlds_visited`` here, since
-    worker-process counters never reach the parent registry.
+    Serially the valuation stream feeds one :func:`_worlds_chunk` lazily.
+    With a parallel ``executor`` the stream is materialized (so
+    ``valuations_enumerated`` counts in the parent) and handed out in
+    batches; intersection and union are order-independent, so the result
+    is the serial one, and ``early_exit`` is forgone.  Per-batch world
+    counts are folded into ``worlds_visited`` here, since worker-process
+    counters never reach the parent registry.
     """
-    items = list(valuations(target, extras, anchors=anchors))
-    per_chunk = executor.map_valuations(
-        worker,
-        items,
-        query,
-        target,
-        tuple(target_dependencies),
-        label="engine.valuations",
-    )
+    extras = _pool_extras(query, target_dependencies, extra_constants)
+    stream = valuations(target, extras, anchors=anchors)
+    if executor is not None and executor.parallel:
+        per_chunk = executor.map_valuations(
+            _worlds_chunk,
+            list(stream),
+            query,
+            target,
+            tuple(target_dependencies),
+            label="engine.valuations",
+        )
+    else:
+        per_chunk = [
+            _worlds_chunk(
+                stream, query, target, target_dependencies, early_exit
+            )
+        ]
     counter("answering.worlds_visited").inc(
-        sum(worlds for worlds, _ in per_chunk)
+        sum(worlds for worlds, _, _ in per_chunk)
     )
-    return [answers for _, answers in per_chunk]
+    box: Optional[AnswerSet] = None
+    diamond: AnswerSet = frozenset()
+    for _, chunk_box, chunk_diamond in per_chunk:
+        if chunk_box is not None:
+            box = chunk_box if box is None else box & chunk_box
+        diamond |= chunk_diamond
+    return box or frozenset(), diamond
 
 
 def certain_on(
@@ -292,31 +311,10 @@ def certain_on(
     order-independent), only the early exit on an empty intermediate
     intersection is forgone.
     """
-    extras = _pool_extras(query, target_dependencies, extra_constants)
-    if executor is not None and executor.parallel:
-        chunks = _map_chunks(
-            executor, _certain_chunk, query, target,
-            target_dependencies, extras, anchors,
-        )
-        answers = None
-        for chunk_answers in chunks:
-            if chunk_answers is None:
-                continue
-            answers = (
-                set(chunk_answers) if answers is None
-                else answers & chunk_answers
-            )
-        return frozenset(answers or ())
-    answers: Optional[Set[AnswerTuple]] = None
-    for world in rep(target, target_dependencies, extras, anchors=anchors):
-        result = query.evaluate(world)
-        if answers is None:
-            answers = set(result)
-        else:
-            answers &= result
-        if not answers:
-            return frozenset()
-    return frozenset(answers or ())
+    return _walk_worlds(
+        query, target, target_dependencies, extra_constants, anchors,
+        executor, early_exit=True,
+    )[0]
 
 
 def maybe_on(
@@ -334,20 +332,30 @@ def maybe_on(
     constants are generic witnesses (see module docstring).  ``executor``
     behaves as in :func:`certain_on`.
     """
-    extras = _pool_extras(query, target_dependencies, extra_constants)
-    if executor is not None and executor.parallel:
-        chunks = _map_chunks(
-            executor, _maybe_chunk, query, target,
-            target_dependencies, extras, anchors,
-        )
-        answers = frozenset()
-        for chunk_answers in chunks:
-            answers |= chunk_answers
-        return answers
-    answers: Set[AnswerTuple] = set()
-    for world in rep(target, target_dependencies, extras, anchors=anchors):
-        answers |= query.evaluate(world)
-    return frozenset(answers)
+    return _walk_worlds(
+        query, target, target_dependencies, extra_constants, anchors,
+        executor,
+    )[1]
+
+
+def certain_and_maybe_on(
+    query: Query,
+    target: Instance,
+    target_dependencies: Sequence[Dependency] = (),
+    extra_constants: Iterable[Const] = (),
+    *,
+    anchors: Optional[Iterable[Const]] = None,
+    executor=None,
+) -> Tuple[AnswerSet, AnswerSet]:
+    """``(□Q(T), ◇Q(T))`` from a single walk over ``Rep_D(T)``.
+
+    Equal to ``(certain_on(...), maybe_on(...))`` with one walk instead
+    of two; ``executor`` behaves as in :func:`certain_on`.
+    """
+    return _walk_worlds(
+        query, target, target_dependencies, extra_constants, anchors,
+        executor,
+    )
 
 
 def certain_holds_on(

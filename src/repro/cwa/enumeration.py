@@ -41,12 +41,19 @@ DEFAULT_MAX_DEPTH = 10_000
 
 
 class _State:
-    """One node of the enumeration tree: a chase state plus the α so far."""
+    """One node of the enumeration tree: a chase state plus the α so far.
 
-    __slots__ = ("instance", "alpha", "next_null", "seen", "depth")
+    ``source`` is the state's source part, the premise instance of the
+    s-t tgds.  It never changes along a branch (sources are ground,
+    target tgds add target atoms only, egds rename nulls only), so it is
+    computed once per enumeration and clones share it.
+    """
 
-    def __init__(self, instance, alpha, next_null, seen, depth):
+    __slots__ = ("instance", "source", "alpha", "next_null", "seen", "depth")
+
+    def __init__(self, instance, source, alpha, next_null, seen, depth):
         self.instance: Instance = instance
+        self.source: Instance = source
         self.alpha: Dict[JustificationKey, Tuple[Value, ...]] = alpha
         self.next_null: int = next_null
         self.seen: Set[str] = seen  # state fingerprints, for egd-loop detection
@@ -55,6 +62,7 @@ class _State:
     def clone(self) -> "_State":
         return _State(
             self.instance.copy(),
+            self.source,
             dict(self.alpha),
             self.next_null,
             set(self.seen),
@@ -274,7 +282,15 @@ def enumerate_cwa_presolutions(
     )
     results: List[Instance] = []
     record = _make_recorder(results)
-    initial = _State(source.copy(), {}, factory_start, set(), 0)
+    instance = source.copy()
+    initial = _State(
+        instance,
+        instance.reduct(setting.source_schema),
+        {},
+        factory_start,
+        set(),
+        0,
+    )
     stack: List[_State] = [initial]
 
     if executor is not None and executor.parallel:
@@ -365,7 +381,7 @@ def _advance(setting: DataExchangeSetting, state: _State):
         fired = False
         for tgd in setting.tgds:
             base = (
-                state.instance.reduct(setting.source_schema)
+                state.source
                 if tgd in setting.st_dependencies
                 else state.instance
             )

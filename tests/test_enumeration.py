@@ -123,3 +123,32 @@ class TestEnumerationSoundness:
         solutions = enumerate_cwa_solutions(setting_2_1, Instance())
         assert len(solutions) == 1
         assert len(solutions[0]) == 0
+
+
+class TestSourcePartComputedOnce:
+    """The s-t tgds match the source part, which no chase step changes,
+    so the enumeration takes its reduct once, not once per step."""
+
+    @pytest.mark.parametrize("example", ["2.1", "5.3"])
+    def test_one_source_reduct_per_enumeration(
+        self, monkeypatch, example, setting_2_1, source_2_1, setting_5_3
+    ):
+        from repro.core import Instance
+
+        setting, source = (
+            (setting_2_1, source_2_1)
+            if example == "2.1"
+            else (setting_5_3, example_5_3_source(2))
+        )
+        reducts = []
+        original = Instance.reduct
+
+        def counting_reduct(instance, schema):
+            reducts.append(schema)
+            return original(instance, schema)
+
+        monkeypatch.setattr(Instance, "reduct", counting_reduct)
+        solutions = enumerate_cwa_solutions(setting, source)
+        monkeypatch.setattr(Instance, "reduct", original)
+        assert solutions
+        assert reducts.count(setting.source_schema) == 1

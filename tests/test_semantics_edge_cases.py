@@ -27,6 +27,17 @@ class TestCansolApplies:
 
 
 class TestAnswersOverSpace:
+    @pytest.mark.parametrize("mode", ["maybe_box", "certain ", "", "MAYBE"])
+    def test_unknown_mode_raises(self, mode):
+        from repro.answering.semantics import SEMANTICS_NAMES
+        from repro.core.errors import ReproError
+
+        query = parse_query("Q(x) :- E(x, y)")
+        solution = parse_instance("E('a','b')")
+        with pytest.raises(ReproError) as raised:
+            answers_over_space(query, [solution], [], mode)
+        assert str(SEMANTICS_NAMES) in str(raised.value)
+
     def test_empty_space_raises(self):
         query = parse_query("Q(x) :- E(x, y)")
         with pytest.raises(NoCwaSolutionError):

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.obs as obs
 from repro.answering.valuations import (
+    certain_and_maybe_on,
     certain_holds_on,
     certain_on,
     count_valuations,
@@ -147,3 +149,76 @@ class TestBoxAndDiamond:
         query = parse_query("Q() :- P(w), R(w)")
         assert certain_on(query, inst, deps)
         assert not certain_on(query, inst)  # without the egd filter
+
+
+class TestJointWalk:
+    """``certain_and_maybe_on`` walks Rep_D(T) once for □Q and ◇Q."""
+
+    CASES = (
+        ("E('a', #1)", "Q(y) :- E('a', y)", ()),
+        ("E('a', #1), E('b', #2)", "Q(x, y) :- E(x, y)", ()),
+        (
+            "E('a', #1), E('a', #2), P(#1), R(#2)",
+            "Q(w) :- P(w), R(w)",
+            ("E(x, y) & E(x, z) -> y = z",),
+        ),
+        ("P(#1), P(#2), P('c')", "Q() :- P('q')", ()),
+    )
+
+    @pytest.mark.parametrize("text,query_text,deps", CASES)
+    def test_equals_separate_walks(self, text, query_text, deps):
+        inst = parse_instance(text)
+        query = parse_query(query_text)
+        dependencies = parse_dependencies(list(deps))
+        assert certain_and_maybe_on(query, inst, dependencies) == (
+            certain_on(query, inst, dependencies),
+            maybe_on(query, inst, dependencies),
+        )
+
+    @pytest.mark.parametrize("text,query_text,deps", CASES)
+    def test_pooled_equals_serial(self, text, query_text, deps):
+        from repro.engine import Executor
+
+        inst = parse_instance(text)
+        query = parse_query(query_text)
+        dependencies = parse_dependencies(list(deps))
+        serial = certain_and_maybe_on(query, inst, dependencies)
+        with Executor(workers=2) as executor:
+            assert (
+                certain_and_maybe_on(
+                    query, inst, dependencies, executor=executor
+                )
+                == serial
+            )
+            assert certain_on(
+                query, inst, dependencies, executor=executor
+            ) == serial[0]
+            assert maybe_on(
+                query, inst, dependencies, executor=executor
+            ) == serial[1]
+
+    def test_one_walk_counts_each_world_once(self):
+        inst = parse_instance("E('a', #1), E('b', #2)")
+        query = parse_query("Q(x) :- E(x, y)")
+        obs.reset()
+        certain_and_maybe_on(query, inst)
+        counters = obs.snapshot()["counters"]
+        total = count_valuations(2, 2)
+        assert counters["answering.valuations_enumerated"] == total
+        assert counters["answering.worlds_visited"] == total
+
+    def test_serial_certain_keeps_its_early_exit(self):
+        # Worlds (#1, #2) -> (a, a) then (a, c0): the intersection of
+        # Q(x, y) :- E(x, y) is empty after two of the five valuations.
+        inst = parse_instance("E(#1, #2), F('a')")
+        query = parse_query("Q(x, y) :- E(x, y)")
+        obs.reset()
+        assert certain_on(query, inst) == frozenset()
+        assert obs.snapshot()["counters"][
+            "answering.valuations_enumerated"
+        ] == 2
+        obs.reset()
+        assert len(maybe_on(query, inst)) == count_valuations(2, 1)
+        assert obs.snapshot()["counters"][
+            "answering.valuations_enumerated"
+        ] == count_valuations(2, 1)
