@@ -82,12 +82,19 @@ def homomorphisms(source: Instance, target: Instance) -> Iterator[Homomorphism]:
     """
     _SEARCHES.inc()
     pattern, back = _canonical_pattern(source)
+    matches = match(pattern, target)
+    # The search binds the ``hom`` counter pair when it starts, and its
+    # later resumptions keep counting into it.  The scope must not stay
+    # open across the yields below: while the consumer holds this
+    # generator suspended, its own matching is not ``hom`` work.
     with attributed("hom"):
-        for substitution in match(pattern, target):
-            yield {
-                back[variable]: value
-                for variable, value in substitution.items()
-            }
+        substitution = next(matches, None)
+    while substitution is not None:
+        yield {
+            back[variable]: value
+            for variable, value in substitution.items()
+        }
+        substitution = next(matches, None)
 
 
 def find_homomorphism(source: Instance, target: Instance) -> Optional[Homomorphism]:

@@ -16,7 +16,7 @@ By default ``match()`` routes through the **compiled plans** of
 pre-bound variables) triple is compiled once -- static fail-first join
 order, slot arrays, index-probe programs, O(1) ground probes -- and the
 plan is cached, so the repeated evaluations of a chase pay only for
-execution.  The original interpreted matcher below is kept verbatim as
+execution.  The original interpreted matcher below stays as
 the **reference oracle** (:func:`match_interpreted`, and the fallback
 when :func:`repro.logic.plans.enabled` is False): at each step it picks
 the *most constrained* remaining atom -- the one with the fewest
@@ -24,13 +24,15 @@ candidate instance atoms given the current partial substitution --
 using the instance's (relation, position, value) index.  The hypothesis
 parity suite asserts the two enumerate identical substitution sets.
 
-When **attributed execution** is on (:func:`repro.obs.attribution
-.enabled`, the ``repro explain-plan`` path), the compiled route switches
-to a profiled executor that charges per-step probe/candidate/row counts
-and self-time to the plan's record in the attribution table -- see
-:meth:`repro.logic.plans.CompiledPattern.matches` for the dispatch.  The
-interpreted matcher has no profiled variant; it participates only
-through the ``attributed`` scope counters below.
+Every executor adds each candidate it tries and each backtrack it takes,
+as it happens, to one ``(candidates, backtracks)`` counter pair: that of
+the innermost ``attributed`` block, or else the unregistered
+:data:`repro.logic.plans.UNSCOPED` pair.  When **attributed execution**
+is on (:func:`repro.obs.attribution.enabled`, the ``repro explain-plan``
+path), the compiled route switches to a profiled executor that also
+charges per-step probe/candidate/row counts and self-time to the plan's
+record in the attribution table -- see
+:meth:`repro.logic.plans.CompiledPattern.matches`.
 """
 
 from __future__ import annotations
@@ -47,13 +49,9 @@ from . import plans
 Inequality = Tuple[Term, Term]
 
 # Telemetry attribution.  The matcher serves several masters (chase
-# premise evaluation, query evaluation, homomorphism search); candidate
-# and backtrack counting is *opt-in* per call site: an ``attributed``
-# block installs a counter pair (``<scope>.candidates`` /
-# ``<scope>.backtracks``) and match() runs its counting search variant.
-# Outside any block the matcher runs the plain variant -- ``match()`` is
-# the single hottest function in the library and the chase's premise
-# evaluation must not pay for bookkeeping nobody asked for.
+# premise evaluation, query evaluation, homomorphism search); an
+# ``attributed`` block installs the counter pair (``<scope>.candidates``
+# / ``<scope>.backtracks``) that a match() started inside it counts into.
 #
 # The registry is a bounded LRU of *handles*: the counters themselves
 # live in the repro.obs registry; evicting a handle here only means the
@@ -181,8 +179,15 @@ def _search(
     instance: Instance,
     bound: Dict[Variable, Value],
     inequalities: Sequence[Inequality],
+    candidates: Counter,
+    backtracks: Counter,
 ) -> Iterator[Dict[Variable, Value]]:
-    """The plain (uncounted) backtracking search."""
+    """The backtracking search, counting work into the given pair.
+
+    A candidate is one instance atom tried against the chosen pattern;
+    a backtrack is a candidate that failed to unify, or the undoing of
+    a non-empty partial binding after its subtree was exhausted.
+    """
     if not remaining:
         yield dict(bound)
         return
@@ -194,62 +199,24 @@ def _search(
     pattern = remaining.pop(index)
     try:
         for fact in _candidates(pattern, instance, bound):
+            candidates.value += 1
             new_bindings = _unify(pattern, fact, bound)
             if new_bindings is None:
+                backtracks.value += 1
                 continue
             for variable, value in new_bindings:
                 bound[variable] = value
             if _inequalities_hold(inequalities, bound):
-                yield from _search(remaining, instance, bound, inequalities)
-            for variable, _ in new_bindings:
-                del bound[variable]
-    finally:
-        remaining.insert(index, pattern)
-
-
-def _search_counted(
-    remaining: List[Atom],
-    instance: Instance,
-    bound: Dict[Variable, Value],
-    inequalities: Sequence[Inequality],
-    counts: List[int],
-) -> Iterator[Dict[Variable, Value]]:
-    """The counting search: ``counts`` accumulates [candidates, backtracks].
-
-    A backtrack is a candidate that failed to unify, or the undoing of a
-    non-empty partial binding after its subtree was exhausted.
-    """
-    if not remaining:
-        yield dict(bound)
-        return
-    index = min(
-        range(len(remaining)),
-        key=lambda i: _candidate_count(remaining[i], instance, bound),
-    )
-    pattern = remaining.pop(index)
-    tried = 0
-    backs = 0
-    try:
-        for fact in _candidates(pattern, instance, bound):
-            tried += 1
-            new_bindings = _unify(pattern, fact, bound)
-            if new_bindings is None:
-                backs += 1
-                continue
-            for variable, value in new_bindings:
-                bound[variable] = value
-            if _inequalities_hold(inequalities, bound):
-                yield from _search_counted(
-                    remaining, instance, bound, inequalities, counts
+                yield from _search(
+                    remaining, instance, bound, inequalities,
+                    candidates, backtracks,
                 )
             if new_bindings:
-                backs += 1
+                backtracks.value += 1
             for variable, _ in new_bindings:
                 del bound[variable]
     finally:
         remaining.insert(index, pattern)
-        counts[0] += tried
-        counts[1] += backs
 
 
 def match(
@@ -278,45 +245,19 @@ def match(
                 )
             bound[variable] = term
 
-    counters = _ACTIVE_COUNTERS
+    counters = _ACTIVE_COUNTERS or plans.UNSCOPED
 
     if plans.enabled():
         plan = plans.plan_for(patterns, inequalities, bound)
-        if counters is None:
-            yield from plan.matches(instance, bound)
-            return
-        counts = [0, 0]
-        try:
-            yield from plan.matches(instance, bound, counts)
-        finally:
-            # Flushed exactly once, also when the consumer stops early
-            # (generator close) -- first_match and exists_match do.
-            if counts[0]:
-                candidate_counter, backtrack_counter = counters
-                candidate_counter.value += counts[0]
-                backtrack_counter.value += counts[1]
+        yield from plan.matches(instance, bound, counters)
         return
 
     if not _inequalities_hold(inequalities, bound):
         return
-
-    remaining = list(patterns)
-    if counters is None:
-        for result in _search(remaining, instance, bound, inequalities):
-            yield Substitution(result)
-        return
-
-    counts = [0, 0]
-    try:
-        for result in _search_counted(
-            remaining, instance, bound, inequalities, counts
-        ):
-            yield Substitution(result)
-    finally:
-        if counts[0]:
-            candidate_counter, backtrack_counter = counters
-            candidate_counter.value += counts[0]
-            backtrack_counter.value += counts[1]
+    for result in _search(
+        list(patterns), instance, bound, inequalities, *counters
+    ):
+        yield Substitution(result)
 
 
 def match_interpreted(
@@ -329,7 +270,8 @@ def match_interpreted(
     """The interpreted reference matcher, bypassing compiled plans.
 
     Same contract as :func:`match`.  The parity suite diffs the two;
-    keep this path semantically frozen.
+    keep this path semantically frozen.  Its work is counted into the
+    unregistered ``plans.UNSCOPED`` pair whatever scope is active.
     """
     bound: Dict[Variable, Value] = {}
     if initial is not None:
@@ -341,7 +283,9 @@ def match_interpreted(
             bound[variable] = term
     if not _inequalities_hold(inequalities, bound):
         return
-    for result in _search(list(patterns), instance, bound, inequalities):
+    for result in _search(
+        list(patterns), instance, bound, inequalities, *plans.UNSCOPED
+    ):
         yield Substitution(result)
 
 

@@ -67,7 +67,7 @@ from ..core.atoms import Atom, Substitution
 from ..core.instance import Instance
 from ..core.terms import Term, Value, Variable
 from ..obs import attribution as _attribution
-from ..obs import counter, register_gauge_provider
+from ..obs import Counter, counter, register_gauge_provider
 
 Inequality = Tuple[Term, Term]
 
@@ -76,6 +76,15 @@ Inequality = Tuple[Term, Term]
 # attribute increment.
 _COMPILATIONS = counter("plan.compilations")
 _CACHE_HITS = counter("plan.cache_hits")
+
+#: The ``(candidates, backtracks)`` pair that matching outside any
+#: ``attributed`` scope counts into.  Built directly rather than through
+#: :func:`repro.obs.counter`, so it is never registered and unscoped
+#: work shows up in no snapshot.
+UNSCOPED: Tuple[Counter, Counter] = (
+    Counter("unscoped.candidates"),
+    Counter("unscoped.backtracks"),
+)
 
 # Snapshot-time gauge: the LRU's occupancy, read lazily so plan_for
 # never touches a gauge on the hot path.
@@ -425,13 +434,14 @@ class CompiledPattern:
         self,
         instance: Instance,
         initial_map: Dict[Variable, Value],
-        counts: Optional[List[int]] = None,
+        counters: Tuple[Counter, Counter] = UNSCOPED,
     ) -> Iterator[Substitution]:
-        """Enumerate substitutions; ``counts`` switches on bookkeeping.
+        """Enumerate substitutions, counting work into ``counters``.
 
         ``initial_map`` must bind exactly ``self.initial_keys`` (the
-        plan was compiled for that key set).  When ``counts`` is given
-        it accumulates ``[candidates_tried, backtracks]`` in place.
+        plan was compiled for that key set).  ``counters`` is a
+        ``(candidates, backtracks)`` pair; each increment is written as
+        it happens, so closing the generator early leaves exact totals.
         """
         slots: List[Optional[Value]] = [None] * self.n_slots
         for variable, slot in self.prebound:
@@ -441,16 +451,15 @@ class CompiledPattern:
             right = slots[bval] if bkind else bval
             if left is right:
                 return
+        candidates, backtracks = counters
         if _attribution.enabled():
             record = self._attr_record()
             record["uses"] += 1
             runner = self._run_profiled(
-                instance, slots, 0, record["counts"], counts
+                instance, slots, 0, record["counts"], candidates, backtracks
             )
-        elif counts is None:
-            runner = self._run(instance, slots, 0)
         else:
-            runner = self._run_counted(instance, slots, 0, counts)
+            runner = self._run(instance, slots, 0, candidates, backtracks)
         out_pairs = self.out_pairs
         for _ in runner:
             result = dict(initial_map)
@@ -461,9 +470,19 @@ class CompiledPattern:
             yield substitution
 
     def _run(
-        self, instance: Instance, slots: List, depth: int
+        self,
+        instance: Instance,
+        slots: List,
+        depth: int,
+        candidates: Counter,
+        backtracks: Counter,
     ) -> Iterator[bool]:
-        """Plain executor: yields once per complete match (slots are set)."""
+        """The executor: yields once per complete match (slots are set).
+
+        A candidate is one fact (or ground probe) considered; a
+        backtrack is a candidate that failed its checks, or the undoing
+        of a non-empty binding -- the interpreted matcher's notion.
+        """
         steps = self.steps
         if depth == len(steps):
             yield True
@@ -474,84 +493,17 @@ class CompiledPattern:
             # Fully bound: one hash probe, no candidate iteration.  No
             # inequality can first become checkable here (a step without
             # binds resolves nothing new).
+            candidates.value += 1
             args = tuple(
                 slots[entry] if type(entry) is int else entry
                 for entry in argprog
             )
             if instance.has_tuple(rel, args):
-                yield from self._run(instance, slots, depth + 1)
-            return
-
-        bucket = instance.probe_relation(rel)
-        best = len(bucket)
-        for position, kind, value in probes:
-            probe = instance.probe_position(
-                rel, position, slots[value] if kind else value
-            )
-            count = len(probe)
-            if count < best:
-                if not count:
-                    return
-                best = count
-                bucket = probe
-
-        for fact in bucket:
-            fact_args = fact.args
-            ok = True
-            for position, value in const_checks:
-                if fact_args[position] is not value:
-                    ok = False
-                    break
-            if ok:
-                for position, slot in prior_checks:
-                    if fact_args[position] is not slots[slot]:
-                        ok = False
-                        break
-            if ok:
-                for position, earlier in self_checks:
-                    if fact_args[position] is not fact_args[earlier]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            for position, slot in binds:
-                slots[slot] = fact_args[position]
-            for akind, aval, bkind, bval in ineqs:
-                left = slots[aval] if akind else aval
-                right = slots[bval] if bkind else bval
-                if left is right:
-                    ok = False
-                    break
-            if ok:
-                yield from self._run(instance, slots, depth + 1)
-            for _, slot in binds:
-                slots[slot] = None
-
-    def _run_counted(
-        self, instance: Instance, slots: List, depth: int, counts: List[int]
-    ) -> Iterator[bool]:
-        """Counting executor: counts[0] += candidates, counts[1] += backtracks.
-
-        Mirrors the interpreted matcher's notion: a candidate is one fact
-        (or ground probe) considered; a backtrack is a candidate that
-        failed its checks, or the undoing of a non-empty binding.
-        """
-        steps = self.steps
-        if depth == len(steps):
-            yield True
-            return
-        rel, const_checks, prior_checks, self_checks, binds, ineqs, argprog, probes = steps[depth]
-
-        if argprog is not None:
-            counts[0] += 1
-            args = tuple(
-                slots[entry] if type(entry) is int else entry
-                for entry in argprog
-            )
-            if instance.has_tuple(rel, args):
-                yield from self._run_counted(instance, slots, depth + 1, counts)
+                yield from self._run(
+                    instance, slots, depth + 1, candidates, backtracks
+                )
             else:
-                counts[1] += 1
+                backtracks.value += 1
             return
 
         bucket = instance.probe_relation(rel)
@@ -568,7 +520,7 @@ class CompiledPattern:
                 bucket = probe
 
         for fact in bucket:
-            counts[0] += 1
+            candidates.value += 1
             fact_args = fact.args
             ok = True
             for position, value in const_checks:
@@ -586,7 +538,7 @@ class CompiledPattern:
                         ok = False
                         break
             if not ok:
-                counts[1] += 1
+                backtracks.value += 1
                 continue
             for position, slot in binds:
                 slots[slot] = fact_args[position]
@@ -597,9 +549,11 @@ class CompiledPattern:
                     ok = False
                     break
             if ok:
-                yield from self._run_counted(instance, slots, depth + 1, counts)
+                yield from self._run(
+                    instance, slots, depth + 1, candidates, backtracks
+                )
             if binds:
-                counts[1] += 1
+                backtracks.value += 1
             for _, slot in binds:
                 slots[slot] = None
 
@@ -609,7 +563,8 @@ class CompiledPattern:
         slots: List,
         depth: int,
         stats: List[List],
-        counts: Optional[List[int]] = None,
+        candidates: Counter,
+        backtracks: Counter,
     ) -> Iterator[bool]:
         """Attributed executor: per-step probes/candidates/emitted/time.
 
@@ -617,8 +572,8 @@ class CompiledPattern:
         emitted, seconds]`` row in the attribution plan record.  Self-
         time excludes child steps *and* consumer time: the clock pauses
         across the recursive ``yield from`` and resumes when control
-        returns to this frame.  ``counts`` keeps the ``attributed``
-        scope contract of :meth:`_run_counted` when both are requested.
+        returns to this frame.  The counter pair gets exactly the
+        increments :meth:`_run` makes.
         """
         steps = self.steps
         if depth == len(steps):
@@ -631,8 +586,7 @@ class CompiledPattern:
         if argprog is not None:
             row[0] += 1
             row[1] += 1
-            if counts is not None:
-                counts[0] += 1
+            candidates.value += 1
             args = tuple(
                 slots[entry] if type(entry) is int else entry
                 for entry in argprog
@@ -641,11 +595,10 @@ class CompiledPattern:
                 row[2] += 1
                 row[3] += perf_counter() - started
                 yield from self._run_profiled(
-                    instance, slots, depth + 1, stats, counts
+                    instance, slots, depth + 1, stats, candidates, backtracks
                 )
             else:
-                if counts is not None:
-                    counts[1] += 1
+                backtracks.value += 1
                 row[3] += perf_counter() - started
             return
 
@@ -666,8 +619,7 @@ class CompiledPattern:
 
         for fact in bucket:
             row[1] += 1
-            if counts is not None:
-                counts[0] += 1
+            candidates.value += 1
             fact_args = fact.args
             ok = True
             for position, value in const_checks:
@@ -685,8 +637,7 @@ class CompiledPattern:
                         ok = False
                         break
             if not ok:
-                if counts is not None:
-                    counts[1] += 1
+                backtracks.value += 1
                 continue
             for position, slot in binds:
                 slots[slot] = fact_args[position]
@@ -700,11 +651,11 @@ class CompiledPattern:
                 row[2] += 1
                 row[3] += perf_counter() - started
                 yield from self._run_profiled(
-                    instance, slots, depth + 1, stats, counts
+                    instance, slots, depth + 1, stats, candidates, backtracks
                 )
                 started = perf_counter()
-            if counts is not None and binds:
-                counts[1] += 1
+            if binds:
+                backtracks.value += 1
             for _, slot in binds:
                 slots[slot] = None
         row[3] += perf_counter() - started

@@ -11,6 +11,7 @@ field), and the progress heartbeat's divergence signal.
 import io
 import json
 import os
+from contextlib import nullcontext
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.chase.standard import standard_chase
 from repro.engine import Executor
 from repro.exchange.solve import solve
 from repro.logic import plans
+from repro.logic.matching import attributed, match
 from repro.logic.parser import parse_instance
 from repro.obs import attribution
 
@@ -112,6 +114,22 @@ class TestPlanStats:
         with attribution.attributing():
             profiled = list(plan.matches(source_2_1, {}))
         assert [s._mapping for s in plain] == [s._mapping for s in profiled]
+        # Both executors charge the same work to the active scope.
+        egd = setting_2_1.target_dependencies[1]
+        canonical = setting_2_1.canonical_universal_solution(source_2_1)
+        pairs = []
+        for context in (nullcontext(), attribution.attributing()):
+            obs.reset()
+            with context, attributed("probe"):
+                assert list(match(egd.premise_atoms, canonical))
+            pairs.append(
+                (
+                    obs.counter("probe.candidates").value,
+                    obs.counter("probe.backtracks").value,
+                )
+            )
+        assert pairs[0] == pairs[1]
+        assert pairs[0][0] > 0
 
     def test_identity_is_content_stable(self, setting_2_1):
         tgd = setting_2_1.st_dependencies[0]

@@ -18,6 +18,8 @@ from repro.homomorphism import (
     retracts_to,
 )
 from repro.logic import parse_instance
+from repro.logic.matching import exists_match
+from repro.obs import counter
 
 E = RelationSymbol("E", 2)
 P = RelationSymbol("P", 1)
@@ -52,6 +54,22 @@ class TestHomomorphismSearch:
         source = parse_instance("E('a', #1), E('a', #2)")
         target = parse_instance("E('a', 'b'), E('a', 'c')")
         assert len(list(homomorphisms(source, target))) == 4
+
+    def test_suspended_enumeration_keeps_its_scope_to_itself(self):
+        # A consumer holding homomorphisms() suspended may match other
+        # patterns; that work is not the enumeration's and is not
+        # charged to ``hom``.  The enumeration's own resumed search is.
+        source = parse_instance("E('a', #1), E('a', #2)")
+        target = parse_instance("E('a', 'b'), E('a', 'c')")
+        candidates = counter("hom.candidates")
+        enumeration = homomorphisms(source, target)
+        next(enumeration)
+        before = candidates.value
+        other = parse_instance("E('a', 'b')")
+        assert exists_match(list(other), other)
+        assert candidates.value == before
+        assert len(list(enumeration)) == 3
+        assert candidates.value > before
 
     def test_empty_source(self):
         assert has_homomorphism(Instance(), parse_instance("P('a')"))

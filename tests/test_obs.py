@@ -136,10 +136,13 @@ class TestCounterAccuracy:
     def test_unattributed_matching_is_not_counted(self):
         instance = parse_instance("E('a', 'b')")
         pattern = list(instance)
+        names = set(obs.snapshot()["counters"])
         assert exists_match(pattern, instance)
         counters = obs.snapshot()["counters"]
         assert counters.get("match.candidates", 0) == 0
         assert counters.get("hom.candidates", 0) == 0
+        # Unscoped work lands in no registered counter.
+        assert set(counters) == names
 
 
 # ----------------------------------------------------------------------
