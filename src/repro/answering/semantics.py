@@ -230,21 +230,30 @@ def _semantics_fn(semantics: str):
 
 
 def _cached_answers(cache, key: str, compute) -> AnswerSet:
-    """Look one answer set up in the ``answers`` cache family."""
-    from ..io import answers_from_json, answers_to_json
+    """Look one answer set up in the ``answers`` cache family.
 
-    hit = cache.get("answers", key)
-    if hit is not None:
-        try:
-            answers = answers_from_json(hit["rows"])
-        except (ReproError, KeyError, TypeError):
-            answers = None
-        if answers is not None:
-            counter("answering.cache_hits").inc()
-            return answers
-    answers = compute()
-    cache.put("answers", key, {"rows": answers_to_json(answers)})
+    The answer set itself is the entry's decoded value: an in-process
+    hit returns the frozenset without touching the JSON codec.
+    """
+    from ..io import answers_to_json
+
+    answers = cache.get_value("answers", key, _answers_from_payload)
+    if answers is not None:
+        counter("answering.cache_hits").inc()
+        return answers
+    answers = frozenset(compute())
+    cache.put("answers", key, {"rows": answers_to_json(answers)}, answers)
     return answers
+
+
+def _answers_from_payload(payload: dict) -> Optional[AnswerSet]:
+    """Decode an ``answers`` entry; None when it is unusable."""
+    from ..io import answers_from_json
+
+    try:
+        return answers_from_json(payload["rows"])
+    except (ReproError, KeyError, TypeError, ValueError):
+        return None
 
 
 def _core_pair(

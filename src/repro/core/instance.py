@@ -77,6 +77,23 @@ class Instance:
         for item in atoms:
             self.add(item)
 
+    @classmethod
+    def from_ground(cls, atoms: Iterable[Atom]) -> "Instance":
+        """A new instance of ``atoms``, which the caller knows are ground.
+
+        The trusted bulk constructor behind cache hits and the JSON
+        decoder: it skips :meth:`add`'s per-atom ``is_ground`` check and
+        cache invalidation (a new instance has no caches yet).  Atoms are
+        inserted in the given order, and duplicates are skipped, as
+        ``Instance(atoms)`` would.
+        """
+        result = cls()
+        members = result._atoms
+        for item in atoms:
+            if item not in members:
+                result._insert(item)
+        return result
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

@@ -17,16 +17,26 @@ Every payload is a JSON object ``{"schema": "repro.engine/v1", "kind":
 ``repro.io/v1`` codec (:func:`repro.io.instance_to_payload`), which
 round-trips nulls exactly.  Writes are atomic (tempfile + ``os.replace``)
 so a crashed writer never leaves a half-entry that a reader could trust;
-unreadable or version-mismatched entries count as misses.
+unreadable entries (invalid UTF-8 or JSON), version or key mismatches,
+non-object payloads and payloads the caller's decoder rejects all count
+as misses.
 
 The in-memory tier is a bounded LRU (``memory_slots`` entries) in front
-of the disk tier; :meth:`invalidate` evicts from both.  Telemetry:
+of the disk tier; :meth:`invalidate` evicts from both.  Each memory
+slot holds the entry's payload and, beside it, an *immutable decoded
+value*: :meth:`put` takes it as an optional argument, and
+:meth:`get_value` returns it, decoding the payload once when the slot
+has none yet.  An in-process hit therefore skips the JSON codec
+entirely.  Values are tuples or frozensets, never mutable objects, so
+no caller can change what a later hit returns; ``memory_slots=0``
+disables the memory tier and the values with it.  Telemetry:
 ``engine.cache.hits`` / ``.misses`` / ``.writes`` / ``.invalidations``
 counters, with memory-tier hits double-counted under
 ``engine.cache.memory_hits``; per-lookup latency distributions land in
 the ``engine.cache.hit_seconds`` / ``.miss_seconds`` histograms (a
 memory hit, a disk hit, and a disk miss differ by orders of magnitude,
-which totals alone cannot show).
+which totals alone cannot show; a :meth:`get_value` lookup includes its
+decode, if one runs).
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import tempfile
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from ..obs import counter, histogram
 
@@ -52,6 +62,9 @@ DEFAULT_MEMORY_SLOTS = 256
 
 PathLike = Union[str, Path]
 
+#: The value of a memory slot whose payload has not been decoded yet.
+_UNDECODED = object()
+
 
 class ResultCache:
     """Content-addressed store for chase outcomes, cores, and verdicts."""
@@ -64,7 +77,8 @@ class ResultCache:
     ):
         self.root = Path(directory) / "repro.engine" / "cache" / CACHE_VERSION
         self.memory_slots = max(0, int(memory_slots))
-        self._memory: "OrderedDict[tuple, dict]" = OrderedDict()
+        # (kind, key) -> [payload, decoded value or _UNDECODED]
+        self._memory: "OrderedDict[tuple, list]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Addressing
@@ -84,52 +98,92 @@ class ResultCache:
         Hits promote the entry to most-recently-used in the memory tier;
         disk hits populate it.
         """
+        record = self._lookup(kind, key, None)
+        return None if record is None else record[0]
+
+    def get_value(
+        self, kind: str, key: str, decode: Callable[[dict], Any]
+    ) -> Any:
+        """The decoded value for ``(kind, key)``, or None on a miss.
+
+        A memory-tier slot keeps the decoded value beside its payload,
+        so ``decode`` runs only on a disk hit, or on a memory hit whose
+        entry was put without a value, and its result is remembered in
+        the slot.  ``decode`` turns a payload into an *immutable* value
+        (tuples, frozensets), since every later hit returns that same
+        object, or returns None for a payload it cannot use: that lookup
+        counts as a miss and drops the slot from memory.  Each kind has
+        one decoder, so a slot's value never depends on who decoded it.
+        """
+        record = self._lookup(kind, key, decode)
+        return None if record is None else record[1]
+
+    def _lookup(
+        self, kind: str, key: str, decode: Optional[Callable[[dict], Any]]
+    ) -> Optional[list]:
+        """The ``[payload, value]`` record of a hit (decoded when asked)."""
         started = time.perf_counter()
         slot = (kind, key)
-        found = self._memory.get(slot)
-        if found is not None:
-            self._memory.move_to_end(slot)
-            counter("engine.cache.hits").inc()
-            counter("engine.cache.memory_hits").inc()
-            histogram("engine.cache.hit_seconds").record(
-                time.perf_counter() - started
-            )
-            return found
-        path = self.path_for(kind, key)
-        try:
-            with path.open(encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        record = self._memory.get(slot)
+        in_memory = record is not None
+        if record is None:
+            payload = self._read(kind, key)
+            if payload is not None:
+                record = [payload, _UNDECODED]
+        if record is not None and decode is not None and (
+            record[1] is _UNDECODED
+        ):
+            value = decode(record[0])
+            if value is None:
+                self._memory.pop(slot, None)
+                record = None
+            else:
+                record[1] = value
+        if record is None:
             counter("engine.cache.misses").inc()
             histogram("engine.cache.miss_seconds").record(
                 time.perf_counter() - started
             )
+            return None
+        if in_memory:
+            self._memory.move_to_end(slot)
+            counter("engine.cache.memory_hits").inc()
+        else:
+            self._remember(slot, record)
+        counter("engine.cache.hits").inc()
+        histogram("engine.cache.hit_seconds").record(
+            time.perf_counter() - started
+        )
+        return record
+
+    def _read(self, kind: str, key: str) -> Optional[dict]:
+        """The payload of a valid disk entry, or None."""
+        path = self.path_for(kind, key)
+        try:
+            with path.open(encoding="utf-8") as handle:
+                entry = json.load(handle)
+        except (OSError, ValueError):
+            # ValueError covers invalid JSON and invalid UTF-8 alike.
             return None
         if (
             not isinstance(entry, dict)
             or entry.get("schema") != CACHE_SCHEMA
             or entry.get("key") != key
-            or "payload" not in entry
+            or not isinstance(entry.get("payload"), dict)
         ):
-            counter("engine.cache.misses").inc()
-            histogram("engine.cache.miss_seconds").record(
-                time.perf_counter() - started
-            )
             return None
-        payload = entry["payload"]
-        self._remember(slot, payload)
-        counter("engine.cache.hits").inc()
-        histogram("engine.cache.hit_seconds").record(
-            time.perf_counter() - started
-        )
-        return payload
+        return entry["payload"]
 
-    def put(self, kind: str, key: str, payload: dict) -> Path:
+    def put(
+        self, kind: str, key: str, payload: dict, value: Any = None
+    ) -> Path:
         """Store ``payload`` under ``(kind, key)``; returns the path.
 
         The write is atomic: a sibling tempfile is renamed over the
         final path, so concurrent readers see either the old entry or
-        the complete new one.
+        the complete new one.  ``value``, when given, is the immutable
+        decoded form of ``payload`` that :meth:`get_value` returns while
+        the entry stays in the memory tier; it never reaches the disk.
         """
         path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -153,14 +207,16 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self._remember((kind, key), payload)
+        self._remember(
+            (kind, key), [payload, _UNDECODED if value is None else value]
+        )
         counter("engine.cache.writes").inc()
         return path
 
-    def _remember(self, slot: tuple, payload: dict) -> None:
+    def _remember(self, slot: tuple, record: list) -> None:
         if self.memory_slots <= 0:
             return
-        self._memory[slot] = payload
+        self._memory[slot] = record
         self._memory.move_to_end(slot)
         while len(self._memory) > self.memory_slots:
             self._memory.popitem(last=False)

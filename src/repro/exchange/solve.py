@@ -8,10 +8,12 @@ enough to answer queries afterwards without re-chasing.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
+from ..core.atoms import Atom
 from ..core.errors import ChaseDivergence, ReproError
 from ..core.instance import Instance
+from ..core.schema import Schema
 from ..chase import CHASE_ENGINES
 from ..chase.loop import DEFAULT_MAX_STEPS
 from ..chase.result import ChaseStatus
@@ -19,7 +21,7 @@ from ..chase.sharding import sharded_chase
 from ..homomorphism.blocks import blockwise_core
 from ..homomorphism.core_computation import core
 from ..homomorphism.parallel import partitioned_core
-from ..io import instance_from_payload, instance_to_payload
+from ..io import atoms_from_payload, sorted_atoms_to_payload
 from ..obs import counter, gauge, span
 from .setting import DataExchangeSetting
 
@@ -158,22 +160,23 @@ def solve(
             engine=engine,
             core_algorithm=core_algorithm,
         )
-        hit = cache.get("solve", key)
-        if hit is not None:
-            result = _result_from_payload(setting, source, hit)
-            if result is not None:
-                if result.core_solution is None and compute_core and (
-                    result.canonical_solution is not None
-                ):
-                    # Cached by a compute_core=False caller: finish the
-                    # job from the cached canonical and upgrade the entry.
-                    with span("solve.core_from_cache"):
-                        result.core_solution = core_of(
-                            result.canonical_solution
-                        )
-                    cache.put("solve", key, _result_to_payload(result))
-                counter("solve.cache_hits").inc()
-                return result
+        value = cache.get_value(
+            "solve",
+            key,
+            lambda payload: _value_from_payload(payload, setting.target_schema),
+        )
+        if value is not None:
+            result = _result_from_value(setting, source, value)
+            if result.core_solution is None and compute_core and (
+                result.canonical_solution is not None
+            ):
+                # Cached by a compute_core=False caller: finish the
+                # job from the cached canonical and upgrade the entry.
+                with span("solve.core_from_cache"):
+                    result.core_solution = core_of(result.canonical_solution)
+                cache.put("solve", key, *_cache_entry(result))
+            counter("solve.cache_hits").inc()
+            return result
     with span("solve"):
         if use_shard:
             outcome = sharded_chase(
@@ -199,46 +202,95 @@ def solve(
                 setting, source, canonical, core_instance, outcome.steps
             )
     if cache is not None:
-        cache.put("solve", key, _result_to_payload(result))
+        cache.put("solve", key, *_cache_entry(result))
     return result
 
 
-def _result_to_payload(result: ExchangeResult) -> dict:
-    """JSON-serializable form of an :class:`ExchangeResult` (sans inputs)."""
-    return {
-        "status": "solved" if result.canonical_solution is not None else "failed",
+def _cache_entry(result: ExchangeResult) -> Tuple[dict, tuple]:
+    """The ``solve`` cache entry of a result (sans inputs).
+
+    Returns the JSON payload and its immutable value ``(canonical atoms,
+    core atoms, chase steps)``, each atom tuple in sorted order, the
+    order of the payload's rows.  When the core equals the canonical
+    solution (nothing folds), one atom tuple and one encoded dict serve
+    both; ``json.dumps`` writes the shared dict twice, so the disk entry
+    is the one two separate encodings would give.
+    """
+    canonical = result.canonical_solution
+    canonical_atoms = _sorted_atoms(canonical)
+    if result.core_solution is not None and result.core_solution == canonical:
+        core_atoms = canonical_atoms
+    else:
+        core_atoms = _sorted_atoms(result.core_solution)
+    canonical_payload = _encode(canonical_atoms)
+    payload = {
+        "status": "solved" if canonical is not None else "failed",
         "chase_steps": result.chase_steps,
-        "canonical": (
-            instance_to_payload(result.canonical_solution)
-            if result.canonical_solution is not None
-            else None
-        ),
+        "canonical": canonical_payload,
         "core": (
-            instance_to_payload(result.core_solution)
-            if result.core_solution is not None
-            else None
+            canonical_payload
+            if core_atoms is canonical_atoms
+            else _encode(core_atoms)
         ),
     }
+    return payload, (canonical_atoms, core_atoms, result.chase_steps)
 
 
-def _result_from_payload(
-    setting: DataExchangeSetting, source: Instance, payload: dict
-) -> Optional[ExchangeResult]:
-    """Rebuild a cached result; None when the payload is unusable."""
+def _sorted_atoms(instance: Optional[Instance]) -> Optional[Tuple[Atom, ...]]:
+    return None if instance is None else tuple(instance.sorted_atoms())
+
+
+def _encode(atoms: Optional[Tuple[Atom, ...]]) -> Optional[dict]:
+    return None if atoms is None else sorted_atoms_to_payload(atoms)
+
+
+def _value_from_payload(payload: dict, schema: Schema) -> Optional[tuple]:
+    """Decode a cached payload into its value; None when it is unusable.
+
+    The instances are validated against ``schema``, the setting's target
+    schema.  A ``"core"`` equal to the ``"canonical"`` payload shares
+    its atom tuple, as in the value :func:`_cache_entry` builds.
+    """
     try:
-        canonical = (
-            instance_from_payload(payload["canonical"], setting.target_schema)
-            if payload.get("canonical") is not None
+        canonical = payload.get("canonical")
+        canonical_atoms = (
+            tuple(atoms_from_payload(canonical, schema))
+            if canonical is not None
             else None
         )
-        core_instance = (
-            instance_from_payload(payload["core"], setting.target_schema)
-            if payload.get("core") is not None
-            else None
-        )
+        core_payload = payload.get("core")
+        if core_payload is None:
+            core_atoms = None
+        elif core_payload == canonical:
+            core_atoms = canonical_atoms
+        else:
+            core_atoms = tuple(atoms_from_payload(core_payload, schema))
         steps = int(payload["chase_steps"])
     except (ReproError, KeyError, TypeError, ValueError):
         return None
+    return canonical_atoms, core_atoms, steps
+
+
+def _result_from_value(
+    setting: DataExchangeSetting, source: Instance, value: tuple
+) -> ExchangeResult:
+    """A result of fresh instances built from a cached value.
+
+    A core sharing the canonical solution's atom tuple is a copy of the
+    canonical instance: one bulk build, and two distinct objects.
+    """
+    canonical_atoms, core_atoms, steps = value
+    canonical = (
+        Instance.from_ground(canonical_atoms)
+        if canonical_atoms is not None
+        else None
+    )
+    if core_atoms is None:
+        core_instance = None
+    elif core_atoms is canonical_atoms:
+        core_instance = canonical.copy()
+    else:
+        core_instance = Instance.from_ground(core_atoms)
     return ExchangeResult(setting, source, canonical, core_instance, steps)
 
 

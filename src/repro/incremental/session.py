@@ -66,7 +66,7 @@ from ..core.errors import ChaseDivergence, ReproError
 from ..core.instance import Instance
 from ..core.terms import NullFactory
 from ..exchange.setting import DataExchangeSetting
-from ..exchange.solve import ExchangeResult, _result_to_payload
+from ..exchange.solve import ExchangeResult, _cache_entry
 from ..obs import counter, span
 from ..obs.provenance import ProvenanceLedger, recording
 from .core import BlockMemo, incremental_core
@@ -430,4 +430,4 @@ class DeltaSession:
             engine="seminaive",
             core_algorithm="blockwise",
         )
-        self.cache.put("solve", key, _result_to_payload(self.result))
+        self.cache.put("solve", key, *_cache_entry(self.result))

@@ -30,7 +30,7 @@ import csv
 import json
 import re
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 from .core.atoms import Atom
 from .core.errors import ReproError, SchemaError
@@ -188,15 +188,33 @@ def instance_to_payload(instance: Instance, *, canonical: bool = False) -> dict:
     """
     if canonical:
         instance = instance.canonical()
+    return sorted_atoms_to_payload(instance.sorted_atoms())
+
+
+def sorted_atoms_to_payload(atoms: Sequence[Atom]) -> dict:
+    """The ``repro.io/v1`` payload of ground atoms in sorted order.
+
+    ``atoms`` must be in :meth:`Atom.sort_key` order, as
+    :meth:`Instance.sorted_atoms` returns them; the payload is then the
+    one :func:`instance_to_payload` gives for an instance of them.
+    Callers that keep the sorted atoms anyway (the result cache) encode
+    without sorting twice.
+    """
     relations = {}
-    for name in instance.relation_names():
-        atoms = sorted(instance.probe_relation(name), key=Atom.sort_key)
-        relations[name] = {
-            "arity": atoms[0].relation.arity,
-            "rows": [
-                [cell_to_json(value) for value in item.args] for item in atoms
-            ],
-        }
+    name = None
+    for item in atoms:
+        if item.relation.name != name:
+            name = item.relation.name
+            rows = []
+            relations[name] = {"arity": item.relation.arity, "rows": rows}
+        # cell_to_json, inlined: this loop runs once per cell.
+        rows.append(
+            [
+                ["n", value.ident] if value.__class__ is Null
+                else ["c", value.name]
+                for value in item.args
+            ]
+        )
     return {"schema": JSON_SCHEMA, "relations": relations}
 
 
@@ -208,6 +226,21 @@ def instance_from_payload(
     With a schema, relation names are resolved against it (and validated);
     without one, relation symbols are inferred from the payload.
     """
+    return Instance.from_ground(atoms_from_payload(payload, schema))
+
+
+def atoms_from_payload(
+    payload: dict, schema: Optional[Schema] = None
+) -> List[Atom]:
+    """The atoms of an instance payload, in row order.
+
+    Checks everything :func:`instance_from_payload` promises (schema
+    tag, object shapes, arities, schema membership, cell tags) and
+    raises :class:`ReproError` otherwise.  Every atom is built from
+    constant and null cells only, so it is ground by construction, which
+    is what lets :meth:`Instance.from_ground` take the list unchecked.
+    Duplicate rows stay in the list; the instance collapses them.
+    """
     if not isinstance(payload, dict):
         raise ReproError(f"instance payload must be an object, got {payload!r}")
     version = payload.get("schema")
@@ -216,8 +249,22 @@ def instance_from_payload(
             f"unsupported instance payload schema {version!r} "
             f"(expected {JSON_SCHEMA!r})"
         )
-    instance = Instance()
-    for name, body in payload.get("relations", {}).items():
+    relations = payload.get("relations", {})
+    if not isinstance(relations, dict):
+        raise ReproError(
+            f"instance payload relations must be an object, got {relations!r}"
+        )
+    # One value per distinct cell of the payload: the interning
+    # constructors of Const and Null run once per name, not per cell.
+    constants = {}
+    nulls = {}
+    atoms: List[Atom] = []
+    for name, body in relations.items():
+        if not isinstance(body, dict):
+            raise ReproError(
+                f"relation {name!r} of the payload must be an object, "
+                f"got {body!r}"
+            )
         arity = int(body["arity"])
         if schema is not None:
             relation = schema.get(name)
@@ -237,10 +284,25 @@ def instance_from_payload(
                 raise SchemaError(
                     f"{name!r} row {row!r} has {len(row)} cells, expected {arity}"
                 )
-            instance.add(
-                Atom(relation, tuple(cell_from_json(cell) for cell in row))
-            )
-    return instance
+            values = []
+            for cell in row:
+                try:
+                    tag, raw = cell
+                except (TypeError, ValueError):
+                    raise ReproError(f"malformed JSON cell {cell!r}") from None
+                if tag == "c" and raw.__class__ is str:
+                    value = constants.get(raw)
+                    if value is None:
+                        value = constants[raw] = Const(raw)
+                elif tag == "n" and raw.__class__ is int:
+                    value = nulls.get(raw)
+                    if value is None:
+                        value = nulls[raw] = Null(raw)
+                else:
+                    value = cell_from_json(cell)
+                values.append(value)
+            atoms.append(Atom(relation, tuple(values)))
+    return atoms
 
 
 def answers_to_json(answers) -> List[List[List]]:

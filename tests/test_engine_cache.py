@@ -7,7 +7,8 @@ import pytest
 import repro.obs as obs
 from repro.core import Atom, Const, Instance, Null, RelationSymbol
 from repro.engine import CACHE_SCHEMA, CACHE_VERSION, ResultCache
-from repro.engine.fingerprint import task_key
+from repro.chase.loop import DEFAULT_MAX_STEPS
+from repro.engine.fingerprint import solve_key, task_key
 from repro.exchange.solve import solve
 from repro.generators.settings_library import (
     example_2_1_setting,
@@ -93,6 +94,61 @@ class TestCorruptionTolerance:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(path.read_text(), encoding="utf-8")
         assert cache.get("solve", OTHER) is None
+
+
+class TestCorruptEntriesInSolve:
+    """A corrupt ``solve`` entry is a miss: solve recomputes and rewrites it."""
+
+    def resolve_over(self, tmp_path, corrupt):
+        setting = example_2_1_setting()
+        source = example_2_1_source()
+        cold = solve(setting, source, cache=ResultCache(tmp_path))
+        path = ResultCache(tmp_path).path_for(
+            "solve",
+            solve_key(
+                setting,
+                source,
+                max_steps=DEFAULT_MAX_STEPS,
+                engine="standard",
+                core_algorithm="blockwise",
+            ),
+        )
+        good = path.read_bytes()
+        corrupt(path, json.loads(good))
+        obs.reset()
+        # A fresh cache: the memory tier cannot answer for the disk.
+        again = solve(setting, source, cache=ResultCache(tmp_path))
+        found = counters()
+        assert found.get("solve.cache_hits", 0) == 0
+        assert found["engine.cache.misses"] == 1
+        assert again.canonical_solution == cold.canonical_solution
+        assert again.core_solution == cold.core_solution
+        assert path.read_bytes() == good
+
+    def test_invalid_utf8_is_a_miss(self, tmp_path):
+        def corrupt(path, entry):
+            path.write_bytes(b'{"schema": "\xff\xfe\xfd"}')
+
+        self.resolve_over(tmp_path, corrupt)
+
+    def test_non_object_payload_is_a_miss(self, tmp_path):
+        def corrupt(path, entry):
+            entry["payload"] = [entry["payload"]]
+            path.write_text(json.dumps(entry), encoding="utf-8")
+
+        self.resolve_over(tmp_path, corrupt)
+
+    @pytest.mark.parametrize("part", ["relations", "relation body"])
+    def test_non_object_relations_are_a_miss(self, tmp_path, part):
+        def corrupt(path, entry):
+            relations = entry["payload"]["core"]["relations"]
+            if part == "relations":
+                entry["payload"]["core"]["relations"] = list(relations)
+            else:
+                relations["E"] = [relations["E"]]
+            path.write_text(json.dumps(entry), encoding="utf-8")
+
+        self.resolve_over(tmp_path, corrupt)
 
 
 class TestMemoryTier:

@@ -358,3 +358,32 @@ class TestAtomsContaining:
         assert inst.atoms_containing(Const("a")) == set(inst)
         assert inst.atoms_containing(Const("b")) == {atom(E, "a", "b")}
         assert inst.atoms_containing(Const("z")) == set()
+
+
+class TestFromGround:
+    """The trusted bulk constructor builds what ``Instance(atoms)`` builds."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(values(), values()).map(lambda pair: Atom(E, pair)),
+                st.tuples(values()).map(lambda args: Atom(P, args)),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_checked_constructor(self, atoms):
+        # Duplicates in the input collapse; null counts stay exact.
+        built = Instance.from_ground(atoms + atoms[:3])
+        expected = Instance(atoms)
+        assert _internals(built) == _internals(expected)
+        assert list(built) == list(expected)
+
+    def test_result_is_a_fresh_mutable_instance(self):
+        atoms = (atom(E, "a", Null(0)), atom(P, Null(0)))
+        first = Instance.from_ground(atoms)
+        second = Instance.from_ground(atoms)
+        first.discard(atoms[0])
+        assert second == Instance(atoms)
+        assert first.null_count() == 1 and first.nulls() == {Null(0)}

@@ -19,6 +19,7 @@ from repro.io import (
     loads_instance,
     parse_cell,
     roundtrip_safe,
+    sorted_atoms_to_payload,
 )
 from repro.logic import parse_instance
 
@@ -186,6 +187,44 @@ class TestJsonInstanceCodec:
 
     def test_empty_instance(self):
         assert loads_instance(dumps_instance(Instance())) == Instance()
+
+    @pytest.mark.parametrize(
+        "relations",
+        [["E"], {"E": ["arity", 2]}, {"E": 7}],
+        ids=["relations-list", "body-list", "body-int"],
+    )
+    def test_non_object_relations_rejected(self, relations):
+        with pytest.raises(ReproError):
+            instance_from_payload({"schema": JSON_SCHEMA, "relations": relations})
+
+    def test_duplicate_rows_collapse(self):
+        payload = instance_to_payload(parse_instance("E('a', #1), P(#1)"))
+        rows = payload["relations"]["E"]["rows"]
+        rows.append(list(rows[0]))
+        decoded = instance_from_payload(payload)
+        assert decoded == parse_instance("E('a', #1), P(#1)")
+        assert len(decoded) == 2
+        assert decoded.null_count() == 1
+        decoded.discard(next(iter(decoded.atoms_of("E"))))
+        assert decoded.nulls() == {Null(1)}
+
+    def test_cells_of_other_json_types_decode_as_before(self):
+        payload = {
+            "schema": JSON_SCHEMA,
+            "relations": {
+                "E": {"arity": 2, "rows": [[["c", 5], ["n", "3"]]]},
+            },
+        }
+        assert instance_from_payload(payload) == Instance(
+            [atom(E, Const("5"), Null(3))]
+        )
+
+    def test_sorted_atoms_payload_equals_instance_payload(self):
+        instance = parse_instance("E('b', #2), E('a', #1), P('_:3'), P(#1)")
+        assert sorted_atoms_to_payload(
+            instance.sorted_atoms()
+        ) == instance_to_payload(instance)
+        assert sorted_atoms_to_payload(()) == instance_to_payload(Instance())
 
 
 class TestAnswersCodec:
