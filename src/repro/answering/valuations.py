@@ -31,8 +31,11 @@ Enumerating set partitions with anchors visits every equality type once:
   gives another valuation without it);
 * ``◇Q(T)`` is exact for tuples over the anchor set; answers containing
   fresh constants are *generic witnesses* for the infinitely many tuples
-  obtained by renaming them.  Membership of a concrete tuple is decided
-  exactly by adding its constants to the anchors
+  obtained by renaming them.  Each witness is reported in canonical
+  form, its fresh constants renamed in order of first occurrence
+  (:func:`canonical_witnesses`), so ◇ answers do not depend on the
+  order in which nulls were named.  Membership of a concrete tuple is
+  decided exactly by adding its constants to the anchors
   (:func:`maybe_holds_on`).
 
 Callers that know their query compares only null-fed positions (e.g. the
@@ -105,11 +108,7 @@ def valuations(
         enumerated.inc()
         yield {}
         return
-    if anchors is None:
-        anchor_list = default_anchors(target, extra_constants)
-    else:
-        anchor_list = sorted(set(anchors) | set(extra_constants))
-    fresh = fresh_constants(len(nulls), anchor_list)
+    anchor_list, fresh = _pool(target, extra_constants, anchors)
 
     # Assign each null either an anchor constant or a fresh block index,
     # with fresh block indices forming a restricted-growth string so each
@@ -133,6 +132,47 @@ def valuations(
             current.pop()
 
     yield from assign(0, 0, [])
+
+
+def _pool(
+    target: Instance,
+    extra_constants: Iterable[Const],
+    anchors: Optional[Iterable[Const]],
+) -> Tuple[List[Const], List[Const]]:
+    """The sorted anchor list and the fresh constants, one per null."""
+    if anchors is None:
+        anchor_list = default_anchors(target, extra_constants)
+    else:
+        anchor_list = sorted(set(anchors) | set(extra_constants))
+    return anchor_list, fresh_constants(len(target.nulls()), anchor_list)
+
+
+def canonical_witnesses(answers: AnswerSet, fresh: Sequence[Const]) -> AnswerSet:
+    """Rename each tuple's fresh constants in order of first occurrence.
+
+    The first fresh constant of a tuple becomes ``fresh[0]``, the next
+    distinct one ``fresh[1]``, and so on.  A tuple with fresh constants
+    is a generic witness for all its renamings, so this changes no
+    answer; it makes the witness independent of which null happened to
+    receive which fresh constant, an order that follows the chase's
+    set iteration order.
+    """
+    index = set(fresh)
+    renamed_answers = set()
+    for answer in answers:
+        if index.isdisjoint(answer):
+            renamed_answers.add(answer)
+            continue
+        renaming: Dict[Const, Const] = {}
+        renamed_answers.add(
+            tuple(
+                renaming.setdefault(value, fresh[len(renaming)])
+                if value in index
+                else value
+                for value in answer
+            )
+        )
+    return frozenset(renamed_answers)
 
 
 def count_valuations(null_count: int, anchor_count: int) -> int:
@@ -287,6 +327,10 @@ def _walk_worlds(
         if chunk_box is not None:
             box = chunk_box if box is None else box & chunk_box
         diamond |= chunk_diamond
+    if diamond and target.nulls():
+        diamond = canonical_witnesses(
+            diamond, _pool(target, extras, anchors)[1]
+        )
     return box or frozenset(), diamond
 
 

@@ -47,11 +47,15 @@ DEFAULT_MAX_STEPS = 100_000
 JustificationKey = Tuple[Tgd, Tuple[Value, ...], Tuple[Value, ...]]
 
 
+def binding_key(tgd: Tgd, binding: Tuple[Value, ...]) -> JustificationKey:
+    """The key (d, ū, v̄) of a premise binding ``ū‖v̄``."""
+    width = len(tgd.frontier)
+    return (tgd, binding[:width], binding[width:])
+
+
 def justification_key(tgd: Tgd, premise_match: Substitution) -> JustificationKey:
     """The key (d, ū, v̄) of a premise match."""
-    u = premise_match.as_tuple(tgd.frontier)
-    v = premise_match.as_tuple(tgd.premise_only)
-    return (tgd, tuple(u), tuple(v))
+    return binding_key(tgd, premise_match.as_tuple(tgd.binding_order))
 
 
 class Alpha:
@@ -198,18 +202,18 @@ def alpha_chase(
                         started = run.clock()
                         firings = 0
                         pending = [
-                            (premise_match, justification_key(tgd, premise_match))
-                            for premise_match in tgd.premise_matches(current)
+                            (binding, binding_key(tgd, binding))
+                            for binding in tgd.premise_bindings(current)
                         ]
-                        for premise_match, key in pending:
+                        for binding, key in pending:
                             witnesses = alpha.witnesses(key)
-                            if tgd.conclusion_present(
-                                current, premise_match, witnesses
+                            if tgd.conclusion_present_at(
+                                current, key[1], witnesses
                             ):
                                 continue
                             if run.steps >= max_steps:
                                 return run.out_of_budget()
-                            run.fire(tgd, premise_match, witnesses)
+                            run.fire(tgd, binding, witnesses)
                             progressed = True
                             firings += 1
                         if pending:

@@ -1,10 +1,14 @@
 """One firing step, one observer bundle, one round loop for every engine.
 
-The paper's standard chase (Remark 4.3) and α-chase (Definitions 4.1
-and 4.2) share their firing step: add ``ψ[ū, w̄]`` for a premise match
-ū and a witness tuple w̄.  Only the applicability check differs
-(``I ⊭ ∃z̄ ψ`` versus ``I ⊭ ψ[ū, ᾱ]``) and, for the batched engines,
-where a pass finds its triggers.
+A trigger is a justification's pair (ū, v̄) (Section 4 of the paper),
+held as one value tuple ``ū‖v̄`` ordered ``tgd.frontier +
+tgd.premise_only`` (:meth:`Tgd.premise_bindings`).  The paper's
+standard chase (Remark 4.3) and α-chase (Definitions 4.1 and 4.2)
+share their firing step: add ``ψ[ū, w̄]`` for a trigger's ū and a
+witness tuple w̄.  Only the applicability check differs (``I ⊭ ∃z̄ ψ``
+versus ``I ⊭ ψ[ū, ᾱ]``) and, for the batched engines, where a pass
+finds its triggers.  No substitution is built per trigger; one is
+built per firing only when a provenance ledger or the trace needs it.
 
 :class:`ChaseRun` is the observer bundle every engine fires, merges
 and finishes through: the working copy, the step and null counts, the
@@ -12,8 +16,8 @@ and finishes through: the working copy, the step and null counts, the
 per-dependency attribution and the heartbeat.  :func:`chase_rounds` is
 the egd-fixpoint → tgd-pass round loop of the two batched engines; its
 only parameter is the :class:`TriggerSource` that feeds each pass.
-The loop checks each trigger's conclusion at most once per run
-(:class:`SatisfiedTriggers`).
+The loop checks the conclusion of each frontier tuple ū at most once
+per run (:class:`SatisfiedTriggers`, keyed on ``binding[:len(frontier)]``).
 """
 
 from __future__ import annotations
@@ -89,11 +93,12 @@ class ChaseRun:
     def fire(
         self,
         tgd: Tgd,
-        premise_match: Substitution,
+        binding: Tuple[Value, ...],
         witnesses: Sequence[Value],
     ) -> List[Atom]:
-        """Add ``ψ[ū, w̄]`` and notify every observer; returns new atoms."""
-        added = tgd.conclusion_atoms_under(premise_match, witnesses)
+        """Add ``ψ[ū, w̄]`` for the trigger ``binding = ū‖v̄`` and notify
+        every observer; returns the new atoms."""
+        added = tgd.conclusion_atoms_at(binding[: len(tgd.frontier)], witnesses)
         fresh = [atom for atom in added if self.current.add(atom)]
         self.steps += 1
         self._firings.inc()
@@ -101,15 +106,16 @@ class ChaseRun:
             self.nulls_created += len(witnesses)
             self._nulls.inc(len(witnesses))
         if self.ledger is not None:
+            premise_match = Substitution(dict(zip(tgd.binding_order, binding)))
             self.ledger.record_firing(
                 self.engine, tgd, premise_match, fresh, witnesses
             )
         if self.trace:
-            binding = tuple(
-                (variable.name, premise_match[variable])
-                for variable in tgd.frontier + tgd.premise_only
+            named = tuple(
+                (variable.name, value)
+                for variable, value in zip(tgd.binding_order, binding)
             )
-            self.log.append(ChaseStep("tgd", tgd, binding=binding, added=fresh))
+            self.log.append(ChaseStep("tgd", tgd, binding=named, added=fresh))
         return fresh
 
     def merge(self, egd: Egd, old: Value, new: Value) -> None:
@@ -195,9 +201,10 @@ class ChaseRun:
 class TriggerSource:
     """Where a batched pass finds its triggers: a full scan by default.
 
-    Each pass re-enumerates every premise match, and a pass that fires
+    A trigger is a premise binding ``ū‖v̄`` (:meth:`Tgd.premise_bindings`).
+    Each pass re-enumerates every premise binding, and a pass that fires
     nothing ends the chase -- the standard engine.  Subclasses narrow
-    the matches (the semi-naive delta joins) and decide when the
+    the bindings (the semi-naive delta joins) and decide when the
     chase is done.
     """
 
@@ -208,8 +215,11 @@ class TriggerSource:
         """Checked after each egd fixpoint: is there a pass to run?"""
         return True
 
-    def matches(self, tgd: Tgd, instance: Instance) -> Iterable[Substitution]:
-        return tgd.premise_matches(instance)
+    def matches(
+        self, tgd: Tgd, instance: Instance
+    ) -> Iterable[Tuple[Value, ...]]:
+        """The bindings ``ū‖v̄`` this pass tries for ``tgd``."""
+        return tgd.premise_bindings(instance)
 
     def added(self, atoms: List[Atom]) -> None:
         """Atoms one firing added to the instance."""
@@ -225,8 +235,8 @@ class TriggerSource:
 class SatisfiedTriggers:
     """Per-run memo of frontier tuples whose tgd conclusion holds.
 
-    :meth:`Tgd.conclusion_holds` reads only the frontier binding ū of a
-    premise match, so one set of frontier tuples per tgd records every
+    :meth:`Tgd.conclusion_holds_at` reads only the frontier tuple ū of a
+    trigger ``ū‖v̄``, so one set of frontier tuples per tgd records every
     ū with ``I ⊨ ∃z̄ ψ[ū, z̄]`` known.  A tuple enters when its check
     succeeds or right after the loop fires it.  Firings only add atoms,
     so a recorded tuple stays satisfied; an egd merge ``old := new``
@@ -271,8 +281,9 @@ def chase_rounds(
     trigger the trigger source yields that is still unsatisfied at its
     own firing time -- each firing is checked against the current
     instance, so this is a valid standard chase sequence.  A trigger
-    whose frontier tuple :class:`SatisfiedTriggers` already holds is
-    skipped without the check, which would succeed.
+    is a binding ``ū‖v̄``; one whose frontier tuple ū (its first
+    ``len(tgd.frontier)`` values) :class:`SatisfiedTriggers` already
+    holds is skipped without the check, which would succeed.
     ``trigger_source`` builds that source from the tgds and the working
     instance, which is ``instance`` itself, chased in place.
     """
@@ -331,16 +342,17 @@ def chase_rounds(
                 for tgd, satisfied in zip(tgds, memo.per_tgd):
                     started = run.clock()
                     triggers = list(feed.matches(tgd, current))
+                    width = len(tgd.frontier)
                     firings = 0
-                    for premise_match in triggers:
+                    for binding in triggers:
                         if run.steps >= max_steps:
                             return run.out_of_budget()
-                        key = premise_match.as_tuple(tgd.frontier)
+                        key = binding[:width]
                         if key in satisfied:
                             continue
-                        if not tgd.conclusion_holds(current, premise_match):
+                        if not tgd.conclusion_holds_at(current, key):
                             witnesses = factory.fresh_tuple(len(tgd.existential))
-                            feed.added(run.fire(tgd, premise_match, witnesses))
+                            feed.added(run.fire(tgd, binding, witnesses))
                             firings += 1
                         memo.add(satisfied, key)
                     if triggers:

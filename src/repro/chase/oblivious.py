@@ -30,7 +30,7 @@ from .alpha import (
     FreshAlpha,
     JustificationKey,
     alpha_chase,
-    justification_key,
+    binding_key,
 )
 from .loop import ChaseRun
 from .result import ChaseOutcome
@@ -86,14 +86,14 @@ def fire_all_source_justifications(
             started = run.clock()
             triggers = 0
             firings = 0
-            for premise_match in tgd.premise_matches(source):
+            for binding in tgd.premise_bindings(source):
                 triggers += 1
-                key = justification_key(tgd, premise_match)
+                key = binding_key(tgd, binding)
                 if key in table:
                     continue
                 witnesses = factory.fresh_tuple(len(tgd.existential))
                 table[key] = witnesses
-                run.fire(tgd, premise_match, witnesses)
+                run.fire(tgd, binding, witnesses)
                 firings += 1
             if triggers:
                 run.attribute(

@@ -30,49 +30,70 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.atoms import Atom, Substitution
+from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.terms import NullFactory, Value
 from ..dependencies.base import Dependency
 from ..dependencies.tgd import Tgd
-from ..logic.matching import match
+from ..logic.matching import match_tuples
 from .loop import DEFAULT_MAX_STEPS, TriggerSource, chase_rounds
 from .result import ChaseOutcome
 
 
-def _unify_seed(pattern: Atom, fact: Atom) -> Optional[Dict]:
-    """Bindings from matching one premise atom against one delta fact."""
-    if pattern.relation != fact.relation:
-        return None
-    bound: Dict = {}
-    for pattern_arg, fact_arg in zip(pattern.args, fact.args):
-        if isinstance(pattern_arg, Value):
-            if pattern_arg != fact_arg:
-                return None
-        else:
-            known = bound.get(pattern_arg)
-            if known is None:
-                bound[pattern_arg] = fact_arg
-            elif known != fact_arg:
-                return None
-    return bound
+class _Seed:
+    """One premise position of a tgd's delta join, compiled once per run.
 
-
-def _seed_decomposition(tgd: Tgd) -> Optional[Tuple]:
-    """Per-tgd delta-join plan, computed once per chase run.
-
-    For every premise-atom position ``p`` the pair ``(pattern_p, rest_p)``
-    where ``rest_p`` is the premise without position ``p``.  The same
-    tuple objects are reused across every pass, so the completion join
-    for each seed position compiles exactly once and every later pass is
-    a pure plan-cache hit (keyed by the seed atom's bound-variable set).
-    Returns None for FO premises, which have no atom list to seed from.
+    ``pattern`` is the premise atom a delta fact is unified with and
+    ``rest`` the premise without it.  The same ``rest`` tuple is reused
+    on every pass, so its completion join compiles once and every later
+    pass is a pure plan-cache hit (keyed by ``pattern``'s variables).
     """
+
+    __slots__ = ("relation", "rest", "variables", "reads", "checks")
+
+    def __init__(self, pattern: Atom, rest: Tuple[Atom, ...]):
+        self.relation = pattern.relation
+        self.rest = rest
+        first: Dict = {}
+        checks: List[Tuple[int, object]] = []
+        for position, arg in enumerate(pattern.args):
+            if isinstance(arg, Value):
+                checks.append((position, arg))
+            elif arg in first:
+                checks.append((position, first[arg]))
+            else:
+                first[arg] = position
+        #: ``pattern``'s variables sorted by name: the completion join's
+        #: pre-bound variables, in the order its plan seeds them.
+        self.variables = tuple(sorted(first, key=lambda v: v.name))
+        #: The position of each of ``variables`` in a unified fact.
+        self.reads = tuple(first[variable] for variable in self.variables)
+        #: ``(position, constant)`` and ``(position, earlier position)``
+        #: equalities a fact must meet to unify with ``pattern``.
+        self.checks = tuple(checks)
+
+    def unify(self, fact: Atom) -> Optional[Tuple[Value, ...]]:
+        """The values of :attr:`variables` under ``fact``, or None."""
+        if fact.relation != self.relation:
+            return None
+        args = fact.args
+        for position, expected in self.checks:
+            if args[position] != (
+                args[expected] if expected.__class__ is int else expected
+            ):
+                return None
+        return tuple([args[position] for position in self.reads])
+
+
+def _seed_decomposition(tgd: Tgd) -> Optional[Tuple[_Seed, ...]]:
+    """Per-tgd delta-join plan, computed once per chase run: one
+    :class:`_Seed` per premise-atom position.  Returns None for FO
+    premises, which have no atom list to seed from."""
     if tgd.premise_atoms is None:
         return None
     atoms = tgd.premise_atoms
     return tuple(
-        (atoms[i], atoms[:i] + atoms[i + 1 :]) for i in range(len(atoms))
+        _Seed(atoms[i], atoms[:i] + atoms[i + 1 :]) for i in range(len(atoms))
     )
 
 
@@ -107,11 +128,14 @@ class DeltaSource(TriggerSource):
         self._delta = [item for item in self._delta if item in self._instance]
         return bool(self._delta)
 
-    def matches(self, tgd: Tgd, instance: Instance) -> Iterable[Substitution]:
-        """Premise matches of ``tgd`` that use at least one delta atom.
+    def matches(
+        self, tgd: Tgd, instance: Instance
+    ) -> Iterable[Tuple[Value, ...]]:
+        """Bindings ``ū‖v̄`` of ``tgd`` whose match uses a delta atom.
 
         Deduplicates across seed positions (a match touching two delta
-        atoms would otherwise be reported twice).
+        atoms would otherwise be reported twice); the binding itself is
+        the dedup key.
         """
         if tgd.premise_atoms is None:
             # FO premise (s-t tgd): fires only off source atoms; if the
@@ -119,21 +143,25 @@ class DeltaSource(TriggerSource):
             # scan.
             relations = {r.name for r in tgd.premise_relations()}
             if any(fact.relation.name in relations for fact in self._delta):
-                yield from tgd.premise_matches(instance)
+                yield from tgd.premise_bindings(instance)
             return
         seen: Set[Tuple[Value, ...]] = set()
-        all_variables = tuple(tgd.frontier) + tuple(tgd.premise_only)
-        for pattern, rest in self._seeds[id(tgd)]:
+        order = tgd.binding_order
+        for seed in self._seeds[id(tgd)]:
             for fact in self._delta:
-                bound = _unify_seed(pattern, fact)
-                if bound is None:
+                values = seed.unify(fact)
+                if values is None:
                     continue
-                initial = Substitution(bound)
-                for completed in match(rest, instance, initial=initial):
-                    key = completed.as_tuple(all_variables)
-                    if key not in seen:
-                        seen.add(key)
-                        yield completed
+                for binding in match_tuples(
+                    seed.rest,
+                    instance,
+                    order,
+                    prebound=seed.variables,
+                    values=values,
+                ):
+                    if binding not in seen:
+                        seen.add(binding)
+                        yield binding
 
     def added(self, atoms: List[Atom]) -> None:
         self._next.extend(atoms)

@@ -74,3 +74,20 @@ class NotASolutionError(ReproError):
 
 class UnsupportedQueryError(ReproError):
     """A query falls outside the class supported by the chosen algorithm."""
+
+
+class WorkerCrashed(ReproError):
+    """A pool worker died mid-batch (killed, or ``os._exit`` in a task).
+
+    The batch's results are lost; the executor has dropped its broken
+    pool, so the next batch starts a fresh one.  The batch is not re-run
+    in the parent: a crash may be an out-of-memory kill.
+    """
+
+    def __init__(self, label: str, tasks: int):
+        self.label = label
+        self.tasks = tasks
+        super().__init__(
+            f"a worker process died while running {label!r} "
+            f"({tasks} task(s)); the pool was discarded"
+        )

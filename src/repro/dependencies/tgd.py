@@ -31,7 +31,7 @@ from ..core.schema import RelationSymbol, Schema
 from ..core.terms import Value, Variable
 from ..logic.evaluation import satisfying_assignments
 from ..logic.formulas import Formula, is_conjunction_of_atoms
-from ..logic.matching import exists_match, match
+from ..logic.matching import exists_match_at, match_tuples
 from ..logic.parser import _Parser
 from ..logic import formulas as fo
 from .base import Dependency, format_variables
@@ -90,6 +90,18 @@ class Tgd(Dependency):
         )
         #: x̄ as a set, for restricting premise matches to the frontier.
         self.frontier_set: FrozenSet[Variable] = frozenset(self.frontier)
+        #: The variables of a premise binding ``ū‖v̄``: x̄, then ȳ.
+        self.binding_order: Tuple[Variable, ...] = self.frontier + self.premise_only
+        # ψ's atoms as (relation, template) pairs: an int entry indexes
+        # ``ū‖w̄`` (x̄ then z̄), any other entry is a constant.
+        position = {
+            variable: index
+            for index, variable in enumerate(self.frontier + self.existential)
+        }
+        self._conclusion_templates: Tuple[Tuple[RelationSymbol, Tuple], ...] = tuple(
+            (atom.relation, tuple(position.get(arg, arg) for arg in atom.args))
+            for atom in self.conclusion_atoms
+        )
 
     def _premise_variables(self) -> Set[Variable]:
         if self.premise_atoms is not None:
@@ -130,49 +142,85 @@ class Tgd(Dependency):
     # Matching
     # ------------------------------------------------------------------
 
-    def premise_matches(self, instance: Instance) -> Iterator[Substitution]:
-        """All substitutions (ū for x̄, v̄ for ȳ) with ``I ⊨ ϕ[ū, v̄]``."""
+    def premise_bindings(self, instance: Instance) -> Iterator[Tuple[Value, ...]]:
+        """The tuple ``ū‖v̄`` of every premise match, in match order.
+
+        ``ū`` binds x̄ and ``v̄`` binds ȳ, so a binding is the flattened
+        justification key (Section 4) and its first ``len(frontier)``
+        values are the frontier tuple.  Conjunctive premises run the
+        matcher (compiled or, under ``interpreted_only``, interpreted);
+        FO premises are evaluated over the active domain of their σ-reduct.
+        """
         if self.premise_atoms is not None:
-            yield from match(self.premise_atoms, instance)
-            return
+            return match_tuples(self.premise_atoms, instance, self.binding_order)
         base = (
             instance.reduct(self.premise_schema)
             if self.premise_schema is not None
             else instance
         )
-        free = tuple(self.frontier) + tuple(self.premise_only)
-        for values in satisfying_assignments(self.premise_formula, base, free):
-            yield Substitution(dict(zip(free, values)))
-
-    def conclusion_holds(self, instance: Instance, premise_match: Substitution) -> bool:
-        """Standard-chase trigger test: ``I ⊨ ∃z̄ ψ[ū, z̄]``.
-
-        Used by the standard chase (fire only if this fails) -- condition
-        (2) in Remark 4.3 of the paper.
-        """
-        frontier_binding = premise_match.restrict(self.frontier_set)
-        return exists_match(
-            self.conclusion_atoms, instance, initial=frontier_binding
+        return satisfying_assignments(
+            self.premise_formula, base, self.binding_order
         )
 
-    def conclusion_atoms_under(
-        self, premise_match: Substitution, witnesses: Sequence[Value]
+    def premise_matches(self, instance: Instance) -> Iterator[Substitution]:
+        """All substitutions (ū for x̄, v̄ for ȳ) with ``I ⊨ ϕ[ū, v̄]``."""
+        order = self.binding_order
+        for binding in self.premise_bindings(instance):
+            yield Substitution(dict(zip(order, binding)))
+
+    def conclusion_holds_at(self, instance: Instance, frontier: Sequence[Value]) -> bool:
+        """Standard-chase trigger test: ``I ⊨ ∃z̄ ψ[ū, z̄]`` for ū = ``frontier``.
+
+        Used by the standard chase (fire only if this fails) -- condition
+        (2) in Remark 4.3 of the paper.  ``frontier`` lists the values of
+        x̄ in :attr:`frontier` order.
+        """
+        return exists_match_at(
+            self.conclusion_atoms, instance, self.frontier, frontier
+        )
+
+    def conclusion_holds(self, instance: Instance, premise_match: Substitution) -> bool:
+        """:meth:`conclusion_holds_at` for the frontier of a premise match."""
+        return self.conclusion_holds_at(
+            instance, premise_match.as_tuple(self.frontier)
+        )
+
+    def conclusion_atoms_at(
+        self, frontier: Sequence[Value], witnesses: Sequence[Value]
     ) -> Tuple[Atom, ...]:
-        """The atoms of ``ψ[ū, w̄]`` for witnesses w̄ assigned to z̄."""
+        """The atoms of ``ψ[ū, w̄]`` for ū = ``frontier``, w̄ assigned to z̄.
+
+        Each atom is filled in from a template compiled with the tgd.
+        """
         if len(witnesses) != len(self.existential):
             raise DependencyError(
                 f"{len(self.existential)} witnesses expected, "
                 f"got {len(witnesses)}"
             )
-        binding = premise_match.restrict(self.frontier_set).extend_many(
-            zip(self.existential, witnesses)
+        values = tuple(frontier) + tuple(witnesses)
+        return tuple(
+            Atom(
+                relation,
+                [
+                    values[entry] if entry.__class__ is int else entry
+                    for entry in template
+                ],
+            )
+            for relation, template in self._conclusion_templates
         )
-        return tuple(binding.apply(atom) for atom in self.conclusion_atoms)
 
-    def conclusion_present(
+    def conclusion_atoms_under(
+        self, premise_match: Substitution, witnesses: Sequence[Value]
+    ) -> Tuple[Atom, ...]:
+        """:meth:`conclusion_atoms_at` for the frontier of a premise match."""
+        return self.conclusion_atoms_at(
+            premise_match.as_tuple(self.frontier), witnesses
+        )
+
+    def conclusion_present_at(
         self,
         instance: Instance,
-        premise_match: Substitution,
+        frontier: Sequence[Value],
         witnesses: Sequence[Value],
     ) -> bool:
         """α-chase trigger test: are all atoms of ``ψ[ū, ᾱ(...)]`` in I?
@@ -182,7 +230,18 @@ class Tgd(Dependency):
         """
         return all(
             atom in instance
-            for atom in self.conclusion_atoms_under(premise_match, witnesses)
+            for atom in self.conclusion_atoms_at(frontier, witnesses)
+        )
+
+    def conclusion_present(
+        self,
+        instance: Instance,
+        premise_match: Substitution,
+        witnesses: Sequence[Value],
+    ) -> bool:
+        """:meth:`conclusion_present_at` for the frontier of a premise match."""
+        return self.conclusion_present_at(
+            instance, premise_match.as_tuple(self.frontier), witnesses
         )
 
     # ------------------------------------------------------------------

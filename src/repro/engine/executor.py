@@ -13,6 +13,12 @@ the rest of the library relies on:
 * **Graceful degradation.**  With ``workers <= 1``, or when a task
   fails an upfront pickle probe, work runs serially in-process -- same
   results, no pool.  ``REPRO_WORKERS`` sets the default width.
+* **Crash isolation.**  A worker that dies mid-batch (killed, or
+  ``os._exit`` in a task) breaks the whole pool.  The batch raises
+  :class:`repro.core.errors.WorkerCrashed`, naming its label and task
+  count, and the broken pool is shut down and dropped, so the next
+  batch on the same executor starts a fresh one.  The batch is never
+  re-run in the parent: a crash may be an out-of-memory kill.
 * **Telemetry.**  ``engine.tasks_dispatched`` counts items handed to
   the pool, ``engine.serial_tasks`` items run in-process,
   ``engine.pickle_fallbacks`` probe failures.  Every pooled task runs
@@ -41,8 +47,10 @@ import pickle
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.errors import WorkerCrashed
 from ..obs import (
     NULL_SINK,
     RecordingSink,
@@ -260,6 +268,12 @@ class Executor:
             counter("engine.pickle_fallbacks").inc()
             counter("engine.serial_tasks").inc(len(tasks))
             return [fn(*args) for args in tasks]
+        except BrokenProcessPool as error:
+            # A worker died: the pool is unusable for good.  Drop it so
+            # the next batch starts a fresh one.
+            pool, self._pool = self._pool, None
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise WorkerCrashed(label, len(tasks)) from error
         # Merge only after the whole batch came back: the serial
         # fallback above re-runs everything, so folding worker blobs in
         # as they stream would double-count a half-completed batch.

@@ -260,6 +260,50 @@ def match(
         yield Substitution(result)
 
 
+def match_tuples(
+    patterns: Sequence[Atom],
+    instance: Instance,
+    variables: Tuple[Variable, ...],
+    *,
+    prebound: Tuple[Variable, ...] = (),
+    values: Sequence[Value] = (),
+) -> Iterator[Tuple[Value, ...]]:
+    """The values of ``variables`` per match of ``patterns``, as tuples.
+
+    Enumerates the matches of :func:`match`, in the same order and with
+    the same counted work, with ``prebound`` (sorted by name) bound to
+    ``values``; yields each match's ``variables`` as a tuple instead of
+    a :class:`Substitution`.
+    """
+    counters = _ACTIVE_COUNTERS or plans.UNSCOPED
+    if plans.enabled():
+        plan = plans.plan_for(patterns, (), prebound)
+        yield from plan.project(instance, variables, values, counters)
+        return
+    bound = dict(zip(prebound, values))
+    for result in _search(list(patterns), instance, bound, (), *counters):
+        yield tuple([result[variable] for variable in variables])
+
+
+def exists_match_at(
+    patterns: Sequence[Atom],
+    instance: Instance,
+    prebound: Tuple[Variable, ...],
+    values: Sequence[Value],
+) -> bool:
+    """:func:`exists_match` with ``prebound`` (sorted by name) bound to
+    ``values``, without building a :class:`Substitution`."""
+    counters = _ACTIVE_COUNTERS or plans.UNSCOPED
+    if plans.enabled():
+        return plans.plan_for(patterns, (), prebound).exists(
+            instance, values, counters
+        )
+    bound = dict(zip(prebound, values))
+    for _ in _search(list(patterns), instance, bound, (), *counters):
+        return True
+    return False
+
+
 def match_interpreted(
     patterns: Sequence[Atom],
     instance: Instance,

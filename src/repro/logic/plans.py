@@ -31,6 +31,15 @@ for execution:
   :class:`repro.core.terms.Null` are interned, so every equality test in
   the inner loop is a pointer comparison (``is``).
 
+Besides :meth:`CompiledPattern.matches`, which yields substitutions,
+a plan has two tuple entry points for the chase's hot path:
+:meth:`CompiledPattern.project` yields the values of a given variable
+order straight off the slot array, one tuple per match, and
+:meth:`CompiledPattern.exists` decides whether any match extends a
+tuple of pre-bound values.  Pre-bound variables hold the leading slots
+in name order, so a caller seeds them from a tuple without a dict.
+All three run the same executors and count the same work.
+
 Inequalities are scheduled at the earliest step where both sides are
 bound (or before the first step, when the initial substitution already
 decides them), so they prune the search exactly as eagerly as in the
@@ -52,6 +61,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from operator import itemgetter
 from time import perf_counter
 from typing import (
     Dict,
@@ -211,6 +221,8 @@ class CompiledPattern:
         "out_pairs",
         "start_checks",
         "steps",
+        "slot_of",
+        "_readers",
         "_identity",
         "_attr_meta",
     )
@@ -329,6 +341,9 @@ class CompiledPattern:
         )
         self.n_slots = len(slot_of)
         self.out_pairs: Tuple[Tuple[Variable, int], ...] = tuple(out_pairs)
+        #: Variable -> slot, for pre-bound and pattern variables alike.
+        self.slot_of: Dict[Variable, int] = slot_of
+        self._readers: Dict[Tuple[Variable, ...], object] = {}
         self._identity: Optional[str] = None
         self._attr_meta: Optional[List[dict]] = None
 
@@ -446,20 +461,9 @@ class CompiledPattern:
         slots: List[Optional[Value]] = [None] * self.n_slots
         for variable, slot in self.prebound:
             slots[slot] = initial_map[variable]
-        for akind, aval, bkind, bval in self.start_checks:
-            left = slots[aval] if akind else aval
-            right = slots[bval] if bkind else bval
-            if left is right:
-                return
-        candidates, backtracks = counters
-        if _attribution.enabled():
-            record = self._attr_record()
-            record["uses"] += 1
-            runner = self._run_profiled(
-                instance, slots, 0, record["counts"], candidates, backtracks
-            )
-        else:
-            runner = self._run(instance, slots, 0, candidates, backtracks)
+        runner = self._execute(instance, slots, counters)
+        if runner is None:
+            return
         out_pairs = self.out_pairs
         for _ in runner:
             result = dict(initial_map)
@@ -468,6 +472,106 @@ class CompiledPattern:
             substitution = Substitution.__new__(Substitution)
             substitution._mapping = result
             yield substitution
+
+    def project(
+        self,
+        instance: Instance,
+        variables: Tuple[Variable, ...],
+        initial: Sequence[Value] = (),
+        counters: Tuple[Counter, Counter] = UNSCOPED,
+    ) -> Iterator[Tuple[Value, ...]]:
+        """The values of ``variables`` per match, one tuple each.
+
+        No dict and no :class:`Substitution`: each tuple is read straight
+        off the slot array.  ``initial`` seeds the pre-bound slots, which
+        come first and in variable-name order (see :meth:`_seeded`).
+        Every variable must be pre-bound or bound by the pattern.  Work
+        is counted exactly as by :meth:`matches`.
+        """
+        read = self._reader(variables)
+        slots = self._seeded(initial)
+        runner = self._execute(instance, slots, counters)
+        if runner is None:
+            return
+        for _ in runner:
+            yield read(slots)
+
+    def exists(
+        self,
+        instance: Instance,
+        initial: Sequence[Value] = (),
+        counters: Tuple[Counter, Counter] = UNSCOPED,
+    ) -> bool:
+        """True if some match extends the pre-bound values ``initial``.
+
+        Stops at the first match, counting exactly the work of taking
+        one item from :meth:`matches`.
+        """
+        runner = self._execute(instance, self._seeded(initial), counters)
+        if runner is None:
+            return False
+        for _ in runner:
+            return True
+        return False
+
+    def _seeded(self, initial: Sequence[Value]) -> List[Optional[Value]]:
+        """A slot array with the pre-bound slots set from ``initial``.
+
+        Pre-bound variables hold the leading slots in name order, so
+        ``initial[i]`` is the value of the ``i``-th pre-bound variable
+        by name.
+        """
+        if len(initial) != len(self.prebound):
+            raise ValueError(
+                f"{len(self.prebound)} pre-bound values expected, "
+                f"got {len(initial)}"
+            )
+        slots: List[Optional[Value]] = list(initial)
+        slots.extend([None] * (self.n_slots - len(slots)))
+        return slots
+
+    def _reader(self, variables: Tuple[Variable, ...]):
+        """A callable reading ``variables`` off a slot array as a tuple.
+
+        Built once per variable order and kept on the plan.
+        """
+        reader = self._readers.get(variables)
+        if reader is None:
+            positions = tuple(self.slot_of[variable] for variable in variables)
+            if len(positions) > 1:
+                reader = itemgetter(*positions)
+            elif positions:
+                only = positions[0]
+                reader = lambda slots: (slots[only],)  # noqa: E731
+            else:
+                reader = lambda slots: ()  # noqa: E731
+            self._readers[variables] = reader
+        return reader
+
+    def _execute(
+        self,
+        instance: Instance,
+        slots: List,
+        counters: Tuple[Counter, Counter],
+    ) -> Optional[Iterator[bool]]:
+        """The executor over seeded ``slots``; None if a start check fails.
+
+        The profiled executor runs when attribution is on, the plain one
+        otherwise; both count into the ``(candidates, backtracks)`` pair.
+        """
+        for akind, aval, bkind, bval in self.start_checks:
+            left = slots[aval] if akind else aval
+            right = slots[bval] if bkind else bval
+            if left is right:
+                return None
+        candidates, backtracks = counters
+        if _attribution.enabled():
+            record = self._attr_record()
+            record["uses"] += 1
+            return self._run_profiled(
+                instance, slots, 0, record["counts"], candidates, backtracks
+            )
+        return self._run(instance, slots, 0, candidates, backtracks)
 
     def _run(
         self,

@@ -12,6 +12,7 @@ import pytest
 import repro.obs as obs
 from repro.answering.decision import AnswerLanguage
 from repro.answering.semantics import all_four_semantics, answers_over_space
+from repro.core.errors import ReproError, WorkerCrashed
 from repro.core.instance import isomorphic
 from repro.cwa.enumeration import enumerate_cwa_solutions
 from repro.engine import Executor, default_workers
@@ -100,6 +101,30 @@ class TestMapTasks:
             )
         flattened = [item for chunk in chunks for item in chunk]
         assert flattened == ["a!", "b!", "c!", "d!", "e!"]
+
+
+def _exit_in_child(x, parent_pid):
+    """Kills the worker process it runs in; harmless in the parent."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return x
+
+
+class TestWorkerCrash:
+    def test_crash_raises_typed_error_and_next_batch_recovers(self):
+        with Executor(workers=2) as executor:
+            with pytest.raises(WorkerCrashed) as caught:
+                executor.map_tasks(
+                    _exit_in_child,
+                    [(1, os.getpid()), (2, os.getpid())],
+                    label="test.crash",
+                )
+            assert caught.value.label == "test.crash"
+            assert caught.value.tasks == 2
+            assert "test.crash" in str(caught.value)
+            assert isinstance(caught.value, ReproError)
+            assert repr(executor) == "Executor(workers=2, pool=idle)"
+            assert executor.map_worlds(_square, [1, 2, 3]) == [1, 4, 9]
 
 
 class TestProbeCache:

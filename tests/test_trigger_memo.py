@@ -194,13 +194,13 @@ def strongly_connected_digraph(nodes, edges, seed):
 class TestCheckCount:
     def test_one_check_per_frontier_tuple(self, monkeypatch):
         checks = []
-        original = Tgd.conclusion_holds
+        original = Tgd.conclusion_holds_at
 
-        def counted(tgd, instance, premise_match):
-            checks.append((tgd, premise_match.as_tuple(tgd.frontier)))
-            return original(tgd, instance, premise_match)
+        def counted(tgd, instance, frontier):
+            checks.append((tgd, tuple(frontier)))
+            return original(tgd, instance, frontier)
 
-        monkeypatch.setattr(Tgd, "conclusion_holds", counted)
+        monkeypatch.setattr(Tgd, "conclusion_holds_at", counted)
         setting = closure_setting()
         source = strongly_connected_digraph(20, 40, seed=3)
         result = solve(setting, source)
