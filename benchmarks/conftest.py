@@ -23,7 +23,6 @@ BENCH_TABLE1_FILE = "BENCH_table1.json"
 BENCH_ENGINE_FILE = "BENCH_engine.json"
 BENCH_MATCHING_FILE = "BENCH_matching.json"
 BENCH_OBS_FILE = "BENCH_obs.json"
-BENCH_SHARD_FILE = "BENCH_shard.json"
 BENCH_INCREMENTAL_FILE = "BENCH_incremental.json"
 
 
@@ -122,7 +121,6 @@ def pytest_sessionfinish(session, exitstatus):
         BENCH_ENGINE_FILE: [],
         BENCH_MATCHING_FILE: [],
         BENCH_OBS_FILE: [],
-        BENCH_SHARD_FILE: [],
         BENCH_INCREMENTAL_FILE: [],
     }
     for bench in benches:
@@ -135,8 +133,6 @@ def pytest_sessionfinish(session, exitstatus):
             target = BENCH_MATCHING_FILE
         elif "bench_obs" in fullname:
             target = BENCH_OBS_FILE
-        elif "bench_shard" in fullname:
-            target = BENCH_SHARD_FILE
         elif "bench_incremental" in fullname:
             target = BENCH_INCREMENTAL_FILE
         else:

@@ -21,7 +21,6 @@ from .explain import (
 )
 from .oblivious import fire_all_source_justifications, oblivious_chase
 from .result import ChaseOutcome, ChaseStatus, ChaseStep
-from .sharding import sharded_chase
 from .satisfaction import (
     satisfies_all,
     satisfies_egd,
@@ -63,7 +62,6 @@ __all__ = [
     "satisfies_egd",
     "satisfies_tgd",
     "seminaive_chase",
-    "sharded_chase",
     "standard_chase",
     "violated_tgd_match",
     "violations",

@@ -43,13 +43,12 @@ Settings are described in a small text format, one declaration per line
 
 Instances use the library DSL: ``M('a','b'), N('a','b'), N('a','c')``.
 
-``solve``, ``certain`` and ``report`` accept ``--cache DIR`` (reuse
-chase/core/answer results across invocations, content-addressed) and
-``--workers N`` (process-pool evaluation; ``REPRO_WORKERS`` sets the
-default).  For ``solve`` the per-item work is the partitioned pipeline:
-``--shard`` chases independent source components as shards and
-``--workers``/``--core-algorithm partitioned`` minimize value
-components of the canonical solution on the pool.
+``solve``, ``certain``, ``report`` and ``explain-plan`` accept
+``--cache DIR`` (reuse chase/core/answer results across invocations,
+content-addressed).  ``certain`` and ``report`` also accept
+``--workers N``: valuation and world enumeration on a process pool
+(``REPRO_WORKERS`` sets the default).  ``solve`` and ``explain-plan``
+always run the one serial chase -> core pipeline.
 """
 
 from __future__ import annotations
@@ -229,21 +228,26 @@ def _add_engine_flags(
         )
 
 
+def _cache_from_args(args: argparse.Namespace):
+    """The ``--cache`` result cache, or None."""
+    if not args.cache:
+        return None
+    from .engine import ResultCache
+
+    return ResultCache(args.cache)
+
+
 def _engine_from_args(args: argparse.Namespace):
     """(cache, executor) per the engine flags; either may be None.
 
     The executor is only instantiated when it would actually go
     parallel, so serial invocations never pay for pool machinery.
     """
-    cache = None
+    cache = _cache_from_args(args)
     executor = None
-    if getattr(args, "cache", None):
-        from .engine import ResultCache
-
-        cache = ResultCache(args.cache)
     from .engine import Executor, default_workers
 
-    workers = getattr(args, "workers", None)
+    workers = args.workers
     if workers is None:
         workers = default_workers()
     if workers > 1:
@@ -261,24 +265,18 @@ def command_solve(args: argparse.Namespace) -> int:
 
     setting = load_setting(args.setting)
     source = load_instance(args.source, setting)
-    cache, executor = _engine_from_args(args)
-    try:
-        if args.incremental_from:
-            result = _solve_incremental(args, setting, source, cache)
-        else:
-            result = solve(
-                setting,
-                source,
-                max_steps=args.max_steps,
-                engine=args.engine,
-                core_algorithm=args.core_algorithm,
-                cache=cache,
-                executor=executor,
-                shard=args.shard,
-            )
-    finally:
-        if executor is not None:
-            executor.close()
+    cache = _cache_from_args(args)
+    if args.incremental_from:
+        result = _solve_incremental(args, setting, source, cache)
+    else:
+        result = solve(
+            setting,
+            source,
+            max_steps=args.max_steps,
+            engine=args.engine,
+            core_algorithm=args.core_algorithm,
+            cache=cache,
+        )
     if not result.cwa_solution_exists:
         print("no solution exists (the chase failed on an egd)")
         return 1
@@ -624,11 +622,11 @@ def _explain_plan_document(
 ) -> dict:
     """The repro.obs/attribution/v1 EXPLAIN ANALYZE document.
 
-    Joins the merged attribution tables (plan stats keyed by content
-    digest, per-dependency chase attribution, component cost rows)
-    against the setting's dependencies by recompiling each dependency's
-    plan keys -- ``plan_for`` is content-addressed, so the recompiled
-    identity names the same record the attributed run filled in.
+    Joins the attribution tables (plan stats keyed by content digest,
+    per-dependency chase attribution) against the setting's
+    dependencies by recompiling each dependency's plan keys --
+    ``plan_for`` is content-addressed, so the recompiled identity names
+    the same record the attributed run filled in.
     """
     from .logic import plans
 
@@ -692,7 +690,6 @@ def _explain_plan_document(
         "engine": engine,
         "dependencies": dependencies,
         "other_plans": other_plans,
-        "components": payload.get("components", {}),
     }
 
 
@@ -746,22 +743,6 @@ def _render_explain_plan(document: dict) -> str:
         lines.append("other plans (seed/rest splits, queries, core search):")
         for plan in document["other_plans"]:
             _render_plan_lines(plan, lines, "  ")
-    components = document.get("components", {})
-    if components:
-        lines.append("")
-        lines.append("per-component cost profile:")
-        for kind, rows in sorted(components.items()):
-            total = sum(row["seconds"] for row in rows)
-            lines.append(
-                f"  {kind}: {len(rows)} component(s), total {_ms(total)}"
-            )
-            for row in rows[:8]:
-                lines.append(
-                    f"    size={row['size']} steps={row['steps']} "
-                    f"nulls={row['nulls']} time={_ms(row['seconds'])}"
-                )
-            if len(rows) > 8:
-                lines.append(f"    ... {len(rows) - 8} more")
     return "\n".join(lines)
 
 
@@ -771,28 +752,17 @@ def command_explain_plan(args: argparse.Namespace) -> int:
     attribution = obs.attribution
     setting = load_setting(args.setting)
     source = load_instance(args.source, setting)
-    cache, executor = _engine_from_args(args)
+    cache = _cache_from_args(args)
     attribution.reset()
-    # Fork-platform pool workers receive the flag in the task payload;
-    # the environment variable covers spawn platforms, whose workers
-    # re-import repro with defaults before any payload arrives.
-    os.environ["REPRO_ATTRIBUTION"] = "1"
-    try:
-        with attribution.attributing():
-            result = solve(
-                setting,
-                source,
-                max_steps=args.max_steps,
-                engine=args.engine,
-                core_algorithm=args.core_algorithm,
-                cache=cache,
-                executor=executor,
-                shard=args.shard,
-            )
-    finally:
-        os.environ.pop("REPRO_ATTRIBUTION", None)
-        if executor is not None:
-            executor.close()
+    with attribution.attributing():
+        result = solve(
+            setting,
+            source,
+            max_steps=args.max_steps,
+            engine=args.engine,
+            core_algorithm=args.core_algorithm,
+            cache=cache,
+        )
     document = _explain_plan_document(setting, engine=args.engine)
     document["solved"] = result.cwa_solution_exists
     document["chase_steps"] = result.chase_steps
@@ -886,18 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--core-algorithm",
-        choices=("blockwise", "folding", "partitioned"),
+        choices=("blockwise", "folding"),
         default="blockwise",
-    )
-    solve.add_argument(
-        "--shard",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help=(
-            "partitioned chase over the source's value components: "
-            "'auto' shards when --workers > 1, 'on' always (when the "
-            "static analysis allows), 'off' never"
-        ),
     )
     solve.add_argument(
         "--incremental-from",
@@ -906,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "resume from a repro.obs/prov/v1 ledger a previous "
             "solve --provenance of this source wrote, instead of "
-            "chasing from scratch (--engine/--core-algorithm/--shard "
+            "chasing from scratch (--engine/--core-algorithm "
             "are ignored: the incremental path is semi-naive + "
             "blockwise)"
         ),
@@ -930,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
             "same source)"
         ),
     )
-    _add_engine_flags(solve)
+    _add_engine_flags(solve, workers=False)
     _add_obs_flags(solve)
     solve.set_defaults(run=command_solve)
 
@@ -1030,8 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain-plan",
         help=(
             "EXPLAIN ANALYZE: attributed solve with per-step match-plan "
-            "stats, per-dependency chase attribution, and component "
-            "cost profiles"
+            "stats and per-dependency chase attribution"
         ),
     )
     explain_plan.add_argument("setting")
@@ -1042,21 +1001,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain_plan.add_argument(
         "--core-algorithm",
-        choices=("blockwise", "folding", "partitioned"),
+        choices=("blockwise", "folding"),
         default="blockwise",
-    )
-    explain_plan.add_argument(
-        "--shard",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="as for solve; sharded runs add per-component cost rows",
     )
     explain_plan.add_argument(
         "--json",
         action="store_true",
         help="emit the repro.obs/attribution/v1 document instead of text",
     )
-    _add_engine_flags(explain_plan)
+    _add_engine_flags(explain_plan, workers=False)
     _add_obs_flags(explain_plan)
     explain_plan.set_defaults(run=command_explain_plan)
 

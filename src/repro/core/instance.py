@@ -377,41 +377,6 @@ class Instance:
         """A hashable snapshot of the atom set (used for cycle detection)."""
         return frozenset(self._atoms)
 
-    def components(self) -> List["Instance"]:
-        """The value-connected components, in deterministic order.
-
-        Two atoms are connected when they share a value (constant or
-        null); a component is a maximal connected group of atoms.  No
-        homomorphism or dependency with a component-local premise can
-        relate atoms of different components, which is what the
-        partitioned chase (:mod:`repro.chase.sharding`) and the
-        partitioned core (:mod:`repro.homomorphism.parallel`) exploit.
-        Nullary atoms share no values and each form their own component.
-        Components are sorted by their least atom.
-        """
-        ordered = self.sorted_atoms()
-        parent = list(range(len(ordered)))
-
-        def find(index: int) -> int:
-            while parent[index] != index:
-                parent[index] = parent[parent[index]]
-                index = parent[index]
-            return index
-
-        anchor: Dict[Value, int] = {}
-        for position, item in enumerate(ordered):
-            for value in item.args:
-                first = anchor.setdefault(value, position)
-                root_a, root_b = find(first), find(position)
-                if root_a != root_b:
-                    parent[root_b] = root_a
-        groups: Dict[int, List[Atom]] = {}
-        for position, item in enumerate(ordered):
-            groups.setdefault(find(position), []).append(item)
-        # ``ordered`` is sorted, so grouping by first member index keeps
-        # the components in least-atom order.
-        return [Instance(groups[root]) for root in sorted(groups)]
-
     def __reduce__(self):
         """Pickle as the sorted atom tuple; indexes are rebuilt on load.
 

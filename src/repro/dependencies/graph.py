@@ -241,155 +241,6 @@ def to_dot(graph: DependencyGraph, title: str = "dependency graph") -> str:
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Shard locality (partitioned chase)
-# ----------------------------------------------------------------------
-
-
-class ShardAnalysis:
-    """Outcome of the static shardability analysis.
-
-    ``local`` dependencies fire only within one value-connected component
-    of the instance being chased; ``cross`` dependencies may relate atoms
-    of different components and must run in a sequential residual pass.
-    When ``shardable`` is False no decomposition is safe at all (some
-    global guard failed) and the chase must run sequentially.
-    """
-
-    __slots__ = ("local", "cross", "shardable", "reason")
-
-    def __init__(
-        self,
-        local: Sequence[Dependency],
-        cross: Sequence[Dependency],
-        shardable: bool,
-        reason: str = "",
-    ):
-        self.local: Tuple[Dependency, ...] = tuple(local)
-        self.cross: Tuple[Dependency, ...] = tuple(cross)
-        self.shardable = shardable
-        self.reason = reason
-
-    def __repr__(self) -> str:
-        if not self.shardable:
-            return f"ShardAnalysis(unshardable: {self.reason})"
-        return (
-            f"ShardAnalysis(local={len(self.local)}, cross={len(self.cross)})"
-        )
-
-
-def _atoms_connected(atoms) -> bool:
-    """True iff the atoms form one component under shared terms.
-
-    Two atoms are linked when they share a variable or a constant: any
-    match then places their images in the same value-connected component
-    of the instance (shared variables bind to one value; shared constants
-    occur in both image atoms).
-    """
-    if not atoms:
-        return False
-    index_of: Dict[object, int] = {}
-    parent = list(range(len(atoms)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for position, atom in enumerate(atoms):
-        for term in atom.args:
-            anchor = index_of.setdefault(term, position)
-            root_a, root_b = find(anchor), find(position)
-            if root_a != root_b:
-                parent[root_b] = root_a
-    roots = {find(i) for i in range(len(atoms))}
-    return len(roots) == 1
-
-
-def premise_is_component_local(dependency: Dependency) -> bool:
-    """True iff every premise match stays within one value component.
-
-    Requires a conjunctive premise (FO premises can observe the whole
-    instance), at least one atom, no nullary atoms (a propositional fact
-    belongs to no component), and a connected atom graph under shared
-    variables/constants.  Holds for tgds and egds alike.
-    """
-    atoms = getattr(dependency, "premise_atoms", None)
-    if atoms is None or not atoms:
-        return False
-    if any(atom.relation.arity == 0 for atom in atoms):
-        return False
-    return _atoms_connected(atoms)
-
-
-def conclusion_is_anchored(tgd: Tgd) -> bool:
-    """True iff every conclusion atom is tied to the premise match.
-
-    An atom is *anchored* when it is connected, through shared variables
-    within the conclusion, to a frontier variable.  Then both the atoms a
-    firing creates and any witnesses for the trigger test lie in the
-    component of the frontier values -- an unanchored atom (e.g. the
-    ``Q(z)`` of ``P(x) -> ∃z.Q(z)``) could be satisfied by, or merge
-    with, atoms of any component.
-    """
-    frontier = set(tgd.frontier)
-    atoms = tgd.conclusion_atoms
-    anchored = [bool(atom.variables & frontier) for atom in atoms]
-    if all(anchored):
-        return True
-    # Propagate anchoring through shared (existential) variables.
-    changed = True
-    while changed:
-        changed = False
-        anchored_variables: Set[Variable] = set(frontier)
-        for position, atom in enumerate(atoms):
-            if anchored[position]:
-                anchored_variables |= atom.variables
-        for position, atom in enumerate(atoms):
-            if not anchored[position] and atom.variables & anchored_variables:
-                anchored[position] = True
-                changed = True
-    return all(anchored)
-
-
-def shard_locality(dependencies: Sequence[Dependency]) -> ShardAnalysis:
-    """Classify dependencies as shard-local vs cross-shard.
-
-    Global guards first: if any tgd conclusion mentions a constant, atoms
-    derived in different shards can share that constant, silently merging
-    value components the decomposition assumed independent -- the whole
-    set is then unshardable.  Nullary relations (no arguments to anchor a
-    component) disable sharding the same way.
-
-    Otherwise a dependency is *local* when its premise is component-local
-    and (for tgds) its conclusion is anchored; everything else is *cross*
-    and must run in the residual sequential pass.
-    """
-    deps = list(dependencies)
-    for dep in deps:
-        if not dep.is_tgd:
-            continue
-        if any(atom.constants for atom in dep.conclusion_atoms):
-            return ShardAnalysis(
-                [], deps, False, "a tgd conclusion mentions a constant"
-            )
-        if any(
-            atom.relation.arity == 0 for atom in dep.conclusion_atoms
-        ):
-            return ShardAnalysis(
-                [], deps, False, "a tgd conclusion uses a nullary relation"
-            )
-    local: List[Dependency] = []
-    cross: List[Dependency] = []
-    for dep in deps:
-        ok = premise_is_component_local(dep)
-        if ok and dep.is_tgd:
-            ok = conclusion_is_anchored(dep)
-        (local if ok else cross).append(dep)
-    return ShardAnalysis(local, cross, True)
-
-
 def chase_depth_bound(
     target_dependencies: Sequence[Dependency], domain_size: int
 ) -> int:

@@ -17,10 +17,8 @@ from ..core.schema import Schema
 from ..chase import CHASE_ENGINES
 from ..chase.loop import DEFAULT_MAX_STEPS
 from ..chase.result import ChaseStatus
-from ..chase.sharding import sharded_chase
 from ..homomorphism.blocks import blockwise_core
 from ..homomorphism.core_computation import core
-from ..homomorphism.parallel import partitioned_core
 from ..io import atoms_from_payload, sorted_atoms_to_payload
 from ..obs import counter, gauge, span
 from .setting import DataExchangeSetting
@@ -28,11 +26,7 @@ from .setting import DataExchangeSetting
 CORE_ALGORITHMS = {
     "blockwise": blockwise_core,
     "folding": core,
-    "partitioned": partitioned_core,
 }
-
-#: ``shard`` argument values accepted by :func:`solve`.
-SHARD_MODES = ("auto", "on", "off")
 
 
 class ExchangeResult:
@@ -89,8 +83,6 @@ def solve(
     engine: str = "standard",
     core_algorithm: str = "blockwise",
     cache=None,
-    executor=None,
-    shard: str = "auto",
 ) -> ExchangeResult:
     """Run the data exchange for ``source`` under ``setting``.
 
@@ -112,15 +104,6 @@ def solve(
     source (up to isomorphism), ``max_steps``, ``engine``, and
     ``core_algorithm``; chase *failures* are cached (they are definitive
     verdicts), divergence is not (a larger budget might succeed).
-
-    ``executor``: a :class:`repro.engine.Executor` (or None) used by the
-    partitioned paths.  ``shard`` controls the partitioned chase:
-    ``"on"`` shards whenever the static analysis allows, ``"off"``
-    never, and ``"auto"`` (the default) shards exactly when a parallel
-    executor is supplied.  A sharded run upgrades the default
-    ``"blockwise"`` core to ``"partitioned"`` -- both paths produce
-    results with the same fp/v1 canonical fingerprints as a serial run,
-    so cache entries are shared across modes.
     """
     setting.validate_source(source)
     try:
@@ -135,20 +118,7 @@ def solve(
             f"unknown core algorithm {core_algorithm!r}; pick one of "
             f"{sorted(CORE_ALGORITHMS)}"
         )
-    if shard not in SHARD_MODES:
-        raise ReproError(
-            f"unknown shard mode {shard!r}; pick one of {SHARD_MODES}"
-        )
-    use_shard = shard == "on" or (
-        shard == "auto" and executor is not None and executor.parallel
-    )
-    if core_algorithm == "partitioned" or (
-        use_shard and core_algorithm == "blockwise"
-    ):
-        def core_of(target):
-            return partitioned_core(target, executor)
-    else:
-        core_of = CORE_ALGORITHMS[core_algorithm]
+    core_of = CORE_ALGORITHMS[core_algorithm]
     key = None
     if cache is not None:
         from ..engine.fingerprint import solve_key  # lazy: engine is optional
@@ -178,18 +148,9 @@ def solve(
             counter("solve.cache_hits").inc()
             return result
     with span("solve"):
-        if use_shard:
-            outcome = sharded_chase(
-                source,
-                list(setting.all_dependencies),
-                executor=executor,
-                engine=engine,
-                max_steps=max_steps,
-            )
-        else:
-            outcome = chase(
-                source, list(setting.all_dependencies), max_steps=max_steps
-            )
+        outcome = chase(
+            source, list(setting.all_dependencies), max_steps=max_steps
+        )
         if outcome.status is ChaseStatus.DIVERGED:
             raise ChaseDivergence(outcome.steps, outcome.reason)
         if outcome.status is ChaseStatus.FAILURE:

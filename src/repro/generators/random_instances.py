@@ -180,9 +180,8 @@ def disjoint_scaled_sources(
     Each copy draws its constants from its own prefixed pool
     (``s<k>_c<i>``), so the union has exactly ``copies`` value-connected
     components (assuming each copy is itself connected, which holds for
-    the dense M/N families at these sizes).  This is the shardable
-    workload of the partitioned chase / partitioned core benchmarks:
-    identical in shape to the Example 2.1 family, but decomposable.
+    the dense M/N families at these sizes): identical in shape to the
+    Example 2.1 family, but with many small Gaifman blocks per copy.
     """
     rng = _rng(seed)
     union = Instance()

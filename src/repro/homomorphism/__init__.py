@@ -2,7 +2,6 @@
 
 from .blocks import block_atoms, block_statistics, blockwise_core, null_blocks
 from .core_computation import core, fold_step, is_core, retracts_to
-from .parallel import partitioned_core
 from .search import (
     Homomorphism,
     apply_homomorphism,
@@ -32,6 +31,5 @@ __all__ = [
     "is_core",
     "is_homomorphism",
     "is_retract_of",
-    "partitioned_core",
     "retracts_to",
 ]

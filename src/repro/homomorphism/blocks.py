@@ -242,28 +242,22 @@ def minimize_block(
     return total, images, crossed
 
 
-def core_in_place(working: Instance) -> Tuple[Instance, int]:
-    """The core of ``working``, minimized in place, and its block count.
+def blockwise_core(instance: Instance) -> Instance:
+    """The core of ``instance``, computed block-by-block on one copy.
 
-    One block index, every block minimized in place (see the module
-    docstring for why one pass is exact); then the block-local
-    ``fold_step`` verifies the result, with global folding as the
-    fallback should it ever find a fold.  ``working`` must be private to
-    the caller: it is mutated and, normally, returned.
+    One block index, every block minimized in place on the copy (see
+    the module docstring for why one pass is exact); then the
+    block-local ``fold_step`` verifies the result, with global folding
+    as the fallback should it ever find a fold.
     """
     # Deferred: core_computation builds fold_step on this module.
     from .core_computation import core, fold_step
 
-    blocks = block_index(working)
-    for owned in blocks:
-        minimize_block(working, owned)
-    remainder = fold_step(working)
-    if remainder is not None:
-        working = core(remainder)
-    return working, len(blocks)
-
-
-def blockwise_core(instance: Instance) -> Instance:
-    """The core of ``instance``, computed block-by-block on one copy."""
     with span("core.blockwise"):
-        return core_in_place(instance.copy())[0]
+        working = instance.copy()
+        for owned in block_index(working):
+            minimize_block(working, owned)
+        remainder = fold_step(working)
+        if remainder is not None:
+            working = core(remainder)
+        return working

@@ -1,6 +1,6 @@
 """Plan-level EXPLAIN ANALYZE state: attribution tables + heartbeat.
 
-Three process-wide tables, all opt-in (``enabled()`` is False by
+Two process-wide tables, both opt-in (``enabled()`` is False by
 default and every producer guards on it, so the default configuration
 pays nothing):
 
@@ -14,16 +14,13 @@ pays nothing):
 * **dependency table** -- per-dependency chase attribution: matched
   triggers, firings, egd merges, nulls created and seconds spent, with
   a bounded per-round breakdown (:func:`record_dependency`).
-* **component profiles** -- per-shard / per-core-partition cost rows
-  (:func:`record_component`), the direct input the ROADMAP's adaptive
-  shard scheduler needs.
 
-All three are registered as one auxiliary state section
+Both are registered as one auxiliary state section
 (``attribution``) on :mod:`repro.obs.telemetry`, so worker processes
 ship them back through the existing ``repro.obs/state/v1`` blob and
 ``repro.obs/v1`` snapshots gain the section additively.  Merges are
-pointwise additions (plus a capped concatenation for component rows)
-and therefore associative: any grouping of worker blobs agrees.
+pointwise additions and therefore associative: any grouping of worker
+blobs agrees.
 
 The **heartbeat** is independent of ``enabled()``: when configured
 (``--progress`` / ``REPRO_PROGRESS``) the chase engines emit one JSON
@@ -64,14 +61,10 @@ MISESTIMATE_FLOOR = 64
 #: rounds fold into the ``"overflow"`` bucket so records stay bounded.
 MAX_ROUNDS = 64
 
-#: Component profile lists are capped at this many rows per kind.
-MAX_COMPONENTS = 256
-
 _ENABLED = False
 
 _PLANS: Dict[str, dict] = {}
 _DEPS: Dict[str, dict] = {}
-_COMPONENTS: Dict[str, List[dict]] = {}
 
 
 def enabled() -> bool:
@@ -216,36 +209,12 @@ def dependencies() -> Dict[str, dict]:
     return _DEPS
 
 
-# -- component profiles -------------------------------------------------
-
-
-def record_component(
-    kind: str,
-    *,
-    size: int,
-    steps: int = 0,
-    nulls: int = 0,
-    seconds: float = 0.0,
-) -> None:
-    """Append one per-component cost row (``chase.shard`` / ``core``)."""
-    rows = _COMPONENTS.setdefault(kind, [])
-    if len(rows) < MAX_COMPONENTS:
-        rows.append(
-            {"size": size, "steps": steps, "nulls": nulls, "seconds": seconds}
-        )
-
-
-def components() -> Dict[str, List[dict]]:
-    """Per-component cost rows by kind, merged across the worker pool."""
-    return _COMPONENTS
-
-
 # -- export / merge / reset (state-section protocol) --------------------
 
 
 def export() -> Optional[dict]:
     """The attribution tables as one picklable, mergeable payload."""
-    if not (_PLANS or _DEPS or _COMPONENTS):
+    if not (_PLANS or _DEPS):
         return None
     return {
         "schema": ATTRIBUTION_SCHEMA,
@@ -271,10 +240,6 @@ def export() -> Optional[dict]:
                 },
             }
             for name, record in _DEPS.items()
-        },
-        "components": {
-            kind: [dict(row) for row in rows]
-            for kind, rows in _COMPONENTS.items()
         },
     }
 
@@ -312,18 +277,12 @@ def merge(payload: dict) -> None:
             else:
                 for field, value in theirs.items():
                     bucket[field] = bucket.get(field, 0) + value
-    for kind, rows in payload.get("components", {}).items():
-        mine = _COMPONENTS.setdefault(kind, [])
-        room = MAX_COMPONENTS - len(mine)
-        if room > 0:
-            mine.extend(dict(row) for row in rows[:room])
 
 
 def reset() -> None:
     """Clear all attribution tables (the enabled flag is untouched)."""
     _PLANS.clear()
     _DEPS.clear()
-    _COMPONENTS.clear()
 
 
 register_state_section("attribution", export=export, merge=merge, reset=reset)
@@ -363,7 +322,7 @@ class Heartbeat:
 
     One line per :meth:`beat` (rate-limited by ``interval`` seconds,
     round 0 always emitted), written with a single ``write`` call so
-    concurrent shard workers appending to the same file interleave at
+    concurrent pool workers appending to the same file interleave at
     line granularity.  Tracks per-round null-creation deltas to raise a
     ``diverging`` flag on sustained superlinear growth.
     """
@@ -479,7 +438,7 @@ def enable_heartbeat(
 ) -> Heartbeat:
     """Install the process heartbeat: ``stderr``, ``stdout``, or a path.
 
-    A path is opened in append mode (shard workers inheriting the
+    A path is opened in append mode (pool workers inheriting the
     configuration append to the same file; single-line writes keep the
     stream valid JSONL).  Returns the installed heartbeat.
     """
@@ -506,9 +465,9 @@ def disable_heartbeat() -> None:
 def configure_from_env(environ=os.environ) -> None:
     """Honor ``REPRO_ATTRIBUTION`` and ``REPRO_PROGRESS``.
 
-    ``REPRO_ATTRIBUTION=1`` enables attributed execution (the CLI also
-    sets the variable before the worker pool exists, so spawn-platform
-    workers come up attributed too).  ``REPRO_PROGRESS`` names the
+    ``REPRO_ATTRIBUTION=1`` enables attributed execution (spawn-platform
+    pool workers re-import repro with defaults, so the variable is how
+    they come up attributed).  ``REPRO_PROGRESS`` names the
     heartbeat target (``stderr``/``stdout``/path; see
     :func:`enable_heartbeat`); ``REPRO_PROGRESS_INTERVAL`` is the
     rate-limit in seconds (default 0: every round).

@@ -2,10 +2,10 @@
 
 Covers the ``repro.obs.attribution`` tables end to end: off-by-default
 (no producer records anything), profiled plan execution, per-dependency
-attribution from all four chase engines, component cost rows on the
-sharded/partitioned paths, the state-section round trip through the
-executor's worker-state protocol (serial == parallel on every count
-field), and the progress heartbeat's divergence signal.
+attribution from all four chase engines, the state-section round trip
+through the executor's worker-state protocol (serial == pooled
+answering on every count field), and the progress heartbeat's
+divergence signal.
 """
 
 import io
@@ -16,6 +16,7 @@ from contextlib import nullcontext
 import pytest
 
 from repro import obs
+from repro.answering.semantics import potential_certain_answers
 from repro.chase.oblivious import (
     fire_all_source_justifications,
     oblivious_chase,
@@ -23,18 +24,10 @@ from repro.chase.oblivious import (
 from repro.chase.seminaive import seminaive_chase
 from repro.chase.standard import standard_chase
 from repro.engine import Executor
-from repro.exchange.solve import solve
 from repro.logic import plans
 from repro.logic.matching import attributed, match
-from repro.logic.parser import parse_instance
+from repro.logic.parser import parse_query
 from repro.obs import attribution
-
-SHARDED_SOURCE = (
-    "M('a','b'), N('a','b'), N('a','c'),"
-    "M('p','q'), N('p','q'), N('p','r'),"
-    "M('u','v'), N('u','v'), N('u','w')"
-)
-
 
 @pytest.fixture(autouse=True)
 def clean_attribution():
@@ -239,7 +232,6 @@ class TestDependencyAttribution:
 class TestStateSection:
     def test_export_merge_round_trip(self):
         attribution.record_dependency("d1", round_index=0, triggers=2, firings=1)
-        attribution.record_component("chase.shard", size=5, seconds=0.25)
         payload = attribution.export()
         assert payload["schema"] == attribution.ATTRIBUTION_SCHEMA
         attribution.reset()
@@ -297,32 +289,39 @@ class TestStateSection:
         assert gauges["plan.misestimates"] >= 0
 
 
+def _plan_counts():
+    """The count fields of the plan table (step self-times stripped)."""
+    return {
+        identity: (
+            record["uses"],
+            [counts[:3] for counts in record["counts"]],
+        )
+        for identity, record in attribution.plans().items()
+    }
+
+
 class TestParallelParity:
-    def test_serial_and_pooled_counts_agree(self, setting_2_1):
-        source = parse_instance(SHARDED_SOURCE, setting_2_1.joint_schema)
+    def test_serial_and_pooled_counts_agree(self, setting_2_1, source_2_1):
+        query = parse_query("Q(x,y) :- E(x,y)")
         with attribution.attributing():
-            serial = solve(setting_2_1, source, shard="on")
-        assert serial.cwa_solution_exists
+            serial = potential_certain_answers(setting_2_1, source_2_1, query)
         serial_counts = _dep_counts()
-        serial_components = {
-            kind: len(rows)
-            for kind, rows in attribution.components().items()
-        }
+        serial_plans = _plan_counts()
         attribution.reset()
+        obs.reset()
 
         with attribution.attributing():
             with Executor(workers=2) as executor:
-                parallel = solve(
-                    setting_2_1, source, shard="on", executor=executor
+                pooled = potential_certain_answers(
+                    setting_2_1, source_2_1, query, executor=executor
                 )
-        assert parallel.cwa_solution_exists
+        # The worlds really ran on the pool, and their plan stats came
+        # back through the worker-state merge.
+        assert obs.snapshot()["counters"]["engine.tasks_dispatched"] > 0
+        assert pooled == serial
         assert _dep_counts() == serial_counts
-        parallel_components = {
-            kind: len(rows)
-            for kind, rows in attribution.components().items()
-        }
-        assert parallel_components == serial_components
-        assert serial_components["chase.shard"] == 3
+        assert _plan_counts() == serial_plans
+        assert serial_plans
 
 
 class TestHeartbeat:

@@ -349,18 +349,36 @@ class TestSinkLifecycle:
         assert {step.kind for step in ledger.steps} >= {"source", "tgd"}
 
 
-SHARDED_SOURCE_TEXT = (
-    "M('a','b'), N('a','b'), N('a','c'),"
-    "M('p','q'), N('p','q'), N('p','r'),"
-    "M('u','v'), N('u','v'), N('u','w')"
-)
-
-
-@pytest.fixture
-def sharded_source_file(tmp_path):
-    path = tmp_path / "sharded.source"
-    path.write_text(SHARDED_SOURCE_TEXT, encoding="utf-8")
-    return str(path)
+class TestTruncatedLedger:
+    def test_incremental_from_a_cut_ledger_exits_2(
+        self, tmp_path, setting_file, source_file, capsys
+    ):
+        ledger_path = tmp_path / "ledger.json"
+        code = main(
+            ["solve", setting_file, source_file, "--provenance", str(ledger_path)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        text = ledger_path.read_text(encoding="utf-8").rstrip()
+        assert len(text) > 600
+        cut_path = tmp_path / "cut.json"
+        for cut in (0, 1, 100, 600, len(text) - 1):
+            cut_path.write_text(text[:cut], encoding="utf-8")
+            code = main(
+                [
+                    "solve",
+                    setting_file,
+                    source_file,
+                    "--incremental-from",
+                    str(cut_path),
+                ]
+            )
+            captured = capsys.readouterr()
+            assert code == 2, cut
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, captured.err
+            assert lines[0].startswith("error: invalid provenance JSON"), cut
 
 
 class TestExplainPlan:
@@ -402,28 +420,6 @@ class TestExplainPlan:
                 for step in plan["steps"]:
                     assert "estimated_rows" in step
                     assert "seconds" in step
-
-    def test_sharded_run_reports_components(
-        self, setting_file, sharded_source_file, capsys
-    ):
-        import json
-
-        code = main(
-            [
-                "explain-plan",
-                "--shard",
-                "on",
-                "--json",
-                setting_file,
-                sharded_source_file,
-            ]
-        )
-        document = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert len(document["components"]["chase.shard"]) == 3
-        for row in document["components"]["chase.shard"]:
-            assert row["size"] == 3
-            assert row["seconds"] >= 0.0
 
     def test_attribution_stays_off_afterwards(
         self, setting_file, source_file, capsys
@@ -504,20 +500,21 @@ class TestStatsTop:
         assert "chase.tgd_firings" in out
 
 
-class TestShardedTraceViewer:
-    def test_worker_lanes_render_in_sharded_trace(
-        self, tmp_path, setting_file, sharded_source_file, capsys
+class TestPooledTraceViewer:
+    def test_worker_lanes_render_in_pooled_trace(
+        self, tmp_path, setting_file, source_file, capsys
     ):
         import json
 
         trace_path = tmp_path / "trace.json"
         code = main(
             [
-                "solve",
+                "certain",
                 setting_file,
-                sharded_source_file,
-                "--shard",
-                "on",
+                source_file,
+                "Q(x,y) :- E(x,y)",
+                "--semantics",
+                "potential-certain",
                 "--workers",
                 "2",
                 "--trace-viewer",
@@ -537,7 +534,7 @@ class TestShardedTraceViewer:
         assert "main" in lane_names
         workers = {name for name in lane_names if name.startswith("worker-")}
         assert workers, f"no worker lanes in {sorted(lane_names)}"
-        # Worker lanes carry real span events (the shard chases).
+        # Worker lanes carry real span events (the world tasks).
         worker_tids = {
             event["tid"]
             for event in events

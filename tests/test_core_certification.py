@@ -28,7 +28,7 @@ from repro import (
 from repro.engine import fingerprint_instance
 from repro.generators import example_2_1_scaled_source
 from repro.generators.settings_library import example_2_1_setting
-from repro.homomorphism import blockwise_core, core, fold_step, partitioned_core
+from repro.homomorphism import blockwise_core, core, fold_step
 from repro.homomorphism.search import canonical_pattern, homomorphism_via_pattern
 from repro.obs.provenance import recording
 
@@ -107,11 +107,7 @@ class TestSymmetricSweep:
     def test_core_algorithms_agree(self, k):
         canonical = symmetric_canonical(k)
         expected = fingerprint_instance(canonical)
-        for result in (
-            core(canonical),
-            blockwise_core(canonical),
-            partitioned_core(canonical),
-        ):
+        for result in (core(canonical), blockwise_core(canonical)):
             assert fingerprint_instance(result) == expected
             assert len(result) == 4 * k
 

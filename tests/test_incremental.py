@@ -25,6 +25,7 @@ from repro.exchange.solve import solve
 from repro.generators import (
     example_2_1_setting,
     example_2_1_scaled_source,
+    example_2_1_source,
     random_source_for,
     random_weakly_acyclic_setting,
 )
@@ -335,6 +336,78 @@ class TestFromLedger:
         victim = sorted(source)[1]
         session.apply(SourceDelta(deletions=[victim]))
         assert "deleted by delta" in outer.why_not(victim)
+
+
+def _example_2_1_edit(source):
+    """Insert a fresh N fact and delete the source's first atom."""
+    n = RelationSymbol("N", 2)
+    return SourceDelta(
+        insertions=[Atom(n, (Const("a"), Const("d")))],
+        deletions=[sorted(source)[0]],
+    )
+
+
+def _anchored_edit(source):
+    """Insert a fresh R row and delete the source's first atom."""
+    r = RelationSymbol("R", 2)
+    return SourceDelta(
+        insertions=[Atom(r, (Const("new1"), Const("new2")))],
+        deletions=[sorted(source)[0]],
+    )
+
+
+LEDGER_CASES = {
+    "example-2.1": (example_2_1_setting, example_2_1_source, _example_2_1_edit),
+    "anchored": (_anchored_setting, lambda: _anchored_source(4), _anchored_edit),
+}
+
+
+class TestTruncatedLedgers:
+    """A persisted ledger cut short: a clean error, or the exact result.
+
+    A file cut at a byte offset is no longer JSON and must be refused
+    with the typed error.  A ledger whose ``steps`` list stops early is
+    still a valid, partial derivation: ``from_ledger`` chases it to
+    fixpoint, so every prefix that records the source must resume to
+    the from-scratch fp/v1, before and after an edit.
+    """
+
+    def _ledger(self, setting, source, engine):
+        with recording() as ledger:
+            solve(setting, source, engine=engine)
+        return ledger
+
+    @pytest.mark.parametrize("case", sorted(LEDGER_CASES))
+    def test_byte_truncation_raises_invalid_json(self, case):
+        make_setting, make_source, _ = LEDGER_CASES[case]
+        setting, source = make_setting(), make_source()
+        text = self._ledger(setting, source, "standard").dumps().rstrip()
+        for cut in range(0, len(text), max(1, len(text) // 40)):
+            with pytest.raises(ReproError, match="^invalid provenance JSON"):
+                DeltaSession.from_ledger(setting, source, text[:cut])
+
+    @pytest.mark.parametrize("engine", ["standard", "seminaive"])
+    @pytest.mark.parametrize("case", sorted(LEDGER_CASES))
+    def test_every_step_prefix_resumes_exactly(self, case, engine):
+        make_setting, make_source, make_edit = LEDGER_CASES[case]
+        setting, source = make_setting(), make_source()
+        payload = self._ledger(setting, source, engine).to_payload()
+        steps = payload["steps"]
+        assert steps[0]["kind"] == "source" and len(steps) > 2
+        delta = make_edit(source)
+        edited = delta.apply_to(source)
+        expected = _fp(solve(setting, source).core_solution)
+        expected_edited = _fp(solve(setting, edited).core_solution)
+
+        # Without its source step the ledger describes another source.
+        with pytest.raises(ReproError, match="does not describe"):
+            DeltaSession.from_ledger(setting, source, dict(payload, steps=[]))
+        for count in range(1, len(steps) + 1):
+            prefix = dict(payload, steps=steps[:count])
+            session = DeltaSession.from_ledger(setting, source, prefix)
+            assert _fp(session.result.core_solution) == expected, count
+            result = session.apply(delta)
+            assert _fp(result.core_solution) == expected_edited, count
 
 
 class TestCacheWiring:
