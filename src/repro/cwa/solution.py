@@ -25,7 +25,7 @@ from ..chase.oblivious import fire_all_source_justifications
 from ..chase.result import ChaseStatus
 from ..chase.standard import standard_chase
 from ..exchange.setting import DataExchangeSetting
-from ..homomorphism.core_computation import core
+from ..homomorphism.blocks import blockwise_core
 from ..homomorphism.search import homomorphisms
 from .presolution import is_cwa_presolution
 
@@ -124,12 +124,14 @@ def core_solution(
 
     By Theorem 5.1 this is a CWA-solution whenever it exists, and it is
     the unique *minimal* CWA-solution.  Computed as the core of the
-    canonical universal solution produced by the standard chase.
+    canonical universal solution produced by the standard chase, by the
+    same single block pass as :func:`~repro.exchange.solve.solve`
+    (:func:`~repro.homomorphism.blocks.blockwise_core`).
     """
     canonical = setting.canonical_universal_solution(source, max_steps=max_steps)
     if canonical is None:
         return None
-    return core(canonical)
+    return blockwise_core(canonical)
 
 
 def minimal_cwa_solution(

@@ -96,8 +96,9 @@ def solve(
     ``engine`` selects the trigger-discovery strategy ("standard" =
     batched rescans, "seminaive" = delta-driven); both produce
     hom-equivalent canonical solutions and identical cores.
-    ``core_algorithm`` is "blockwise" (Gaifman-block folding with exact
-    fallback) or "folding" (global endomorphism folding).
+    ``core_algorithm`` is "blockwise" (one pass of Gaifman-block folding,
+    exact without a verification fold) or "folding" (global endomorphism
+    folding).
 
     ``cache``: a :class:`repro.engine.ResultCache`; hits skip the chase
     and core computation entirely.  The key covers the setting, the

@@ -13,23 +13,35 @@ Hence
 * the core is computed by minimizing each block in turn against the
   current instance.
 
-One pass over one working copy suffices.  A block fold maps the block's
-atoms onto atoms that are already present, so it only ever deletes
-atoms, and only atoms of its own block.  The block->owned-atoms index
-built once up front (:func:`block_index`) therefore stays exact for
-every later block, and a block minimized earlier stays unfoldable, as
-the instance around it only shrinks.  Folds may map nulls onto another
-block's nulls; the image atoms then belong to that block and are still
-present, so the argument is unaffected.
+One pass over one working copy suffices, and its result is a core
+without any further certification:
+
+* block folds only delete atoms, and only atoms of their own block.  A
+  fold maps the block's atoms onto atoms that are already present, and
+  the atoms outside the block are fixed.  The block->owned-atoms index
+  built once up front (:func:`block_index`) therefore stays exact for
+  every later block.  Folds may map nulls onto another block's nulls;
+  the image atoms then belong to that block and are still present, so
+  the argument is unaffected;
+* so the instance only shrinks after a block's last kernel round, and
+  that round failed against a superset of the final instance: for every
+  surviving atom A no match of the survivors' pattern into ``I \\ {A}``
+  existed then, so none exists in the final instance either;
+* the survivors of a block may split into finer Gaifman blocks of the
+  final instance, which is what ``fold_step`` would search one at a
+  time.  A fold of one such piece extends by the identity on the other
+  pieces to a match of the whole survivors' pattern that misses an
+  atom, and the last kernel round ruled that out.
+
+Hence no block of the result can be folded, which is exactly
+:func:`~repro.homomorphism.core_computation.is_core`; the tests check
+that certificate instead of every solve paying for it.
 
 For canonical solutions of s-t exchanges the blocks are tiny (bounded
 by the number of existential variables per tgd), which is what makes
 core computation polynomial there [FKP, "getting to the core"]; target
 tgds and egds can grow blocks (the complication Gottlob-Nash address),
-and the cost is then exponential only in the largest block.  The pass
-ends with the exact ``fold_step`` verification and falls back to global
-folding if it ever finds a fold; the block pass is a speedup, never an
-approximation.
+and the cost is then exponential only in the largest block.
 """
 
 from __future__ import annotations
@@ -131,8 +143,8 @@ def block_statistics(instance: Instance) -> Dict[str, float]:
 
 #: Bounded memo of compiled block patterns keyed by the exact owned
 #: atom tuple -- the pattern is a pure function of it.  Core computation
-#: revisits unchanged blocks constantly (the verification fold after
-#: every block pass, every repeated minimization of an already-minimal
+#: revisits unchanged blocks constantly (every ``fold_step`` round of
+#: global folding, every repeated minimization of an already-minimal
 #: block), and this skips rebuilding the variable-lifted atoms each
 #: round.  Hits land in ``core.block_pattern_reuse``.
 _PATTERN_CACHE: Dict[Tuple[Atom, ...], Tuple] = {}
@@ -245,19 +257,12 @@ def minimize_block(
 def blockwise_core(instance: Instance) -> Instance:
     """The core of ``instance``, computed block-by-block on one copy.
 
-    One block index, every block minimized in place on the copy (see
-    the module docstring for why one pass is exact); then the
-    block-local ``fold_step`` verifies the result, with global folding
-    as the fallback should it ever find a fold.
+    One block index, then every block minimized in place on the copy.
+    The result needs no verification fold: see the module docstring for
+    why one pass is exact.
     """
-    # Deferred: core_computation builds fold_step on this module.
-    from .core_computation import core, fold_step
-
     with span("core.blockwise"):
         working = instance.copy()
         for owned in block_index(working):
             minimize_block(working, owned)
-        remainder = fold_step(working)
-        if remainder is not None:
-            working = core(remainder)
         return working

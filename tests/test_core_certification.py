@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro import (
     Atom,
     Const,
@@ -25,6 +26,7 @@ from repro import (
     Schema,
     solve,
 )
+from repro.cwa import core_solution
 from repro.engine import fingerprint_instance
 from repro.generators import example_2_1_scaled_source
 from repro.generators.settings_library import example_2_1_setting
@@ -99,9 +101,9 @@ class TestSymmetricSweep:
         first = _sweep_under_hash_seed("0")
         assert first == _sweep_under_hash_seed("1")
         assert [k for k, _ in first] == list(SWEEP)
-        per_component = {count // k for k, count in first}
-        assert len(per_component) == 1
-        assert all(count % k == 0 for k, count in first)
+        # 28 candidates per component: the block pass alone, with no
+        # verification fold after it.
+        assert all(count == 28 * k for k, count in first)
 
     @pytest.mark.parametrize("k", SWEEP)
     def test_core_algorithms_agree(self, k):
@@ -122,6 +124,21 @@ class TestFormerCliffs:
         assert fingerprint_instance(core(canonical)) == fingerprint_instance(
             blockwise_core(canonical)
         )
+
+    def test_core_solution_on_scaled_example_2_1(self):
+        # Global folding restarts its search after every fold, which
+        # costs tens of thousands of retract attempts here; the block
+        # pass tries each null-carrying atom about once.
+        setting = example_2_1_setting()
+        source = example_2_1_scaled_source(256, seed=1)
+        canonical = setting.canonical_universal_solution(source)
+        null_atoms = sum(1 for item in canonical if item.nulls)
+        assert null_atoms == 639
+        obs.reset()
+        result = core_solution(setting, source)
+        attempts = obs.counter("core.retract_attempts").value
+        assert attempts <= 2 * null_atoms
+        assert fingerprint_instance(result) == fingerprint_instance(core(canonical))
 
     def test_anchored_solve_at_1000_rows(self):
         # The whole-instance pattern recursed once per atom and raised

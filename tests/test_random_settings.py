@@ -7,7 +7,7 @@ from repro.chase.seminaive import seminaive_chase
 from repro.core import isomorphic
 from repro.cwa import core_solution, is_cwa_solution
 from repro.generators import random_source_for, random_weakly_acyclic_setting
-from repro.homomorphism import blockwise_core, core, hom_equivalent
+from repro.homomorphism import blockwise_core, core, fold_step, hom_equivalent
 
 
 class TestGenerator:
@@ -65,8 +65,13 @@ class TestRandomSweeps:
         source = random_source_for(setting, seed=seed + 200)
         canonical = setting.canonical_universal_solution(source)
         if canonical is None:
+            assert core_solution(setting, source) is None
             return
-        assert isomorphic(core(canonical), blockwise_core(canonical))
+        reference = core(canonical)
+        blockwise = blockwise_core(canonical)
+        assert isomorphic(reference, blockwise)
+        assert fold_step(blockwise) is None
+        assert isomorphic(reference, core_solution(setting, source))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_theorem_5_1_holds(self, seed):
