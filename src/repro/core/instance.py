@@ -15,6 +15,17 @@ All indexes are maintained incrementally on ``add``/``discard``, so the
 chase (which adds atoms in a loop) never rebuilds them.  So is a count
 of the occurrences of each null, which makes :meth:`Instance.nulls`
 cost the number of nulls and :attr:`Instance.is_ground` constant time.
+
+:meth:`Instance.copy` is copy-on-write.  It copies the atom set and the
+null counts, and shares the three index dicts and every bucket in them
+with the original.  Both sides remember the dicts they shared, the
+*snapshot*; nothing reachable from a snapshot is ever mutated.  The
+first write on either side gives that side its own dicts (shallow
+copies), and a write to a bucket that is still the snapshot's bucket
+clones just that bucket.  Buckets no write touches stay shared, so a
+copy costs the atom set plus the buckets the later edits reach.  An
+instance that was never copied has no snapshot and writes in place, as
+does a copied one to a relation that had no atoms at the copy.
 """
 
 from __future__ import annotations
@@ -40,6 +51,9 @@ from .terms import Const, Null, NullFactory, Value
 #: Shared default for the zero-copy probe accessors below.
 _EMPTY_SET: FrozenSet[Atom] = frozenset()
 
+#: The three index dicts: by relation, by position, by tuple.
+_Indexes = Tuple[Dict, Dict, Dict]
+
 
 class Instance:
     """A finite set of ground atoms, possibly containing nulls.
@@ -60,6 +74,7 @@ class Instance:
         "_null_refs",
         "_fingerprints",
         "_canonical_cache",
+        "_shared",
     )
 
     def __init__(self, atoms: Iterable[Atom] = ()):
@@ -74,6 +89,9 @@ class Instance:
         # unchanged instances once per edit; these make that free.
         self._fingerprints: Dict[bool, str] = {}
         self._canonical_cache: Optional["Instance"] = None
+        # The index dicts shared at the last copy() this instance took
+        # part in, or None when it was never copied and is no copy.
+        self._shared: Optional[_Indexes] = None
         for item in atoms:
             self.add(item)
 
@@ -113,8 +131,11 @@ class Instance:
 
     def _insert(self, item: Atom) -> None:
         """Index a new ground atom (no checks, no cache invalidation)."""
-        self._atoms.add(item)
         name = item.relation.name
+        if self._shared is not None and self._shares_relation(name):
+            self._insert_shared(item)
+            return
+        self._atoms.add(item)
         self._by_relation.setdefault(name, set()).add(item)
         # Reuse the atom's own args tuple: the full-tuple index costs one
         # pointer per atom, not a copy of the arguments.
@@ -122,6 +143,46 @@ class Instance:
         for position, value in enumerate(item.args):
             key = (name, position, value)
             self._by_position.setdefault(key, set()).add(item)
+            if value.__class__ is Null:
+                self._null_refs[value] = self._null_refs.get(value, 0) + 1
+
+    def _shares_relation(self, name: str) -> bool:
+        """Whether a write to relation ``name`` may meet shared buckets.
+
+        Gives this instance its own index dicts first, shallow copies of
+        the snapshot's, if it has none yet.  A relation that had no
+        atoms at the last copy has no bucket in the snapshot, so its
+        writes take the unshared path.
+        """
+        relations, positions, tuples = self._shared
+        if self._by_position is positions:
+            self._by_relation = dict(relations)
+            self._by_position = dict(positions)
+            self._by_tuple = dict(tuples)
+        return name in relations
+
+    def _insert_shared(self, item: Atom) -> None:
+        """:meth:`_insert` for a relation with buckets in the snapshot.
+
+        Each bucket that is still the snapshot's is cloned before the
+        write; the loop is :func:`_put` inlined, as this is the write
+        path of a core pass on its working copy.
+        """
+        relations, positions, tuples = self._shared
+        self._atoms.add(item)
+        name = item.relation.name
+        _put(self._by_relation, relations, name, item)
+        _put(self._by_tuple, tuples, name, item.args)
+        by_position = self._by_position
+        for position, value in enumerate(item.args):
+            key = (name, position, value)
+            bucket = by_position.get(key)
+            if bucket is None:
+                by_position[key] = {item}
+            else:
+                if bucket is positions.get(key):
+                    bucket = by_position[key] = set(bucket)
+                bucket.add(item)
             if value.__class__ is Null:
                 self._null_refs[value] = self._null_refs.get(value, 0) + 1
 
@@ -136,6 +197,9 @@ class Instance:
         self._invalidate_caches()
         self._atoms.remove(item)
         name = item.relation.name
+        if self._shared is not None and self._shares_relation(name):
+            self._remove_shared(item)
+            return True
         bucket = self._by_relation.get(name)
         if bucket is not None:
             bucket.discard(item)
@@ -160,6 +224,35 @@ class Instance:
                 else:
                     del self._null_refs[value]
         return True
+
+    def _remove_shared(self, item: Atom) -> None:
+        """:meth:`discard`'s index upkeep for a relation with buckets in
+        the snapshot (:func:`_drop` inlined over the positions, as in
+        :meth:`_insert_shared`)."""
+        relations, positions, tuples = self._shared
+        name = item.relation.name
+        _drop(self._by_relation, relations, name, item)
+        _drop(self._by_tuple, tuples, name, item.args)
+        by_position = self._by_position
+        for position, value in enumerate(item.args):
+            key = (name, position, value)
+            bucket = by_position[key]
+            if bucket is positions.get(key):
+                if len(bucket) == 1:
+                    del by_position[key]
+                else:
+                    bucket = by_position[key] = set(bucket)
+                    bucket.discard(item)
+            else:
+                bucket.discard(item)
+                if not bucket:
+                    del by_position[key]
+            if value.__class__ is Null:
+                left = self._null_refs[value] - 1
+                if left:
+                    self._null_refs[value] = left
+                else:
+                    del self._null_refs[value]
 
     def _invalidate_caches(self) -> None:
         """Drop memoized fingerprint/canonical forms (dirty flag).
@@ -253,15 +346,23 @@ class Instance:
         """Zero-copy view of the atoms of relation ``name``.
 
         Unlike :meth:`atoms_of` the returned set is the live index
-        bucket; callers must not mutate the instance while iterating it.
-        Reserved for the matcher/plan hot paths.
+        bucket; callers must not mutate the instance while iterating it,
+        and must not mutate the set.  Reserved for the matcher/plan hot
+        paths.
+
+        On an instance that shares its indexes with a copy, the bucket
+        may be shared too.  A write to it, on either side, then clones
+        it for the writer: a view taken before that write keeps showing
+        the atoms it held, and never shows the other side's edits.  Take
+        a fresh view after mutating.
         """
         return self._by_relation.get(name, _EMPTY_SET)
 
     def probe_position(self, name: str, position: int, value: Value) -> Set[Atom]:
         """Zero-copy view of the ``(name, position, value)`` index bucket.
 
-        Same contract as :meth:`probe_relation`: a live view, not a copy.
+        Same contract as :meth:`probe_relation`: a view of the bucket as
+        it is now, not a copy, and possibly shared with a copy.
         """
         return self._by_position.get((name, position, value), _EMPTY_SET)
 
@@ -306,23 +407,23 @@ class Instance:
     # ------------------------------------------------------------------
 
     def copy(self) -> "Instance":
-        """An independent copy.
+        """An independent copy, made copy-on-write.
 
-        The indexes are cloned bucket by bucket rather than rebuilt atom
-        by atom: every atom here is already ground and indexed, and core
-        computation copies whole canonical solutions on every call.
+        The atom set is copied at C level (the stored hashes are reused,
+        so the copy iterates as ``set(atoms)`` does, as it always has).
+        The indexes are not copied: both instances keep the current
+        dicts and buckets as their snapshot, and each side clones a dict
+        or bucket when it first writes to it (see the module docstring).
+        Edits on either side are never seen by the other.  A bucket
+        iterates as the one it was cloned from, or as ``set()`` of it on
+        the side that wrote to it first.
         """
+        shared = (self._by_relation, self._by_position, self._by_tuple)
+        self._shared = shared
         result = Instance.__new__(Instance)
         result._atoms = set(self._atoms)
-        result._by_relation = {
-            name: set(bucket) for name, bucket in self._by_relation.items()
-        }
-        result._by_position = {
-            key: set(bucket) for key, bucket in self._by_position.items()
-        }
-        result._by_tuple = {
-            name: set(bucket) for name, bucket in self._by_tuple.items()
-        }
+        result._by_relation, result._by_position, result._by_tuple = shared
+        result._shared = shared
         result._null_refs = dict(self._null_refs)
         # Same atom set, same digests: seed the copy's caches.  The
         # copy's first mutation rebinds them without touching ours.
@@ -513,6 +614,32 @@ class Instance:
             )
             lines.append(f"{indent}{rendered}")
         return "\n".join(lines) if lines else f"{indent}(empty)"
+
+
+def _put(index: Dict, snapshot: Dict, key, member) -> None:
+    """Add ``member`` to ``index[key]``, cloning a bucket of ``snapshot``."""
+    bucket = index.get(key)
+    if bucket is None:
+        index[key] = {member}
+        return
+    if bucket is snapshot.get(key):
+        bucket = index[key] = set(bucket)
+    bucket.add(member)
+
+
+def _drop(index: Dict, snapshot: Dict, key, member) -> None:
+    """Remove ``member`` from ``index[key]``, deleting the key when that
+    empties it; a bucket of ``snapshot`` is cloned first (or just
+    unlinked, when ``member`` is all it holds)."""
+    bucket = index[key]
+    if bucket is snapshot.get(key):
+        if len(bucket) == 1:
+            del index[key]
+            return
+        bucket = index[key] = set(bucket)
+    bucket.discard(member)
+    if not bucket:
+        del index[key]
 
 
 #: Lazily bound ``fingerprint.cache_hits`` counter (importing

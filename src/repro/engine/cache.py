@@ -23,12 +23,15 @@ as misses.
 
 The in-memory tier is a bounded LRU (``memory_slots`` entries) in front
 of the disk tier; :meth:`invalidate` evicts from both.  Each memory
-slot holds the entry's payload and, beside it, an *immutable decoded
-value*: :meth:`put` takes it as an optional argument, and
-:meth:`get_value` returns it, decoding the payload once when the slot
-has none yet.  An in-process hit therefore skips the JSON codec
-entirely.  Values are tuples or frozensets, never mutable objects, so
-no caller can change what a later hit returns; ``memory_slots=0``
+slot holds the entry's payload and, beside it, a *decoded value*:
+:meth:`put` takes it as an optional argument, and :meth:`get_value`
+returns it, decoding the payload once when the slot has none yet.  An
+in-process hit therefore skips the JSON codec entirely.  Every hit
+returns the same value object, so no caller may change it: a value is
+immutable (the ``answers`` frozensets), or private to the code that
+owns its kind.  The ``solve`` value holds private ``Instance``
+snapshots that :mod:`repro.exchange.solve` never hands out; its callers
+only ever receive copy-on-write copies of them.  ``memory_slots=0``
 disables the memory tier and the values with it.  Telemetry:
 ``engine.cache.hits`` / ``.misses`` / ``.writes`` / ``.invalidations``
 counters, with memory-tier hits double-counted under
@@ -109,11 +112,13 @@ class ResultCache:
         A memory-tier slot keeps the decoded value beside its payload,
         so ``decode`` runs only on a disk hit, or on a memory hit whose
         entry was put without a value, and its result is remembered in
-        the slot.  ``decode`` turns a payload into an *immutable* value
-        (tuples, frozensets), since every later hit returns that same
-        object, or returns None for a payload it cannot use: that lookup
-        counts as a miss and drops the slot from memory.  Each kind has
-        one decoder, so a slot's value never depends on who decoded it.
+        the slot.  ``decode`` turns a payload into a value that no
+        caller mutates (immutable, or private to the kind's owner, as
+        the ``solve`` snapshots are), since every later hit returns that
+        same object, or returns None for a payload it cannot use: that
+        lookup counts as a miss and drops the slot from memory.  Each
+        kind has one decoder, so a slot's value never depends on who
+        decoded it.
         """
         record = self._lookup(kind, key, decode)
         return None if record is None else record[1]
@@ -181,9 +186,10 @@ class ResultCache:
 
         The write is atomic: a sibling tempfile is renamed over the
         final path, so concurrent readers see either the old entry or
-        the complete new one.  ``value``, when given, is the immutable
-        decoded form of ``payload`` that :meth:`get_value` returns while
-        the entry stays in the memory tier; it never reaches the disk.
+        the complete new one.  ``value``, when given, is the decoded
+        form of ``payload`` that :meth:`get_value` returns while the
+        entry stays in the memory tier (no caller may mutate it); it
+        never reaches the disk.
         """
         path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..core.atoms import Atom
 from ..core.errors import ChaseDivergence, ReproError
 from ..core.instance import Instance
 from ..core.schema import Schema
@@ -19,7 +18,7 @@ from ..chase.loop import DEFAULT_MAX_STEPS
 from ..chase.result import ChaseStatus
 from ..homomorphism.blocks import blockwise_core
 from ..homomorphism.core_computation import core
-from ..io import atoms_from_payload, sorted_atoms_to_payload
+from ..io import atoms_from_payload, instance_to_payload
 from ..obs import counter, gauge, span
 from .setting import DataExchangeSetting
 
@@ -171,89 +170,85 @@ def solve(
 def _cache_entry(result: ExchangeResult) -> Tuple[dict, tuple]:
     """The ``solve`` cache entry of a result (sans inputs).
 
-    Returns the JSON payload and its immutable value ``(canonical atoms,
-    core atoms, chase steps)``, each atom tuple in sorted order, the
-    order of the payload's rows.  When the core equals the canonical
-    solution (nothing folds), one atom tuple and one encoded dict serve
-    both; ``json.dumps`` writes the shared dict twice, so the disk entry
-    is the one two separate encodings would give.
+    Returns the JSON payload and its value ``(canonical, core, chase
+    steps)``.  The two instances of the value are private snapshots:
+    copy-on-write copies of the result's, which no caller ever receives
+    (:func:`_result_from_value` hands out copies of them).  When the
+    core equals the canonical solution (nothing folds), one snapshot and
+    one encoded dict serve both; ``json.dumps`` writes the shared dict
+    twice, so the disk entry is the one two separate encodings would
+    give.
     """
     canonical = result.canonical_solution
-    canonical_atoms = _sorted_atoms(canonical)
-    if result.core_solution is not None and result.core_solution == canonical:
-        core_atoms = canonical_atoms
+    core_instance = result.core_solution
+    canonical_payload = _encode(canonical)
+    if core_instance is not None and core_instance == canonical:
+        core_payload = canonical_payload
+        canonical = core_instance = _snapshot(canonical)
     else:
-        core_atoms = _sorted_atoms(result.core_solution)
-    canonical_payload = _encode(canonical_atoms)
+        core_payload = _encode(core_instance)
+        canonical = _snapshot(canonical)
+        core_instance = _snapshot(core_instance)
     payload = {
         "status": "solved" if canonical is not None else "failed",
         "chase_steps": result.chase_steps,
         "canonical": canonical_payload,
-        "core": (
-            canonical_payload
-            if core_atoms is canonical_atoms
-            else _encode(core_atoms)
-        ),
+        "core": core_payload,
     }
-    return payload, (canonical_atoms, core_atoms, result.chase_steps)
+    return payload, (canonical, core_instance, result.chase_steps)
 
 
-def _sorted_atoms(instance: Optional[Instance]) -> Optional[Tuple[Atom, ...]]:
-    return None if instance is None else tuple(instance.sorted_atoms())
+def _snapshot(instance: Optional[Instance]) -> Optional[Instance]:
+    return None if instance is None else instance.copy()
 
 
-def _encode(atoms: Optional[Tuple[Atom, ...]]) -> Optional[dict]:
-    return None if atoms is None else sorted_atoms_to_payload(atoms)
+def _encode(instance: Optional[Instance]) -> Optional[dict]:
+    return None if instance is None else instance_to_payload(instance)
 
 
 def _value_from_payload(payload: dict, schema: Schema) -> Optional[tuple]:
     """Decode a cached payload into its value; None when it is unusable.
 
     The instances are validated against ``schema``, the setting's target
-    schema.  A ``"core"`` equal to the ``"canonical"`` payload shares
-    its atom tuple, as in the value :func:`_cache_entry` builds.
+    schema, and built once, as the snapshots of the value.  A ``"core"``
+    equal to the ``"canonical"`` payload shares its snapshot, as in the
+    value :func:`_cache_entry` builds.
     """
     try:
         canonical = payload.get("canonical")
-        canonical_atoms = (
-            tuple(atoms_from_payload(canonical, schema))
+        canonical_instance = (
+            Instance.from_ground(atoms_from_payload(canonical, schema))
             if canonical is not None
             else None
         )
         core_payload = payload.get("core")
         if core_payload is None:
-            core_atoms = None
+            core_instance = None
         elif core_payload == canonical:
-            core_atoms = canonical_atoms
+            core_instance = canonical_instance
         else:
-            core_atoms = tuple(atoms_from_payload(core_payload, schema))
+            core_instance = Instance.from_ground(
+                atoms_from_payload(core_payload, schema)
+            )
         steps = int(payload["chase_steps"])
     except (ReproError, KeyError, TypeError, ValueError):
         return None
-    return canonical_atoms, core_atoms, steps
+    return canonical_instance, core_instance, steps
 
 
 def _result_from_value(
     setting: DataExchangeSetting, source: Instance, value: tuple
 ) -> ExchangeResult:
-    """A result of fresh instances built from a cached value.
+    """A result of copies of a cached value's snapshots.
 
-    A core sharing the canonical solution's atom tuple is a copy of the
-    canonical instance: one bulk build, and two distinct objects.
+    Every instance is a distinct copy-on-write copy, so no edit of the
+    result reaches the snapshots or a later hit; a core sharing the
+    canonical solution's snapshot is a second copy of it.
     """
-    canonical_atoms, core_atoms, steps = value
-    canonical = (
-        Instance.from_ground(canonical_atoms)
-        if canonical_atoms is not None
-        else None
+    canonical, core_instance, steps = value
+    return ExchangeResult(
+        setting, source, _snapshot(canonical), _snapshot(core_instance), steps
     )
-    if core_atoms is None:
-        core_instance = None
-    elif core_atoms is canonical_atoms:
-        core_instance = canonical.copy()
-    else:
-        core_instance = Instance.from_ground(core_atoms)
-    return ExchangeResult(setting, source, canonical, core_instance, steps)
 
 
 def existence_of_cwa_solutions(

@@ -25,9 +25,10 @@ three artifacts alive between edits:
   edit reaches; the ledger steps the apply recorded name the changed
   atoms, so no pass over the whole instance finds them.
 
-Every apply hands out fresh snapshots (the result's source, canonical
-solution and core, and the cache payload); the rest of its work is
-proportional to the edit.
+Every apply hands out fresh snapshots: the result's source, canonical
+solution and core are copy-on-write copies (:meth:`Instance.copy`), which
+cost the atom set and share the index buckets, and with a cache there
+is the payload too.  The rest of its work is proportional to the edit.
 
 The continuation chase is a valid (semi-naive standard) chase of the new
 source from an intermediate state every from-scratch chase can reach, so

@@ -196,9 +196,9 @@ def sorted_atoms_to_payload(atoms: Sequence[Atom]) -> dict:
 
     ``atoms`` must be in :meth:`Atom.sort_key` order, as
     :meth:`Instance.sorted_atoms` returns them; the payload is then the
-    one :func:`instance_to_payload` gives for an instance of them.
-    Callers that keep the sorted atoms anyway (the result cache) encode
-    without sorting twice.
+    one :func:`instance_to_payload` gives for an instance of them, and
+    callers that hold the sorted atoms already encode without sorting
+    twice.
     """
     relations = {}
     name = None

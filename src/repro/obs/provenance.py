@@ -235,22 +235,25 @@ class ProvenanceLedger:
         fresh again: re-inserting a deleted source atom yields a new
         source record (its old derivation no longer exists).
         """
-        fresh = tuple(
-            sorted(
-                (
-                    item
-                    for item in atoms
-                    if item not in self._producers or item in self._deleted
-                ),
-                key=Atom.sort_key,
-            )
+        # A set difference at C level, on the atoms' stored hashes: a
+        # continuation chase passes its whole state, of which only the
+        # edit's insertions are new.
+        members = (
+            atoms.frozen() if isinstance(atoms, Instance) else frozenset(atoms)
+        )
+        fresh = members.difference(self._producers).union(
+            item for item in self._deleted if item in members
         )
         if not fresh:
             return
         step = self._append(
-            Step(len(self._steps), "source", added=fresh)
+            Step(
+                len(self._steps),
+                "source",
+                added=tuple(sorted(fresh, key=Atom.sort_key)),
+            )
         )
-        for item in fresh:
+        for item in step.added:
             self._produce(item, step.index)
 
     def record_firing(

@@ -1,10 +1,10 @@
 """Decoded values in the result cache's memory tier.
 
-``ResultCache`` keeps, beside each memory-tier payload, an immutable
-decoded value: ``solve`` and ``DeltaSession`` store ``(canonical atoms,
-core atoms, steps)`` tuples, the answer cache stores the answer
-frozenset.  An in-process hit builds fresh instances from that value
-without touching the JSON codec.  These tests pin that a hit is
+``ResultCache`` keeps, beside each memory-tier payload, a decoded
+value: ``solve`` and ``DeltaSession`` store ``(canonical, core, steps)``
+with private copy-on-write snapshots of the two instances, the answer
+cache stores the answer frozenset.  An in-process hit hands out copies
+of the snapshots without touching the JSON codec.  These tests pin that a hit is
 independent of every other hit and of the writer, that memory hits,
 disk hits and uncached solves agree, and that the disk bytes are
 the ones the codec has always written.
@@ -22,7 +22,7 @@ import repro.obs as obs
 from repro.answering import all_four_semantics
 from repro.chase.loop import DEFAULT_MAX_STEPS
 from repro.core import Atom, Const, Instance, Null, RelationSymbol, Schema
-from repro.engine import ResultCache
+from repro.engine import ResultCache, fingerprint_instance
 from repro.engine.fingerprint import solve_key, task_key
 from repro.exchange import DataExchangeSetting
 from repro.exchange.solve import solve
@@ -94,6 +94,32 @@ def fps(result):
         fp(result.core_solution),
         result.chase_steps,
     )
+
+
+def snapshot(result):
+    """The atom sets and chase steps of a result, frozen."""
+    return (
+        None
+        if result.canonical_solution is None
+        else result.canonical_solution.frozen(),
+        None if result.core_solution is None else result.core_solution.frozen(),
+        result.chase_steps,
+    )
+
+
+def assert_indexed(instance):
+    """Every index probe agrees with an instance rebuilt from the atoms."""
+    rebuilt = Instance(list(instance))
+    assert instance.relation_names() == rebuilt.relation_names()
+    assert instance.nulls() == rebuilt.nulls()
+    for name in rebuilt.relation_names():
+        assert instance.atoms_of(name) == rebuilt.atoms_of(name)
+    for item in rebuilt:
+        for position, value in enumerate(item.args):
+            assert instance.atoms_with(
+                item.relation, position, value
+            ) == rebuilt.atoms_with(item.relation, position, value)
+            assert instance.has_tuple(item.relation.name, item.args)
 
 
 def solve_entry_key(setting, source, engine="standard"):
@@ -291,6 +317,77 @@ class TestSolveHits:
         assert read.core_solution == written.core_solution
         assert read.core_solution is not written.core_solution
         assert read.core_solution is not read.canonical_solution
+
+
+    @pytest.mark.parametrize("case", ["example_2_1", "anchored"])
+    def test_edits_of_a_hit_never_reach_the_next_hit(self, tmp_path, case):
+        setting, source = CASES[case]()
+        cache = ResultCache(tmp_path)
+        cold = solve(setting, source, cache=cache)
+        expected = snapshot(cold)
+        hit = solve(setting, source, cache=cache)
+        for instance in (hit.canonical_solution, hit.core_solution):
+            first = instance.sorted_atoms()[0]
+            instance.replace_value(min(instance.nulls()), Const("merged"))
+            instance.discard(instance.sorted_atoms()[-1])
+            instance.add(Atom(first.relation, (Const("stray"), Null(999))))
+        again = solve(setting, source, cache=cache)
+        assert counters()["engine.cache.memory_hits"] == 2
+        assert snapshot(again) == expected
+        assert_indexed(again.canonical_solution)
+        assert_indexed(again.core_solution)
+
+    def test_a_continuing_session_never_reaches_its_cached_results(
+        self, tmp_path
+    ):
+        setting, source = CASES["anchored"]()
+        cache = ResultCache(tmp_path)
+        session = DeltaSession(setting, source, cache=cache)
+        delta = SourceDelta(
+            insertions=[Atom(R, (Const("u"), Const("v")))],
+            deletions=[Atom(R, (Const("s0"), Const("t0")))],
+        )
+        written = session.apply(delta)
+        expected = snapshot(written)
+        # The session edits its source, chase state, canonical solution
+        # and core in place; the writer's result is edited too.
+        session.apply(
+            SourceDelta(
+                insertions=[Atom(R, (Const("w"), Const("v")))],
+                deletions=[Atom(R, (Const("s1"), Const("t1")))],
+            )
+        )
+        for instance in (written.canonical_solution, written.core_solution):
+            instance.discard(instance.sorted_atoms()[0])
+        edited = delta.apply_to(source)
+        read = solve(setting, edited, engine="seminaive", cache=cache)
+        assert counters()["solve.cache_hits"] == 1
+        assert counters()["engine.cache.memory_hits"] == 1
+        assert snapshot(read) == expected
+        assert_indexed(read.canonical_solution)
+        assert_indexed(read.core_solution)
+        batch = solve(setting, edited, engine="seminaive")
+        assert fps(read)[:2] == fps(batch)[:2]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_memory_and_disk_hits_build_equal_instances(self, tmp_path, case):
+        setting, source = CASES[case]()
+        cache = ResultCache(tmp_path)
+        solve(setting, source, cache=cache)
+        memory = solve(setting, source, cache=cache)
+        disk = solve(setting, source, cache=ResultCache(tmp_path))
+        assert counters()["engine.cache.memory_hits"] == 1
+        assert snapshot(memory) == snapshot(disk)
+        for left, right in (
+            (memory.canonical_solution, disk.canonical_solution),
+            (memory.core_solution, disk.core_solution),
+        ):
+            if left is None:
+                assert right is None
+                continue
+            assert fingerprint_instance(left) == fingerprint_instance(right)
+            assert_indexed(left)
+            assert_indexed(right)
 
 
 class TestAnswerHits:

@@ -387,3 +387,128 @@ class TestFromGround:
         first.discard(atoms[0])
         assert second == Instance(atoms)
         assert first.null_count() == 1 and first.nulls() == {Null(0)}
+
+
+def _eager_copy(instance):
+    """The copy as it was before copy-on-write: every bucket cloned now."""
+    result = Instance.__new__(Instance)
+    result._atoms = set(instance._atoms)
+    result._by_relation = {
+        name: set(bucket) for name, bucket in instance._by_relation.items()
+    }
+    result._by_position = {
+        key: set(bucket) for key, bucket in instance._by_position.items()
+    }
+    result._by_tuple = {
+        name: set(bucket) for name, bucket in instance._by_tuple.items()
+    }
+    result._null_refs = dict(instance._null_refs)
+    result._fingerprints = {}
+    result._canonical_cache = None
+    result._shared = None
+    return result
+
+
+def _mixed_atoms():
+    return st.one_of(
+        st.tuples(values(), values()).map(lambda pair: Atom(E, pair)),
+        st.tuples(values()).map(lambda args: Atom(P, args)),
+    )
+
+
+#: How many instances a copy-on-write script keeps alive at once.
+POOL = 4
+
+
+class TestCopyOnWriteIsolation:
+    """Copies share index buckets, and no edit ever crosses between them."""
+
+    @given(
+        st.lists(_mixed_atoms(), max_size=10),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["copy", "add", "discard", "merge"]),
+                st.integers(min_value=0, max_value=POOL - 1),
+                st.integers(min_value=0, max_value=POOL - 1),
+                _mixed_atoms(),
+                values(),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_scripts_match_rebuilt_and_eager_instances(self, atoms, script):
+        cow = [Instance(atoms)]
+        eager = [Instance(atoms)]
+        for _ in range(2):
+            cow.append(cow[0].copy())
+            eager.append(_eager_copy(eager[0]))
+        for operation, target, origin, item, value in script:
+            target %= len(cow)
+            if operation == "copy":
+                made = cow[origin % len(cow)].copy()
+                oracle = _eager_copy(eager[origin % len(cow)])
+                if len(cow) < POOL:
+                    cow.append(made)
+                    eager.append(oracle)
+                else:
+                    cow[target], eager[target] = made, oracle
+            for pool in (cow, eager):
+                if operation == "add":
+                    pool[target].add(item)
+                elif operation == "discard":
+                    pool[target].discard(item)
+                elif operation == "merge":
+                    pool[target].replace_value(item.args[0], value)
+            for mine, theirs in zip(cow, eager):
+                assert mine == theirs
+                assert _internals(mine) == _internals(Instance(list(mine)))
+                # The atom set is copied as eagerly as before, so every
+                # instance iterates in the order the old copy gave.
+                assert list(mine) == list(theirs)
+
+    def test_a_write_clones_only_the_buckets_it_touches(self):
+        a = Instance(
+            [
+                atom(E, "a", "b"),
+                atom(E, "a", Null(0)),
+                atom(E, "c", "b"),
+                atom(P, "a"),
+                atom(P, Null(0)),
+            ]
+        )
+        view = a.probe_position("E", 0, Const("a"))
+        seen = list(view)
+        b = a.copy()
+        x = atom(E, "a", "d")
+        assert b.add(x)
+        touched = {
+            "relation": {"E"},
+            "position": {("E", 0, Const("a")), ("E", 1, Const("d"))},
+            "tuple": {"E"},
+        }
+        for kind, mine, theirs in (
+            ("relation", a._by_relation, b._by_relation),
+            ("position", a._by_position, b._by_position),
+            ("tuple", a._by_tuple, b._by_tuple),
+        ):
+            for key, bucket in mine.items():
+                assert (theirs[key] is bucket) == (key not in touched[kind])
+        assert ("E", 1, Const("d")) not in a._by_position
+        # The view taken from ``a`` before the copy is ``a``'s bucket, and
+        # the copy's write went to a clone of it.
+        assert list(view) == seen and x not in view
+        assert a.probe_position("E", 0, Const("a")) is view
+        assert x in b.probe_position("E", 0, Const("a"))
+        assert _internals(a) == _internals(Instance(list(a)))
+        assert _internals(b) == _internals(Instance(list(b)))
+
+    def test_the_original_clones_on_its_first_write_too(self):
+        a = Instance([atom(E, "a", "b"), atom(P, "a")])
+        b = a.copy()
+        shared = b.probe_relation("E")
+        a.discard(atom(E, "a", "b"))
+        assert b.probe_relation("E") is shared
+        assert list(shared) == [atom(E, "a", "b")]
+        assert not a.atoms_of(E) and b.atoms_of(E) == {atom(E, "a", "b")}
+        assert _internals(a) == _internals(Instance(list(a)))
