@@ -11,7 +11,8 @@ theorems):
   re-running the chase or the core computation, and the warm path is
   measurably cheaper than the cold one.
 
-Medians land in ``BENCH_engine.json`` via ``conftest.pytest_sessionfinish``.
+Both claims are asserted in the tests.  The engine cache's end-to-end
+cost is priced by the ``edit_stream`` workload of ``bench/``.
 """
 
 import os

@@ -10,13 +10,11 @@ across the stream; the comparator re-solves the edited source from
 scratch with the same (semi-naive) engine.
 
 The gate: the median ``apply`` must beat the median full re-solve by
-``REPRO_INCREMENTAL_SPEEDUP_FLOOR`` (default 10.0x), with every
-incremental core fp/v1 fingerprint-identical to the from-scratch one.
-CI compares the committed ``BENCH_incremental.json`` against a fresh
-run via ``repro bench-compare``.
+at least ``SPEEDUP_FLOOR`` (10x), with every incremental core fp/v1
+fingerprint-identical to the from-scratch one.  Both are asserted in
+the test, so CI runs this module in full, not ``--benchmark-only``.
 """
 
-import os
 import random
 import statistics
 import time
@@ -28,9 +26,7 @@ from repro.exchange import solve
 from repro.exchange.setting import DataExchangeSetting
 from repro.incremental import DeltaSession, SourceDelta
 
-SPEEDUP_FLOOR = float(
-    os.environ.get("REPRO_INCREMENTAL_SPEEDUP_FLOOR", "10.0")
-)
+SPEEDUP_FLOOR = 10.0
 
 ROWS = 200
 EDITS = 12

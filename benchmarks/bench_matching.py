@@ -6,8 +6,9 @@ times over block-structured instances.  This module measures that
 primitive directly -- full enumeration of join patterns over canonical
 solutions of the scaled Example 2.1 family -- so a regression in the
 compiler or the executor shows up here before it blurs into the
-end-to-end chase numbers.  Results land in ``BENCH_matching.json`` and
-are gated by ``repro bench-compare`` alongside the chase family.
+end-to-end chase numbers.  The matcher's counted work is pinned by the
+``hom.candidates`` identity check of ``bench/compare.py`` and priced by
+the ``symmetric_components`` workload of ``bench/``.
 """
 
 import pytest

@@ -20,8 +20,6 @@ Commands
                choices, per-step candidate/row counts, self-time, and
                estimated-vs-actual misestimate flags (``--json`` emits
                the repro.obs/attribution/v1 document).
-``bench-compare``  diff fresh benchmark medians against a committed
-               BENCH_*.json baseline; exits nonzero on regression.
 ``delta-bench``  race incremental re-solves (``repro.incremental``)
                against full re-solves over a random source-edit stream,
                asserting core fingerprint parity on every edit.
@@ -263,6 +261,8 @@ def _engine_from_args(args: argparse.Namespace):
 def command_solve(args: argparse.Namespace) -> int:
     from .exchange.solve import solve
 
+    if args.delta and not args.incremental_from:
+        raise ReproError("--delta needs --incremental-from LEDGER")
     setting = load_setting(args.setting)
     source = load_instance(args.source, setting)
     cache = _cache_from_args(args)
@@ -274,7 +274,6 @@ def command_solve(args: argparse.Namespace) -> int:
             source,
             max_steps=args.max_steps,
             engine=args.engine,
-            core_algorithm=args.core_algorithm,
             cache=cache,
         )
     if not result.cwa_solution_exists:
@@ -760,7 +759,6 @@ def command_explain_plan(args: argparse.Namespace) -> int:
             source,
             max_steps=args.max_steps,
             engine=args.engine,
-            core_algorithm=args.core_algorithm,
             cache=cache,
         )
     document = _explain_plan_document(setting, engine=args.engine)
@@ -771,12 +769,6 @@ def command_explain_plan(args: argparse.Namespace) -> int:
     else:
         print(_render_explain_plan(document))
     return 0 if result.cwa_solution_exists else 1
-
-
-def command_bench_compare(args: argparse.Namespace) -> int:
-    from .benchgate import run_gate
-
-    return run_gate(args.baseline, args.fresh, tolerance=args.tolerance)
 
 
 def command_stats(args: argparse.Namespace) -> int:
@@ -855,20 +847,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=tuple(CHASE_ENGINES), default="standard"
     )
     solve.add_argument(
-        "--core-algorithm",
-        choices=("blockwise", "folding"),
-        default="blockwise",
-    )
-    solve.add_argument(
         "--incremental-from",
         metavar="LEDGER",
         default=None,
         help=(
             "resume from a repro.obs/prov/v1 ledger a previous "
             "solve --provenance of this source wrote, instead of "
-            "chasing from scratch (--engine/--core-algorithm "
-            "are ignored: the incremental path is semi-naive + "
-            "blockwise)"
+            "chasing from scratch (--engine is ignored: the "
+            "incremental path is semi-naive)"
         ),
     )
     solve.add_argument(
@@ -1000,11 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=tuple(CHASE_ENGINES), default="standard"
     )
     explain_plan.add_argument(
-        "--core-algorithm",
-        choices=("blockwise", "folding"),
-        default="blockwise",
-    )
-    explain_plan.add_argument(
         "--json",
         action="store_true",
         help="emit the repro.obs/attribution/v1 document instead of text",
@@ -1012,20 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(explain_plan, workers=False)
     _add_obs_flags(explain_plan)
     explain_plan.set_defaults(run=command_explain_plan)
-
-    bench = commands.add_parser(
-        "bench-compare",
-        help="gate fresh benchmark medians against a committed baseline",
-    )
-    bench.add_argument("baseline", help="committed BENCH_*.json baseline")
-    bench.add_argument("fresh", help="freshly produced BENCH_*.json")
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional slowdown before failing (default 0.25)",
-    )
-    bench.set_defaults(run=command_bench_compare)
 
     stats_cmd = commands.add_parser(
         "stats",

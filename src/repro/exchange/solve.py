@@ -17,15 +17,9 @@ from ..chase import CHASE_ENGINES
 from ..chase.loop import DEFAULT_MAX_STEPS
 from ..chase.result import ChaseStatus
 from ..homomorphism.blocks import blockwise_core
-from ..homomorphism.core_computation import core
 from ..io import atoms_from_payload, instance_to_payload
 from ..obs import counter, gauge, span
 from .setting import DataExchangeSetting
-
-CORE_ALGORITHMS = {
-    "blockwise": blockwise_core,
-    "folding": core,
-}
 
 
 class ExchangeResult:
@@ -80,7 +74,6 @@ def solve(
     max_steps: int = DEFAULT_MAX_STEPS,
     compute_core: bool = True,
     engine: str = "standard",
-    core_algorithm: str = "blockwise",
     cache=None,
 ) -> ExchangeResult:
     """Run the data exchange for ``source`` under ``setting``.
@@ -94,16 +87,15 @@ def solve(
 
     ``engine`` selects the trigger-discovery strategy ("standard" =
     batched rescans, "seminaive" = delta-driven); both produce
-    hom-equivalent canonical solutions and identical cores.
-    ``core_algorithm`` is "blockwise" (one pass of Gaifman-block folding,
-    exact without a verification fold) or "folding" (global endomorphism
-    folding).
+    hom-equivalent canonical solutions and identical cores.  The core is
+    :func:`~repro.homomorphism.blocks.blockwise_core`: one pass of
+    Gaifman-block folding, exact without a verification fold.
 
     ``cache``: a :class:`repro.engine.ResultCache`; hits skip the chase
     and core computation entirely.  The key covers the setting, the
-    source (up to isomorphism), ``max_steps``, ``engine``, and
-    ``core_algorithm``; chase *failures* are cached (they are definitive
-    verdicts), divergence is not (a larger budget might succeed).
+    source (up to isomorphism), ``max_steps`` and ``engine``; chase
+    *failures* are cached (they are definitive verdicts), divergence is
+    not (a larger budget might succeed).
     """
     setting.validate_source(source)
     try:
@@ -113,12 +105,6 @@ def solve(
             f"unknown chase engine {engine!r}; pick one of "
             f"{sorted(CHASE_ENGINES)}"
         ) from None
-    if core_algorithm not in CORE_ALGORITHMS:
-        raise ReproError(
-            f"unknown core algorithm {core_algorithm!r}; pick one of "
-            f"{sorted(CORE_ALGORITHMS)}"
-        )
-    core_of = CORE_ALGORITHMS[core_algorithm]
     key = None
     if cache is not None:
         from ..engine.fingerprint import solve_key  # lazy: engine is optional
@@ -128,7 +114,7 @@ def solve(
             source,
             max_steps=max_steps,
             engine=engine,
-            core_algorithm=core_algorithm,
+            core_algorithm="blockwise",
         )
         value = cache.get_value(
             "solve",
@@ -143,7 +129,9 @@ def solve(
                 # Cached by a compute_core=False caller: finish the
                 # job from the cached canonical and upgrade the entry.
                 with span("solve.core_from_cache"):
-                    result.core_solution = core_of(result.canonical_solution)
+                    result.core_solution = blockwise_core(
+                        result.canonical_solution
+                    )
                 cache.put("solve", key, *_cache_entry(result))
             counter("solve.cache_hits").inc()
             return result
@@ -158,7 +146,7 @@ def solve(
         else:
             canonical = outcome.instance.reduct(setting.target_schema)
             gauge("instance.nulls").set(len(canonical.nulls()))
-            core_instance = core_of(canonical) if compute_core else None
+            core_instance = blockwise_core(canonical) if compute_core else None
             result = ExchangeResult(
                 setting, source, canonical, core_instance, outcome.steps
             )

@@ -1,8 +1,8 @@
 """Snapshot/metrics-log aggregation behind ``repro stats``.
 
-The operator-facing complement of ``bench-compare``: where the bench
-gate diffs benchmark medians, ``repro stats`` reads telemetry that real
-runs left behind -- a ``repro.obs/v1`` snapshot file (``obs.to_json``)
+The operator-facing complement of ``bench/compare.py``: where the
+benchmark compares two runs of its workloads, ``repro stats`` reads
+telemetry that real runs left behind -- a ``repro.obs/v1`` snapshot file (``obs.to_json``)
 or a ``repro.obs/log/v1`` metrics log (``--metrics-log`` /
 ``REPRO_METRICS``, one ``run`` record per line) -- and renders either
 
@@ -240,7 +240,7 @@ def render_delta(baseline: dict, fresh: dict) -> str:
     """The two-run delta view: counters, then span/histogram latencies.
 
     ``baseline`` first, ``fresh`` second (same order as
-    ``bench-compare``); ratios are fresh/baseline.
+    ``bench/compare.py``); ratios are fresh/baseline.
     """
     lines: List[str] = ["=== telemetry delta (fresh vs baseline) ==="]
     names = sorted(

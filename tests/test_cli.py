@@ -234,25 +234,18 @@ class TestCommands:
         assert code == 2
         assert "exactly one atom" in capsys.readouterr().err
 
-    def test_bench_compare(self, tmp_path, capsys):
-        import json
-
-        def bench(path, median):
-            path.write_text(
-                json.dumps(
-                    {"schema": "repro.bench/v1", "t.median_seconds": median}
-                ),
-                encoding="utf-8",
-            )
-            return str(path)
-
-        base = bench(tmp_path / "base.json", 1.0)
-        ok = bench(tmp_path / "ok.json", 1.1)
-        bad = bench(tmp_path / "bad.json", 2.0)
-        assert main(["bench-compare", base, ok, "--tolerance", "0.25"]) == 0
-        assert "passed" in capsys.readouterr().out
-        assert main(["bench-compare", base, bad, "--tolerance", "0.25"]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
+    def test_delta_without_incremental_from_is_a_usage_error(
+        self, setting_file, source_file, tmp_path, capsys
+    ):
+        delta = tmp_path / "edit.delta"
+        delta.write_text("+ N('a','d')\n- M('a','b')\n", encoding="utf-8")
+        code = main(["solve", "--delta", str(delta), setting_file, source_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert "--incremental-from" in lines[0]
 
 
 class TestSinkLifecycle:
