@@ -19,8 +19,13 @@ class Atom:
     """An atom ``R(t1, ..., tr)`` where each ``ti`` is a value or variable.
 
     Atoms are immutable and hashable.  The constructor checks arity.
-    Their total order (:meth:`sort_key`) is computed once per atom, on
-    first use, and cached; the cache never enters the pickled form.
+    Three derived forms are computed once per atom, on first use, and
+    cached on it: the key of the total order (:meth:`sort_key`), the
+    fp/v1 fingerprint token (:meth:`token`) and the ``repro.io/v1`` row
+    (:meth:`json_row`).  An instance shares its atoms with its copies,
+    its cache snapshots and the next version a delta makes of it, so an
+    atom that outlives an edit is sorted, fingerprinted and encoded
+    once, not once per version.  No cache enters the pickled form.
 
     >>> R = RelationSymbol("R", 2)
     >>> Atom(R, (Const("a"), Null(0))).is_ground
@@ -29,7 +34,7 @@ class Atom:
     False
     """
 
-    __slots__ = ("relation", "args", "_hash", "_key")
+    __slots__ = ("relation", "args", "_hash", "_key", "_token", "_row")
 
     def __init__(self, relation: RelationSymbol, args: Iterable[Term]):
         args = tuple(args)
@@ -120,9 +125,48 @@ class Atom:
             )
             return key
 
+    def token(self) -> bytes:
+        """The atom's fp/v1 token, built on first use.
+
+        An injective textual encoding of a ground atom: cells are
+        length-prefixed (constants) or integer-tagged (nulls), so no
+        constant name can collide with another cell's encoding.
+        :meth:`Instance.fingerprint` hashes the sorted tokens.
+        """
+        try:
+            return self._token
+        except AttributeError:
+            name = self.relation.name
+            parts = [f"{len(name)}:{name}/{self.relation.arity}"]
+            for value in self.args:
+                if isinstance(value, Null):
+                    parts.append(f"n{value.ident}")
+                else:
+                    parts.append(f"c{len(value.name)}:{value.name}")
+            token = self._token = "\x1f".join(parts).encode("utf-8")
+            return token
+
+    def json_row(self) -> list:
+        """The atom's ``repro.io/v1`` row, built on first use.
+
+        One typed cell per argument, ``["c", name]`` or ``["n", ident]``
+        (:func:`repro.io.cell_to_json`).  Every payload that holds this
+        atom holds this very list, so it is read-only: copy it before
+        changing it.
+        """
+        try:
+            return self._row
+        except AttributeError:
+            row = self._row = [
+                ["n", value.ident] if value.__class__ is Null
+                else ["c", value.name]
+                for value in self.args
+            ]
+            return row
+
     def __getstate__(self):
-        # Only the identity fields: the sort key is a cache, rebuilt on
-        # demand, and never ships to pool workers.
+        # Only the identity fields: the sort key, token and row are
+        # caches, rebuilt on demand, and never ship to pool workers.
         return None, {
             "relation": self.relation,
             "args": self.args,

@@ -491,9 +491,10 @@ class Instance:
     def fingerprint(self, *, canonical: bool = False) -> str:
         """A deterministic content digest of the atom set (sha256 hex).
 
-        The digest is computed from a length-prefixed textual encoding of
-        the atoms, sorted bytewise -- it depends only on the atom set,
-        never on ``PYTHONHASHSEED``, insertion order, or object identity.
+        The digest is computed from the atoms' fp/v1 tokens
+        (:meth:`Atom.token`, cached on each atom), sorted bytewise -- it
+        depends only on the atom set, never on ``PYTHONHASHSEED``,
+        insertion order, or object identity.
         Two instances are equal iff their fingerprints agree (modulo
         sha256 collisions), which makes the digest a compact hashable
         stand-in for :meth:`frozen` in cycle-detection ``seen`` sets.
@@ -514,11 +515,11 @@ class Instance:
             return cached
         # A ground instance is its own canonical form.
         target = self.canonical() if canonical and not self.is_ground else self
-        digest = hashlib.sha256()
-        for token in sorted(_atom_token(item) for item in target._atoms):
-            digest.update(token)
-            digest.update(b"\x1e")
-        result = digest.hexdigest()
+        # Each token ends in a record separator; the empty last entry
+        # puts one after the last token.
+        tokens = sorted([item.token() for item in target._atoms])
+        tokens.append(b"")
+        result = hashlib.sha256(b"\x1e".join(tokens)).hexdigest()
         self._fingerprints[canonical] = result
         return result
 
@@ -654,21 +655,6 @@ def _cache_hit() -> None:
 
         _CACHE_HITS = counter("fingerprint.cache_hits")
     _CACHE_HITS.inc()
-
-
-def _atom_token(item: Atom) -> bytes:
-    """An injective textual encoding of a ground atom.
-
-    Cells are length-prefixed (constants) or integer-tagged (nulls) so no
-    constant name can collide with another cell's encoding.
-    """
-    parts = [f"{len(item.relation.name)}:{item.relation.name}/{item.relation.arity}"]
-    for value in item.args:
-        if isinstance(value, Null):
-            parts.append(f"n{value.ident}")
-        else:
-            parts.append(f"c{len(value.name)}:{value.name}")
-    return "\x1f".join(parts).encode("utf-8")
 
 
 def isomorphic(left: Instance, right: Instance) -> bool:

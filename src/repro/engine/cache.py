@@ -189,7 +189,10 @@ class ResultCache:
         the complete new one.  ``value``, when given, is the decoded
         form of ``payload`` that :meth:`get_value` returns while the
         entry stays in the memory tier (no caller may mutate it); it
-        never reaches the disk.
+        never reaches the disk.  ``payload`` is kept as given, not
+        copied, and instance rows in it are shared with other payloads
+        (:func:`repro.io.sorted_atoms_to_payload`): neither the caller
+        nor a reader of :meth:`get` may mutate it.
         """
         path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)

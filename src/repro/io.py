@@ -199,6 +199,14 @@ def sorted_atoms_to_payload(atoms: Sequence[Atom]) -> dict:
     one :func:`instance_to_payload` gives for an instance of them, and
     callers that hold the sorted atoms already encode without sorting
     twice.
+
+    Each row is the atom's cached :meth:`Atom.json_row`, so an atom is
+    encoded once however many payloads hold it: payloads of successive
+    versions of an instance, the memory tier of
+    :class:`repro.engine.cache.ResultCache` and the JSON encoder all
+    share the row objects.  The payload dict and its per-relation
+    ``rows`` lists are fresh, but the rows are read-only: a caller that
+    edits a row must replace it with a copy.
     """
     relations = {}
     name = None
@@ -207,14 +215,7 @@ def sorted_atoms_to_payload(atoms: Sequence[Atom]) -> dict:
             name = item.relation.name
             rows = []
             relations[name] = {"arity": item.relation.arity, "rows": rows}
-        # cell_to_json, inlined: this loop runs once per cell.
-        rows.append(
-            [
-                ["n", value.ident] if value.__class__ is Null
-                else ["c", value.name]
-                for value in item.args
-            ]
-        )
+        rows.append(item.json_row())
     return {"schema": JSON_SCHEMA, "relations": relations}
 
 

@@ -21,7 +21,7 @@ from typing import FrozenSet, List, Sequence, Set, Tuple
 from ..core.atoms import Atom
 from ..core.errors import UnsupportedQueryError
 from ..core.instance import Instance
-from ..core.terms import Value, Variable
+from ..core.terms import Null, Value, Variable
 from .evaluation import satisfying_assignments
 from .formulas import (
     Equality,
@@ -32,7 +32,7 @@ from .formulas import (
     conjunction,
     disjunction,
 )
-from .matching import Inequality, match
+from .matching import Inequality, match, match_tuples
 
 AnswerTuple = Tuple[Value, ...]
 AnswerSet = FrozenSet[AnswerTuple]
@@ -56,7 +56,7 @@ class Query:
         return frozenset(
             answer
             for answer in self.evaluate(instance)
-            if all(value.is_constant for value in answer)
+            if Null not in map(type, answer)
         )
 
     @property
@@ -111,12 +111,16 @@ class ConjunctiveQuery(Query):
         return bool(self.inequalities)
 
     def evaluate(self, instance: Instance) -> AnswerSet:
-        answers: Set[AnswerTuple] = set()
-        for substitution in match(
-            self.body, instance, inequalities=self.inequalities
-        ):
-            answers.add(substitution.as_tuple(self.head))
-        return frozenset(answers)
+        if not self.inequalities:
+            # The same matches and counted work, read as head tuples
+            # without a substitution per match.
+            return frozenset(match_tuples(self.body, instance, self.head))
+        return frozenset(
+            substitution.as_tuple(self.head)
+            for substitution in match(
+                self.body, instance, inequalities=self.inequalities
+            )
+        )
 
     def to_formula(self) -> Formula:
         """The FO formula ∃(nondistinguished vars). body ∧ inequalities."""

@@ -237,13 +237,16 @@ class ProvenanceLedger:
         """
         # A set difference at C level, on the atoms' stored hashes: a
         # continuation chase passes its whole state, of which only the
-        # edit's insertions are new.
+        # edit's insertions are new.  The deleted members are found the
+        # same way, as members minus the members that were not deleted,
+        # so ``_deleted`` is probed, never walked: in a stream whose
+        # deleted rows never come back it only grows.
         members = (
             atoms.frozen() if isinstance(atoms, Instance) else frozenset(atoms)
         )
-        fresh = members.difference(self._producers).union(
-            item for item in self._deleted if item in members
-        )
+        fresh = members.difference(self._producers)
+        if self._deleted:
+            fresh |= members.difference(members.difference(self._deleted))
         if not fresh:
             return
         step = self._append(

@@ -1,5 +1,8 @@
 """Unit and property tests for instances."""
 
+import hashlib
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,6 +259,70 @@ class TestGroundCanonical:
         assert ground.fingerprint(canonical=True) == _legacy_canonical(
             ground
         ).fingerprint()
+
+
+def _legacy_token(item):
+    """The fp/v1 atom token as it was built before it was cached."""
+    parts = [f"{len(item.relation.name)}:{item.relation.name}/{item.relation.arity}"]
+    for value in item.args:
+        if isinstance(value, Null):
+            parts.append(f"n{value.ident}")
+        else:
+            parts.append(f"c{len(value.name)}:{value.name}")
+    return "\x1f".join(parts).encode("utf-8")
+
+
+def _legacy_fingerprint(instance):
+    digest = hashlib.sha256()
+    for token in sorted(_legacy_token(item) for item in instance):
+        digest.update(token)
+        digest.update(b"\x1e")
+    return digest.hexdigest()
+
+
+def _fresh(instance):
+    """Equal atoms that share nothing with ``instance``'s (no caches)."""
+    return Instance(Atom(item.relation, item.args) for item in instance)
+
+
+class TestCachedTokens:
+    @given(mixed_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_fingerprint_from_cached_tokens_is_unchanged(self, inst):
+        expected = _legacy_fingerprint(inst)
+        assert inst.fingerprint() == expected
+        # A second instance over the same, now cached, atoms.
+        assert inst.copy().fingerprint() == expected
+        assert Instance(list(inst)).fingerprint() == expected
+        assert _fresh(inst).fingerprint() == expected
+        shipped = pickle.loads(pickle.dumps(list(inst)))
+        assert Instance(shipped).fingerprint() == expected
+        canonical = inst.fingerprint(canonical=True)
+        assert canonical == _legacy_fingerprint(inst.canonical())
+        assert Instance(list(inst)).fingerprint(canonical=True) == canonical
+        assert _fresh(inst).fingerprint(canonical=True) == canonical
+
+    @given(mixed_instances())
+    @settings(max_examples=50, deadline=None)
+    def test_token_is_cached_per_atom(self, inst):
+        for item in inst:
+            assert item.token() == _legacy_token(item)
+            assert item.token() is item.token()
+
+    def test_getstate_ships_no_cache(self):
+        item = Atom(E, (Const("a"), Null(3)))
+        state = item.__getstate__()
+        before = pickle.dumps(item)
+        item.sort_key(), item.token(), item.json_row()
+        assert item.__getstate__() == state == (
+            None,
+            {"relation": E, "args": (Const("a"), Null(3)), "_hash": hash(item)},
+        )
+        assert pickle.dumps(item) == before
+        again = pickle.loads(before)
+        assert again == item
+        for cache in ("_key", "_token", "_row"):
+            assert not hasattr(again, cache)
 
 
 class TestReductIndexes:

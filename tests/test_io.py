@@ -1,5 +1,7 @@
 """Tests for CSV instance I/O."""
 
+import json
+
 import pytest
 
 from repro.core import Const, Instance, Null, ReproError, Schema, SchemaError, atom, RelationSymbol
@@ -225,6 +227,57 @@ class TestJsonInstanceCodec:
             instance.sorted_atoms()
         ) == instance_to_payload(instance)
         assert sorted_atoms_to_payload(()) == instance_to_payload(Instance())
+
+
+def _legacy_payload(instance):
+    """The ``repro.io/v1`` payload as it was built before rows were cached."""
+    relations = {}
+    for item in instance.sorted_atoms():
+        body = relations.setdefault(
+            item.relation.name, {"arity": item.relation.arity, "rows": []}
+        )
+        body["rows"].append([cell_to_json(value) for value in item.args])
+    return {"schema": JSON_SCHEMA, "relations": relations}
+
+
+class TestSharedRows:
+    TEXT = "E('b', #2), E('a', #1), E('a', 'b'), P('_:3'), P(#1), F('c', 'd')"
+
+    def test_payloads_of_shared_atoms_share_rows(self):
+        first = parse_instance(self.TEXT)
+        second = first.copy()
+        second.discard(atom(E, "a", "b"))
+        second.add(atom(E, "z", Null(9)))
+        assert atom(E, "a", "b") in first and atom(E, "a", "b") not in second
+        left, right = instance_to_payload(first), instance_to_payload(second)
+        assert left == _legacy_payload(first)
+        assert right == _legacy_payload(second)
+        rows = {
+            id(row)
+            for body in left["relations"].values()
+            for row in body["rows"]
+        }
+        for name, body in right["relations"].items():
+            # Fresh per-relation lists around the shared rows.
+            assert body["rows"] is not left["relations"][name]["rows"]
+            for row in body["rows"]:
+                if row != [["c", "z"], ["n", 9]]:
+                    assert id(row) in rows
+        shared = next(iter(first.atoms_of("F")))
+        assert shared.json_row() is left["relations"]["F"]["rows"][0]
+        assert shared.json_row() is right["relations"]["F"]["rows"][0]
+
+    def test_json_bytes_unchanged(self):
+        instance = parse_instance(self.TEXT)
+        expected = json.dumps(_legacy_payload(instance), sort_keys=True)
+        # Cold rows, then the cached ones.
+        assert json.dumps(instance_to_payload(instance), sort_keys=True) == expected
+        assert json.dumps(instance_to_payload(instance), sort_keys=True) == expected
+        assert dumps_instance(instance) == dumps_instance(
+            parse_instance(self.TEXT)
+        )
+        canonical = instance_to_payload(instance, canonical=True)
+        assert canonical == _legacy_payload(instance.canonical())
 
 
 class TestAnswersCodec:

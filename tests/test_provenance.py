@@ -17,7 +17,7 @@ from repro import obs
 from repro.chase import standard_chase
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.seminaive import seminaive_chase
-from repro.core import ReproError
+from repro.core import Instance, ReproError
 from repro.core.atoms import Atom
 from repro.core.schema import RelationSymbol
 from repro.core.terms import Const, Null
@@ -351,3 +351,74 @@ class TestSizeGauges:
         gauges = obs.snapshot()["gauges"]
         assert gauges["chase.instance_size"] == len(outcome.instance)
         assert gauges["chase.peak_atoms"] > gauges["chase.instance_size"]
+
+
+class _CountingAtom(Atom):
+    """An atom that counts how often it is hashed, i.e. looked at."""
+
+    __slots__ = ()
+    hashed = 0
+
+    def __hash__(self):
+        _CountingAtom.hashed += 1
+        return self._hash
+
+
+class TestSourceAfterDeletion:
+    def test_reinserted_source_atom_gets_a_new_producer(self, setting_2_1):
+        kept, gone = atom("M", "a", "b"), atom("M", "a", "c")
+        with recording() as ledger:
+            chased = standard_chase(
+                Instance([kept, gone]), list(setting_2_1.all_dependencies)
+            )
+        derived = atom("E", "a", "c")
+        assert derived in chased.instance
+        first = ledger.producer(gone)
+        assert ledger.why(derived).premises[0].step is first
+        ledger.record_deletion("delta", [gone, derived])
+        assert "deleted by delta" in ledger.why_not(gone)
+
+        ledger.record_source([kept, gone])
+        again = ledger.producer(gone)
+        assert again.kind == "source" and again.added == (gone,)
+        assert again.index > first.index
+        assert ledger.producer(kept) is first
+        assert ledger.why(gone).step is again
+        assert "is present" in ledger.why_not(gone)
+        # The re-derivation of a deleted fact becomes its producer, and
+        # its justification reaches the new source step.
+        with recording(ledger):
+            standard_chase(
+                Instance([kept, gone]), list(setting_2_1.all_dependencies)
+            )
+        rederived = ledger.producer(derived)
+        assert rederived.kind == "tgd" and rederived.index > again.index
+        assert ledger.why(derived).premises[0].step is again
+        # Recording the same source again adds nothing.
+        steps = len(ledger.steps)
+        ledger.record_source([kept, gone])
+        assert len(ledger.steps) == steps
+
+    def test_record_source_never_walks_the_deleted_atoms(self):
+        ledger = ProvenanceLedger()
+        relation = RelationSymbol("N", 2)
+        deleted = [
+            _CountingAtom(relation, (Const(f"d{index}"), Const("x")))
+            for index in range(10_000)
+        ]
+        ledger.record_source(deleted)
+        ledger.record_deletion("delta", deleted)
+        back = {deleted[7], deleted[9_999]}
+        fresh = atom("N", "fresh", "x")
+        _CountingAtom.hashed = 0
+        ledger.record_source([fresh, *back])
+        # A few hashes per member as it is recorded; a walk over the
+        # deleted atoms would hash all 10,000.
+        assert _CountingAtom.hashed <= 10 * len(back)
+        step = ledger.steps[-1]
+        assert step.kind == "source" and set(step.added) == {fresh, *back}
+        assert len(ledger._deleted) == 9_998
+        _CountingAtom.hashed = 0
+        ledger.record_source([fresh])
+        assert _CountingAtom.hashed == 0
+        assert ledger.steps[-1] is step

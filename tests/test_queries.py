@@ -1,9 +1,13 @@
 """Tests for query classes: CQ, UCQ, FO queries."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro.core import Const, Instance, Null, RelationSymbol, UnsupportedQueryError, Variable, atom
-from repro.logic import parse_instance, parse_query
+from repro.logic import parse_instance, parse_query, plans
+from repro.logic.matching import attributed, match, match_interpreted
 from repro.logic.queries import (
     ConjunctiveQuery,
     FirstOrderQuery,
@@ -141,3 +145,98 @@ class TestCanonicalQuery:
         unrelated = Instance([atom(E, "b", "c")])
         assert canonical_query(t).holds_in(bigger) == has_homomorphism(t, bigger)
         assert canonical_query(t).holds_in(unrelated) == has_homomorphism(t, unrelated)
+
+
+# ----------------------------------------------------------------------
+# Parity of CQ evaluation with the interpreted reference matcher
+# ----------------------------------------------------------------------
+
+F = RelationSymbol("F", 1)
+T = RelationSymbol("T", 3)
+VARIABLES = [Variable(name) for name in ("x", "y", "z")]
+VALUES = [Const("a"), Const("b"), Const("c"), Null(0), Null(1)]
+
+
+@st.composite
+def random_instances(draw):
+    out = Instance()
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        relation = draw(st.sampled_from([E, F, T]))
+        out.add(
+            Atom(
+                relation,
+                tuple(
+                    draw(st.sampled_from(VALUES))
+                    for _ in range(relation.arity)
+                ),
+            )
+        )
+    return out
+
+
+@st.composite
+def random_queries(draw):
+    terms = VARIABLES + [Const("a"), Null(0)]
+    body = tuple(
+        Atom(
+            (relation := draw(st.sampled_from([E, F, T]))),
+            tuple(draw(st.sampled_from(terms)) for _ in range(relation.arity)),
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    )
+    bound = sorted(
+        set().union(*(item.variables for item in body)), key=lambda v: v.name
+    )
+    head = draw(st.lists(st.sampled_from(bound), max_size=3)) if bound else []
+    inequalities = ()
+    if bound and draw(st.booleans()):
+        sides = bound + [Const("a")]
+        inequalities = (
+            (draw(st.sampled_from(bound)), draw(st.sampled_from(sides))),
+        )
+    return ConjunctiveQuery(head, body, inequalities)
+
+
+def _reference_answers(query, instance):
+    return frozenset(
+        substitution.as_tuple(query.head)
+        for substitution in match_interpreted(
+            query.body, instance, inequalities=query.inequalities
+        )
+    )
+
+
+class TestEvaluationParity:
+    @given(random_queries(), random_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_evaluate_agrees_with_interpreted_matcher(self, query, instance):
+        expected = _reference_answers(query, instance)
+        assert query.evaluate(instance) == expected
+        with plans.interpreted_only():
+            assert query.evaluate(instance) == expected
+        assert query.certain_part(instance) == frozenset(
+            answer
+            for answer in expected
+            if all(value.is_constant for value in answer)
+        )
+        union = UnionOfConjunctiveQueries([query, query])
+        assert union.certain_part(instance) == query.certain_part(instance)
+
+    @given(random_queries(), random_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_counts_the_work_of_match(self, query, instance):
+        scope = "test_queries.parity"
+        candidates = obs.counter(scope + ".candidates")
+        backtracks = obs.counter(scope + ".backtracks")
+        with attributed(scope):
+            before = candidates.value, backtracks.value
+            for _ in match(
+                query.body, instance, inequalities=query.inequalities
+            ):
+                pass
+            middle = candidates.value, backtracks.value
+            query.evaluate(instance)
+            after = candidates.value, backtracks.value
+        assert [m - b for m, b in zip(middle, before)] == [
+            a - m for a, m in zip(after, middle)
+        ]
