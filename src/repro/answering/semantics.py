@@ -190,45 +190,6 @@ def _cansol_applies(setting: DataExchangeSetting) -> bool:
 SEMANTICS_NAMES = ("certain", "potential_certain", "persistent_maybe", "maybe")
 
 
-def _answer_certain(query, setting, source):
-    return certain_answers(setting, source, query)
-
-
-def _answer_potential_certain(query, setting, source):
-    return potential_certain_answers(setting, source, query)
-
-
-def _answer_persistent_maybe(query, setting, source):
-    return persistent_maybe_answers(setting, source, query)
-
-
-def _answer_maybe(query, setting, source):
-    return maybe_answers(setting, source, query)
-
-
-# Module-level (hence picklable) per-query entry points, keyed by
-# semantics name; Executor.batch_answer ships these to worker processes.
-_SEMANTICS_FNS = {
-    "certain": _answer_certain,
-    "potential_certain": _answer_potential_certain,
-    "persistent_maybe": _answer_persistent_maybe,
-    "maybe": _answer_maybe,
-}
-
-
-def _unknown_semantics(semantics: str) -> ReproError:
-    return ReproError(
-        f"unknown semantics {semantics!r}; pick one of {SEMANTICS_NAMES}"
-    )
-
-
-def _semantics_fn(semantics: str):
-    try:
-        return _SEMANTICS_FNS[semantics]
-    except KeyError:
-        raise _unknown_semantics(semantics) from None
-
-
 def _cached_answers(cache, key: str, compute) -> AnswerSet:
     """Look one answer set up in the ``answers`` cache family.
 
@@ -408,7 +369,9 @@ def answers_over_space(
     one exactly.
     """
     if mode not in SEMANTICS_NAMES:
-        raise _unknown_semantics(mode)
+        raise ReproError(
+            f"unknown semantics {mode!r}; pick one of {SEMANTICS_NAMES}"
+        )
     box = mode in ("certain", "potential_certain")
     intersect = mode in ("certain", "persistent_maybe")
     per_target = _per_solution(

@@ -1076,8 +1076,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if progress_installed:
             obs.attribution.disable_heartbeat()
         if has_obs_flags and args.profile:
-            print("=== profile (per-phase wall times) ===", file=sys.stderr)
-            print(obs.render_profile(), file=sys.stderr)
+            print(
+                obs.render_stats(
+                    obs.snapshot(), title="profile (per-phase wall times)"
+                ),
+                file=sys.stderr,
+            )
         if metrics_path:
             # One structured run record per invocation, status included,
             # so failing runs are logged too.

@@ -128,22 +128,19 @@ class Atom:
     def token(self) -> bytes:
         """The atom's fp/v1 token, built on first use.
 
-        An injective textual encoding of a ground atom: cells are
-        length-prefixed (constants) or integer-tagged (nulls), so no
-        constant name can collide with another cell's encoding.
-        :meth:`Instance.fingerprint` hashes the sorted tokens.
+        An injective textual encoding of the atom: the length-prefixed
+        relation name and arity, then one :func:`fp_cell` per argument.
+        :meth:`Instance.fingerprint` hashes the sorted tokens of its
+        atoms, and :mod:`repro.engine.fingerprint` encodes the atoms of
+        queries and dependencies with it.
         """
         try:
             return self._token
         except AttributeError:
             name = self.relation.name
-            parts = [f"{len(name)}:{name}/{self.relation.arity}"]
-            for value in self.args:
-                if isinstance(value, Null):
-                    parts.append(f"n{value.ident}")
-                else:
-                    parts.append(f"c{len(value.name)}:{value.name}")
-            token = self._token = "\x1f".join(parts).encode("utf-8")
+            head = f"{len(name)}:{name}/{self.relation.arity}"
+            text = "\x1f".join([head, *map(fp_cell, self.args)])
+            token = self._token = text.encode("utf-8")
             return token
 
     def json_row(self) -> list:
@@ -176,6 +173,22 @@ class Atom:
     def __repr__(self) -> str:
         inner = ", ".join(str(arg) for arg in self.args)
         return f"{self.relation.name}({inner})"
+
+
+def fp_cell(term: Term) -> str:
+    """The fp/v1 encoding of one atom argument, injective and hash-free.
+
+    ``n<ident>`` for a null, ``c<length>:<name>`` for a constant and
+    ``v<length>:<name>`` for a variable: the length prefix keeps a name
+    from running into the next cell, so no two cells encode alike.
+    """
+    if isinstance(term, Null):
+        return f"n{term.ident}"
+    if isinstance(term, Const):
+        return f"c{len(term.name)}:{term.name}"
+    if isinstance(term, Variable):
+        return f"v{len(term.name)}:{term.name}"
+    raise TypeError(f"cannot fingerprint term {term!r}")
 
 
 def _term_sort_key(term: Term):

@@ -2,7 +2,7 @@
 
 An instance is represented by a finite set of ground atoms over
 ``Dom = Const ∪ Null`` (Section 2 of the paper).  :class:`Instance` is a
-mutable container with two indexes that the conjunctive matcher exploits:
+mutable container with three indexes that the conjunctive matcher exploits:
 
 * ``by relation name`` -- all atoms of a relation,
 * ``by (relation name, position, value)`` -- all atoms of a relation with a
@@ -23,9 +23,12 @@ with the original.  Both sides remember the dicts they shared, the
 first write on either side gives that side its own dicts (shallow
 copies), and a write to a bucket that is still the snapshot's bucket
 clones just that bucket.  Buckets no write touches stay shared, so a
-copy costs the atom set plus the buckets the later edits reach.  An
-instance that was never copied has no snapshot and writes in place, as
-does a copied one to a relation that had no atoms at the copy.
+copy costs the atom set plus the buckets the later edits reach.  Every
+write, copied or not, takes the same path (``_insert`` and
+:meth:`Instance.discard`); it looks a bucket up in the snapshot only when
+there is one and the written relation had atoms in it, so a write to an
+instance that was never copied, or to a relation that was empty at the
+copy, goes straight to its buckets.
 """
 
 from __future__ import annotations
@@ -130,93 +133,86 @@ class Instance:
         return True
 
     def _insert(self, item: Atom) -> None:
-        """Index a new ground atom (no checks, no cache invalidation)."""
-        name = item.relation.name
-        if self._shared is not None and self._shares_relation(name):
-            self._insert_shared(item)
-            return
-        self._atoms.add(item)
-        self._by_relation.setdefault(name, set()).add(item)
-        # Reuse the atom's own args tuple: the full-tuple index costs one
-        # pointer per atom, not a copy of the arguments.
-        self._by_tuple.setdefault(name, set()).add(item.args)
-        for position, value in enumerate(item.args):
-            key = (name, position, value)
-            self._by_position.setdefault(key, set()).add(item)
-            if value.__class__ is Null:
-                self._null_refs[value] = self._null_refs.get(value, 0) + 1
+        """Index a new ground atom (no checks, no cache invalidation).
 
-    def _shares_relation(self, name: str) -> bool:
-        """Whether a write to relation ``name`` may meet shared buckets.
-
-        Gives this instance its own index dicts first, shallow copies of
-        the snapshot's, if it has none yet.  A relation that had no
-        atoms at the last copy has no bucket in the snapshot, so its
-        writes take the unshared path.
+        The one write path into the indexes, with :meth:`discard`.  A
+        write to a relation that had atoms at the last copy (``shared``)
+        clones each bucket that is still the snapshot's before writing
+        to it; other writes cannot meet a snapshot bucket and skip those
+        lookups.  They are the chase's and the answering walk's writes,
+        so their branch stays inline, without a helper call per bucket.
         """
-        relations, positions, tuples = self._shared
-        if self._by_position is positions:
-            self._by_relation = dict(relations)
-            self._by_position = dict(positions)
-            self._by_tuple = dict(tuples)
-        return name in relations
-
-    def _insert_shared(self, item: Atom) -> None:
-        """:meth:`_insert` for a relation with buckets in the snapshot.
-
-        Each bucket that is still the snapshot's is cloned before the
-        write; the loop is :func:`_put` inlined, as this is the write
-        path of a core pass on its working copy.
-        """
-        relations, positions, tuples = self._shared
-        self._atoms.add(item)
         name = item.relation.name
-        _put(self._by_relation, relations, name, item)
-        _put(self._by_tuple, tuples, name, item.args)
+        snapshot = self._shared
+        shared = False
+        if snapshot is not None:
+            if self._by_position is snapshot[1]:
+                self._own_indexes()
+            shared = name in snapshot[0]
+        self._atoms.add(item)
         by_position = self._by_position
+        if shared:
+            relations, positions, tuples = snapshot
+            _put(self._by_relation, relations, name, item)
+            _put(self._by_tuple, tuples, name, item.args)
+        else:
+            self._by_relation.setdefault(name, set()).add(item)
+            # Reuse the atom's own args tuple: the full-tuple index costs
+            # one pointer per atom, not a copy of the arguments.
+            self._by_tuple.setdefault(name, set()).add(item.args)
         for position, value in enumerate(item.args):
             key = (name, position, value)
-            bucket = by_position.get(key)
-            if bucket is None:
-                by_position[key] = {item}
+            if shared:
+                _put(by_position, positions, key, item)
             else:
-                if bucket is positions.get(key):
-                    bucket = by_position[key] = set(bucket)
-                bucket.add(item)
+                by_position.setdefault(key, set()).add(item)
             if value.__class__ is Null:
                 self._null_refs[value] = self._null_refs.get(value, 0) + 1
+
+    def _own_indexes(self) -> None:
+        """Give this instance its own index dicts: shallow copies of the
+        snapshot's, whose buckets stay shared until written."""
+        relations, positions, tuples = self._shared
+        self._by_relation = dict(relations)
+        self._by_position = dict(positions)
+        self._by_tuple = dict(tuples)
 
     def add_all(self, items: Iterable[Atom]) -> int:
         """Insert several atoms; return how many were new."""
         return sum(1 for item in items if self.add(item))
 
     def discard(self, item: Atom) -> bool:
-        """Remove an atom if present; return True if it was present."""
+        """Remove an atom if present; return True if it was present.
+
+        Index upkeep as in :meth:`_insert`: only a ``shared`` write looks
+        for snapshot buckets, cloning one before removing from it (or
+        just unlinking it, when ``item`` is all it holds).
+        """
         if item not in self._atoms:
             return False
         self._invalidate_caches()
         self._atoms.remove(item)
         name = item.relation.name
-        if self._shared is not None and self._shares_relation(name):
-            self._remove_shared(item)
-            return True
-        bucket = self._by_relation.get(name)
-        if bucket is not None:
-            bucket.discard(item)
-            if not bucket:
-                del self._by_relation[name]
-        tuples = self._by_tuple.get(name)
-        if tuples is not None:
-            tuples.discard(item.args)
-            if not tuples:
-                del self._by_tuple[name]
+        snapshot = self._shared
+        shared = False
+        if snapshot is not None:
+            if self._by_position is snapshot[1]:
+                self._own_indexes()
+            shared = name in snapshot[0]
+        relations, positions, tuples = snapshot if shared else _NO_SNAPSHOT
+        _drop(self._by_relation, relations, name, item)
+        _drop(self._by_tuple, tuples, name, item.args)
+        by_position = self._by_position
         for position, value in enumerate(item.args):
             key = (name, position, value)
-            slot = self._by_position.get(key)
-            if slot is not None:
-                slot.discard(item)
-                if not slot:
-                    del self._by_position[key]
+            if shared:
+                _drop(by_position, positions, key, item)
+            else:
+                bucket = by_position[key]
+                if len(bucket) == 1:
+                    del by_position[key]
+                else:
+                    bucket.discard(item)
             if value.__class__ is Null:
                 left = self._null_refs[value] - 1
                 if left:
@@ -224,35 +220,6 @@ class Instance:
                 else:
                     del self._null_refs[value]
         return True
-
-    def _remove_shared(self, item: Atom) -> None:
-        """:meth:`discard`'s index upkeep for a relation with buckets in
-        the snapshot (:func:`_drop` inlined over the positions, as in
-        :meth:`_insert_shared`)."""
-        relations, positions, tuples = self._shared
-        name = item.relation.name
-        _drop(self._by_relation, relations, name, item)
-        _drop(self._by_tuple, tuples, name, item.args)
-        by_position = self._by_position
-        for position, value in enumerate(item.args):
-            key = (name, position, value)
-            bucket = by_position[key]
-            if bucket is positions.get(key):
-                if len(bucket) == 1:
-                    del by_position[key]
-                else:
-                    bucket = by_position[key] = set(bucket)
-                    bucket.discard(item)
-            else:
-                bucket.discard(item)
-                if not bucket:
-                    del by_position[key]
-            if value.__class__ is Null:
-                left = self._null_refs[value] - 1
-                if left:
-                    self._null_refs[value] = left
-                else:
-                    del self._null_refs[value]
 
     def _invalidate_caches(self) -> None:
         """Drop memoized fingerprint/canonical forms (dirty flag).
@@ -617,6 +584,10 @@ class Instance:
         return "\n".join(lines) if lines else f"{indent}(empty)"
 
 
+#: The snapshot of a write that cannot meet a shared bucket.
+_NO_SNAPSHOT: _Indexes = ({}, {}, {})
+
+
 def _put(index: Dict, snapshot: Dict, key, member) -> None:
     """Add ``member`` to ``index[key]``, cloning a bucket of ``snapshot``."""
     bucket = index.get(key)
@@ -629,18 +600,16 @@ def _put(index: Dict, snapshot: Dict, key, member) -> None:
 
 
 def _drop(index: Dict, snapshot: Dict, key, member) -> None:
-    """Remove ``member`` from ``index[key]``, deleting the key when that
-    empties it; a bucket of ``snapshot`` is cloned first (or just
-    unlinked, when ``member`` is all it holds)."""
+    """Remove ``member``, which ``index[key]`` holds, from it: the key
+    goes when ``member`` is all the bucket holds, and a bucket of
+    ``snapshot`` is cloned before it loses a member."""
     bucket = index[key]
+    if len(bucket) == 1:
+        del index[key]
+        return
     if bucket is snapshot.get(key):
-        if len(bucket) == 1:
-            del index[key]
-            return
         bucket = index[key] = set(bucket)
     bucket.discard(member)
-    if not bucket:
-        del index[key]
 
 
 #: Lazily bound ``fingerprint.cache_hits`` counter (importing

@@ -36,8 +36,7 @@ the rest of the library relies on:
 
 Worker callables must be module-level functions (fork + pickle); the
 higher-level entry points (:meth:`Executor.map_worlds`,
-:meth:`Executor.map_valuations`, :meth:`Executor.batch_answer`) ship
-their own.
+:meth:`Executor.map_valuations`) ship their own.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from ..core.errors import WorkerCrashed
 from ..obs import (
@@ -340,29 +339,3 @@ class Executor:
         return self.map_tasks(
             fn, [(chunk, *extra_args) for chunk in chunks], label=label
         )
-
-    def batch_answer(
-        self,
-        setting,
-        source,
-        queries: Sequence,
-        semantics: str = "certain",
-        *,
-        cache=None,
-    ) -> List[frozenset]:
-        """Answer many queries under one semantics, one task per query.
-
-        ``semantics`` is one of the four names accepted by
-        :class:`repro.answering.decision.AnswerLanguage.SEMANTICS`.
-        """
-        from ..answering.semantics import _semantics_fn  # lazy: avoid cycle
-
-        answer = _semantics_fn(semantics)
-        results = self.map_worlds(
-            answer,
-            queries,
-            setting,
-            source,
-            label="engine.batch_answer",
-        )
-        return list(results)

@@ -22,10 +22,10 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Optional, Sequence, Tuple
 
-from ..core.atoms import Atom
+from ..core.atoms import Atom, fp_cell
 from ..core.instance import Instance
 from ..core.schema import Schema
-from ..core.terms import Const, Null, Value, Variable
+from ..core.terms import Value
 
 #: Version prefix baked into every digest; bump when an encoding changes
 #: so stale on-disk entries can never be misread as current ones.
@@ -45,20 +45,8 @@ def _digest(parts: Iterable[str]) -> str:
     return state.hexdigest()
 
 
-def _term_text(term) -> str:
-    """An injective, hash-free encoding of one atom argument."""
-    if isinstance(term, Null):
-        return f"n{term.ident}"
-    if isinstance(term, Const):
-        return f"c{len(term.name)}:{term.name}"
-    if isinstance(term, Variable):
-        return f"v{len(term.name)}:{term.name}"
-    raise TypeError(f"cannot fingerprint term {term!r}")
-
-
 def _atom_text(item: Atom) -> str:
-    head = f"{len(item.relation.name)}:{item.relation.name}/{item.relation.arity}"
-    return _SEP.join([head, *(_term_text(arg) for arg in item.args)])
+    return item.token().decode("utf-8")
 
 
 def fingerprint_instance(instance: Instance, *, canonical: bool = True) -> str:
@@ -92,10 +80,10 @@ def fingerprint_query(query) -> str:
             ["ucq", *(fingerprint_query(d) for d in query.disjuncts)]
         )
     if isinstance(query, ConjunctiveQuery):
-        parts = ["cq", _SEP.join(_term_text(v) for v in query.head)]
+        parts = ["cq", _SEP.join(fp_cell(v) for v in query.head)]
         parts.extend(_atom_text(item) for item in query.body)
         parts.extend(
-            "neq" + _SEP + _term_text(left) + _SEP + _term_text(right)
+            "neq" + _SEP + fp_cell(left) + _SEP + fp_cell(right)
             for left, right in query.inequalities
         )
         return _digest(parts)
@@ -109,8 +97,8 @@ def fingerprint_dependency(dependency) -> str:
             [
                 "egd",
                 *(_atom_text(item) for item in dependency.premise_atoms),
-                "eq" + _SEP + _term_text(dependency.left)
-                + _SEP + _term_text(dependency.right),
+                "eq" + _SEP + fp_cell(dependency.left)
+                + _SEP + fp_cell(dependency.right),
             ]
         )
     parts = ["tgd"]
@@ -143,7 +131,7 @@ def fingerprint_setting(setting) -> str:
 def fingerprint_answers(answers: Iterable[Tuple[Value, ...]]) -> str:
     """Digest of an answer set (used by equivalence tests, not as a key)."""
     rows = sorted(
-        _SEP.join(_term_text(value) for value in row) for row in answers
+        _SEP.join(fp_cell(value) for value in row) for row in answers
     )
     return _digest(["answers", *rows])
 

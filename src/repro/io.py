@@ -171,7 +171,10 @@ def cell_from_json(cell) -> Value:
     except (TypeError, ValueError):
         raise ReproError(f"malformed JSON cell {cell!r}") from None
     if tag == "n":
-        return Null(int(payload))
+        try:
+            return Null(int(payload))
+        except (TypeError, ValueError, OverflowError):
+            raise ReproError(f"malformed JSON null cell {cell!r}") from None
     if tag == "c":
         return Const(str(payload))
     raise ReproError(f"unknown JSON cell tag {tag!r} in {cell!r}")
@@ -266,7 +269,19 @@ def atoms_from_payload(
                 f"relation {name!r} of the payload must be an object, "
                 f"got {body!r}"
             )
-        arity = int(body["arity"])
+        try:
+            arity = int(body["arity"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ReproError(
+                f"relation {name!r} of the payload needs an integer arity, "
+                f"got {body.get('arity')!r}"
+            ) from None
+        rows = body.get("rows", ())
+        if not isinstance(rows, (list, tuple)):
+            raise ReproError(
+                f"relation {name!r} of the payload has rows {rows!r}, "
+                f"expected a list"
+            )
         if schema is not None:
             relation = schema.get(name)
             if relation is None:
@@ -280,7 +295,9 @@ def atoms_from_payload(
                 )
         else:
             relation = RelationSymbol(name, arity)
-        for row in body.get("rows", ()):
+        for row in rows:
+            if not isinstance(row, (list, tuple)):
+                raise ReproError(f"{name!r} row {row!r} is not a list of cells")
             if len(row) != arity:
                 raise SchemaError(
                     f"{name!r} row {row!r} has {len(row)} cells, expected {arity}"

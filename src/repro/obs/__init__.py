@@ -16,7 +16,7 @@ Usage from consumers::
     obs.reset()
     ... run an exchange ...
     print(obs.to_json(indent=2))          # stable schema, see docs
-    table = obs.render_profile()          # human-readable per-phase table
+    table = obs.render_stats(obs.snapshot())  # human-readable table
 
 Sinks (``--trace-json``, ``REPRO_LOG``, tests) are described in
 ``docs/observability.md`` together with the metric name registry and the
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import Iterator, List, Optional
+from typing import Optional
 
 from . import attribution
 from .metrics import Histogram, MetricsLog
@@ -37,6 +37,7 @@ from .provenance import (
     active_ledger,
     recording,
 )
+from .stats import render_stats
 from .sinks import (
     NULL_SINK,
     EventSink,
@@ -90,7 +91,7 @@ __all__ = [
     "register_gauge_provider",
     "register_state_section",
     "recording",
-    "render_profile",
+    "render_stats",
     "reset",
     "snapshot",
     "span",
@@ -142,62 +143,6 @@ def reset() -> None:
 
 def install_sink(sink: EventSink) -> EventSink:
     return DEFAULT.install_sink(sink)
-
-
-def render_profile(data: Optional[dict] = None) -> str:
-    """A fixed-width per-phase table of a snapshot (default: current).
-
-    Spans first (path, calls, total seconds), then counters, then
-    gauges.  This is what the CLI's ``--profile`` flag prints to stderr
-    and what ``repro report`` embeds in its metrics section.
-    """
-    state = data if data is not None else snapshot()
-    lines: List[str] = []
-    spans = state.get("spans", {})
-    if spans:
-        width = max(len(path) for path in spans)
-        lines.append(
-            f"{'span'.ljust(width)}  {'calls':>7}  {'seconds':>10}"
-            f"  {'p50':>10}  {'p95':>10}  {'max':>10}"
-        )
-        for path, stats in spans.items():
-            lines.append(
-                f"{path.ljust(width)}  {stats['count']:>7}  "
-                f"{stats['seconds']:>10.4f}  "
-                f"{stats.get('p50', 0.0):>10.6f}  "
-                f"{stats.get('p95', 0.0):>10.6f}  "
-                f"{stats.get('max', 0.0):>10.6f}"
-            )
-    histograms = state.get("histograms", {})
-    if histograms:
-        if lines:
-            lines.append("")
-        width = max(len(name) for name in histograms)
-        lines.append(
-            f"{'histogram'.ljust(width)}  {'count':>7}  {'sum':>10}"
-            f"  {'p50':>10}  {'p95':>10}  {'p99':>10}"
-        )
-        for name, stats in histograms.items():
-            lines.append(
-                f"{name.ljust(width)}  {stats['count']:>7}  "
-                f"{stats['sum']:>10.4f}  {stats['p50']:>10.6f}  "
-                f"{stats['p95']:>10.6f}  {stats['p99']:>10.6f}"
-            )
-    counters = state.get("counters", {})
-    if counters:
-        if lines:
-            lines.append("")
-        width = max(len(name) for name in counters)
-        for name, value in counters.items():
-            lines.append(f"{name.ljust(width)}  {value}")
-    gauges = state.get("gauges", {})
-    if gauges:
-        if lines:
-            lines.append("")
-        width = max(len(name) for name in gauges)
-        for name, value in gauges.items():
-            lines.append(f"{name.ljust(width)}  {value}")
-    return "\n".join(lines) if lines else "(no telemetry recorded)"
 
 
 _ENV_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO}

@@ -199,17 +199,40 @@ class ProvenanceLedger:
 
     # -- recording (called by the engines) ------------------------------
 
-    def _append(self, step: Step) -> Step:
+    def _apply(self, step: Step) -> None:
+        """Append ``step`` and update every index it moves.
+
+        The one write path of the ledger: each ``record_*`` method builds
+        a step and applies it, and :meth:`ingest` applies the decoded
+        steps, so a replayed ledger has the indexes of the recorded one.
+        ``source``/``tgd`` steps produce their added facts (a ``tgd``
+        consumes its parents), an ``egd`` step consumes and rewrites its
+        facts, ``retract`` drops facts from the core and ``delete`` from
+        the chase state too.
+        """
         self._steps.append(step)
-        if step.kind == "tgd":
-            used = step.parents
-        elif step.kind == "egd":
-            used = [before for before, _ in step.rewrites]
+        kind = step.kind
+        index = step.index
+        consumers = self._consumers
+        if kind == "source" or kind == "tgd":
+            for item in step.parents:
+                consumers.setdefault(item, []).append(index)
+            for item in step.added:
+                self._produce(item, index)
+        elif kind == "egd":
+            for before, after in step.rewrites:
+                consumers.setdefault(before, []).append(index)
+                self._live.discard(before)
+                self._chase_state.discard(before)
+                self._produce(after, index)
+            self._merges += 1
         else:
-            return step
-        for item in used:
-            self._consumers.setdefault(item, []).append(step.index)
-        return step
+            removed = self._retracted if kind == "retract" else self._deleted
+            for item in step.dropped:
+                removed.setdefault(item, index)
+                self._live.discard(item)
+                if kind == "delete":
+                    self._chase_state.discard(item)
 
     def _produce(self, item: Atom, index: int) -> None:
         """Register ``item`` as produced by step ``index``.
@@ -249,15 +272,13 @@ class ProvenanceLedger:
             fresh |= members.difference(members.difference(self._deleted))
         if not fresh:
             return
-        step = self._append(
+        self._apply(
             Step(
                 len(self._steps),
                 "source",
                 added=tuple(sorted(fresh, key=Atom.sort_key)),
             )
         )
-        for item in step.added:
-            self._produce(item, step.index)
 
     def record_firing(
         self,
@@ -288,7 +309,7 @@ class ProvenanceLedger:
             (variable.name, value)
             for variable, value in zip(tgd.existential, witnesses)
         )
-        step = self._append(
+        self._apply(
             Step(
                 len(self._steps),
                 "tgd",
@@ -300,8 +321,6 @@ class ProvenanceLedger:
                 witnesses=witness_pairs,
             )
         )
-        for item in step.added:
-            self._produce(item, step.index)
 
     def record_merge(self, via: str, egd, old: Value, new: Value) -> None:
         """One egd merge ``old ↦ new``; rewrites every chase fact using old.
@@ -317,7 +336,7 @@ class ProvenanceLedger:
                 key=Atom.sort_key,
             )
         )
-        step = self._append(
+        self._apply(
             Step(
                 len(self._steps),
                 "egd",
@@ -327,11 +346,6 @@ class ProvenanceLedger:
                 rewrites=rewrites,
             )
         )
-        for before, after in rewrites:
-            self._live.discard(before)
-            self._chase_state.discard(before)
-            self._produce(after, step.index)
-        self._merges += 1
 
     def record_retraction(
         self,
@@ -355,7 +369,7 @@ class ProvenanceLedger:
         dropped = tuple(sorted(dropped))
         if not dropped:
             return
-        step = self._append(
+        self._apply(
             Step(
                 len(self._steps),
                 kind,
@@ -369,12 +383,6 @@ class ProvenanceLedger:
                 ),
             )
         )
-        removed = self._retracted if kind == "retract" else self._deleted
-        for item in dropped:
-            removed.setdefault(item, step.index)
-            self._live.discard(item)
-            if kind == "delete":
-                self._chase_state.discard(item)
 
     def record_deletion(self, via: str, dropped: Iterable[Atom]) -> None:
         """Convenience wrapper: a delta removed ``dropped`` from I₀'s cone."""
@@ -631,10 +639,11 @@ class ProvenanceLedger:
     def ingest(self, payload: dict) -> None:
         """Fill this (empty) ledger from a ``repro.obs/prov/v1`` payload.
 
-        Replays the steps through the same bookkeeping the live
-        recording paths use, so producers, live facts, retractions, and
-        deletions all round-trip exactly -- including the re-derivation
-        semantics of facts deleted and later re-produced.
+        Applies each decoded step through :meth:`_apply`, the path the
+        live recording takes, so producers, consumers, live facts,
+        retractions, and deletions all round-trip exactly -- including
+        the re-derivation semantics of facts deleted and later
+        re-produced.
         """
         if self._steps:
             raise ReproError("cannot ingest into a non-empty ledger")
@@ -648,28 +657,13 @@ class ProvenanceLedger:
                 f"unsupported provenance schema {version!r} "
                 f"(expected {SCHEMA!r})"
             )
-        for index, body in enumerate(payload.get("steps", ())):
-            step = self._append(_step_from_json(index, body))
-            if step.kind in ("source", "tgd"):
-                for item in step.added:
-                    self._produce(item, step.index)
-            elif step.kind == "egd":
-                for before, after in step.rewrites:
-                    self._live.discard(before)
-                    self._chase_state.discard(before)
-                    self._produce(after, step.index)
-                self._merges += 1
-            else:
-                removed = (
-                    self._retracted
-                    if step.kind == "retract"
-                    else self._deleted
-                )
-                for item in step.dropped:
-                    removed.setdefault(item, step.index)
-                    self._live.discard(item)
-                    if step.kind == "delete":
-                        self._chase_state.discard(item)
+        steps = payload.get("steps", ())
+        if not isinstance(steps, (list, tuple)):
+            raise ReproError(
+                f"provenance steps must be a list, got {steps!r}"
+            )
+        for index, body in enumerate(steps):
+            self._apply(_step_from_json(index, body))
 
     @classmethod
     def loads(cls, text: str) -> "ProvenanceLedger":
@@ -774,37 +768,47 @@ def _step_from_json(index: int, body) -> Step:
     kind = body["kind"]
     if kind not in ("source", "tgd", "egd", "retract", "delete"):
         raise ReproError(f"unknown provenance step kind {kind!r}")
-    merged = body.get("merged")
-    return Step(
-        index,
-        kind,
-        via=body.get("via", ""),
-        dependency=body.get("dep", ""),
-        binding=tuple(
-            (name, _value_from_json(cell))
-            for name, cell in body.get("binding", ())
-        ),
-        parents=tuple(_atom_from_json(it) for it in body.get("parents", ())),
-        added=tuple(_atom_from_json(it) for it in body.get("added", ())),
-        witnesses=tuple(
-            (name, _value_from_json(cell))
-            for name, cell in body.get("witnesses", ())
-        ),
-        merged=(
-            (_value_from_json(merged[0]), _value_from_json(merged[1]))
-            if merged is not None
-            else None
-        ),
-        rewrites=tuple(
-            (_atom_from_json(before), _atom_from_json(after))
-            for before, after in body.get("rewrites", ())
-        ),
-        dropped=tuple(_atom_from_json(it) for it in body.get("dropped", ())),
-        mapping=tuple(
-            (_value_from_json(old), _value_from_json(new))
-            for old, new in body.get("mapping", ())
-        ),
-    )
+    # A wrong shape anywhere below (a non-list field, a pair that is not
+    # a pair, a short ``merged``) surfaces as one of these.
+    try:
+        merged = body.get("merged")
+        if merged is not None:
+            old, new = merged
+            merged = (_value_from_json(old), _value_from_json(new))
+        elif kind == "egd":
+            raise ReproError(f"egd provenance step {index} has no merged pair")
+        return Step(
+            index,
+            kind,
+            via=body.get("via", ""),
+            dependency=body.get("dep", ""),
+            binding=tuple(
+                (name, _value_from_json(cell))
+                for name, cell in body.get("binding", ())
+            ),
+            parents=tuple(
+                _atom_from_json(it) for it in body.get("parents", ())
+            ),
+            added=tuple(_atom_from_json(it) for it in body.get("added", ())),
+            witnesses=tuple(
+                (name, _value_from_json(cell))
+                for name, cell in body.get("witnesses", ())
+            ),
+            merged=merged,
+            rewrites=tuple(
+                (_atom_from_json(before), _atom_from_json(after))
+                for before, after in body.get("rewrites", ())
+            ),
+            dropped=tuple(
+                _atom_from_json(it) for it in body.get("dropped", ())
+            ),
+            mapping=tuple(
+                (_value_from_json(old), _value_from_json(new))
+                for old, new in body.get("mapping", ())
+            ),
+        )
+    except (TypeError, ValueError, KeyError, IndexError):
+        raise ReproError(f"malformed provenance step {index}: {body!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -852,10 +856,3 @@ class recording:
         global _ACTIVE
         _ACTIVE = self._previous
         return False
-
-
-def ledger_from_source(instance: Instance) -> ProvenanceLedger:
-    """A fresh ledger pre-seeded with ``instance`` as I₀ (convenience)."""
-    ledger = ProvenanceLedger()
-    ledger.record_source(instance)
-    return ledger

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import (
@@ -372,6 +374,73 @@ class TestTruncatedLedger:
             lines = captured.err.splitlines()
             assert len(lines) == 1, captured.err
             assert lines[0].startswith("error: invalid provenance JSON"), cut
+
+
+class TestMalformedInputFiles:
+    """A well-formed JSON file of the wrong shape exits 2 with one line."""
+
+    def _run(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ")
+
+    def test_malformed_ledger_exits_2(
+        self, tmp_path, setting_file, source_file, capsys
+    ):
+        bad = tmp_path / "bad.prov.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "schema": "repro.obs/prov/v1",
+                    "steps": [{"kind": "egd", "merged": [["n", 1]]}],
+                }
+            ),
+            encoding="utf-8",
+        )
+        self._run(
+            ["solve", setting_file, source_file, "--incremental-from", str(bad)],
+            capsys,
+        )
+
+    def test_malformed_delta_exits_2(
+        self, tmp_path, setting_file, source_file, capsys
+    ):
+        ledger = tmp_path / "ledger.json"
+        assert main(
+            ["solve", setting_file, source_file, "--provenance", str(ledger)]
+        ) == 0
+        capsys.readouterr()
+        bad = tmp_path / "bad.delta"
+        empty = {"schema": "repro.io/v1", "relations": {}}
+        bad.write_text(
+            json.dumps(
+                {
+                    "schema": "repro.io/delta/v1",
+                    "insert": {
+                        "schema": "repro.io/v1",
+                        "relations": {"N": {"rows": [["c", "a"]]}},
+                    },
+                    "delete": empty,
+                }
+            ),
+            encoding="utf-8",
+        )
+        self._run(
+            [
+                "solve",
+                setting_file,
+                source_file,
+                "--incremental-from",
+                str(ledger),
+                "--delta",
+                str(bad),
+            ],
+            capsys,
+        )
 
 
 class TestExplainPlan:

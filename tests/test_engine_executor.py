@@ -183,33 +183,6 @@ class TestSemanticsParity:
                 )
                 assert serial == parallel, mode
 
-    def test_batch_answer_matches_singles(self):
-        setting = example_2_1_setting()
-        source = example_2_1_source()
-        queries = [
-            parse_query("Q(x) :- E(x, y)"),
-            parse_query("Q(x) :- F(x, y)"),
-            parse_query("Q(x, y) :- E(x, y)"),
-        ]
-        singles = [
-            all_four_semantics(setting, source, query)["certain"]
-            for query in queries
-        ]
-        with Executor(workers=2) as executor:
-            batched = executor.batch_answer(
-                setting, source, queries, "certain"
-            )
-        assert batched == singles
-
-    def test_batch_answer_rejects_unknown_semantics(self):
-        from repro.core.errors import ReproError
-
-        with Executor(workers=1) as executor:
-            with pytest.raises(ReproError):
-                executor.batch_answer(
-                    example_2_1_setting(), example_2_1_source(), [], "nope"
-                )
-
 
 class TestEnumerationParity:
     @pytest.mark.parametrize("pairs", [1, 2])

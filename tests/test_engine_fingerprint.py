@@ -183,3 +183,41 @@ class TestQueryAndKeyFingerprints:
         assert fingerprint_answers(rows) == fingerprint_answers(
             list(reversed(rows))
         )
+
+
+#: fp/v1 digests of Example 2.1's setting, two queries over its target
+#: schema (variables, a constant, an inequality) and their ``certain``
+#: answer keys.  A change to the cell or atom encoding moves them, and
+#: every on-disk cache key with them.
+GOLDEN_SETTING = (
+    "a90383db15fc73bac97e21dfa7e9d104a138d6628cadc13f6863138c0c2ba0b0"
+)
+GOLDEN_QUERIES = {
+    "Q(x,y) :- E(x,y)": (
+        "25e415387d79a6f5a5e1e9b9635af88bb984f9351a619a091198eca77d9e2c28",
+        "890e67f9c3269e589057b0b4ea4eceda0a43da9ab5028107fddd77abfcc47c29",
+    ),
+    "Q(x) :- F(x,z) & G(z,'b') & x != 'a'": (
+        "a7a6654e52769c20f7ada1b37fceb18703c1e816a3d9fc52a122d64e732e0f35",
+        "04d93b9c96d70c66b0b50de20d4af34281e6ade8d2f0cb80c873846c82df0c0e",
+    ),
+}
+
+
+class TestGoldenDigests:
+    def test_example_2_1_setting(self):
+        assert fingerprint_setting(example_2_1_setting()) == GOLDEN_SETTING
+
+    @pytest.mark.parametrize("text", sorted(GOLDEN_QUERIES))
+    def test_example_2_1_queries_and_answer_keys(self, text):
+        setting = example_2_1_setting()
+        query = parse_query(text, setting.target_schema)
+        digest, key = GOLDEN_QUERIES[text]
+        assert fingerprint_query(query) == digest
+        assert answer_key(setting, example_2_1_source(), query, "certain") == key
+
+    def test_answer_rows(self):
+        rows = {(Const("a"), Null(3)), (Const("b"), Const("c"))}
+        assert fingerprint_answers(rows) == (
+            "03d3437258ca8cbebe59b7f946eb77a6b59ec8c4c3e55c9cb75b4488aa29f8ea"
+        )

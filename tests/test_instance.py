@@ -22,6 +22,7 @@ from repro.core import (
 
 E = RelationSymbol("E", 2)
 P = RelationSymbol("P", 1)
+Q = RelationSymbol("Q", 2)
 
 
 def values():
@@ -532,6 +533,54 @@ class TestCopyOnWriteIsolation:
                 assert _internals(mine) == _internals(Instance(list(mine)))
                 # The atom set is copied as eagerly as before, so every
                 # instance iterates in the order the old copy gave.
+                assert list(mine) == list(theirs)
+
+    @given(
+        st.lists(_mixed_atoms(), max_size=10),
+        st.lists(st.tuples(values(), values()), max_size=4),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["copy", "add", "discard", "merge"]),
+                st.integers(min_value=0, max_value=POOL - 1),
+                st.integers(min_value=0, max_value=POOL - 1),
+                _mixed_atoms(),
+                values(),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scripts_from_bulk_built_starts(self, atoms, dropped, script):
+        """Instances built by ``from_ground`` and ``reduct`` index their
+        atoms without ``add``, and copy and write like any other."""
+        wider = Instance(atoms + [Atom(Q, pair) for pair in dropped])
+        cow = [
+            Instance(atoms),
+            Instance.from_ground(atoms),
+            wider.reduct(Schema.of(E=2, P=1)),
+        ]
+        # A reduct inserts in the wider instance's iteration order.
+        eager = [
+            Instance(atoms),
+            Instance(atoms),
+            Instance(item for item in wider if item.relation != Q),
+        ]
+        cow.append(cow[1].copy())
+        eager.append(_eager_copy(eager[1]))
+        for operation, target, origin, item, value in script:
+            if operation == "copy":
+                cow[target] = cow[origin].copy()
+                eager[target] = _eager_copy(eager[origin])
+            for pool in (cow, eager):
+                if operation == "add":
+                    pool[target].add(item)
+                elif operation == "discard":
+                    pool[target].discard(item)
+                elif operation == "merge":
+                    pool[target].replace_value(item.args[0], value)
+            for mine, theirs in zip(cow, eager):
+                assert mine == theirs
+                assert _internals(mine) == _internals(Instance(list(mine)))
                 assert list(mine) == list(theirs)
 
     def test_a_write_clones_only_the_buckets_it_touches(self):

@@ -240,6 +240,49 @@ def _legacy_payload(instance):
     return {"schema": JSON_SCHEMA, "relations": relations}
 
 
+class TestMalformedPayloads:
+    """Every wrong shape of outside input is a ReproError, not a crash."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"rows": []},
+            {"arity": "two", "rows": []},
+            {"arity": None, "rows": []},
+            {"arity": float("inf"), "rows": []},
+            {"arity": 2, "rows": 5},
+            {"arity": 2, "rows": {"a": 1}},
+            {"arity": 2, "rows": [7]},
+            {"arity": 2, "rows": [None]},
+            {"arity": 2, "rows": [[["n", "q"], ["c", "a"]]]},
+            {"arity": 2, "rows": [[["n", None], ["c", "a"]]]},
+        ],
+        ids=[
+            "no-arity",
+            "word-arity",
+            "null-arity",
+            "infinite-arity",
+            "int-rows",
+            "object-rows",
+            "int-row",
+            "null-row",
+            "word-null-ident",
+            "missing-null-ident",
+        ],
+    )
+    def test_relation_body_rejected(self, body):
+        payload = {"schema": JSON_SCHEMA, "relations": {"E": body}}
+        with pytest.raises(ReproError):
+            instance_from_payload(payload)
+        with pytest.raises(ReproError):
+            loads_instance(json.dumps(payload))
+
+    def test_malformed_null_cell_rejected(self):
+        for cell in (["n", "x"], ["n", None], ["n", [1]]):
+            with pytest.raises(ReproError):
+                cell_from_json(cell)
+
+
 class TestSharedRows:
     TEXT = "E('b', #2), E('a', #1), E('a', 'b'), P('_:3'), P(#1), F('c', 'd')"
 

@@ -189,7 +189,7 @@ class TestSchema:
         with obs.span("solve"):
             obs.counter("chase.tgd_firings").inc()
         obs.gauge("instance.nulls").set(5)
-        table = obs.render_profile()
+        table = obs.render_stats(obs.snapshot())
         assert "solve" in table
         assert "chase.tgd_firings" in table
         assert "instance.nulls" in table

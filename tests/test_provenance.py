@@ -306,6 +306,50 @@ class TestSerialization:
             )
 
 
+class TestMalformedSteps:
+    """A ledger file of the wrong shape is a ReproError, not a crash."""
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"kind": "tgd", "binding": [["x"]]},
+            {"kind": "tgd", "binding": [5]},
+            {"kind": "tgd", "witnesses": [["z", ["n", 1], "extra"]]},
+            {"kind": "retract", "mapping": [[["c", "a"]]]},
+            {"kind": "tgd", "added": 7},
+            {"kind": "tgd", "parents": 7},
+            {"kind": "egd", "merged": [["n", 1]]},
+            {"kind": "egd", "merged": 3},
+            {"kind": "egd", "rewrites": []},
+            {"kind": "egd", "rewrites": [[{"rel": "E", "args": []}]]},
+            {"kind": "source", "added": [{"rel": "E", "args": [["n", "x"]]}]},
+        ],
+        ids=[
+            "short-binding",
+            "int-binding",
+            "long-witness",
+            "short-mapping",
+            "int-added",
+            "int-parents",
+            "short-merged",
+            "int-merged",
+            "egd-without-merged",
+            "short-rewrite",
+            "word-null-ident",
+        ],
+    )
+    def test_step_rejected(self, step):
+        payload = {"schema": "repro.obs/prov/v1", "steps": [step]}
+        with pytest.raises(ReproError):
+            ProvenanceLedger.from_payload(payload)
+
+    def test_non_list_steps_rejected(self):
+        with pytest.raises(ReproError):
+            ProvenanceLedger.from_payload(
+                {"schema": "repro.obs/prov/v1", "steps": 3}
+            )
+
+
 # ----------------------------------------------------------------------
 # The new instance-size gauges
 # ----------------------------------------------------------------------

@@ -100,6 +100,35 @@ class TestRoundTripProperties:
         ledger = session.ledger
         _assert_equivalent(ledger, ProvenanceLedger.loads(ledger.dumps()))
 
+    @given(seed=st.integers(min_value=0, max_value=25))
+    @settings(max_examples=15, deadline=None)
+    def test_session_ledgers_rebuild_the_consumer_index(self, seed):
+        """The consumer index is rebuilt on load, not serialized: the
+        deletion cones and changed facts of a loaded session ledger are
+        the recorded ledger's."""
+        setting = random_weakly_acyclic_setting(seed, egd_probability=0.3)
+        source = random_source_for(setting, seed=seed + 1)
+        try:
+            session = DeltaSession(setting, source)
+            atoms = sorted(session.source)
+            if atoms:
+                session.apply(
+                    SourceDelta(deletions=[atoms[seed % len(atoms)]])
+                )
+        except Exception:
+            return
+        ledger = session.ledger
+        loaded = ProvenanceLedger.loads(ledger.dumps())
+        facts = ledger.facts()
+        for roots in (atoms, atoms[: 1 + seed % 3], facts[seed % 4 :: 3]):
+            assert loaded.downstream_cone(roots) == ledger.downstream_cone(
+                roots
+            )
+        assert loaded.changed_facts(0) == ledger.changed_facts(0)
+        assert loaded.changed_facts(len(ledger) // 2) == ledger.changed_facts(
+            len(ledger) // 2
+        )
+
     @given(seed=st.integers(min_value=0, max_value=40))
     @settings(max_examples=20, deadline=None)
     def test_roundtrip_is_idempotent(self, seed):
