@@ -1,12 +1,10 @@
-"""The engine layer: worker sweeps and the cold/warm cache split.
+"""The engine layer: the four-semantics battery and the cold/warm cache split.
 
 Regenerates the operational claims behind ``repro.engine`` (DESIGN.md
 does not cover these -- they are implementation guarantees, not paper
 theorems):
 
-* a parallel run of the four-semantics battery returns byte-identical
-  answers for every worker count, and the overhead of going through the
-  executor stays bounded;
+* the four-semantics battery answers the same on every benchmark round;
 * a warm :class:`repro.engine.ResultCache` serves ``solve`` without
   re-running the chase or the core computation, and the warm path is
   measurably cheaper than the cold one.
@@ -15,14 +13,13 @@ Both claims are asserted in the tests.  The engine cache's end-to-end
 cost is priced by the ``edit_stream`` workload of ``bench/``.
 """
 
-import os
 import time
 
 import pytest
 
 import repro.obs as obs
 from repro.answering import all_four_semantics
-from repro.engine import Executor, ResultCache
+from repro.engine import ResultCache
 from repro.exchange import solve
 from repro.generators import example_2_1_scaled_source
 from repro.generators.settings_library import (
@@ -51,78 +48,17 @@ def fresh_telemetry():
     obs.reset()
 
 
-def _semantics_battery(setting, source, queries, executor=None):
-    return [
-        all_four_semantics(setting, source, query, executor=executor)
-        for query in queries
-    ]
+def _semantics_battery(setting, source, queries):
+    return [all_four_semantics(setting, source, query) for query in queries]
 
 
-class TestWorkerSweep:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_semantics_batch(self, benchmark, report, workers):
+class TestSemanticsBattery:
+    def test_semantics_batch(self, benchmark):
         setting = example_2_1_setting()
         source = example_2_1_source()
         queries = [parse_query(text) for text in QUERY_TEXTS]
         expected = _semantics_battery(setting, source, queries)
-
-        started = time.perf_counter()
-        serial_time = None
-        if workers > 1:
-            _semantics_battery(setting, source, queries)
-            serial_time = time.perf_counter() - started
-
-        with Executor(workers=workers) as executor:
-            started = time.perf_counter()
-            result = _semantics_battery(
-                setting, source, queries, executor=executor
-            )
-            executor_time = time.perf_counter() - started
-            assert result == expected
-            benchmark(
-                _semantics_battery, setting, source, queries, executor
-            )
-
-        table = report.table(
-            f"Four-semantics battery, workers={workers}",
-            ("workers", "parallel", "battery (s)", "== serial"),
-        )
-        table.row(
-            workers,
-            executor.parallel,
-            f"{executor_time:.4f}",
-            result == expected,
-        )
-        # On a multi-core box the pool must not blow the runtime up;
-        # actual speedup depends on the workload/overhead ratio, so we
-        # only bound the regression.  Single-core machines (CI included)
-        # get parity checking alone.
-        cpus = os.cpu_count() or 1
-        if (
-            workers > 1
-            and cpus >= 2
-            and serial_time is not None
-            and serial_time >= TIMING_FLOOR_SECONDS
-        ):
-            assert executor_time < serial_time * 10
-
-    def test_worker_counts_agree_with_each_other(self, report):
-        setting = example_2_1_setting()
-        source = example_2_1_source()
-        queries = [parse_query(text) for text in QUERY_TEXTS]
-        outcomes = {}
-        for workers in (1, 2, 4):
-            with Executor(workers=workers) as executor:
-                outcomes[workers] = _semantics_battery(
-                    setting, source, queries, executor=executor
-                )
-        table = report.table(
-            "Determinism across worker counts",
-            ("workers", "matches workers=1"),
-        )
-        for workers, outcome in outcomes.items():
-            table.row(workers, outcome == outcomes[1])
-        assert outcomes[1] == outcomes[2] == outcomes[4]
+        assert benchmark(_semantics_battery, setting, source, queries) == expected
 
 
 class TestCacheColdWarm:

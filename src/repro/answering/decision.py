@@ -42,8 +42,6 @@ class AnswerLanguage:
         setting: DataExchangeSetting,
         query: Query,
         semantics: str = "certain",
-        *,
-        executor=None,
     ):
         if semantics not in SEMANTICS:
             raise ValueError(
@@ -52,9 +50,6 @@ class AnswerLanguage:
         self.setting = setting
         self.query = query
         self.semantics = semantics
-        # Optional repro.engine.Executor: parallelizes the per-solution
-        # membership tests on the general-settings path.
-        self.executor = executor
 
     def __call__(self, source: Instance, answer: Tuple[Value, ...] = ()) -> bool:
         """Decide ``⟨S, ū⟩ ∈ L_answers(D, Q)``."""
@@ -109,25 +104,6 @@ class AnswerLanguage:
                 if self.semantics == "potential_certain"
                 else maybe_holds_on
             )
-            if (
-                self.executor is not None
-                and self.executor.parallel
-                and len(solutions) > 1
-            ):
-                verdicts = self.executor.map_tasks(
-                    decide,
-                    [
-                        (
-                            self.query,
-                            answer,
-                            solution,
-                            tuple(self.setting.target_dependencies),
-                        )
-                        for solution in solutions
-                    ],
-                    label="engine.decide",
-                )
-                return any(verdicts)
             return any(
                 decide(
                     self.query,

@@ -88,16 +88,11 @@ def certain_answers(
     setting: DataExchangeSetting,
     source: Instance,
     query: Query,
-    *,
-    executor=None,
 ) -> AnswerSet:
     """``certain□(Q, S)``, via Theorem 7.1: ``□Q(Core_D(S))``."""
     with span("answering.certain"):
         return certain_on(
-            query,
-            _core(setting, source),
-            setting.target_dependencies,
-            executor=executor,
+            query, _core(setting, source), setting.target_dependencies
         )
 
 
@@ -105,16 +100,11 @@ def persistent_maybe_answers(
     setting: DataExchangeSetting,
     source: Instance,
     query: Query,
-    *,
-    executor=None,
 ) -> AnswerSet:
     """``maybe□(Q, S)``, via Theorem 7.1: ``◇Q(Core_D(S))``."""
     with span("answering.persistent_maybe"):
         return maybe_on(
-            query,
-            _core(setting, source),
-            setting.target_dependencies,
-            executor=executor,
+            query, _core(setting, source), setting.target_dependencies
         )
 
 
@@ -124,7 +114,6 @@ def potential_certain_answers(
     query: Query,
     *,
     solutions: Optional[Sequence[Instance]] = None,
-    executor=None,
 ) -> AnswerSet:
     """``certain◇(Q, S)``.
 
@@ -137,18 +126,11 @@ def potential_certain_answers(
     with span("answering.potential_certain"):
         if solutions is None and _cansol_applies(setting):
             return certain_on(
-                query,
-                _cansol(setting, source),
-                setting.target_dependencies,
-                executor=executor,
+                query, _cansol(setting, source), setting.target_dependencies
             )
         space = _solution_space(setting, source, solutions)
         return answers_over_space(
-            query,
-            space,
-            setting.target_dependencies,
-            "potential_certain",
-            executor=executor,
+            query, space, setting.target_dependencies, "potential_certain"
         )
 
 
@@ -158,25 +140,17 @@ def maybe_answers(
     query: Query,
     *,
     solutions: Optional[Sequence[Instance]] = None,
-    executor=None,
 ) -> AnswerSet:
     """``maybe◇(Q, S)`` -- same strategy as
     :func:`potential_certain_answers`, with ◇Q in place of □Q."""
     with span("answering.maybe"):
         if solutions is None and _cansol_applies(setting):
             return maybe_on(
-                query,
-                _cansol(setting, source),
-                setting.target_dependencies,
-                executor=executor,
+                query, _cansol(setting, source), setting.target_dependencies
             )
         space = _solution_space(setting, source, solutions)
         return answers_over_space(
-            query,
-            space,
-            setting.target_dependencies,
-            "maybe",
-            executor=executor,
+            query, space, setting.target_dependencies, "maybe"
         )
 
 
@@ -218,15 +192,12 @@ def _answers_from_payload(payload: dict) -> Optional[AnswerSet]:
 
 
 def _core_pair(
-    setting: DataExchangeSetting, source: Instance, query: Query, executor
+    setting: DataExchangeSetting, source: Instance, query: Query
 ) -> Tuple[AnswerSet, AnswerSet]:
     """``(certain□, maybe□)``: one walk over the core's worlds (Thm 7.1)."""
     with span("answering.over_core"):
         return certain_and_maybe_on(
-            query,
-            _core(setting, source),
-            setting.target_dependencies,
-            executor=executor,
+            query, _core(setting, source), setting.target_dependencies
         )
 
 
@@ -235,7 +206,6 @@ def _space_pair(
     source: Instance,
     query: Query,
     solutions: Optional[Sequence[Instance]],
-    executor,
 ) -> Tuple[AnswerSet, AnswerSet]:
     """``(certain◇, maybe◇)``: one walk over each solution's worlds.
 
@@ -245,16 +215,12 @@ def _space_pair(
     with span("answering.over_space"):
         if solutions is None and _cansol_applies(setting):
             return certain_and_maybe_on(
-                query,
-                _cansol(setting, source),
-                setting.target_dependencies,
-                executor=executor,
+                query, _cansol(setting, source), setting.target_dependencies
             )
         per_target = _per_solution(
             query,
             _solution_space(setting, source, solutions),
             setting.target_dependencies,
-            executor,
         )
         boxes = frozenset().union(*(box for box, _ in per_target))
         diamonds = frozenset().union(*(diamond for _, diamond in per_target))
@@ -267,7 +233,6 @@ def all_four_semantics(
     query: Query,
     *,
     solutions: Optional[Sequence[Instance]] = None,
-    executor=None,
     cache=None,
 ) -> dict:
     """All four answer sets at once (used by examples and benchmarks).
@@ -280,15 +245,14 @@ def all_four_semantics(
     ``certain□ ⊆ certain◇ ⊆ maybe□ ⊆ maybe◇``; the property tests check
     it on every evaluated query.
 
-    ``executor`` parallelizes the per-valuation (and, over an explicit
-    space, per-solution) work; ``cache`` memoizes each of the four
-    verdicts under an :func:`repro.engine.fingerprint.answer_key`.
+    ``cache`` memoizes each of the four verdicts under an
+    :func:`repro.engine.fingerprint.answer_key`.
     """
     core_pair = lru_cache(maxsize=None)(
-        lambda: _core_pair(setting, source, query, executor)
+        lambda: _core_pair(setting, source, query)
     )
     space_pair = lru_cache(maxsize=None)(
-        lambda: _space_pair(setting, source, query, solutions, executor)
+        lambda: _space_pair(setting, source, query, solutions)
     )
     computations = {
         "certain": lambda: core_pair()[0],
@@ -310,40 +274,25 @@ def all_four_semantics(
     }
 
 
-def _solution_answers(target, query, target_dependencies, box_only: bool):
-    """Worker: one solution's ``(□Q, ◇Q)`` (module-level for pickling).
-
-    ``box_only`` computes □Q alone, with :func:`certain_on`'s early exit,
-    and returns None for ◇Q.
-    """
-    if box_only:
-        return certain_on(query, target, target_dependencies), None
-    return certain_and_maybe_on(query, target, target_dependencies)
-
-
 def _per_solution(
     query: Query,
     space: List[Instance],
     target_dependencies,
-    executor,
     box_only: bool = False,
 ) -> List[Tuple[AnswerSet, Optional[AnswerSet]]]:
-    """:func:`_solution_answers` for each solution, in solution order.
+    """Each solution's ``(□Q, ◇Q)``, in solution order.
 
-    With a parallel ``executor``, each solution is evaluated in its own
-    task.
+    ``box_only`` computes □Q alone, with :func:`certain_on`'s early exit,
+    and puts None in place of ◇Q.
     """
-    if executor is not None and executor.parallel and len(space) > 1:
-        return executor.map_worlds(
-            _solution_answers,
-            space,
-            query,
-            tuple(target_dependencies),
-            box_only,
-            label="engine.worlds",
-        )
+    target_dependencies = tuple(target_dependencies)
+    if box_only:
+        return [
+            (certain_on(query, target, target_dependencies), None)
+            for target in space
+        ]
     return [
-        _solution_answers(target, query, tuple(target_dependencies), box_only)
+        certain_and_maybe_on(query, target, target_dependencies)
         for target in space
     ]
 
@@ -353,8 +302,6 @@ def answers_over_space(
     solutions: Iterable[Instance],
     target_dependencies,
     mode: str,
-    *,
-    executor=None,
 ) -> AnswerSet:
     """Direct-definition evaluation over an explicit solution space.
 
@@ -362,11 +309,6 @@ def answers_over_space(
     ``"persistent_maybe"`` (⋂◇), ``"maybe"`` (⋃◇); any other name raises
     :class:`ReproError`.  Used by tests to cross-validate the fast paths
     of Theorem 7.1.
-
-    With a parallel ``executor``, each solution is evaluated in its own
-    task; intersection/union over the per-solution answer sets happens
-    in the parent, in solution order, so the result equals the serial
-    one exactly.
     """
     if mode not in SEMANTICS_NAMES:
         raise ReproError(
@@ -375,7 +317,7 @@ def answers_over_space(
     box = mode in ("certain", "potential_certain")
     intersect = mode in ("certain", "persistent_maybe")
     per_target = _per_solution(
-        query, list(solutions), target_dependencies, executor, box_only=box
+        query, list(solutions), target_dependencies, box_only=box
     )
     result: Optional[frozenset] = None
     for pair in per_target:

@@ -251,22 +251,27 @@ def _pool_extras(
     )
 
 
-def _worlds_chunk(
-    chunk, query, target, target_dependencies, early_exit: bool = False
-):
-    """Worker: fold one batch of valuations into □Q and ◇Q in one walk.
+def _walk_worlds(
+    query: Query,
+    target: Instance,
+    target_dependencies: Sequence[Dependency],
+    extra_constants: Iterable[Const],
+    anchors: Optional[Iterable[Const]],
+    early_exit: bool = False,
+) -> Tuple[AnswerSet, AnswerSet]:
+    """``(□Q(T), ◇Q(T))`` from one lazy walk over the canonical worlds
+    of T.
 
-    Returns ``(worlds_visited, box, diamond)``: ``box`` intersects and
-    ``diamond`` unites ``Q(R)`` over the batch's Σ_t-satisfying worlds R.
-    ``box`` is None when the batch has no such world, so it contributes
-    nothing to the global intersection.  ``early_exit`` stops at the
-    first empty intersection (serial :func:`certain_on`); ``diamond`` is
-    then partial.
+    ``Q(R)`` of every Σ_t-satisfying world R is folded into an
+    intersection (□) and a union (◇) together.  ``early_exit`` stops at
+    the first empty intersection (:func:`certain_on`); ◇ is then
+    partial.
     """
+    extras = _pool_extras(query, target_dependencies, extra_constants)
     worlds = 0
     box: Optional[Set[AnswerTuple]] = None
     diamond: Set[AnswerTuple] = set()
-    for valuation in chunk:
+    for valuation in valuations(target, extras, anchors=anchors):
         image = target.rename_values(valuation)
         if not satisfies_all(image, target_dependencies):
             continue
@@ -279,59 +284,13 @@ def _worlds_chunk(
         diamond |= result
         if early_exit and not box:
             break
-    return worlds, None if box is None else frozenset(box), frozenset(diamond)
-
-
-def _walk_worlds(
-    query: Query,
-    target: Instance,
-    target_dependencies: Sequence[Dependency],
-    extra_constants: Iterable[Const],
-    anchors: Optional[Iterable[Const]],
-    executor,
-    early_exit: bool = False,
-) -> Tuple[AnswerSet, AnswerSet]:
-    """``(□Q(T), ◇Q(T))`` from one walk over the canonical worlds of T.
-
-    Serially the valuation stream feeds one :func:`_worlds_chunk` lazily.
-    With a parallel ``executor`` the stream is materialized (so
-    ``valuations_enumerated`` counts in the parent) and handed out in
-    batches; intersection and union are order-independent, so the result
-    is the serial one, and ``early_exit`` is forgone.  Per-batch world
-    counts are folded into ``worlds_visited`` here, since worker-process
-    counters never reach the parent registry.
-    """
-    extras = _pool_extras(query, target_dependencies, extra_constants)
-    stream = valuations(target, extras, anchors=anchors)
-    if executor is not None and executor.parallel:
-        per_chunk = executor.map_valuations(
-            _worlds_chunk,
-            list(stream),
-            query,
-            target,
-            tuple(target_dependencies),
-            label="engine.valuations",
-        )
-    else:
-        per_chunk = [
-            _worlds_chunk(
-                stream, query, target, target_dependencies, early_exit
-            )
-        ]
-    counter("answering.worlds_visited").inc(
-        sum(worlds for worlds, _, _ in per_chunk)
-    )
-    box: Optional[AnswerSet] = None
-    diamond: AnswerSet = frozenset()
-    for _, chunk_box, chunk_diamond in per_chunk:
-        if chunk_box is not None:
-            box = chunk_box if box is None else box & chunk_box
-        diamond |= chunk_diamond
+    counter("answering.worlds_visited").inc(worlds)
+    certain = frozenset(box or ())
     if diamond and target.nulls():
-        diamond = canonical_witnesses(
+        return certain, canonical_witnesses(
             diamond, _pool(target, extras, anchors)[1]
         )
-    return box or frozenset(), diamond
+    return certain, frozenset(diamond)
 
 
 def certain_on(
@@ -341,23 +300,16 @@ def certain_on(
     extra_constants: Iterable[Const] = (),
     *,
     anchors: Optional[Iterable[Const]] = None,
-    executor=None,
 ) -> AnswerSet:
     """``□Q(T)``: answers on every possible world of T.  Exact.
 
     If ``Rep_D(T)`` is empty (no valuation satisfies Σ_t -- never the
     case for a CWA-solution) the intersection is vacuous and the empty
-    set is returned.
-
-    ``executor``: a :class:`repro.engine.Executor`; when parallel, the
-    valuation stream is evaluated in batches across worker processes.
-    The result is identical to the serial path (intersection is
-    order-independent), only the early exit on an empty intermediate
-    intersection is forgone.
+    set is returned.  The walk stops at the first empty intersection.
     """
     return _walk_worlds(
         query, target, target_dependencies, extra_constants, anchors,
-        executor, early_exit=True,
+        early_exit=True,
     )[0]
 
 
@@ -368,17 +320,14 @@ def maybe_on(
     extra_constants: Iterable[Const] = (),
     *,
     anchors: Optional[Iterable[Const]] = None,
-    executor=None,
 ) -> AnswerSet:
     """``◇Q(T)``: answers on some possible world of T.
 
     Exact for tuples over the anchor set; answers containing fresh pool
-    constants are generic witnesses (see module docstring).  ``executor``
-    behaves as in :func:`certain_on`.
+    constants are generic witnesses (see module docstring).
     """
     return _walk_worlds(
-        query, target, target_dependencies, extra_constants, anchors,
-        executor,
+        query, target, target_dependencies, extra_constants, anchors
     )[1]
 
 
@@ -389,16 +338,14 @@ def certain_and_maybe_on(
     extra_constants: Iterable[Const] = (),
     *,
     anchors: Optional[Iterable[Const]] = None,
-    executor=None,
 ) -> Tuple[AnswerSet, AnswerSet]:
     """``(□Q(T), ◇Q(T))`` from a single walk over ``Rep_D(T)``.
 
     Equal to ``(certain_on(...), maybe_on(...))`` with one walk instead
-    of two; ``executor`` behaves as in :func:`certain_on`.
+    of two.
     """
     return _walk_worlds(
-        query, target, target_dependencies, extra_constants, anchors,
-        executor,
+        query, target, target_dependencies, extra_constants, anchors
     )
 
 

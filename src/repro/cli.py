@@ -20,9 +20,6 @@ Commands
                choices, per-step candidate/row counts, self-time, and
                estimated-vs-actual misestimate flags (``--json`` emits
                the repro.obs/attribution/v1 document).
-``delta-bench``  race incremental re-solves (``repro.incremental``)
-               against full re-solves over a random source-edit stream,
-               asserting core fingerprint parity on every edit.
 
 ``solve`` can re-solve *incrementally*: ``--provenance LEDGER`` on a
 first run persists the derivation ledger, and a later ``solve
@@ -43,10 +40,7 @@ Instances use the library DSL: ``M('a','b'), N('a','b'), N('a','c')``.
 
 ``solve``, ``certain``, ``report`` and ``explain-plan`` accept
 ``--cache DIR`` (reuse chase/core/answer results across invocations,
-content-addressed).  ``certain`` and ``report`` also accept
-``--workers N``: valuation and world enumeration on a process pool
-(``REPRO_WORKERS`` sets the default).  ``solve`` and ``explain-plan``
-always run the one serial chase -> core pipeline.
+content-addressed).
 """
 
 from __future__ import annotations
@@ -200,10 +194,8 @@ def _add_obs_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_flags(
-    subparser: argparse.ArgumentParser, *, workers: bool = True
-) -> None:
-    """``repro.engine`` flags: result cache and process-pool width."""
+def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
+    """``repro.engine`` flags: the result cache."""
     subparser.add_argument(
         "--cache",
         metavar="DIR",
@@ -213,17 +205,6 @@ def _add_engine_flags(
             "cache rooted at DIR (created on first use)"
         ),
     )
-    if workers:
-        subparser.add_argument(
-            "--workers",
-            metavar="N",
-            type=int,
-            default=None,
-            help=(
-                "evaluate valuations/solutions across N worker processes "
-                "(default: $REPRO_WORKERS, else 1 = serial)"
-            ),
-        )
 
 
 def _cache_from_args(args: argparse.Namespace):
@@ -233,24 +214,6 @@ def _cache_from_args(args: argparse.Namespace):
     from .engine import ResultCache
 
     return ResultCache(args.cache)
-
-
-def _engine_from_args(args: argparse.Namespace):
-    """(cache, executor) per the engine flags; either may be None.
-
-    The executor is only instantiated when it would actually go
-    parallel, so serial invocations never pay for pool machinery.
-    """
-    cache = _cache_from_args(args)
-    executor = None
-    from .engine import Executor, default_workers
-
-    workers = args.workers
-    if workers is None:
-        workers = default_workers()
-    if workers > 1:
-        executor = Executor(workers=workers)
-    return cache, executor
 
 
 # ----------------------------------------------------------------------
@@ -323,102 +286,6 @@ def _solve_incremental(
     return session.result
 
 
-def command_delta_bench(args: argparse.Namespace) -> int:
-    """Race incremental applies against full re-solves over an edit stream.
-
-    Each edit deletes ``--edit-fraction`` of the current source at random
-    and inserts the same number of fresh atoms (same relations, fresh
-    constants).  Every incremental result is checked for fp/v1 core
-    fingerprint parity against a from-scratch solve of the same edited
-    source; any mismatch makes the exit status 1.
-    """
-    import random
-    import statistics
-
-    from .core.atoms import Atom
-    from .core.terms import Const
-    from .engine.fingerprint import fingerprint_instance
-    from .exchange.solve import solve
-    from .incremental import DeltaSession, SourceDelta
-
-    setting = load_setting(args.setting)
-    source = load_instance(args.source, setting)
-    rng = random.Random(args.seed)
-    session = DeltaSession(setting, source, max_steps=args.max_steps)
-    edit_size = max(1, round(args.edit_fraction * len(source)))
-    incremental_times: List[float] = []
-    full_times: List[float] = []
-    mismatches = 0
-    fresh = 0
-    print(f"{'edit':>4}  {'incremental_s':>13}  {'full_s':>10}  "
-          f"{'speedup':>8}  parity")
-    for index in range(args.edits):
-        atoms = sorted(session.source)
-        deletions = rng.sample(atoms, min(edit_size, len(atoms)))
-        insertions = []
-        for _ in range(edit_size):
-            template = rng.choice(atoms)
-            fresh += 1
-            insertions.append(
-                Atom(
-                    template.relation,
-                    tuple(
-                        Const(f"delta_{fresh}_{position}")
-                        for position in range(template.relation.arity)
-                    ),
-                )
-            )
-        delta = SourceDelta(
-            insertions=Instance(insertions), deletions=Instance(deletions)
-        )
-        started = time.perf_counter()
-        result = session.apply(delta)
-        incremental_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        full = solve(
-            setting,
-            session.source,
-            engine="seminaive",
-            max_steps=args.max_steps,
-        )
-        full_seconds = time.perf_counter() - started
-        incremental_times.append(incremental_seconds)
-        full_times.append(full_seconds)
-        fp_incremental = (
-            fingerprint_instance(result.core_solution, canonical=True)
-            if result.core_solution is not None
-            else "failed"
-        )
-        fp_full = (
-            fingerprint_instance(full.core_solution, canonical=True)
-            if full.core_solution is not None
-            else "failed"
-        )
-        parity = fp_incremental == fp_full
-        if not parity:
-            mismatches += 1
-        ratio = full_seconds / incremental_seconds if incremental_seconds else 0
-        print(
-            f"{index:>4}  {incremental_seconds:>13.6f}  {full_seconds:>10.6f}  "
-            f"{ratio:>7.1f}x  {'ok' if parity else 'MISMATCH'}"
-        )
-    median_incremental = statistics.median(incremental_times)
-    median_full = statistics.median(full_times)
-    speedup = median_full / median_incremental if median_incremental else 0.0
-    print(
-        f"\nmedian incremental: {median_incremental:.6f} s, "
-        f"median full: {median_full:.6f} s, speedup: {speedup:.1f}x"
-    )
-    if mismatches:
-        print(
-            f"error: {mismatches}/{args.edits} edits broke core fingerprint "
-            f"parity",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def command_chase(args: argparse.Namespace) -> int:
     from .chase import narrate
 
@@ -451,25 +318,19 @@ def command_certain(args: argparse.Namespace) -> int:
         "persistent-maybe": persistent_maybe_answers,
         "maybe": maybe_answers,
     }[args.semantics]
-    cache, executor = _engine_from_args(args)
-    try:
-        if cache is not None:
-            from .answering.semantics import _cached_answers
-            from .engine.fingerprint import answer_key
+    cache = _cache_from_args(args)
+    if cache is not None:
+        from .answering.semantics import _cached_answers
+        from .engine.fingerprint import answer_key
 
-            key = answer_key(
-                setting, source, query, args.semantics.replace("-", "_")
-            )
-            answers = _cached_answers(
-                cache,
-                key,
-                lambda: semantics(setting, source, query, executor=executor),
-            )
-        else:
-            answers = semantics(setting, source, query, executor=executor)
-    finally:
-        if executor is not None:
-            executor.close()
+        key = answer_key(
+            setting, source, query, args.semantics.replace("-", "_")
+        )
+        answers = _cached_answers(
+            cache, key, lambda: semantics(setting, source, query)
+        )
+    else:
+        answers = semantics(setting, source, query)
     if query.arity == 0:
         print("true" if answers else "false")
         return 0
@@ -503,18 +364,9 @@ def command_report(args: argparse.Namespace) -> int:
 
     setting = load_setting(args.setting)
     source = load_instance(args.source, setting)
-    cache, executor = _engine_from_args(args)
-    try:
-        exchange_report = report(
-            setting,
-            source,
-            max_steps=args.max_steps,
-            cache=cache,
-            executor=executor,
-        )
-    finally:
-        if executor is not None:
-            executor.close()
+    exchange_report = report(
+        setting, source, max_steps=args.max_steps, cache=_cache_from_args(args)
+    )
     print(render(exchange_report))
     return 0 if exchange_report.status == "solved" else 1
 
@@ -876,32 +728,9 @@ def build_parser() -> argparse.ArgumentParser:
             "same source)"
         ),
     )
-    _add_engine_flags(solve, workers=False)
+    _add_engine_flags(solve)
     _add_obs_flags(solve)
     solve.set_defaults(run=command_solve)
-
-    dbench = commands.add_parser(
-        "delta-bench",
-        help=(
-            "race incremental re-solves against full re-solves over a "
-            "random edit stream, asserting core fingerprint parity"
-        ),
-    )
-    dbench.add_argument("setting", help="setting file")
-    dbench.add_argument("source", help="source instance file")
-    dbench.add_argument(
-        "--edits", type=int, default=20, help="edit stream length"
-    )
-    dbench.add_argument(
-        "--edit-fraction",
-        type=float,
-        default=0.01,
-        help="fraction of the source touched per edit (default 0.01)",
-    )
-    dbench.add_argument("--seed", type=int, default=0)
-    dbench.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    _add_obs_flags(dbench)
-    dbench.set_defaults(run=command_delta_bench)
 
     chase = commands.add_parser("chase", help="narrated chase run")
     chase.add_argument("setting")
@@ -990,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the repro.obs/attribution/v1 document instead of text",
     )
-    _add_engine_flags(explain_plan, workers=False)
+    _add_engine_flags(explain_plan)
     _add_obs_flags(explain_plan)
     explain_plan.set_defaults(run=command_explain_plan)
 

@@ -163,7 +163,7 @@ class Atom:
 
     def __getstate__(self):
         # Only the identity fields: the sort key, token and row are
-        # caches, rebuilt on demand, and never ship to pool workers.
+        # caches, rebuilt on demand, and never go into a pickle.
         return None, {
             "relation": self.relation,
             "args": self.args,

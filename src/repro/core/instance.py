@@ -449,8 +449,7 @@ class Instance:
         """Pickle as the sorted atom tuple; indexes are rebuilt on load.
 
         The three indexes triple the in-memory footprint but are pure
-        functions of the atom set, so shipping them to worker processes
-        would waste IPC bandwidth.  Sorting makes the pickle bytes a
+        functions of the atom set, so pickling them would waste bytes.  Sorting makes the pickle bytes a
         deterministic function of the atom set.
         """
         return (Instance, (tuple(self.sorted_atoms()),))

@@ -13,8 +13,8 @@ Design notes
   the *same object*.  Construction routes through ``__new__`` and a
   per-class :class:`weakref.WeakValueDictionary` (so unused values are
   still collected), and pickling routes back through the constructor via
-  ``__reduce__``, which keeps the invariant across the process-pool
-  executor.  The compiled match plans in :mod:`repro.logic.plans` rely on
+  ``__reduce__``, which keeps the invariant across a pickle round
+  trip.  The compiled match plans in :mod:`repro.logic.plans` rely on
   this to compare values by identity (``is``) in their inner loops.
 * ``Null`` carries an integer identifier and is **totally ordered** by it.
   Definition 4.1 of the paper resolves the ambiguity of egd application by
@@ -90,7 +90,7 @@ class Const(Value):
 
     def __reduce__(self):
         # Unpickling re-enters __new__, so interning (and with it the
-        # identity-comparison contract) survives the process pool.
+        # identity-comparison contract) survives pickling.
         return (Const, (self.name,))
 
     @property

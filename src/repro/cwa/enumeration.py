@@ -126,28 +126,6 @@ def _restricted_growth(length: int) -> Iterator[Tuple[int, ...]]:
     yield from extend([])
 
 
-def _make_recorder(results: List[Instance]):
-    """An isomorphism-deduplicating ``record(candidate) -> count``."""
-    signatures: Dict[Tuple, List[Instance]] = {}
-
-    def record(candidate: Instance) -> int:
-        # Cheap structural signature first; isomorphism only per bucket.
-        signature = (
-            tuple(
-                (name, candidate.count_of(name))
-                for name in candidate.relation_names()
-            ),
-            len(candidate.nulls()),
-        )
-        bucket = signatures.setdefault(signature, [])
-        if not any(isomorphic(candidate, seen) for seen in bucket):
-            bucket.append(candidate)
-            results.append(candidate)
-        return len(results)
-
-    return record
-
-
 def _branches(
     setting: DataExchangeSetting,
     state: _State,
@@ -183,66 +161,6 @@ def _branches(
     return children
 
 
-def _drain(
-    setting: DataExchangeSetting,
-    stack: List[_State],
-    record,
-    max_results: int,
-    max_atoms: int,
-    max_depth: int,
-    prune_to: Optional[Instance],
-) -> None:
-    """Depth-first search of the whole subtree under ``stack``."""
-    while stack:
-        state = stack.pop()
-        step = _advance(setting, state)
-        if step == "done":
-            candidate = state.instance.reduct(setting.target_schema)
-            if prune_to is None or has_homomorphism(candidate, prune_to):
-                if record(candidate) >= max_results:
-                    break
-            continue
-        if step == "dead":
-            continue
-        if step == "budget":
-            raise ChaseDivergence(
-                state.depth,
-                f"enumeration exceeded its budget (atoms ≤ {max_atoms}, "
-                f"depth ≤ {max_depth}); the setting may admit unboundedly "
-                "large CWA-presolutions",
-            )
-        stack.extend(
-            _branches(setting, state, step, max_atoms, max_depth, prune_to)
-        )
-
-
-def _subtree_results(
-    seed: _State,
-    setting: DataExchangeSetting,
-    max_results: int,
-    max_atoms: int,
-    max_depth: int,
-    prune_to: Optional[Instance],
-) -> List[Instance]:
-    """Worker: all results under one enumeration-tree node.
-
-    Deduplicates locally (cuts IPC transfer); the parent deduplicates
-    again across subtrees, since isomorphic presolutions can arise on
-    different branches.
-    """
-    results: List[Instance] = []
-    _drain(
-        setting,
-        [seed],
-        _make_recorder(results),
-        max_results,
-        max_atoms,
-        max_depth,
-        prune_to,
-    )
-    return results
-
-
 def enumerate_cwa_presolutions(
     setting: DataExchangeSetting,
     source: Instance,
@@ -251,7 +169,6 @@ def enumerate_cwa_presolutions(
     max_atoms: int = DEFAULT_MAX_ATOMS,
     max_depth: int = DEFAULT_MAX_DEPTH,
     prune_to: Optional[Instance] = None,
-    executor=None,
 ) -> List[Instance]:
     """All CWA-presolutions with justified values, up to isomorphism.
 
@@ -267,94 +184,29 @@ def enumerate_cwa_presolutions(
     a homomorphism of a superset gives one of the subset).  Used by
     :func:`enumerate_cwa_solutions` with the canonical universal
     solution, where it prunes exponentially many dead branches.
-
-    ``executor``: a parallel :class:`repro.engine.Executor` splits the
-    enumeration tree -- the frontier is expanded breadth-first to a few
-    states per worker, each subtree is searched in its own process, and
-    the parent merges with a final isomorphism dedup.  The result set
-    equals the serial one up to isomorphism and ordering; answer sets
-    computed over it are identical either way (⋂ and ⋃ are
-    order-independent and isomorphism-invariant).
     """
     setting.validate_source(source)
     factory_start = (
         max((n.ident for n in source.nulls()), default=-1) + 1
     )
     results: List[Instance] = []
-    record = _make_recorder(results)
+    # Results deduplicate up to isomorphism: a cheap structural
+    # signature first, isomorphism tests only within its bucket.
+    signatures: Dict[Tuple, List[Instance]] = {}
     instance = source.copy()
-    initial = _State(
-        instance,
-        instance.reduct(setting.source_schema),
-        {},
-        factory_start,
-        set(),
-        0,
-    )
-    stack: List[_State] = [initial]
-
-    if executor is not None and executor.parallel:
-        frontier = _expand_frontier(
-            setting,
-            stack,
-            record,
-            executor.workers * 4,
-            max_results,
-            max_atoms,
-            max_depth,
-            prune_to,
+    stack = [
+        _State(
+            instance,
+            instance.reduct(setting.source_schema),
+            {},
+            factory_start,
+            set(),
+            0,
         )
-        if frontier and len(results) < max_results:
-            batches = executor.map_worlds(
-                _subtree_results,
-                frontier,
-                setting,
-                max_results,
-                max_atoms,
-                max_depth,
-                prune_to,
-                label="engine.enumerate",
-            )
-            for batch in batches:
-                for candidate in batch:
-                    if record(candidate) >= max_results:
-                        break
-                else:
-                    continue
-                break
-        return results[:max_results]
-
-    _drain(
-        setting, stack, record, max_results, max_atoms, max_depth, prune_to
-    )
-    return results
-
-
-def _expand_frontier(
-    setting: DataExchangeSetting,
-    stack: List[_State],
-    record,
-    goal: int,
-    max_results: int,
-    max_atoms: int,
-    max_depth: int,
-    prune_to: Optional[Instance],
-) -> List[_State]:
-    """Grow the root stack breadth-first until it can feed the pool.
-
-    Completed branches encountered on the way are recorded directly;
-    returns the frontier of unexplored states (possibly empty).
-    """
-    frontier = list(stack)
-    while frontier and len(frontier) < goal:
-        state = frontier.pop(0)
+    ]
+    while stack:
+        state = stack.pop()
         step = _advance(setting, state)
-        if step == "done":
-            candidate = state.instance.reduct(setting.target_schema)
-            if prune_to is None or has_homomorphism(candidate, prune_to):
-                if record(candidate) >= max_results:
-                    break
-            continue
         if step == "dead":
             continue
         if step == "budget":
@@ -364,10 +216,29 @@ def _expand_frontier(
                 f"depth ≤ {max_depth}); the setting may admit unboundedly "
                 "large CWA-presolutions",
             )
-        frontier.extend(
-            _branches(setting, state, step, max_atoms, max_depth, prune_to)
+        if step != "done":
+            stack.extend(
+                _branches(setting, state, step, max_atoms, max_depth, prune_to)
+            )
+            continue
+        candidate = state.instance.reduct(setting.target_schema)
+        if prune_to is not None and not has_homomorphism(candidate, prune_to):
+            continue
+        signature = (
+            tuple(
+                (name, candidate.count_of(name))
+                for name in candidate.relation_names()
+            ),
+            len(candidate.nulls()),
         )
-    return frontier
+        bucket = signatures.setdefault(signature, [])
+        if any(isomorphic(candidate, seen) for seen in bucket):
+            continue
+        bucket.append(candidate)
+        results.append(candidate)
+        if len(results) >= max_results:
+            break
+    return results
 
 
 def _advance(setting: DataExchangeSetting, state: _State):
@@ -435,7 +306,6 @@ def enumerate_cwa_solutions(
     max_results: int = DEFAULT_MAX_RESULTS,
     max_atoms: int = DEFAULT_MAX_ATOMS,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    executor=None,
 ) -> List[Instance]:
     """All CWA-solutions for ``source``, up to isomorphism.
 
@@ -453,5 +323,4 @@ def enumerate_cwa_solutions(
         max_atoms=max_atoms,
         max_depth=max_depth,
         prune_to=canonical,
-        executor=executor,
     )

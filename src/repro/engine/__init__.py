@@ -1,6 +1,6 @@
-"""``repro.engine`` -- execution engine: parallelism + result caching.
+"""``repro.engine`` -- result caching.
 
-Three stdlib-only pieces, usable separately or together:
+Two stdlib-only pieces, usable separately or together:
 
 * :mod:`repro.engine.fingerprint` -- deterministic (hash-seed
   independent, isomorphism-aware) sha256 digests of settings,
@@ -9,18 +9,14 @@ Three stdlib-only pieces, usable separately or together:
   content-addressed on-disk store (``repro.engine/cache/v1``) with an
   in-memory LRU tier, for chase outcomes, cores, and certain-answer
   verdicts.
-* :mod:`repro.engine.executor` -- :class:`Executor`, a process-pool
-  mapper with deterministic result order and a guaranteed serial
-  fallback (``workers=1`` or unpicklable tasks).
 
-Entry points accept these as optional keyword arguments
-(``solve(..., cache=...)``, ``all_four_semantics(..., executor=...,
-cache=...)``); the CLI exposes them as ``--workers`` / ``--cache``.
+Entry points accept a cache as an optional keyword argument
+(``solve(..., cache=...)``, ``all_four_semantics(..., cache=...)``);
+the CLI exposes it as ``--cache``.
 See ``docs/engine.md``.
 """
 
 from .cache import CACHE_SCHEMA, CACHE_VERSION, ResultCache
-from .executor import WORKERS_ENV, Executor, default_workers
 from .fingerprint import (
     FINGERPRINT_VERSION,
     answer_key,
@@ -38,12 +34,9 @@ from .fingerprint import (
 __all__ = [
     "CACHE_SCHEMA",
     "CACHE_VERSION",
-    "Executor",
     "FINGERPRINT_VERSION",
     "ResultCache",
-    "WORKERS_ENV",
     "answer_key",
-    "default_workers",
     "fingerprint_answers",
     "fingerprint_dependency",
     "fingerprint_instance",

@@ -39,14 +39,11 @@ class ExchangeReport:
         source: Instance,
         result: Optional[ExchangeResult],
         diverged: Optional[str],
-        *,
-        executor=None,
     ):
         self.setting = setting
         self.source = source
         self.result = result
         self.diverged = diverged
-        self.executor = executor
         self.justifications: List[Tuple[str, str]] = []
         #: Per target relation: (name, |certain□|, |maybe◇|) on the core.
         self.answer_samples: List[Tuple[str, int, int]] = []
@@ -98,12 +95,8 @@ class ExchangeReport:
                 query = ConjunctiveQuery(
                     variables, [Atom(relation, variables)]
                 )
-                certain = certain_on(
-                    query, minimal, dependencies, executor=self.executor
-                )
-                maybe = maybe_on(
-                    query, minimal, dependencies, executor=self.executor
-                )
+                certain = certain_on(query, minimal, dependencies)
+                maybe = maybe_on(query, minimal, dependencies)
                 self.answer_samples.append((name, len(certain), len(maybe)))
 
     @property
@@ -121,7 +114,6 @@ def report(
     *,
     max_steps: int = 200_000,
     cache=None,
-    executor=None,
 ) -> ExchangeReport:
     """Build the report; chase divergence is captured, not raised.
 
@@ -131,15 +123,12 @@ def report(
     per-report reading.
 
     ``cache`` (a :class:`repro.engine.ResultCache`) lets a repeated
-    report skip the chase and core entirely; ``executor`` parallelizes
-    the answer-sample valuation sweeps.
+    report skip the chase and core entirely.
     """
     with span("report"):
         try:
             result = solve(setting, source, max_steps=max_steps, cache=cache)
-            built = ExchangeReport(
-                setting, source, result, None, executor=executor
-            )
+            built = ExchangeReport(setting, source, result, None)
         except ChaseDivergence as divergence:
             built = ExchangeReport(setting, source, None, str(divergence))
     built.metrics = get_telemetry().snapshot()

@@ -356,8 +356,8 @@ class CompiledPattern:
         """A stable content digest of the plan-cache key (16 hex chars).
 
         Two processes compiling the same (patterns, inequalities,
-        pre-bound keys) triple produce the same identity, so worker and
-        parent plan stats merge by name.
+        pre-bound keys) triple produce the same identity, so plan stats
+        from separate runs line up by name.
         """
         found = self._identity
         if found is None:

@@ -51,7 +51,6 @@ from .sinks import (
 from .telemetry import (
     DEFAULT,
     SCHEMA,
-    STATE_SCHEMA,
     Counter,
     Gauge,
     SpanStats,
@@ -75,7 +74,6 @@ __all__ = [
     "ProvenanceLedger",
     "RecordingSink",
     "SCHEMA",
-    "STATE_SCHEMA",
     "SpanStats",
     "TeeSink",
     "Telemetry",

@@ -16,11 +16,8 @@ pays nothing):
   a bounded per-round breakdown (:func:`record_dependency`).
 
 Both are registered as one auxiliary state section
-(``attribution``) on :mod:`repro.obs.telemetry`, so worker processes
-ship them back through the existing ``repro.obs/state/v1`` blob and
-``repro.obs/v1`` snapshots gain the section additively.  Merges are
-pointwise additions and therefore associative: any grouping of worker
-blobs agrees.
+(``attribution``) on :mod:`repro.obs.telemetry`, so ``repro.obs/v1``
+snapshots gain the section additively and ``obs.reset()`` clears it.
 
 The **heartbeat** is independent of ``enabled()``: when configured
 (``--progress`` / ``REPRO_PROGRESS``) the chase engines emit one JSON
@@ -150,7 +147,7 @@ def dep_label(dependency) -> str:
 
     ``DataExchangeSetting.from_strings`` names dependencies ``st1``,
     ``t2``, ...; anonymous dependencies fall back to their (content-
-    stable) repr so serial and parallel tables key identically.
+    stable) repr so tables from separate runs key identically.
     """
     name = getattr(dependency, "name", None)
     return name if name else repr(dependency)
@@ -244,52 +241,17 @@ def export() -> Optional[dict]:
     }
 
 
-def merge(payload: dict) -> None:
-    """Fold an exported payload in (pointwise adds; associative)."""
-    for identity, incoming in payload.get("plans", {}).items():
-        record = _PLANS.get(identity)
-        if record is None:
-            _PLANS[identity] = {
-                "label": incoming["label"],
-                "uses": incoming["uses"],
-                "steps": [dict(step) for step in incoming["steps"]],
-                "counts": [list(counts) for counts in incoming["counts"]],
-            }
-            continue
-        record["uses"] += incoming["uses"]
-        for mine, theirs in zip(record["counts"], incoming["counts"]):
-            mine[0] += theirs[0]
-            mine[1] += theirs[1]
-            mine[2] += theirs[2]
-            mine[3] += theirs[3]
-    for name, incoming in payload.get("dependencies", {}).items():
-        record = dep_record(name)
-        record["triggers"] += incoming["triggers"]
-        record["firings"] += incoming["firings"]
-        record["merges"] += incoming["merges"]
-        record["nulls"] += incoming["nulls"]
-        record["seconds"] += incoming["seconds"]
-        rounds = record["rounds"]
-        for key, theirs in incoming.get("rounds", {}).items():
-            bucket = rounds.get(key)
-            if bucket is None:
-                rounds[key] = dict(theirs)
-            else:
-                for field, value in theirs.items():
-                    bucket[field] = bucket.get(field, 0) + value
-
-
 def reset() -> None:
     """Clear all attribution tables (the enabled flag is untouched)."""
     _PLANS.clear()
     _DEPS.clear()
 
 
-register_state_section("attribution", export=export, merge=merge, reset=reset)
+register_state_section("attribution", export=export, reset=reset)
 
 
 def _plan_gauges(telemetry) -> None:
-    """Snapshot-time gauges over the merged plan table."""
+    """Snapshot-time gauges over the plan table."""
     if not _PLANS:
         return
     profiled = 0
@@ -322,8 +284,8 @@ class Heartbeat:
 
     One line per :meth:`beat` (rate-limited by ``interval`` seconds,
     round 0 always emitted), written with a single ``write`` call so
-    concurrent pool workers appending to the same file interleave at
-    line granularity.  Tracks per-round null-creation deltas to raise a
+    concurrent processes appending to the same file interleave at line
+    granularity.  Tracks per-round null-creation deltas to raise a
     ``diverging`` flag on sustained superlinear growth.
     """
 
@@ -438,9 +400,8 @@ def enable_heartbeat(
 ) -> Heartbeat:
     """Install the process heartbeat: ``stderr``, ``stdout``, or a path.
 
-    A path is opened in append mode (pool workers inheriting the
-    configuration append to the same file; single-line writes keep the
-    stream valid JSONL).  Returns the installed heartbeat.
+    A path is opened in append mode, so successive runs add to one
+    JSONL file.  Returns the installed heartbeat.
     """
     global _HEARTBEAT
     disable_heartbeat()
@@ -465,9 +426,8 @@ def disable_heartbeat() -> None:
 def configure_from_env(environ=os.environ) -> None:
     """Honor ``REPRO_ATTRIBUTION`` and ``REPRO_PROGRESS``.
 
-    ``REPRO_ATTRIBUTION=1`` enables attributed execution (spawn-platform
-    pool workers re-import repro with defaults, so the variable is how
-    they come up attributed).  ``REPRO_PROGRESS`` names the
+    ``REPRO_ATTRIBUTION=1`` enables attributed execution for the whole
+    process, without a code change.  ``REPRO_PROGRESS`` names the
     heartbeat target (``stderr``/``stdout``/path; see
     :func:`enable_heartbeat`); ``REPRO_PROGRESS_INTERVAL`` is the
     rate-limit in seconds (default 0: every round).

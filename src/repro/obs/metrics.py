@@ -2,10 +2,9 @@
 
 :class:`Histogram` is the distribution-aware counterpart of
 :class:`~repro.obs.telemetry.SpanStats`' totals: fixed log-scale
-buckets (so two histograms recorded in different processes merge
-exactly, bucket by bucket), plus count/sum/min/max and interpolated
-percentiles.  Everything is plain picklable state -- the executor ships
-worker-side histograms back to the parent and merges them by name.
+buckets (so two histograms recorded in different runs merge exactly,
+bucket by bucket, as ``repro stats`` does over a metrics log), plus
+count/sum/min/max and interpolated percentiles.
 
 :class:`MetricsLog` is the structured JSONL metrics log behind the
 CLI's ``--metrics-log PATH`` / ``REPRO_METRICS``: one self-describing

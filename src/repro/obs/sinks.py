@@ -121,10 +121,8 @@ class TraceViewerSink(EventSink):
     * the final telemetry snapshot becomes an instant event carrying the
       whole aggregate dict, so counters and gauges travel with the
       timeline;
-    * an event's ``lane`` field (worker pid, attached when the executor
-      replays worker-side events into the parent) becomes the ``tid``,
-      so a multi-process run renders as one track per worker under a
-      single timeline, each labeled via ``thread_name`` metadata.
+    * every event lands on one track, labeled "main" via
+      ``thread_name`` metadata.
 
     Events buffer in memory and the file is written *complete* in one
     shot on close -- a failing run closed via try/finally still produces
@@ -141,10 +139,9 @@ class TraceViewerSink(EventSink):
             self._owns_handle = False
         self._pid = pid
         self._events: List[dict] = []
-        self._lanes: set = set()
         self._closed = False
 
-    #: The ``tid`` used for events recorded in the parent process itself.
+    #: The ``tid`` of the one track every event lands on.
     MAIN_LANE = 1
 
     @staticmethod
@@ -154,9 +151,7 @@ class TraceViewerSink(EventSink):
     def emit(self, event: dict) -> None:
         kind = event.get("type")
         ts = self._micros(float(event.get("ts", 0.0)))
-        lane = int(event.get("lane", self.MAIN_LANE))
-        self._lanes.add(lane)
-        base = {"pid": self._pid, "tid": lane, "ts": ts}
+        base = {"pid": self._pid, "tid": self.MAIN_LANE, "ts": ts}
         if kind == "span_start":
             # Chrome names carry the leaf only; the B/E nesting restores
             # the hierarchy the /-joined path encodes.
@@ -201,23 +196,19 @@ class TraceViewerSink(EventSink):
         if self._closed:
             return
         self._closed = True
-        # Label each lane so Perfetto shows "main" / "worker-<pid>"
-        # tracks instead of bare tids.
-        metadata = [
-            {
-                "ph": "M",
-                "pid": self._pid,
-                "tid": lane,
-                "ts": 0,
-                "name": "thread_name",
-                "args": {
-                    "name": "main"
-                    if lane == self.MAIN_LANE
-                    else f"worker-{lane}"
-                },
-            }
-            for lane in sorted(self._lanes)
-        ]
+        # Label the track so Perfetto shows "main" instead of a bare tid.
+        metadata = []
+        if self._events:
+            metadata.append(
+                {
+                    "ph": "M",
+                    "pid": self._pid,
+                    "tid": self.MAIN_LANE,
+                    "ts": 0,
+                    "name": "thread_name",
+                    "args": {"name": "main"},
+                }
+            )
         json.dump(
             {"traceEvents": metadata + self._events, "displayTimeUnit": "ms"},
             self._handle,

@@ -43,9 +43,8 @@ def merge_snapshots(into: dict, fresh: dict) -> dict:
     """Fold snapshot ``fresh`` into ``into`` (in place; returns it).
 
     Counters add, gauges are last-write-wins, spans and histograms
-    merge bucket-wise through :class:`Histogram` -- the same merge the
-    executor applies to worker state, so ``repro stats`` over a
-    multi-run log agrees with one registry that saw every run.
+    merge bucket-wise through :class:`Histogram`, so ``repro stats``
+    over a multi-run log agrees with one registry that saw every run.
     """
     counters = into.setdefault("counters", {})
     for name, value in fresh.get("counters", {}).items():

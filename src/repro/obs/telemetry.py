@@ -32,10 +32,6 @@ from .sinks import NULL_SINK, EventSink
 
 SCHEMA = "repro.obs/v1"
 
-#: Schema tag of the picklable cross-process state blob shipped from
-#: worker processes back to the parent (``export_state``/``merge_state``).
-STATE_SCHEMA = "repro.obs/state/v1"
-
 Number = Union[int, float]
 
 #: Callables invoked with the registry at every ``snapshot()`` so
@@ -50,13 +46,11 @@ def register_gauge_provider(provider: Callable[["Telemetry"], None]) -> None:
     _GAUGE_PROVIDERS.append(provider)
 
 
-#: Named auxiliary state sections carried by snapshots and worker-state
-#: blobs.  Each section supplies ``export()`` (a picklable JSON-able
-#: payload, or a falsy value to omit the section), ``merge(payload)``
-#: (fold a worker's payload into this process -- must be associative),
-#: and ``reset()``.  This lets modules like ``repro.obs.attribution``
-#: travel through ``export_state``/``merge_state`` without the executor
-#: harness knowing about them.
+#: Named auxiliary state sections carried by snapshots.  Each section
+#: supplies ``export()`` (a JSON-able payload, or a falsy value to omit
+#: the section) and ``reset()``.  This lets modules like
+#: ``repro.obs.attribution`` appear in snapshots and clear on
+#: :meth:`Telemetry.reset` without this module knowing about them.
 _STATE_SECTIONS: Dict[str, dict] = {}
 
 
@@ -64,11 +58,10 @@ def register_state_section(
     name: str,
     *,
     export: Callable[[], object],
-    merge: Callable[[object], None],
     reset: Callable[[], None],
 ) -> None:
-    """Attach a named section to snapshots, state blobs, and resets."""
-    _STATE_SECTIONS[name] = {"export": export, "merge": merge, "reset": reset}
+    """Attach a named section to snapshots and resets."""
+    _STATE_SECTIONS[name] = {"export": export, "reset": reset}
 
 
 def _peak_rss_gauge(telemetry: "Telemetry") -> None:
@@ -122,7 +115,7 @@ class SpanStats:
     """Aggregate for one span path: count, total, min/max, distribution.
 
     Backed by one :class:`~repro.obs.metrics.Histogram`, so every span
-    path carries latency percentiles for free and two processes' stats
+    path carries latency percentiles for free and two snapshots' stats
     for the same path merge exactly (bucket-wise).  ``count`` /
     ``seconds`` / ``min`` / ``max`` read through to the histogram.
     """
@@ -155,10 +148,6 @@ class SpanStats:
     def zero(self) -> None:
         self.hist.zero()
 
-    def merge_dict(self, state: dict) -> None:
-        """Fold a serialized histogram (worker export) into this span."""
-        self.hist.merge_dict(state)
-
     def to_dict(self) -> dict:
         """The snapshot entry: additive superset of the v1 count/seconds.
 
@@ -185,10 +174,6 @@ class Telemetry:
         self._histograms: Dict[str, Histogram] = {}
         self._stack: List[str] = []
         self._epoch = time.perf_counter()
-        # Wall-clock twin of the perf_counter epoch: worker processes
-        # ship theirs back so the parent can place worker trace events
-        # on its own timeline (same machine, so skew is negligible).
-        self._epoch_wall = time.time()
 
     # -- sink management ------------------------------------------------
 
@@ -228,8 +213,8 @@ class Telemetry:
         """A named standalone latency histogram (p50/p95/p99 in snapshots).
 
         Distinct from the per-span histograms: use this for latencies
-        that are not spans -- cache hit/miss lookups, executor queue
-        waits -- recorded with ``histogram(name).record(seconds)``.
+        that are not spans -- cache hit/miss lookups, for instance --
+        recorded with ``histogram(name).record(seconds)``.
         """
         found = self._histograms.get(name)
         if found is None:
@@ -370,8 +355,7 @@ class Telemetry:
             item.zero()
         # Resetting the *default* registry also clears the registered
         # auxiliary sections (they are process-wide, like the registry
-        # itself); worker harnesses rely on this so inherited parent
-        # attribution is never double-counted.
+        # itself).
         if self is DEFAULT:
             for section in _STATE_SECTIONS.values():
                 try:
@@ -380,130 +364,6 @@ class Telemetry:
                     pass
         self._stack.clear()
         self._epoch = time.perf_counter()
-        self._epoch_wall = time.time()
-
-    # -- cross-process propagation --------------------------------------
-
-    @property
-    def current_path(self) -> Optional[str]:
-        """The innermost open span path, or None at top level."""
-        return self._stack[-1] if self._stack else None
-
-    def seed(self, path: Optional[str]) -> None:
-        """Root subsequent spans under ``path`` (worker harness hook).
-
-        A worker seeded with the parent's :attr:`current_path` produces
-        span paths identical to the ones an in-process run would have
-        recorded, so merged parallel snapshots line up with serial ones.
-        """
-        self._stack[:] = [path] if path else []
-
-    def export_state(self) -> dict:
-        """The registry as one picklable, mergeable blob.
-
-        Everything :meth:`merge_state` needs to replay this process's
-        aggregates into another registry: counters, gauges, spans and
-        histograms in serialized-histogram form, plus the wall-clock
-        epoch for trace-event time alignment.  Gauge providers are *not*
-        run -- worker-derived gauges like peak RSS describe the worker
-        process and would clobber the parent's.
-        """
-        state = {
-            "schema": STATE_SCHEMA,
-            "epoch_wall": self._epoch_wall,
-            "counters": {
-                name: item.value
-                for name, item in self._counters.items()
-                if item.value
-            },
-            # Zero-valued entries are dropped: a worker blob should only
-            # carry what its task actually touched, so merging cannot
-            # clobber a parent gauge with a worker's untouched zero.
-            "gauges": {
-                name: item.value
-                for name, item in self._gauges.items()
-                if item.value
-            },
-            # Same zero filter for spans/histograms: an in-place reset
-            # keeps inherited registry keys around with count 0, and an
-            # empty entry's serialized ``min`` (0.0) must never reach a
-            # parent merge as if it were an observation.
-            "spans": {
-                path: item.hist.to_dict()
-                for path, item in self._spans.items()
-                if item.count
-            },
-            "histograms": {
-                name: item.to_dict()
-                for name, item in self._histograms.items()
-                if item.count
-            },
-        }
-        # Same empty filter for auxiliary sections: ship only what this
-        # process actually recorded (sections are process-wide, so they
-        # travel with the default registry only).
-        if self is DEFAULT:
-            for name, section in _STATE_SECTIONS.items():
-                try:
-                    payload = section["export"]()
-                except Exception:
-                    continue
-                if payload:
-                    state[name] = payload
-        return state
-
-    def merge_state(self, state: dict) -> None:
-        """Fold an :meth:`export_state` blob into this registry by name.
-
-        Counters add, gauges are last-write-wins, span stats and
-        histograms merge bucket-wise -- the merge is associative, so
-        any number of worker blobs folded in any grouping agree.
-        """
-        for name, value in state.get("counters", {}).items():
-            self.counter(name).value += value
-        for name, value in state.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for path, hist_state in state.get("spans", {}).items():
-            found = self._spans.get(path)
-            if found is None:
-                found = self._spans[path] = SpanStats(path)
-            found.merge_dict(hist_state)
-        for name, hist_state in state.get("histograms", {}).items():
-            self.histogram(name).merge_dict(hist_state)
-        if self is DEFAULT:
-            for name, section in _STATE_SECTIONS.items():
-                payload = state.get(name)
-                if payload:
-                    try:
-                        section["merge"](payload)
-                    except Exception:
-                        pass
-
-    def replay_events(
-        self,
-        events: List[dict],
-        *,
-        lane: int,
-        epoch_wall: float,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        """Re-emit worker trace events through this registry's sink.
-
-        Timestamps are shifted from the worker's epoch onto this
-        registry's, each event is tagged with its worker ``lane`` (the
-        trace viewer renders one track per lane) and the propagated
-        ``trace`` id.  No-op under the null sink.
-        """
-        if self._sink is NULL_SINK or not events:
-            return
-        offset = epoch_wall - self._epoch_wall
-        for event in events:
-            shifted = dict(event)
-            shifted["ts"] = float(shifted.get("ts", 0.0)) + offset
-            shifted["lane"] = lane
-            if trace_id is not None:
-                shifted["trace"] = trace_id
-            self._sink.emit(shifted)
 
 
 #: The process-wide default registry used by the module-level helpers in

@@ -22,7 +22,7 @@ from repro.answering import (
 )
 from repro.answering.semantics import _cached_answers
 from repro.cwa.enumeration import enumerate_cwa_solutions
-from repro.engine import Executor, ResultCache
+from repro.engine import ResultCache
 from repro.engine.fingerprint import answer_key
 from repro.generators import random_source_for, random_weakly_acyclic_setting
 from repro.generators.settings_library import (
@@ -45,21 +45,15 @@ def fresh_telemetry():
     obs.reset()
 
 
-def _singles(setting, source, query, solutions=None, executor=None):
+def _singles(setting, source, query, solutions=None):
     """The four verdicts, each from its own single-semantics function."""
     return {
-        "certain": certain_answers(
-            setting, source, query, executor=executor
-        ),
+        "certain": certain_answers(setting, source, query),
         "potential_certain": potential_certain_answers(
-            setting, source, query, solutions=solutions, executor=executor
+            setting, source, query, solutions=solutions
         ),
-        "persistent_maybe": persistent_maybe_answers(
-            setting, source, query, executor=executor
-        ),
-        "maybe": maybe_answers(
-            setting, source, query, solutions=solutions, executor=executor
-        ),
+        "persistent_maybe": persistent_maybe_answers(setting, source, query),
+        "maybe": maybe_answers(setting, source, query, solutions=solutions),
     }
 
 
@@ -144,33 +138,6 @@ class TestParity:
         assert all_four_semantics(
             setting, source, query, solutions=space
         ) == all_four_semantics(setting, source, query)
-
-    @pytest.mark.parametrize("name", CASES)
-    def test_pooled_matches_serial(self, name):
-        setting, source, queries = _case(name)
-        query = parse_query(queries[0], setting.target_schema)
-        with Executor(workers=2) as executor:
-            assert all_four_semantics(
-                setting, source, query, executor=executor
-            ) == _singles(setting, source, query)
-
-    @pytest.mark.parametrize("name", SPACE_CASES)
-    def test_pooled_matches_serial_over_explicit_space(self, name):
-        setting, source, queries = _case(name)
-        space = _space(setting, source)
-        query = parse_query(queries[0], setting.target_schema)
-        serial = all_four_semantics(setting, source, query, solutions=space)
-        with Executor(workers=2) as executor:
-            assert (
-                all_four_semantics(
-                    setting,
-                    source,
-                    query,
-                    solutions=space,
-                    executor=executor,
-                )
-                == serial
-            )
 
     @settings(
         max_examples=25,

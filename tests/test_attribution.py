@@ -2,10 +2,8 @@
 
 Covers the ``repro.obs.attribution`` tables end to end: off-by-default
 (no producer records anything), profiled plan execution, per-dependency
-attribution from all four chase engines, the state-section round trip
-through the executor's worker-state protocol (serial == pooled
-answering on every count field), and the progress heartbeat's
-divergence signal.
+attribution from all four chase engines, the snapshot state section,
+and the progress heartbeat's divergence signal.
 """
 
 import io
@@ -16,17 +14,14 @@ from contextlib import nullcontext
 import pytest
 
 from repro import obs
-from repro.answering.semantics import potential_certain_answers
 from repro.chase.oblivious import (
     fire_all_source_justifications,
     oblivious_chase,
 )
 from repro.chase.seminaive import seminaive_chase
 from repro.chase.standard import standard_chase
-from repro.engine import Executor
 from repro.logic import plans
 from repro.logic.matching import attributed, match
-from repro.logic.parser import parse_query
 from repro.obs import attribution
 
 @pytest.fixture(autouse=True)
@@ -38,19 +33,6 @@ def clean_attribution():
     attribution.disable_heartbeat()
     attribution.enable(False)
     attribution.reset()
-
-
-def _dep_counts():
-    """The count fields of the dependency table (times stripped)."""
-    return {
-        name: (
-            record["triggers"],
-            record["firings"],
-            record["merges"],
-            record["nulls"],
-        )
-        for name, record in attribution.dependencies().items()
-    }
 
 
 class TestOffByDefault:
@@ -230,41 +212,6 @@ class TestDependencyAttribution:
 
 
 class TestStateSection:
-    def test_export_merge_round_trip(self):
-        attribution.record_dependency("d1", round_index=0, triggers=2, firings=1)
-        payload = attribution.export()
-        assert payload["schema"] == attribution.ATTRIBUTION_SCHEMA
-        attribution.reset()
-        assert attribution.export() is None
-        attribution.merge(payload)
-        assert attribution.export() == payload
-
-    def test_merge_is_associative(self):
-        attribution.record_dependency("d", round_index=0, triggers=1, nulls=2)
-        first = attribution.export()
-        attribution.reset()
-        attribution.record_dependency("d", round_index=1, triggers=3)
-        attribution.record_dependency("e", firings=1)
-        second = attribution.export()
-        attribution.reset()
-
-        attribution.merge(first)
-        attribution.merge(second)
-        forward = attribution.export()
-        attribution.reset()
-        attribution.merge(second)
-        attribution.merge(first)
-        backward = attribution.export()
-        assert forward == backward
-
-    def test_section_travels_through_telemetry_state(self):
-        attribution.record_dependency("d1", triggers=1)
-        state = obs.get_telemetry().export_state()
-        assert "attribution" in state
-        attribution.reset()
-        obs.get_telemetry().merge_state(state)
-        assert attribution.dependencies()["d1"]["triggers"] == 1
-
     def test_snapshot_carries_section_additively(self):
         snapshot = obs.snapshot()
         assert "attribution" not in snapshot
@@ -275,6 +222,8 @@ class TestStateSection:
             snapshot["attribution"]["schema"]
             == attribution.ATTRIBUTION_SCHEMA
         )
+        assert snapshot["attribution"] == attribution.export()
+        assert snapshot["attribution"]["dependencies"]["d1"]["triggers"] == 1
 
     def test_obs_reset_clears_tables(self):
         attribution.record_dependency("d1", triggers=1)
@@ -287,41 +236,6 @@ class TestStateSection:
         gauges = obs.snapshot()["gauges"]
         assert gauges["plan.steps_profiled"] > 0
         assert gauges["plan.misestimates"] >= 0
-
-
-def _plan_counts():
-    """The count fields of the plan table (step self-times stripped)."""
-    return {
-        identity: (
-            record["uses"],
-            [counts[:3] for counts in record["counts"]],
-        )
-        for identity, record in attribution.plans().items()
-    }
-
-
-class TestParallelParity:
-    def test_serial_and_pooled_counts_agree(self, setting_2_1, source_2_1):
-        query = parse_query("Q(x,y) :- E(x,y)")
-        with attribution.attributing():
-            serial = potential_certain_answers(setting_2_1, source_2_1, query)
-        serial_counts = _dep_counts()
-        serial_plans = _plan_counts()
-        attribution.reset()
-        obs.reset()
-
-        with attribution.attributing():
-            with Executor(workers=2) as executor:
-                pooled = potential_certain_answers(
-                    setting_2_1, source_2_1, query, executor=executor
-                )
-        # The worlds really ran on the pool, and their plan stats came
-        # back through the worker-state merge.
-        assert obs.snapshot()["counters"]["engine.tasks_dispatched"] > 0
-        assert pooled == serial
-        assert _dep_counts() == serial_counts
-        assert _plan_counts() == serial_plans
-        assert serial_plans
 
 
 class TestHeartbeat:

@@ -560,50 +560,3 @@ class TestStatsTop:
         assert code == 0
         assert "more spans" not in out
         assert "chase.tgd_firings" in out
-
-
-class TestPooledTraceViewer:
-    def test_worker_lanes_render_in_pooled_trace(
-        self, tmp_path, setting_file, source_file, capsys
-    ):
-        import json
-
-        trace_path = tmp_path / "trace.json"
-        code = main(
-            [
-                "certain",
-                setting_file,
-                source_file,
-                "Q(x,y) :- E(x,y)",
-                "--semantics",
-                "potential-certain",
-                "--workers",
-                "2",
-                "--trace-viewer",
-                str(trace_path),
-            ]
-        )
-        capsys.readouterr()
-        assert code == 0
-        payload = json.loads(trace_path.read_text(encoding="utf-8"))
-        events = payload["traceEvents"]
-        assert isinstance(events, list) and events
-        lane_names = {
-            event["args"]["name"]
-            for event in events
-            if event.get("name") == "thread_name"
-        }
-        assert "main" in lane_names
-        workers = {name for name in lane_names if name.startswith("worker-")}
-        assert workers, f"no worker lanes in {sorted(lane_names)}"
-        # Worker lanes carry real span events (the world tasks).
-        worker_tids = {
-            event["tid"]
-            for event in events
-            if event.get("name") == "thread_name"
-            and event["args"]["name"].startswith("worker-")
-        }
-        assert any(
-            event.get("tid") in worker_tids and event.get("ph") in ("B", "E")
-            for event in events
-        )

@@ -86,6 +86,12 @@ class TestAgreementWithFullSets:
         languages = {
             "certain": certain_language(setting_2_1, query),
             "persistent_maybe": persistent_maybe_language(setting_2_1, query),
+            # Example 2.1 is outside Proposition 5.4's classes, so these
+            # two decide per enumerated CWA-solution.
+            "potential_certain": potential_certain_language(
+                setting_2_1, query
+            ),
+            "maybe": maybe_language(setting_2_1, query),
         }
         domain = [(Const("a"),), (Const("b"),), (Const("c"),)]
         for name, language in languages.items():

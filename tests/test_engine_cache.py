@@ -1,6 +1,9 @@
 """The content-addressed result cache: storage, LRU, invalidation."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -278,3 +281,25 @@ class TestSolveIntegration:
         again = solve(setting, source, cache=cache)
         assert not again.cwa_solution_exists
         assert counters()["solve.cache_hits"] == 1
+
+
+def test_importing_the_library_loads_no_process_machinery():
+    # bench/ workloads import repro.engine, so whatever it imports lands
+    # in every workload's setup time.
+    import repro
+
+    probe = (
+        "import sys, repro.engine, repro.answering, repro.cwa\n"
+        "print(sorted(name for name in sys.modules if name in "
+        "('multiprocessing', 'concurrent.futures.process')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    assert loaded == "[]"

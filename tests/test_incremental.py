@@ -532,38 +532,6 @@ class TestCliIncremental:
         session = DeltaSession.from_ledger(setting, edited, resumed)
         assert _fp(session.result.core_solution) == _fp(batch.core_solution)
 
-    def test_delta_bench_smoke(self, tmp_path, capsys):
-        from repro.cli import main
-
-        setting_path = tmp_path / "setting.txt"
-        setting_path.write_text(
-            "source: R/2\ntarget: A/2 B/2\n"
-            "st: R(x,y) -> exists z . A(x,z) & B(z,y)\n",
-            encoding="utf-8",
-        )
-        source_path = tmp_path / "source.txt"
-        source_path.write_text(
-            ", ".join(f"R('s{i}','t{i}')" for i in range(10)),
-            encoding="utf-8",
-        )
-        assert (
-            main(
-                [
-                    "delta-bench",
-                    str(setting_path),
-                    str(source_path),
-                    "--edits",
-                    "2",
-                    "--seed",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "speedup" in out and "MISMATCH" not in out
-
-
 # ----------------------------------------------------------------------
 # Property: random edit streams keep fingerprint parity
 # ----------------------------------------------------------------------

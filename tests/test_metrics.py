@@ -1,8 +1,8 @@
 """Tests for :mod:`repro.obs.metrics` -- histograms and the metrics log.
 
 The load-bearing property is *mergeability*: bucket counts over fixed
-boundaries make ``merge`` associative and commutative, so worker blobs
-folded in any grouping (two workers, twenty, a tree of merges) produce
+boundaries make ``merge`` associative and commutative, so snapshots
+folded in any grouping (two runs, twenty, a tree of merges) produce
 one identical aggregate.  Hypothesis drives that property directly.
 """
 
@@ -111,9 +111,9 @@ class TestMerge:
 
     def test_merging_empty_state_keeps_min(self):
         # An empty histogram serializes min as the 0.0 placeholder;
-        # folding it in must not clobber a real observed minimum (the
-        # worker-harness bug: in-place reset leaves count-0 entries
-        # whose export would zero every parent span min).
+        # folding it in must not clobber a real observed minimum (an
+        # in-place reset leaves count-0 entries that a logged snapshot
+        # can carry).
         built = hist_of([0.5, 2.0])
         built.merge_dict(Histogram("empty").to_dict())
         assert built.min == pytest.approx(0.5)

@@ -270,7 +270,7 @@ class TestPlanCache:
 
 
 # ----------------------------------------------------------------------
-# Term interning and pickling (the executor's pickle probe contract)
+# Term interning and pickling
 # ----------------------------------------------------------------------
 
 
@@ -287,8 +287,11 @@ class TestInterning:
 
     def test_pickled_atoms_and_substitutions_roundtrip(self):
         item = atom(E, "a", Null(2))
+        item.sort_key()
         clone = pickle.loads(pickle.dumps(item))
         assert clone == item
+        assert hash(clone) == hash(item)
+        assert not hasattr(clone, "_key")
         assert clone.args[0] is item.args[0]
         assert clone.args[1] is item.args[1]
         substitution = Substitution({VARS[0]: Const("a")})

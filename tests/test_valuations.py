@@ -175,28 +175,6 @@ class TestJointWalk:
             maybe_on(query, inst, dependencies),
         )
 
-    @pytest.mark.parametrize("text,query_text,deps", CASES)
-    def test_pooled_equals_serial(self, text, query_text, deps):
-        from repro.engine import Executor
-
-        inst = parse_instance(text)
-        query = parse_query(query_text)
-        dependencies = parse_dependencies(list(deps))
-        serial = certain_and_maybe_on(query, inst, dependencies)
-        with Executor(workers=2) as executor:
-            assert (
-                certain_and_maybe_on(
-                    query, inst, dependencies, executor=executor
-                )
-                == serial
-            )
-            assert certain_on(
-                query, inst, dependencies, executor=executor
-            ) == serial[0]
-            assert maybe_on(
-                query, inst, dependencies, executor=executor
-            ) == serial[1]
-
     def test_one_walk_counts_each_world_once(self):
         inst = parse_instance("E('a', #1), E('b', #2)")
         query = parse_query("Q(x) :- E(x, y)")
