@@ -59,13 +59,16 @@ class AnswerLanguage:
                 f"{self.query.arity}"
             )
         with span(f"answering.decide.{self.semantics}"):
-            if self.semantics == "certain":
-                return self._box_membership(source, answer, core_based=True)
-            if self.semantics == "persistent_maybe":
+            if self.semantics in ("certain", "persistent_maybe"):
                 solution = core_solution(self.setting, source)
                 if solution is None:
                     raise NoCwaSolutionError("no CWA-solution exists")
-                return maybe_holds_on(
+                decide = (
+                    certain_holds_on
+                    if self.semantics == "certain"
+                    else maybe_holds_on
+                )
+                return decide(
                     self.query,
                     answer,
                     solution,
@@ -113,16 +116,6 @@ class AnswerLanguage:
                 )
                 for solution in solutions
             )
-
-    def _box_membership(
-        self, source: Instance, answer: Tuple[Value, ...], core_based: bool
-    ) -> bool:
-        solution = core_solution(self.setting, source)
-        if solution is None:
-            raise NoCwaSolutionError("no CWA-solution exists")
-        return certain_holds_on(
-            self.query, answer, solution, self.setting.target_dependencies
-        )
 
 
 def certain_language(setting: DataExchangeSetting, query: Query) -> AnswerLanguage:

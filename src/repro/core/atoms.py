@@ -8,6 +8,7 @@ inside formulas and dependencies.  Both are represented by :class:`Atom`;
 
 from __future__ import annotations
 
+import json
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import ArityError
@@ -19,13 +20,14 @@ class Atom:
     """An atom ``R(t1, ..., tr)`` where each ``ti`` is a value or variable.
 
     Atoms are immutable and hashable.  The constructor checks arity.
-    Three derived forms are computed once per atom, on first use, and
+    Four derived forms are computed once per atom, on first use, and
     cached on it: the key of the total order (:meth:`sort_key`), the
-    fp/v1 fingerprint token (:meth:`token`) and the ``repro.io/v1`` row
-    (:meth:`json_row`).  An instance shares its atoms with its copies,
-    its cache snapshots and the next version a delta makes of it, so an
-    atom that outlives an edit is sorted, fingerprinted and encoded
-    once, not once per version.  No cache enters the pickled form.
+    fp/v1 fingerprint token (:meth:`token`), the ``repro.io/v1`` row
+    (:meth:`json_row`) and that row's JSON text (:meth:`json_text`).
+    An instance shares its atoms with its copies, its cache snapshots
+    and the next version a delta makes of it, so an atom that outlives
+    an edit is sorted, fingerprinted and encoded once, not once per
+    version.  No cache enters the pickled form.
 
     >>> R = RelationSymbol("R", 2)
     >>> Atom(R, (Const("a"), Null(0))).is_ground
@@ -34,7 +36,9 @@ class Atom:
     False
     """
 
-    __slots__ = ("relation", "args", "_hash", "_key", "_token", "_row")
+    __slots__ = (
+        "relation", "args", "_hash", "_key", "_token", "_row", "_text"
+    )
 
     def __init__(self, relation: RelationSymbol, args: Iterable[Term]):
         args = tuple(args)
@@ -161,9 +165,22 @@ class Atom:
             ]
             return row
 
+    def json_text(self) -> str:
+        """``json.dumps(self.json_row())``, built on first use.
+
+        :func:`repro.io.sorted_atoms_to_text` joins these texts into an
+        instance payload's JSON, so an atom is written out once however
+        many entries hold it.
+        """
+        try:
+            return self._text
+        except AttributeError:
+            text = self._text = json.dumps(self.json_row())
+            return text
+
     def __getstate__(self):
-        # Only the identity fields: the sort key, token and row are
-        # caches, rebuilt on demand, and never go into a pickle.
+        # Only the identity fields: the sort key, token, row and text
+        # are caches, rebuilt on demand, and never go into a pickle.
         return None, {
             "relation": self.relation,
             "args": self.args,

@@ -56,6 +56,8 @@ from ..obs import counter, histogram
 
 #: Payload schema tag; every entry this module writes carries it.
 CACHE_SCHEMA = "repro.engine/v1"
+#: The schema tag as JSON text, for the envelope ``put`` assembles.
+_SCHEMA_TEXT = json.dumps(CACHE_SCHEMA)
 
 #: On-disk layout version (the ``v1`` path segment).
 CACHE_VERSION = "v1"
@@ -180,7 +182,12 @@ class ResultCache:
         return entry["payload"]
 
     def put(
-        self, kind: str, key: str, payload: dict, value: Any = None
+        self,
+        kind: str,
+        key: str,
+        payload: dict,
+        value: Any = None,
+        text: Optional[str] = None,
     ) -> Path:
         """Store ``payload`` under ``(kind, key)``; returns the path.
 
@@ -193,16 +200,22 @@ class ResultCache:
         copied, and instance rows in it are shared with other payloads
         (:func:`repro.io.sorted_atoms_to_payload`): neither the caller
         nor a reader of :meth:`get` may mutate it.
+
+        ``text``, when given, must be ``json.dumps(payload,
+        sort_keys=True)``, which a caller holding pre-encoded pieces
+        builds without the encoder (:func:`repro.io.sorted_atoms_to_text`);
+        otherwise it is encoded here.  Either way the entry on disk is
+        ``json.dumps`` of the ``{"key", "kind", "payload", "schema"}``
+        envelope with sorted keys, assembled around that text.
         """
         path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema": CACHE_SCHEMA,
-            "kind": kind,
-            "key": key,
-            "payload": payload,
-        }
-        text = json.dumps(entry, sort_keys=True)
+        if text is None:
+            text = json.dumps(payload, sort_keys=True)
+        text = (
+            f'{{"key": {json.dumps(key)}, "kind": {json.dumps(kind)}, '
+            f'"payload": {text}, "schema": {_SCHEMA_TEXT}}}'
+        )
         descriptor, temp_name = tempfile.mkstemp(
             dir=str(path.parent), suffix=".tmp"
         )

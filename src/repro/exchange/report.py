@@ -79,7 +79,7 @@ class ExchangeReport:
         definite versus merely possible.  Skipped when the core has too
         many nulls for valuation enumeration to stay cheap.
         """
-        from ..answering.valuations import certain_on, maybe_on
+        from ..answering.valuations import certain_and_maybe_on
         from ..core.atoms import Atom
 
         minimal = self.result.core_solution
@@ -95,8 +95,9 @@ class ExchangeReport:
                 query = ConjunctiveQuery(
                     variables, [Atom(relation, variables)]
                 )
-                certain = certain_on(query, minimal, dependencies)
-                maybe = maybe_on(query, minimal, dependencies)
+                certain, maybe = certain_and_maybe_on(
+                    query, minimal, dependencies
+                )
                 self.answer_samples.append((name, len(certain), len(maybe)))
 
     @property

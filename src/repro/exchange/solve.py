@@ -8,8 +8,10 @@ enough to answer queries afterwards without re-chasing.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import json
+from typing import List, Optional, Tuple
 
+from ..core.atoms import Atom
 from ..core.errors import ChaseDivergence, ReproError
 from ..core.instance import Instance
 from ..core.schema import Schema
@@ -17,7 +19,11 @@ from ..chase import CHASE_ENGINES
 from ..chase.loop import DEFAULT_MAX_STEPS
 from ..chase.result import ChaseStatus
 from ..homomorphism.blocks import blockwise_core
-from ..io import atoms_from_payload, instance_to_payload
+from ..io import (
+    atoms_from_payload,
+    sorted_atoms_to_payload,
+    sorted_atoms_to_text,
+)
 from ..obs import counter, gauge, span
 from .setting import DataExchangeSetting
 
@@ -155,43 +161,71 @@ def solve(
     return result
 
 
-def _cache_entry(result: ExchangeResult) -> Tuple[dict, tuple]:
+def _cache_entry(
+    result: ExchangeResult, sorted_canonical: Optional[List[Atom]] = None
+) -> Tuple[dict, tuple, Optional[str]]:
     """The ``solve`` cache entry of a result (sans inputs).
 
-    Returns the JSON payload and its value ``(canonical, core, chase
-    steps)``.  The two instances of the value are private snapshots:
-    copy-on-write copies of the result's, which no caller ever receives
-    (:func:`_result_from_value` hands out copies of them).  When the
-    core equals the canonical solution (nothing folds), one snapshot and
-    one encoded dict serve both; ``json.dumps`` writes the shared dict
-    twice, so the disk entry is the one two separate encodings would
-    give.
+    Returns the JSON payload, its value ``(canonical, core, chase
+    steps)`` and the payload's JSON text for :meth:`ResultCache.put`.
+    The two instances of the value are private snapshots: copy-on-write
+    copies of the result's, which no caller ever receives
+    (:func:`_result_from_value` hands out copies of them).
+
+    The text is assembled from each atom's cached JSON
+    (:func:`repro.io.sorted_atoms_to_text`), so no instance is encoded
+    here.  ``sorted_canonical`` is the canonical solution's atoms in
+    :meth:`Atom.sort_key` order when the caller keeps them (a
+    :class:`DeltaSession` does); otherwise they are sorted here.  The
+    core is a retract of the canonical solution, so its rows are those
+    atoms filtered by membership.  When the core equals the canonical
+    solution (nothing folds), one snapshot, one payload dict and one
+    text serve both, and the text goes into the entry twice.  A failed
+    solve holds no instance; its text is left to ``put``.
     """
     canonical = result.canonical_solution
     core_instance = result.core_solution
-    canonical_payload = _encode(canonical)
-    if core_instance is not None and core_instance == canonical:
-        core_payload = canonical_payload
+    if canonical is None:
+        payload = {
+            "status": "failed",
+            "chase_steps": result.chase_steps,
+            "canonical": None,
+            "core": None,
+        }
+        return payload, (None, None, result.chase_steps), None
+    rows = sorted_canonical
+    if rows is None:
+        rows = canonical.sorted_atoms()
+    canonical_payload = sorted_atoms_to_payload(rows)
+    canonical_text = sorted_atoms_to_text(rows)
+    if core_instance is None:
+        core_payload, core_text = None, "null"
+        canonical = _snapshot(canonical)
+    elif core_instance == canonical:
+        core_payload, core_text = canonical_payload, canonical_text
         canonical = core_instance = _snapshot(canonical)
     else:
-        core_payload = _encode(core_instance)
+        core_rows = [item for item in rows if item in core_instance]
+        core_payload = sorted_atoms_to_payload(core_rows)
+        core_text = sorted_atoms_to_text(core_rows)
         canonical = _snapshot(canonical)
         core_instance = _snapshot(core_instance)
     payload = {
-        "status": "solved" if canonical is not None else "failed",
+        "status": "solved",
         "chase_steps": result.chase_steps,
         "canonical": canonical_payload,
         "core": core_payload,
     }
-    return payload, (canonical, core_instance, result.chase_steps)
+    text = (
+        f'{{"canonical": {canonical_text}, '
+        f'"chase_steps": {json.dumps(result.chase_steps)}, '
+        f'"core": {core_text}, "status": "solved"}}'
+    )
+    return payload, (canonical, core_instance, result.chase_steps), text
 
 
 def _snapshot(instance: Optional[Instance]) -> Optional[Instance]:
     return None if instance is None else instance.copy()
-
-
-def _encode(instance: Optional[Instance]) -> Optional[dict]:
-    return None if instance is None else instance_to_payload(instance)
 
 
 def _value_from_payload(payload: dict, schema: Schema) -> Optional[tuple]:

@@ -27,8 +27,11 @@ three artifacts alive between edits:
 
 Every apply hands out fresh snapshots: the result's source, canonical
 solution and core are copy-on-write copies (:meth:`Instance.copy`), which
-cost the atom set and share the index buckets, and with a cache there
-is the payload too.  The rest of its work is proportional to the edit.
+cost the atom set and share the index buckets.  With a cache, the
+session keeps the canonical solution's atoms in sorted order across
+applies, so an entry is written by joining each atom's cached JSON
+text, with no sort and no encoder run over the instances.  The rest of
+its work is proportional to the edit.
 
 The continuation chase is a valid (semi-naive standard) chase of the new
 source from an intermediate state every from-scratch chase can reach, so
@@ -57,7 +60,8 @@ deletions.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set, Tuple, Union
+from bisect import bisect_left, insort
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from ..chase.result import ChaseOutcome, ChaseStatus
 from ..chase.loop import DEFAULT_MAX_STEPS, chase_rounds
@@ -113,6 +117,9 @@ class DeltaSession:
         self.source = source.copy()
         self._memo = BlockMemo()
         self._factory = NullFactory.above(source.active_domain())
+        # With a cache: the canonical solution's atoms in sort-key order,
+        # kept by _finish (None without a cache or a solution).
+        self._canonical_rows: Optional[List[Atom]] = None
         self._solve_initial()
 
     # ------------------------------------------------------------------
@@ -210,6 +217,7 @@ class DeltaSession:
         setting.validate_source(source)
         session.source = source.copy()
         session._memo = BlockMemo()
+        session._canonical_rows = None
 
         chase = Instance(target.chase_facts())
         if chase.reduct(setting.source_schema) != source:
@@ -239,6 +247,8 @@ class DeltaSession:
             return session
         session._chase = outcome.instance
         session._canonical = chase.reduct(setting.target_schema)
+        if cache is not None:
+            session._canonical_rows = session._canonical.sorted_atoms()
         # A fresh memo: a from-scratch core pass.
         core_instance, _ = incremental_core(
             session._canonical, (), session._memo
@@ -383,6 +393,7 @@ class DeltaSession:
         if outcome.status is ChaseStatus.FAILURE:
             self._failed = True
             self._memo.clear()
+            self._canonical_rows = None
             self.result = ExchangeResult(
                 self.setting, self.source.copy(), None, None, outcome.steps
             )
@@ -392,19 +403,24 @@ class DeltaSession:
             if changed is None:
                 self._memo.clear()
                 self._canonical = self._chase.reduct(target)
+                if self.cache is not None:
+                    self._canonical_rows = self._canonical.sorted_atoms()
                 edit = []
             else:
                 # The canonical solution is the chase state's target part:
-                # keep it current from the changed atoms alone.
+                # keep it, and with a cache its sorted rows, current from
+                # the changed atoms alone.
                 edit = sorted(
                     (atom for atom in changed if atom.relation in target),
                     key=Atom.sort_key,
                 )
+                rows = self._canonical_rows
                 for atom in edit:
                     if atom in self._chase:
-                        self._canonical.add(atom)
-                    else:
-                        self._canonical.discard(atom)
+                        if self._canonical.add(atom) and rows is not None:
+                            insort(rows, atom)
+                    elif self._canonical.discard(atom) and rows is not None:
+                        del rows[bisect_left(rows, atom)]
             with recording(self.ledger):
                 core_instance, _ = incremental_core(
                     self._canonical, edit, self._memo
@@ -431,4 +447,6 @@ class DeltaSession:
             engine="seminaive",
             core_algorithm="blockwise",
         )
-        self.cache.put("solve", key, *_cache_entry(self.result))
+        self.cache.put(
+            "solve", key, *_cache_entry(self.result, self._canonical_rows)
+        )

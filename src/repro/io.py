@@ -151,6 +151,9 @@ def dump_instance(
 #: Version tag embedded in every JSON payload this module writes.
 JSON_SCHEMA = "repro.io/v1"
 
+#: The schema tag as JSON text, for payloads assembled from pieces.
+_SCHEMA_TEXT = json.dumps(JSON_SCHEMA)
+
 
 def cell_to_json(value: Value) -> List:
     """A typed JSON cell: ``["c", name]`` or ``["n", ident]``.
@@ -220,6 +223,32 @@ def sorted_atoms_to_payload(atoms: Sequence[Atom]) -> dict:
             relations[name] = {"arity": item.relation.arity, "rows": rows}
         rows.append(item.json_row())
     return {"schema": JSON_SCHEMA, "relations": relations}
+
+
+def sorted_atoms_to_text(atoms: Sequence[Atom]) -> str:
+    """``json.dumps(sorted_atoms_to_payload(atoms), sort_keys=True)``.
+
+    Built from each atom's cached :meth:`Atom.json_text` instead of
+    encoding the payload: only the relation headers are encoded here,
+    so an atom that outlives an edit is never encoded again.  The
+    groups come in ``relation.name`` order, which is the order
+    ``sort_keys`` gives the ``relations`` object; every name goes
+    through ``json.dumps``, so escapes are the encoder's.
+    """
+    groups = []
+    name = None
+    for item in atoms:
+        if item.relation.name != name:
+            name = item.relation.name
+            texts = []
+            groups.append((item.relation, texts))
+        texts.append(item.json_text())
+    body = ", ".join(
+        f'{json.dumps(relation.name)}: {{"arity": {relation.arity}, '
+        f'"rows": [{", ".join(texts)}]}}'
+        for relation, texts in groups
+    )
+    return f'{{"relations": {{{body}}}, "schema": {_SCHEMA_TEXT}}}'
 
 
 def instance_from_payload(

@@ -9,6 +9,7 @@ egd merges, deletions, and the documented full-re-solve fallbacks.
 """
 
 import json
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from repro.core import Atom, Const, Instance, ReproError, Schema
 from repro.core.schema import RelationSymbol
 from repro.dependencies import Tgd
 from repro.engine import ResultCache, fingerprint_instance
+from repro.engine.cache import CACHE_SCHEMA
+from repro.engine.fingerprint import solve_key
 from repro.exchange.setting import DataExchangeSetting
 from repro.exchange.solve import solve
 from repro.generators import (
@@ -30,7 +33,7 @@ from repro.generators import (
     random_weakly_acyclic_setting,
 )
 from repro.homomorphism.blocks import null_blocks
-from repro.io import dumps_delta, loads_delta
+from repro.io import dumps_delta, instance_to_payload, loads_delta
 from repro.obs.provenance import recording
 
 
@@ -548,6 +551,38 @@ _EDIT_SCRIPTS = st.lists(
 )
 
 
+def _scripted_delta(session, step, fresh):
+    """The delta of one ``_EDIT_SCRIPTS`` step and the new fresh count.
+
+    Deletes the ``pick``-th source atom when asked, and inserts rows of
+    fresh constants shaped like existing source atoms.
+    """
+    pick, insert_count, delete_count = step
+    atoms = sorted(session.source)
+    deletions = []
+    if delete_count and atoms:
+        deletions.append(atoms[pick % len(atoms)])
+    insertions = []
+    for _ in range(insert_count):
+        template = atoms[(pick + fresh) % len(atoms)] if atoms else None
+        if template is None:
+            break
+        fresh += 1
+        insertions.append(
+            Atom(
+                template.relation,
+                tuple(
+                    Const(f"h{fresh}_{i}")
+                    for i in range(template.relation.arity)
+                ),
+            )
+        )
+    delta = SourceDelta(
+        insertions=Instance(insertions), deletions=Instance(deletions)
+    )
+    return delta, fresh
+
+
 class TestEditStreamParity:
     @given(seed=_SETTING_SEEDS, script=_EDIT_SCRIPTS)
     @settings(max_examples=25, deadline=None)
@@ -559,30 +594,8 @@ class TestEditStreamParity:
         except Exception:
             return  # divergent/failed base instances are out of scope here
         fresh = 0
-        for pick, insert_count, delete_count in script:
-            atoms = sorted(session.source)
-            deletions = []
-            if delete_count and atoms:
-                deletions.append(atoms[pick % len(atoms)])
-            insertions = []
-            for _ in range(insert_count):
-                template = atoms[(pick + fresh) % len(atoms)] if atoms else None
-                if template is None:
-                    break
-                fresh += 1
-                insertions.append(
-                    Atom(
-                        template.relation,
-                        tuple(
-                            Const(f"h{fresh}_{i}")
-                            for i in range(template.relation.arity)
-                        ),
-                    )
-                )
-            delta = SourceDelta(
-                insertions=Instance(insertions),
-                deletions=Instance(deletions),
-            )
+        for step in script:
+            delta, fresh = _scripted_delta(session, step, fresh)
             result = session.apply(delta)
             batch = solve(setting, session.source, engine="seminaive")
             assert result.cwa_solution_exists == batch.cwa_solution_exists
@@ -599,6 +612,160 @@ class TestEditStreamParity:
         victim = atoms[seed % len(atoms)]
         result = session.apply(SourceDelta(deletions=[victim]))
         _assert_parity(result, setting, session.source)
+
+
+# ----------------------------------------------------------------------
+# The sorted rows a session keeps for its cache entries
+# ----------------------------------------------------------------------
+
+
+def _check_rows(session):
+    """The kept rows are the canonical solution's sorted atoms, and the
+    entry on disk is the one the JSON encoder writes for the result."""
+    result = session.result
+    key = solve_key(
+        session.setting,
+        session.source,
+        max_steps=session.max_steps,
+        engine="seminaive",
+        core_algorithm="blockwise",
+    )
+    text = session.cache.path_for("solve", key).read_text(encoding="utf-8")
+    expected = {
+        "schema": CACHE_SCHEMA,
+        "kind": "solve",
+        "key": key,
+        "payload": {
+            "status": "solved" if result.cwa_solution_exists else "failed",
+            "chase_steps": result.chase_steps,
+            "canonical": None,
+            "core": None,
+        },
+    }
+    if result.cwa_solution_exists:
+        canonical = result.canonical_solution
+        assert session._canonical_rows == canonical.sorted_atoms()
+        expected["payload"]["canonical"] = instance_to_payload(canonical)
+        expected["payload"]["core"] = instance_to_payload(
+            result.core_solution
+        )
+    assert text == json.dumps(expected, sort_keys=True)
+
+
+def _forbid_sorting(monkeypatch):
+    def refuse(instance):
+        raise AssertionError("a cached apply sorted an instance")
+
+    monkeypatch.setattr(Instance, "sorted_atoms", refuse)
+
+
+class TestCachedRows:
+    """With a cache, the session keeps the canonical solution's atoms in
+    sort-key order across applies instead of sorting them per entry."""
+
+    @given(seed=_SETTING_SEEDS, script=_EDIT_SCRIPTS)
+    @settings(max_examples=25, deadline=None)
+    def test_random_edit_streams(self, seed, script):
+        setting = random_weakly_acyclic_setting(seed, egd_probability=0.4)
+        source = random_source_for(setting, seed=seed + 1)
+        with tempfile.TemporaryDirectory() as directory:
+            try:
+                session = DeltaSession(
+                    setting, source, cache=ResultCache(directory)
+                )
+            except Exception:
+                return  # divergent base instances are out of scope here
+            _check_rows(session)
+            fresh = 0
+            for step in script:
+                delta, fresh = _scripted_delta(session, step, fresh)
+                session.apply(delta)
+                _check_rows(session)
+
+    def test_insertions_and_deletions(self, tmp_path):
+        session = DeltaSession(
+            _anchored_setting(),
+            _anchored_source(12),
+            cache=ResultCache(tmp_path),
+        )
+        for index in range(6):
+            session.apply(
+                _swap(session, [index, index + 3], [f"w{index}", f"v{index}"])
+            )
+            _check_rows(session)
+        assert obs.counter("incremental.full_fallbacks").value == 0
+
+    def test_egd_deletion_falls_back_and_sorts_once(self, tmp_path):
+        setting = DataExchangeSetting.from_strings(
+            Schema.of(P=2, Q=1),
+            Schema.of(F=2, G=1),
+            ["P(x,y) -> F(x,y)", "Q(x) -> exists w . F(x,w) & G(w)"],
+            ["F(x,y) & F(x,z) -> y = z"],
+        )
+        source = parse_instance("P('a','b'), Q('a'), P('c','d'), Q('c')")
+        session = DeltaSession(setting, source, cache=ResultCache(tmp_path))
+        assert session.ledger.has_merges()
+        session.apply(SourceDelta(deletions=parse_instance("P('a','b')")))
+        assert obs.counter("incremental.full_fallbacks").value == 1
+        _check_rows(session)
+        session.apply(SourceDelta(insertions=parse_instance("P('e','f')")))
+        _check_rows(session)
+
+    def test_failure_then_recovery(self, tmp_path):
+        setting = DataExchangeSetting.from_strings(
+            Schema.of(S=2),
+            Schema.of(T=2),
+            ["S(x,y) -> T(x,y)"],
+            ["T(x,y) & T(x,z) -> y = z"],
+        )
+        source = parse_instance("S('k','v1'), S('j','w')")
+        session = DeltaSession(setting, source, cache=ResultCache(tmp_path))
+        broken = session.apply(
+            SourceDelta(insertions=parse_instance("S('k','v2')"))
+        )
+        assert not broken.cwa_solution_exists
+        assert session._canonical_rows is None
+        _check_rows(session)
+        repaired = session.apply(
+            SourceDelta(deletions=parse_instance("S('k','v2')"))
+        )
+        assert repaired.cwa_solution_exists
+        _check_rows(session)
+        session.apply(SourceDelta(insertions=parse_instance("S('m','x')")))
+        _check_rows(session)
+
+    def test_from_ledger_resume(self, tmp_path):
+        setting = _anchored_setting()
+        source = _anchored_source(10)
+        with recording() as ledger:
+            solve(setting, source, engine="seminaive")
+        session = DeltaSession.from_ledger(
+            setting, source, ledger.dumps(), cache=ResultCache(tmp_path)
+        )
+        assert session._canonical_rows == (
+            session.result.canonical_solution.sorted_atoms()
+        )
+        for index in range(3):
+            session.apply(_swap(session, [index], [f"r{index}"]))
+            _check_rows(session)
+
+    def test_no_cache_keeps_no_rows(self):
+        session = DeltaSession(_anchored_setting(), _anchored_source(6))
+        session.apply(_swap(session, [1], ["x"]))
+        assert session._canonical_rows is None
+
+    def test_cached_applies_sort_no_instance(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        session = DeltaSession(
+            _anchored_setting(), _anchored_source(20), cache=cache
+        )
+        with monkeypatch.context() as patched:
+            _forbid_sorting(patched)
+            for index in range(4):
+                session.apply(
+                    _swap(session, [index, index + 5], [f"z{index}"])
+                )
+        _check_rows(session)
 
 
 # ----------------------------------------------------------------------

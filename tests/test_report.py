@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.obs as obs
 from repro.core import Schema
 from repro.dependencies import dependency_graph, parse_dependencies
 from repro.dependencies.graph import to_dot
@@ -24,6 +25,21 @@ class TestReport:
         produced = " ".join(p for _, p in exchange_report.justifications)
         for null in exchange_report.result.core_solution.nulls():
             assert str(null) in produced
+
+    def test_answer_samples_walk_the_worlds_once(
+        self, setting_2_1, source_2_1
+    ):
+        # One joint certain/maybe walk per target relation: two separate
+        # walks enumerate 46 valuations on Example 2.1, the joint one 30.
+        obs.reset()
+        exchange_report = report(setting_2_1, source_2_1)
+        counters = obs.snapshot()["counters"]
+        assert exchange_report.answer_samples == [
+            ("E", 1, 1),
+            ("F", 0, 3),
+            ("G", 0, 10),
+        ]
+        assert counters["answering.valuations_enumerated"] == 30
 
     def test_no_solution_report(self):
         setting = DataExchangeSetting.from_strings(
