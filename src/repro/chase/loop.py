@@ -202,14 +202,17 @@ class TriggerSource:
     """Where a batched pass finds its triggers: a full scan by default.
 
     A trigger is a premise binding ``ū‖v̄`` (:meth:`Tgd.premise_bindings`).
-    Each pass re-enumerates every premise binding, and a pass that fires
-    nothing ends the chase -- the standard engine.  Subclasses narrow
-    the bindings (the semi-naive delta joins) and decide when the
-    chase is done.
+    Each pass re-enumerates every premise binding and every egd is
+    checked in every fixpoint -- the standard engine.  Subclasses narrow
+    the bindings and the egd checks (the semi-naive delta).
     """
 
     def __init__(self, tgds: Sequence[Tgd], instance: Instance):
         pass
+
+    def may_violate(self, egd: Egd) -> bool:
+        """Can ``egd`` be violated now?  False skips its check."""
+        return True
 
     def pending(self) -> bool:
         """Checked after each egd fixpoint: is there a pass to run?"""
@@ -227,9 +230,8 @@ class TriggerSource:
     def rewritten(self, instance: Instance, value: Value) -> None:
         """An egd merge made ``value`` the surviving value."""
 
-    def advance(self, fired: bool) -> bool:
-        """End of a pass; False ends the chase."""
-        return fired
+    def advance(self) -> None:
+        """End of a pass that fired; the next round follows."""
 
 
 class SatisfiedTriggers:
@@ -283,9 +285,13 @@ def chase_rounds(
     instance, so this is a valid standard chase sequence.  A trigger
     is a binding ``ū‖v̄``; one whose frontier tuple ū (its first
     ``len(tgd.frontier)`` values) :class:`SatisfiedTriggers` already
-    holds is skipped without the check, which would succeed.
-    ``trigger_source`` builds that source from the tgds and the working
-    instance, which is ``instance`` itself, chased in place.
+    holds is skipped without the check, which would succeed.  An egd
+    the trigger source rules out (:meth:`TriggerSource.may_violate`)
+    is skipped likewise, with its all-zero attribution row.  The chase
+    ends after a pass that fires nothing, or when the trigger source
+    has no pass to run.  ``trigger_source`` builds that source from
+    the tgds and the working instance, which is ``instance`` itself,
+    chased in place.
     """
     tgds, egds = split_dependencies(list(dependencies))
     run = ChaseRun(engine, label, instance, max_steps=max_steps, trace=trace)
@@ -308,6 +314,9 @@ def chase_rounds(
                             return run.out_of_budget()
                         for egd in egds:
                             started = run.clock()
+                            if not feed.may_violate(egd):
+                                run.attribute(egd, run.rounds, started)
+                                continue
                             violation = egd.first_violation(current)
                             if violation is None:
                                 run.attribute(egd, run.rounds, started)
@@ -370,5 +379,8 @@ def chase_rounds(
 
             run.beat(run.rounds)
             run.rounds += 1
-            if not feed.advance(fired_any):
+            # A pass that fires nothing leaves the instance the last egd
+            # fixpoint left, with every trigger tried: no round can do more.
+            if not fired_any:
                 return run.finish(ChaseStatus.SUCCESS)
+            feed.advance()

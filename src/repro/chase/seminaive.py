@@ -13,13 +13,14 @@ the matcher from the delta:
 
 Egd applications rewrite atoms; rewritten atoms re-enter the delta so
 matches they enable are found again.  A later merge of the same egd
-fixpoint can rewrite them once more, so each pass first drops the delta
-atoms that are no longer in the instance: a stale copy would seed
-matches for premises the instance no longer satisfies.  The engine
-produces a valid standard chase sequence (every firing is checked
-against the current instance), hence for weakly acyclic settings its
-result is a canonical universal solution, hom-equivalent to the
-batched engine's.
+fixpoint can rewrite them once more, so a pass after a merge first
+drops the delta atoms that are no longer in the instance: a stale copy
+would seed matches for premises the instance no longer satisfies.  The
+engine produces a valid standard chase sequence (every firing is
+checked against the current instance), hence for weakly acyclic
+settings its result is a canonical universal solution, hom-equivalent
+to the batched engine's.  It is the default engine of
+:func:`repro.exchange.solve`.
 
 Both engines run the one round loop of :mod:`repro.chase.loop`; this
 module only supplies its trigger source, :class:`DeltaSource`.  The
@@ -32,8 +33,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.instance import Instance
-from ..core.terms import NullFactory, Value
+from ..core.terms import NullFactory, Value, Variable
 from ..dependencies.base import Dependency
+from ..dependencies.egd import Egd
 from ..dependencies.tgd import Tgd
 from ..logic.matching import match_tuples
 from .loop import DEFAULT_MAX_STEPS, TriggerSource, chase_rounds
@@ -47,12 +49,16 @@ class _Seed:
     ``rest`` the premise without it.  The same ``rest`` tuple is reused
     on every pass, so its completion join compiles once and every later
     pass is a pure plan-cache hit (keyed by ``pattern``'s variables).
+    With no ``rest`` (a one-atom premise) the unified fact is the whole
+    match, and :meth:`unify` reads its binding ``ū‖v̄`` straight off it.
     """
 
     __slots__ = ("relation", "rest", "variables", "reads", "checks")
 
-    def __init__(self, pattern: Atom, rest: Tuple[Atom, ...]):
-        self.relation = pattern.relation
+    def __init__(
+        self, pattern: Atom, rest: Tuple[Atom, ...], order: Tuple[Variable, ...]
+    ):
+        self.relation = pattern.relation.name
         self.rest = rest
         first: Dict = {}
         checks: List[Tuple[int, object]] = []
@@ -66,16 +72,18 @@ class _Seed:
         #: ``pattern``'s variables sorted by name: the completion join's
         #: pre-bound variables, in the order its plan seeds them.
         self.variables = tuple(sorted(first, key=lambda v: v.name))
-        #: The position of each of ``variables`` in a unified fact.
-        self.reads = tuple(first[variable] for variable in self.variables)
+        #: The position in a unified fact of each of ``variables``, or,
+        #: without a ``rest``, of each variable of the binding ``order``.
+        self.reads = tuple(
+            first[variable] for variable in (self.variables if rest else order)
+        )
         #: ``(position, constant)`` and ``(position, earlier position)``
         #: equalities a fact must meet to unify with ``pattern``.
         self.checks = tuple(checks)
 
     def unify(self, fact: Atom) -> Optional[Tuple[Value, ...]]:
-        """The values of :attr:`variables` under ``fact``, or None."""
-        if fact.relation != self.relation:
-            return None
+        """The values :attr:`reads` names in ``fact``, or None when
+        ``fact`` (of :attr:`relation`) does not unify with the pattern."""
         args = fact.args
         for position, expected in self.checks:
             if args[position] != (
@@ -93,8 +101,20 @@ def _seed_decomposition(tgd: Tgd) -> Optional[Tuple[_Seed, ...]]:
         return None
     atoms = tgd.premise_atoms
     return tuple(
-        _Seed(atoms[i], atoms[:i] + atoms[i + 1 :]) for i in range(len(atoms))
+        _Seed(atoms[i], atoms[:i] + atoms[i + 1 :], tgd.binding_order)
+        for i in range(len(atoms))
     )
+
+
+#: A pass's delta: relation name -> its atoms, deduplicated in order of
+#: first occurrence (a dict used as an ordered set).
+_Groups = Dict[str, Dict[Atom, None]]
+
+
+def _group_into(groups: _Groups, atoms: Iterable[Atom]) -> _Groups:
+    for atom in atoms:
+        groups.setdefault(atom.relation.name, {})[atom] = None
+    return groups
 
 
 class DeltaSource(TriggerSource):
@@ -102,7 +122,20 @@ class DeltaSource(TriggerSource):
 
     The delta of a pass is what the previous pass added plus every atom
     an egd merge rewrote since, less the atoms a merge has rewritten
-    away again; the chase ends when it is empty.
+    away again, grouped by relation.  Every premise match and every egd
+    violation the chase has not yet handled uses a delta atom, so:
+
+    * a one-atom premise's bindings are read off the delta facts of its
+      relation, with no matcher call;
+    * a premise with an atom whose relation is all new (every atom of it
+      is in the delta, as on a from-scratch chase's first pass) takes
+      one full scan: each of its matches uses a delta atom;
+    * any other premise seeds its completion joins from the delta;
+    * an egd none of whose premise relations has a delta atom is not
+      checked (:meth:`may_violate`).
+
+    The chase ends after a pass that fires nothing: the instance is
+    then the one the last egd fixpoint left.
     """
 
     def __init__(
@@ -116,39 +149,67 @@ class DeltaSource(TriggerSource):
         # cache.
         self._seeds = {id(tgd): _seed_decomposition(tgd) for tgd in tgds}
         self._instance = instance
-        self._delta: List[Atom] = (
-            list(instance)
+        self._groups = _group_into(
+            {},
+            instance
             if initial_delta is None
-            else [item for item in initial_delta if item in instance]
+            else (item for item in initial_delta if item in instance),
         )
         self._next: List[Atom] = []
+        # Set by a merge: some delta atoms may have been rewritten away.
+        self._stale = False
+
+    def may_violate(self, egd: Egd) -> bool:
+        groups = self._groups
+        return any(atom.relation.name in groups for atom in egd.premise_atoms)
 
     def pending(self) -> bool:
         # Runs after each egd fixpoint, right before the pass.
-        self._delta = [item for item in self._delta if item in self._instance]
-        return bool(self._delta)
+        if self._stale:
+            instance = self._instance
+            groups: _Groups = {}
+            for name, bucket in self._groups.items():
+                kept = {item: None for item in bucket if item in instance}
+                if kept:
+                    groups[name] = kept
+            self._groups = groups
+            self._stale = False
+        return bool(self._groups)
 
     def matches(
         self, tgd: Tgd, instance: Instance
     ) -> Iterable[Tuple[Value, ...]]:
         """Bindings ``ū‖v̄`` of ``tgd`` whose match uses a delta atom.
 
-        Deduplicates across seed positions (a match touching two delta
-        atoms would otherwise be reported twice); the binding itself is
-        the dedup key.
+        Seeded joins deduplicate across seed positions (a match touching
+        two delta atoms would otherwise be reported twice); the binding
+        itself is the dedup key.
         """
-        if tgd.premise_atoms is None:
+        groups = self._groups
+        seeds = self._seeds[id(tgd)]
+        if seeds is None:
             # FO premise (s-t tgd): fires only off source atoms; if the
             # delta contains any premise relation, fall back to a full
             # scan.
-            relations = {r.name for r in tgd.premise_relations()}
-            if any(fact.relation.name in relations for fact in self._delta):
+            if any(r.name in groups for r in tgd.premise_relations()):
                 yield from tgd.premise_bindings(instance)
             return
+        if len(seeds) == 1:
+            seed = seeds[0]
+            for fact in groups.get(seed.relation, ()):
+                binding = seed.unify(fact)
+                if binding is not None:
+                    yield binding
+            return
+        buckets = [groups.get(seed.relation) for seed in seeds]
+        for seed, bucket in zip(seeds, buckets):
+            if bucket and len(bucket) == instance.count_of(seed.relation):
+                yield from tgd.premise_bindings(instance)
+                return
         seen: Set[Tuple[Value, ...]] = set()
         order = tgd.binding_order
-        for seed in self._seeds[id(tgd)]:
-            for fact in self._delta:
+        for seed, bucket in zip(seeds, buckets):
+            for fact in bucket or ():
                 values = seed.unify(fact)
                 if values is None:
                     continue
@@ -170,11 +231,12 @@ class DeltaSource(TriggerSource):
         # Every atom holding the surviving value: a superset of the
         # atoms whose shape changed, which is what delta correctness
         # needs.
-        self._delta.extend(instance.atoms_containing(value))
+        _group_into(self._groups, instance.atoms_containing(value))
+        self._stale = True
 
-    def advance(self, fired: bool) -> bool:
-        self._delta, self._next = self._next, []
-        return True
+    def advance(self) -> None:
+        self._groups = _group_into({}, self._next)
+        self._next = []
 
 
 def seminaive_chase(
@@ -195,8 +257,12 @@ def seminaive_chase(
     (:mod:`repro.incremental`) passes just the edited atoms (plus the
     re-derivation frontier) so a continuation chase only inspects
     triggers that can involve them.  ``None`` (the default) keeps the
-    from-scratch behavior.  Egds are still checked globally every
-    round, so an edit that enables a merge is never missed.
+    from-scratch behavior.  The atoms outside ``initial_delta`` are
+    taken to satisfy every dependency already (a chased state), so an
+    egd is checked only when a delta atom -- an edited, rederived or
+    rewritten one -- lies in one of its premise relations: a new
+    violation needs one, since egd premises are conjunctions of
+    atoms.
     """
     return chase_rounds(
         "seminaive",

@@ -60,6 +60,7 @@ from .core.errors import ReproError
 from .core.instance import Instance
 from .core.schema import Schema
 from .exchange.setting import DataExchangeSetting
+from .exchange.solve import DEFAULT_ENGINE
 from .logic.parser import parse_instance, parse_query
 
 
@@ -696,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("source", help="source instance file")
     solve.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     solve.add_argument(
-        "--engine", choices=tuple(CHASE_ENGINES), default="standard"
+        "--engine", choices=tuple(CHASE_ENGINES), default=DEFAULT_ENGINE
     )
     solve.add_argument(
         "--incremental-from",
@@ -737,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     chase.add_argument("source")
     chase.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     chase.add_argument(
-        "--engine", choices=tuple(CHASE_ENGINES), default="standard"
+        "--engine", choices=tuple(CHASE_ENGINES), default=DEFAULT_ENGINE
     )
     chase.add_argument("--show-instances", action="store_true")
     _add_obs_flags(chase)
@@ -786,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain_cmd.add_argument("source")
     explain_cmd.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     explain_cmd.add_argument(
-        "--engine", choices=tuple(CHASE_ENGINES), default="standard"
+        "--engine", choices=tuple(CHASE_ENGINES), default=DEFAULT_ENGINE
     )
     explain_cmd.add_argument("--show-instances", action="store_true")
     explain_cmd.add_argument(
@@ -812,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain_plan.add_argument("source")
     explain_plan.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     explain_plan.add_argument(
-        "--engine", choices=tuple(CHASE_ENGINES), default="standard"
+        "--engine", choices=tuple(CHASE_ENGINES), default=DEFAULT_ENGINE
     )
     explain_plan.add_argument(
         "--json",

@@ -73,13 +73,17 @@ class ExchangeResult:
         )
 
 
+#: The chase engine of :func:`solve` and of the CLI's ``--engine`` flags.
+DEFAULT_ENGINE = "seminaive"
+
+
 def solve(
     setting: DataExchangeSetting,
     source: Instance,
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
     compute_core: bool = True,
-    engine: str = "standard",
+    engine: str = DEFAULT_ENGINE,
     cache=None,
 ) -> ExchangeResult:
     """Run the data exchange for ``source`` under ``setting``.
@@ -91,9 +95,11 @@ def solve(
     problem is undecidable in general (Theorem 6.2), so no budget-free
     procedure can exist.
 
-    ``engine`` selects the trigger-discovery strategy ("standard" =
-    batched rescans, "seminaive" = delta-driven); both produce
-    hom-equivalent canonical solutions and identical cores.  The core is
+    ``engine`` selects the trigger-discovery strategy of the standard
+    chase: "seminaive" (the default, :data:`DEFAULT_ENGINE`) joins only
+    what each pass added or rewrote, "standard" rescans every premise
+    match on every pass.  Both produce hom-equivalent canonical
+    solutions and identical cores.  The core is
     :func:`~repro.homomorphism.blocks.blockwise_core`: one pass of
     Gaifman-block folding, exact without a verification fold.
 

@@ -87,9 +87,10 @@ class DeltaSession:
     result and ``session.source`` the latest source.
 
     ``cache`` (a :class:`repro.engine.ResultCache`) receives every
-    result under the same content-addressed key a batch
-    ``solve(engine="seminaive")`` of the edited source would use, so
-    later batch solves hit.  ``ledger`` lets the caller supply the
+    result, a resumed one (:meth:`from_ledger`) included, under the
+    same content-addressed key a batch ``solve`` (semi-naive, the
+    default engine) of the edited source would use, so later batch
+    solves hit.  ``ledger`` lets the caller supply the
     :class:`ProvenanceLedger` to record into (e.g. the CLI's
     ``--provenance`` writer); by default the session owns a fresh one.
     """
@@ -260,6 +261,7 @@ class DeltaSession:
             core_instance,
             0,
         )
+        session._store()
         return session
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.core import Atom, Const, Instance, Null, RelationSymbol
 from repro.engine import CACHE_SCHEMA, CACHE_VERSION, ResultCache
 from repro.chase.loop import DEFAULT_MAX_STEPS
 from repro.engine.fingerprint import solve_key, task_key
-from repro.exchange.solve import solve
+from repro.exchange.solve import DEFAULT_ENGINE, solve
 from repro.generators.settings_library import (
     example_2_1_setting,
     example_2_1_source,
@@ -112,7 +112,7 @@ class TestCorruptEntriesInSolve:
                 setting,
                 source,
                 max_steps=DEFAULT_MAX_STEPS,
-                engine="standard",
+                engine=DEFAULT_ENGINE,
                 core_algorithm="blockwise",
             ),
         )

@@ -317,6 +317,17 @@ class TestFromLedger:
         )
         _assert_parity(session.result, setting, source)
 
+    def test_resume_writes_the_default_solve_entry(self, tmp_path):
+        setting = example_2_1_setting()
+        source = example_2_1_source()
+        ledger = self._solved_ledger(setting, source)
+        cache = ResultCache(tmp_path)
+        DeltaSession.from_ledger(setting, source, ledger.dumps(), cache=cache)
+        assert len(cache) == 1
+        obs.reset()
+        solve(setting, source, cache=cache)
+        assert obs.counter("solve.cache_hits").value == 1
+
     def test_wrong_source_rejected(self):
         setting = _anchored_setting()
         source = _anchored_source(5)

@@ -6,6 +6,8 @@ tests pin that the memo changes nothing but the number of checks: the
 standard chase logs exactly the steps of a reference loop that checks
 every trigger, a merge that rewrites a memoized null is honoured, and
 the transitive-closure chase checks each (tgd, frontier tuple) once.
+The default (semi-naive) ``solve`` also bounds how many premise
+bindings it tries and how many egd checks it runs.
 """
 
 import random
@@ -22,7 +24,13 @@ from repro.dependencies.base import split_dependencies
 from repro.dependencies.egd import Egd
 from repro.dependencies.tgd import Tgd
 from repro.exchange import DataExchangeSetting, solve
-from repro.generators import random_source_for, random_weakly_acyclic_setting
+from repro.generators import (
+    example_2_1_scaled_source,
+    example_2_1_setting,
+    random_source_for,
+    random_weakly_acyclic_setting,
+)
+from repro.obs import attribution
 
 
 def reference_chase(instance, dependencies, null_factory=None):
@@ -207,3 +215,60 @@ class TestCheckCount:
         assert result.canonical_solution.count_of("Path") == 20 * 20
         assert checks
         assert len(checks) == len(set(checks))
+
+    def test_closure_tries_few_premise_bindings(self):
+        """Semi-naive passes join only what the last pass added.
+
+        On this 20-node, 40-edge graph of diameter 8 the default solve
+        tries under 1,000 premise bindings; a full scan per pass tries
+        about 5,000.
+        """
+        setting = closure_setting()
+        source = strongly_connected_digraph(20, 40, seed=3)
+        assert diameter(source) == 8
+        attribution.reset()
+        with attribution.attributing():
+            result = solve(setting, source)
+        assert result.canonical_solution.count_of("Path") == 20 * 20
+        tried = sum(
+            row["triggers"] for row in attribution.dependencies().values()
+        )
+        attribution.reset()
+        assert tried <= 1_000
+
+    def test_egd_checked_only_where_the_delta_can_break_it(self, monkeypatch):
+        """Example 2.1's egd reads F: only the pass that adds F atoms can
+        violate it, so one check suffices."""
+        checks = []
+        original = Egd.first_violation
+
+        def counted(egd, instance):
+            checks.append(egd)
+            return original(egd, instance)
+
+        monkeypatch.setattr(Egd, "first_violation", counted)
+        result = solve(example_2_1_setting(), example_2_1_scaled_source(32, seed=5))
+        assert result.cwa_solution_exists
+        assert len(checks) == 1
+
+
+def diameter(source):
+    """Longest shortest path of an ``Edge`` instance, by BFS per node."""
+    successors = {}
+    for atom in source:
+        tail, head = atom.args
+        successors.setdefault(tail, []).append(head)
+    longest = 0
+    for start in successors:
+        distance = {start: 0}
+        frontier = [start]
+        while frontier:
+            following = []
+            for node in frontier:
+                for head in successors.get(node, ()):
+                    if head not in distance:
+                        distance[head] = distance[node] + 1
+                        following.append(head)
+            frontier = following
+        longest = max(longest, max(distance.values()))
+    return longest
