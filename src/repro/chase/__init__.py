@@ -29,7 +29,7 @@ from .satisfaction import (
     violations,
 )
 from .seminaive import seminaive_chase
-from .standard import chase_to_solution, standard_chase
+from .standard import standard_chase
 
 #: The batched engines by name.  The names also key cached solve
 #: results and label ledger steps, spans and heartbeat records.
@@ -54,7 +54,6 @@ __all__ = [
     "alpha_applicable_matches",
     "alpha_chase",
     "any_tgd_alpha_applicable",
-    "chase_to_solution",
     "fire_all_source_justifications",
     "justification_key",
     "oblivious_chase",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core.errors import ChaseDivergence
 from ..core.instance import Instance
 from ..core.terms import NullFactory
 from ..dependencies.base import Dependency
@@ -54,23 +53,3 @@ def standard_chase(
         trace=trace,
         null_factory=null_factory,
     )
-
-
-def chase_to_solution(
-    source: Instance,
-    dependencies: Sequence[Dependency],
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> Optional[Instance]:
-    """Chase and return the result instance, or None if the chase failed.
-
-    Raises :class:`ChaseDivergence` if the budget is exhausted -- callers
-    chasing weakly acyclic settings should treat that as a bug or an
-    undersized budget, not as "no solution".
-    """
-    outcome = standard_chase(source, dependencies, max_steps=max_steps)
-    if outcome.failed:
-        return None
-    if outcome.diverged:
-        raise ChaseDivergence(outcome.steps, outcome.reason)
-    return outcome.instance

@@ -4,7 +4,7 @@ Commands
 --------
 ``solve``      chase a source instance and print the canonical universal
                solution and the core (= the minimal CWA-solution).
-``chase``      run a chase engine with a narrated trace.
+``chase``      run the chase with a narrated trace.
 ``certain``    answer a query under one of the four CWA semantics.
 ``check``      classify a candidate target instance (solution /
                universal / CWA-presolution / CWA-solution).
@@ -54,7 +54,6 @@ import uuid
 from typing import List, Optional, Sequence
 
 from . import obs
-from .chase import CHASE_ENGINES
 from .chase.loop import DEFAULT_MAX_STEPS
 from .core.errors import ReproError
 from .core.instance import Instance
@@ -195,8 +194,8 @@ def _add_obs_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
-    """``repro.engine`` flags: the result cache."""
+def _add_cache_flag(subparser: argparse.ArgumentParser) -> None:
+    """The ``--cache`` flag: the :mod:`repro.engine` result cache."""
     subparser.add_argument(
         "--cache",
         metavar="DIR",
@@ -233,13 +232,7 @@ def command_solve(args: argparse.Namespace) -> int:
     if args.incremental_from:
         result = _solve_incremental(args, setting, source, cache)
     else:
-        result = solve(
-            setting,
-            source,
-            max_steps=args.max_steps,
-            engine=args.engine,
-            cache=cache,
-        )
+        result = solve(setting, source, max_steps=args.max_steps, cache=cache)
     if not result.cwa_solution_exists:
         print("no solution exists (the chase failed on an egd)")
         return 1
@@ -288,11 +281,11 @@ def _solve_incremental(
 
 
 def command_chase(args: argparse.Namespace) -> int:
-    from .chase import narrate
+    from .chase import narrate, seminaive_chase
 
     setting = load_setting(args.setting)
     source = load_instance(args.source, setting)
-    outcome = CHASE_ENGINES[args.engine](
+    outcome = seminaive_chase(
         source,
         list(setting.all_dependencies),
         max_steps=args.max_steps,
@@ -384,7 +377,7 @@ def _parse_fact(text: str, setting: DataExchangeSetting) -> "Atom":
 
 
 def command_explain(args: argparse.Namespace) -> int:
-    from .chase import narrate, narrate_why
+    from .chase import narrate, narrate_why, seminaive_chase
     from .obs.provenance import active_ledger, recording
 
     setting = load_setting(args.setting)
@@ -397,7 +390,7 @@ def command_explain(args: argparse.Namespace) -> int:
         recorder = recording()
         ledger = recorder.__enter__()
     try:
-        outcome = CHASE_ENGINES[args.engine](
+        outcome = seminaive_chase(
             source,
             list(setting.all_dependencies),
             max_steps=args.max_steps,
@@ -469,9 +462,7 @@ def _plan_steps_payload(meta, counts) -> list:
     return steps
 
 
-def _explain_plan_document(
-    setting: DataExchangeSetting, *, engine: str
-) -> dict:
+def _explain_plan_document(setting: DataExchangeSetting) -> dict:
     """The repro.obs/attribution/v1 EXPLAIN ANALYZE document.
 
     Joins the attribution tables (plan stats keyed by content digest,
@@ -539,7 +530,7 @@ def _explain_plan_document(
     ]
     return {
         "schema": obs.attribution.ATTRIBUTION_SCHEMA,
-        "engine": engine,
+        "engine": DEFAULT_ENGINE,
         "dependencies": dependencies,
         "other_plans": other_plans,
     }
@@ -607,14 +598,8 @@ def command_explain_plan(args: argparse.Namespace) -> int:
     cache = _cache_from_args(args)
     attribution.reset()
     with attribution.attributing():
-        result = solve(
-            setting,
-            source,
-            max_steps=args.max_steps,
-            engine=args.engine,
-            cache=cache,
-        )
-    document = _explain_plan_document(setting, engine=args.engine)
+        result = solve(setting, source, max_steps=args.max_steps, cache=cache)
+    document = _explain_plan_document(setting)
     document["solved"] = result.cwa_solution_exists
     document["chase_steps"] = result.chase_steps
     if args.json:
@@ -697,17 +682,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("source", help="source instance file")
     solve.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     solve.add_argument(
-        "--engine", choices=tuple(CHASE_ENGINES), default=DEFAULT_ENGINE
-    )
-    solve.add_argument(
         "--incremental-from",
         metavar="LEDGER",
         default=None,
         help=(
             "resume from a repro.obs/prov/v1 ledger a previous "
             "solve --provenance of this source wrote, instead of "
-            "chasing from scratch (--engine is ignored: the "
-            "incremental path is semi-naive)"
+            "chasing from scratch"
         ),
     )
     solve.add_argument(
@@ -729,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
             "same source)"
         ),
     )
-    _add_engine_flags(solve)
+    _add_cache_flag(solve)
     _add_obs_flags(solve)
     solve.set_defaults(run=command_solve)
 
@@ -737,9 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     chase.add_argument("setting")
     chase.add_argument("source")
     chase.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    chase.add_argument(
-        "--engine", choices=tuple(CHASE_ENGINES), default=DEFAULT_ENGINE
-    )
     chase.add_argument("--show-instances", action="store_true")
     _add_obs_flags(chase)
     chase.set_defaults(run=command_chase)
@@ -753,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("certain", "potential-certain", "persistent-maybe", "maybe"),
         default="certain",
     )
-    _add_engine_flags(certain)
+    _add_cache_flag(certain)
     _add_obs_flags(certain)
     certain.set_defaults(run=command_certain)
 
@@ -775,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_cmd.add_argument("setting")
     report_cmd.add_argument("source")
     report_cmd.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    _add_engine_flags(report_cmd)
+    _add_cache_flag(report_cmd)
     _add_obs_flags(report_cmd)
     report_cmd.set_defaults(run=command_report)
 
@@ -786,9 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain_cmd.add_argument("setting")
     explain_cmd.add_argument("source")
     explain_cmd.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    explain_cmd.add_argument(
-        "--engine", choices=tuple(CHASE_ENGINES), default=DEFAULT_ENGINE
-    )
     explain_cmd.add_argument("--show-instances", action="store_true")
     explain_cmd.add_argument(
         "--why",
@@ -813,14 +788,11 @@ def build_parser() -> argparse.ArgumentParser:
     explain_plan.add_argument("source")
     explain_plan.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     explain_plan.add_argument(
-        "--engine", choices=tuple(CHASE_ENGINES), default=DEFAULT_ENGINE
-    )
-    explain_plan.add_argument(
         "--json",
         action="store_true",
         help="emit the repro.obs/attribution/v1 document instead of text",
     )
-    _add_engine_flags(explain_plan)
+    _add_cache_flag(explain_plan)
     _add_obs_flags(explain_plan)
     explain_plan.set_defaults(run=command_explain_plan)
 

@@ -23,9 +23,9 @@ from ..core.instance import Instance
 from ..chase.loop import DEFAULT_MAX_STEPS
 from ..chase.oblivious import fire_all_source_justifications
 from ..chase.result import ChaseStatus
-from ..chase.standard import standard_chase
+from ..chase.seminaive import seminaive_chase
 from ..exchange.setting import DataExchangeSetting
-from ..homomorphism.blocks import blockwise_core
+from ..exchange.solve import solve
 from ..homomorphism.search import homomorphisms
 from .presolution import is_cwa_presolution
 
@@ -106,7 +106,8 @@ def cwa_solution_exists(
 ) -> bool:
     """Corollary 5.2: CWA-solutions exist iff universal solutions exist.
 
-    Decided by the standard chase; complete for weakly acyclic settings
+    Decided by :func:`~repro.exchange.solve.solve`, whose semi-naive
+    engine is a standard chase; complete for weakly acyclic settings
     (Proposition 6.6 -- this is the PTIME procedure).  For general
     settings the problem is undecidable (Theorem 6.2) and a divergence
     escape is possible.
@@ -123,15 +124,12 @@ def core_solution(
     """``Core_D(S)``: the core of the universal solutions, or None.
 
     By Theorem 5.1 this is a CWA-solution whenever it exists, and it is
-    the unique *minimal* CWA-solution.  Computed as the core of the
-    canonical universal solution produced by the standard chase, by the
-    same single block pass as :func:`~repro.exchange.solve.solve`
+    the unique *minimal* CWA-solution.  This is
+    :func:`~repro.exchange.solve.solve`'s core: one standard chase (the
+    semi-naive engine), then one block pass
     (:func:`~repro.homomorphism.blocks.blockwise_core`).
     """
-    canonical = setting.canonical_universal_solution(source, max_steps=max_steps)
-    if canonical is None:
-        return None
-    return blockwise_core(canonical)
+    return solve(setting, source, max_steps=max_steps).core_solution
 
 
 def minimal_cwa_solution(
@@ -159,9 +157,9 @@ def cansol(
 
     Construction for the first class: fire every s-t justification with
     fresh nulls (the canonical CWA-presolution of [12]), then close under
-    the egds; the merges define the α that reproduces the result.  For
-    the second class no nulls exist and the standard chase result is
-    already deterministic and maximal.
+    the egds with the semi-naive chase; the merges define the α that
+    reproduces the result.  For the second class no nulls exist and the
+    chase result is already deterministic and maximal.
 
     Returns None when no solution exists (an egd failed); raises
     :class:`UnsupportedSettingError` outside the two classes, where a
@@ -172,7 +170,7 @@ def cansol(
         fired, _ = fire_all_source_justifications(
             source, setting.st_dependencies
         )
-        outcome = standard_chase(
+        outcome = seminaive_chase(
             fired, list(setting.target_egds), max_steps=max_steps
         )
         if outcome.status is ChaseStatus.FAILURE:

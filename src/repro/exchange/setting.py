@@ -3,7 +3,7 @@
 A setting bundles the source schema, the target schema, the
 source-to-target tgds and the target dependencies, and offers the basic
 semantic judgments: is T a solution for S, is it universal, what does the
-standard chase produce.
+chase produce (through :func:`~repro.exchange.solve.solve`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from ..dependencies.graph import is_richly_acyclic, is_weakly_acyclic
 from ..dependencies.tgd import Tgd
 from ..chase.loop import DEFAULT_MAX_STEPS
 from ..chase.satisfaction import satisfies_all
-from ..chase.standard import standard_chase
 from ..homomorphism.search import has_homomorphism
 
 
@@ -212,30 +211,31 @@ class DataExchangeSetting:
     def canonical_universal_solution(
         self, source: Instance, *, max_steps: int = DEFAULT_MAX_STEPS
     ) -> Optional[Instance]:
-        """The standard-chase result, restricted to τ.
+        """The chase result of :func:`~repro.exchange.solve.solve`,
+        restricted to τ.
 
-        Returns None when the chase fails (no solution exists).  For
-        weakly acyclic settings the chase always terminates and the
-        result is a universal solution; for other settings a
-        :class:`ChaseDivergence` escape is possible.
+        ``solve``'s semi-naive engine is a standard chase: it applies
+        the test of Remark 4.3 and differs only in how it finds
+        triggers.  Returns None when the chase fails (no solution
+        exists).  For weakly acyclic settings the chase always
+        terminates and the result is a universal solution; for other
+        settings a :class:`ChaseDivergence` escape is possible.
         """
-        self.validate_source(source)
-        outcome = standard_chase(
-            source, list(self.all_dependencies), max_steps=max_steps
-        )
-        if outcome.failed:
-            return None
-        result = outcome.require_success()
-        return result.reduct(self.target_schema)
+        from .solve import solve  # lazy: solve imports this module
+
+        return solve(
+            self, source, max_steps=max_steps, compute_core=False
+        ).canonical_solution
 
     def universal_solution_exists(
         self, source: Instance, *, max_steps: int = DEFAULT_MAX_STEPS
     ) -> bool:
         """Whether a universal solution for ``source`` exists.
 
-        Decided by the standard chase; complete for weakly acyclic
-        settings (and by Corollary 5.2 this coincides with the existence
-        of CWA-solutions).
+        Decided by :func:`~repro.exchange.solve.solve`, whose
+        semi-naive engine is a standard chase; complete for weakly
+        acyclic settings (and by Corollary 5.2 this coincides with the
+        existence of CWA-solutions).
         """
         return self.canonical_universal_solution(source, max_steps=max_steps) is not None
 

@@ -36,8 +36,10 @@ class ExchangeResult:
     setting, source:
         The inputs.
     canonical_solution:
-        The standard-chase result restricted to τ, or None when the
-        chase failed (no solution exists).
+        The chase result restricted to τ, or None when the chase failed
+        (no solution exists).  The default semi-naive engine is a
+        standard chase: it differs from the full scan only in how it
+        finds triggers.
     core_solution:
         ``Core_D(S)`` -- by Theorem 5.1 the minimal CWA-solution -- or
         None when no solution exists.
@@ -73,7 +75,8 @@ class ExchangeResult:
         )
 
 
-#: The chase engine of :func:`solve` and of the CLI's ``--engine`` flags.
+#: The chase engine of :func:`solve`, and so of every library path that
+#: chases a setting's source.
 DEFAULT_ENGINE = "seminaive"
 
 
@@ -98,8 +101,13 @@ def solve(
     ``engine`` selects the trigger-discovery strategy of the standard
     chase: "seminaive" (the default, :data:`DEFAULT_ENGINE`) joins only
     what each pass added or rewrote, "standard" rescans every premise
-    match on every pass.  Both produce hom-equivalent canonical
-    solutions and identical cores.  The core is
+    match on every pass and is kept as the full-scan reference for
+    differential tests and benchmarks.  Both produce hom-equivalent
+    canonical solutions and isomorphic cores.  Every other library
+    path that chases a setting's source
+    (:meth:`DataExchangeSetting.canonical_universal_solution`,
+    :func:`~repro.cwa.solution.core_solution` and the answering
+    semantics behind them) calls ``solve`` with the default.  The core is
     :func:`~repro.homomorphism.blocks.blockwise_core`: one pass of
     Gaifman-block folding, exact without a verification fold.
 

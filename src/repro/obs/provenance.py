@@ -36,7 +36,7 @@ it with::
     from repro.obs.provenance import recording
 
     with recording() as ledger:
-        outcome = standard_chase(source, dependencies)
+        outcome = seminaive_chase(source, dependencies)
     print(ledger.render_why(fact))
 
 Ledgers serialize losslessly through the versioned JSON schema

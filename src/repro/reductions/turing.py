@@ -394,18 +394,19 @@ def halting_witness(
 def chase_configurations(
     machine: TuringMachine, *, chase_steps: int
 ) -> List[Tuple[str, Optional[int]]]:
-    """Run the standard chase of ``S_M`` for a budget and read off the
-    simulated run: the (state, head-cell index) pairs along the NEXT chain.
+    """Run the standard chase of ``S_M`` (the semi-naive engine) for a
+    budget and read off the simulated run: the (state, head-cell index)
+    pairs along the NEXT chain.
 
     The head cell index is resolved against the NEXTPOS chain of the
     corresponding time value when possible (positions are nulls).  Used
     to verify that D_halt simulates the machine.
     """
-    from ..chase.standard import standard_chase
+    from ..chase.seminaive import seminaive_chase
 
     setting = d_halt_setting()
     source = encode_machine(machine)
-    outcome = standard_chase(
+    outcome = seminaive_chase(
         source, list(setting.all_dependencies), max_steps=chase_steps
     )
     instance = outcome.instance

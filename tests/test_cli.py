@@ -80,13 +80,6 @@ class TestCommands:
         assert "core (minimal CWA-solution)" in out
         assert "E(a, b)" in out
 
-    def test_solve_seminaive_engine(self, setting_file, source_file, capsys):
-        code = main(
-            ["solve", setting_file, source_file, "--engine", "seminaive"]
-        )
-        assert code == 0
-        assert "core" in capsys.readouterr().out
-
     def test_chase_narration(self, setting_file, source_file, capsys):
         code = main(["chase", setting_file, source_file])
         out = capsys.readouterr().out

@@ -1,9 +1,7 @@
 """Tests for the standard chase."""
 
-import pytest
-
-from repro.chase import ChaseStatus, chase_to_solution, satisfies_all, standard_chase, violations
-from repro.core import ChaseDivergence, Const, Instance, Schema, atom, RelationSymbol
+from repro.chase import ChaseStatus, satisfies_all, standard_chase, violations
+from repro.core import Const, Instance, Schema, atom, RelationSymbol
 from repro.dependencies import parse_dependencies, parse_dependency
 from repro.logic import parse_instance
 
@@ -82,10 +80,6 @@ class TestEgdHandling:
         outcome = standard_chase(parse_instance("F('a','b'), F('a','c')"), deps)
         assert outcome.failed
 
-    def test_chase_to_solution_none_on_failure(self):
-        deps = parse_dependencies(["F(x, y) & F(x, z) -> y = z"])
-        assert chase_to_solution(parse_instance("F('a','b'), F('a','c')"), deps) is None
-
 
 class TestDivergence:
     def test_non_terminating_setting_diverges(self):
@@ -94,11 +88,6 @@ class TestDivergence:
             parse_instance("E('a','b')"), deps, max_steps=50
         )
         assert outcome.diverged
-
-    def test_chase_to_solution_raises_on_divergence(self):
-        deps = parse_dependencies(["E(x, y) -> exists z . E(y, z)"])
-        with pytest.raises(ChaseDivergence):
-            chase_to_solution(parse_instance("E('a','b')"), deps, max_steps=50)
 
 
 class TestTrace:
