@@ -25,19 +25,28 @@ accumulator together:
   for Proposition 5.4's classes, else one enumeration) and one walk per
   member, giving ``certain◇ = ⋃ □Q(T)`` and ``maybe◇ = ⋃ ◇Q(T)``.
 
-With a ``cache`` a half runs lazily, on the first verdict it misses.
+Both halves read one chase of S, ``solve(..., compute_core=False)``,
+run on the first half that needs it.  The core half folds its canonical
+solution into the core (the block pass ``solve`` runs); the space half
+enumerates into it, or, for Proposition 5.4's full-tgd-and-egd class,
+takes it as CanSol.  Only for egds-only settings is CanSol built apart
+from the chase, by :func:`~repro.cwa.solution.cansol`'s firing of every
+s-t justification.  With a ``cache`` a half runs lazily, on the first
+verdict it misses, and the space half alone computes no core.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
 from ..core.instance import Instance
-from ..cwa.enumeration import enumerate_cwa_solutions
-from ..cwa.solution import cansol, core_solution
+from ..cwa.enumeration import enumerate_cwa_solutions_into
+from ..cwa.solution import cansol
 from ..exchange.setting import DataExchangeSetting
+from ..exchange.solve import ExchangeResult, solve
+from ..homomorphism.blocks import blockwise_core
 from ..logic.queries import AnswerSet, Query
 from ..obs import counter, span
 from .valuations import certain_and_maybe_on, certain_on, maybe_on
@@ -53,18 +62,41 @@ def _no_solution() -> NoCwaSolutionError:
     )
 
 
-def _core(setting: DataExchangeSetting, source: Instance) -> Instance:
-    """``Core_D(S)``, the minimal CWA-solution; raises if none exists."""
-    minimal = core_solution(setting, source)
-    if minimal is None:
+Chase = Callable[[], ExchangeResult]
+
+
+def _chase(setting: DataExchangeSetting, source: Instance) -> Chase:
+    """One lazy chase of S without its core: run on the first call,
+    then reused."""
+    return lru_cache(maxsize=None)(
+        lambda: solve(setting, source, compute_core=False)
+    )
+
+
+def _core(exchange: Chase) -> Instance:
+    """``Core_D(S)``, the minimal CWA-solution: the chase's canonical
+    solution folded by :func:`blockwise_core`, as :func:`solve` folds
+    it; raises if none exists."""
+    canonical = exchange().canonical_solution
+    if canonical is None:
         raise _no_solution()
-    return minimal
+    return blockwise_core(canonical)
 
 
-def _cansol(setting: DataExchangeSetting, source: Instance) -> Instance:
+def _cansol(
+    setting: DataExchangeSetting, source: Instance, exchange: Chase
+) -> Instance:
     """``CanSol_D(S)``, maximal in Proposition 5.4's classes; raises if
-    no CWA-solution exists."""
-    maximal = cansol(setting, source)
+    no CWA-solution exists.
+
+    For egds-only settings it is :func:`cansol`'s construction; for the
+    full-tgd-and-egd class it is the chase's canonical solution, which
+    is what :func:`cansol` returns there.
+    """
+    if setting.target_dependencies_are_egds_only:
+        maximal = cansol(setting, source)
+    else:
+        maximal = exchange().canonical_solution
     if maximal is None:
         raise _no_solution()
     return maximal
@@ -74,11 +106,16 @@ def _solution_space(
     setting: DataExchangeSetting,
     source: Instance,
     solutions: Optional[Sequence[Instance]],
+    exchange: Chase,
 ) -> List[Instance]:
+    """``solutions``, else the CWA-solutions enumerated into the chase's
+    canonical solution; raises when the space is empty."""
     if solutions is not None:
         found = list(solutions)
     else:
-        found = enumerate_cwa_solutions(setting, source)
+        found = enumerate_cwa_solutions_into(
+            setting, source, exchange().canonical_solution
+        )
     if not found:
         raise _no_solution()
     return found
@@ -92,7 +129,7 @@ def certain_answers(
     """``certain□(Q, S)``, via Theorem 7.1: ``□Q(Core_D(S))``."""
     with span("answering.certain"):
         return certain_on(
-            query, _core(setting, source), setting.target_dependencies
+            query, _core(_chase(setting, source)), setting.target_dependencies
         )
 
 
@@ -104,7 +141,7 @@ def persistent_maybe_answers(
     """``maybe□(Q, S)``, via Theorem 7.1: ``◇Q(Core_D(S))``."""
     with span("answering.persistent_maybe"):
         return maybe_on(
-            query, _core(setting, source), setting.target_dependencies
+            query, _core(_chase(setting, source)), setting.target_dependencies
         )
 
 
@@ -124,11 +161,14 @@ def potential_certain_answers(
     inputs only; maximal CWA-solutions may not exist, Example 5.3).
     """
     with span("answering.potential_certain"):
+        exchange = _chase(setting, source)
         if solutions is None and _cansol_applies(setting):
             return certain_on(
-                query, _cansol(setting, source), setting.target_dependencies
+                query,
+                _cansol(setting, source, exchange),
+                setting.target_dependencies,
             )
-        space = _solution_space(setting, source, solutions)
+        space = _solution_space(setting, source, solutions, exchange)
         return answers_over_space(
             query, space, setting.target_dependencies, "potential_certain"
         )
@@ -144,11 +184,14 @@ def maybe_answers(
     """``maybe◇(Q, S)`` -- same strategy as
     :func:`potential_certain_answers`, with ◇Q in place of □Q."""
     with span("answering.maybe"):
+        exchange = _chase(setting, source)
         if solutions is None and _cansol_applies(setting):
             return maybe_on(
-                query, _cansol(setting, source), setting.target_dependencies
+                query,
+                _cansol(setting, source, exchange),
+                setting.target_dependencies,
             )
-        space = _solution_space(setting, source, solutions)
+        space = _solution_space(setting, source, solutions, exchange)
         return answers_over_space(
             query, space, setting.target_dependencies, "maybe"
         )
@@ -192,12 +235,14 @@ def _answers_from_payload(payload: dict) -> Optional[AnswerSet]:
 
 
 def _core_pair(
-    setting: DataExchangeSetting, source: Instance, query: Query
+    setting: DataExchangeSetting,
+    query: Query,
+    exchange: Chase,
 ) -> Tuple[AnswerSet, AnswerSet]:
     """``(certain□, maybe□)``: one walk over the core's worlds (Thm 7.1)."""
     with span("answering.over_core"):
         return certain_and_maybe_on(
-            query, _core(setting, source), setting.target_dependencies
+            query, _core(exchange), setting.target_dependencies
         )
 
 
@@ -206,20 +251,25 @@ def _space_pair(
     source: Instance,
     query: Query,
     solutions: Optional[Sequence[Instance]],
+    exchange: Chase,
 ) -> Tuple[AnswerSet, AnswerSet]:
     """``(certain◇, maybe◇)``: one walk over each solution's worlds.
 
     The space is CanSol alone when Theorem 7.1 applies, as in
-    :func:`potential_certain_answers` and :func:`maybe_answers`.
+    :func:`potential_certain_answers` and :func:`maybe_answers`;
+    otherwise ``solutions``, or the space enumerated into the canonical
+    solution of ``exchange``, the chase the core half reads too.
     """
     with span("answering.over_space"):
         if solutions is None and _cansol_applies(setting):
             return certain_and_maybe_on(
-                query, _cansol(setting, source), setting.target_dependencies
+                query,
+                _cansol(setting, source, exchange),
+                setting.target_dependencies,
             )
         per_target = _per_solution(
             query,
-            _solution_space(setting, source, solutions),
+            _solution_space(setting, source, solutions, exchange),
             setting.target_dependencies,
         )
         boxes = frozenset().union(*(box for box, _ in per_target))
@@ -237,9 +287,10 @@ def all_four_semantics(
 ) -> dict:
     """All four answer sets at once (used by examples and benchmarks).
 
-    Equal to the four single-semantics functions, but the core, the
-    solution space and each world are computed once, not twice (see the
-    module docstring).
+    Equal to the four single-semantics functions, but the chase, the
+    core, the solution space and each world are computed once, not
+    twice or four times (see the module docstring; for egds-only
+    settings CanSol is built apart from the chase).
 
     Corollary 7.2 guarantees the chain
     ``certain□ ⊆ certain◇ ⊆ maybe□ ⊆ maybe◇``; the property tests check
@@ -248,11 +299,12 @@ def all_four_semantics(
     ``cache`` memoizes each of the four verdicts under an
     :func:`repro.engine.fingerprint.answer_key`.
     """
+    exchange = _chase(setting, source)
     core_pair = lru_cache(maxsize=None)(
-        lambda: _core_pair(setting, source, query)
+        lambda: _core_pair(setting, query, exchange)
     )
     space_pair = lru_cache(maxsize=None)(
-        lambda: _space_pair(setting, source, query, solutions)
+        lambda: _space_pair(setting, source, query, solutions, exchange)
     )
     computations = {
         "certain": lambda: core_pair()[0],

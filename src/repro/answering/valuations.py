@@ -42,6 +42,17 @@ Callers that know their query compares only null-fed positions (e.g. the
 3-SAT reduction of Theorem 7.5) may pass a smaller anchor set explicitly
 to make the enumeration polynomially smaller; the default is always
 sound.
+
+The world test
+--------------
+Each world ``v(T)`` is built with :meth:`Instance.from_ground` and must
+satisfy Σ_t.  A dependency whose premise is one atom with pairwise
+distinct variables and no constants (:func:`valuation_stable`) holds in
+every ``v(T)`` once it holds in T, so T is checked against those
+dependencies once, and when it satisfies them each world is checked
+against the others only (:func:`rep` and the answering walk share this
+test).  Example 2.1's ``F(y,x) → ∃z G(x,z)`` is such a dependency; its
+egd, with a two-atom premise, is not.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from typing import (
 )
 
 from ..core.instance import Instance
-from ..core.terms import Const, Null
+from ..core.terms import Const, Null, Variable
 from ..chase.satisfaction import satisfies_all
 from ..dependencies.base import Dependency
 from ..logic.queries import AnswerSet, AnswerTuple, Query
@@ -204,10 +215,56 @@ def rep(
     definition of Rep_D in Section 7.1.
     """
     worlds = counter("answering.worlds_visited")
-    for valuation in valuations(target, extra_constants, anchors=anchors):
+    for image in _worlds(
+        target,
+        target_dependencies,
+        valuations(target, extra_constants, anchors=anchors),
+    ):
+        worlds.inc()
+        yield image
+
+
+def valuation_stable(dependency: Dependency) -> bool:
+    """Is ``dependency``'s premise one atom with pairwise distinct
+    variables and no constants?
+
+    Such a dependency d survives every valuation: if T ⊨ d, then
+    v(T) ⊨ d.  Every atom of v(T) is v(A) for an atom A of T, so every
+    premise match in v(T) is v∘m for the premise match m of d's lone
+    premise atom in T; T ⊨ d gives m's conclusion (its witness atoms, or
+    the equality it asks for) in T, and v carries it into v(T).
+    """
+    atoms = dependency.premise_atoms
+    if atoms is None or len(atoms) != 1:
+        return False
+    args = atoms[0].args
+    return (
+        all(isinstance(arg, Variable) for arg in args)
+        and len(set(args)) == len(args)
+    )
+
+
+def _worlds(
+    target: Instance,
+    target_dependencies: Sequence[Dependency],
+    stream: Iterable[Valuation],
+) -> Iterator[Instance]:
+    """The images ``v(T)`` of the valuations in ``stream`` that satisfy
+    Σ_t, in stream order: the one world test of :func:`rep` and the
+    answering walk.
+
+    T is checked once against its :func:`valuation_stable`
+    dependencies.  If it satisfies them, so does every image, which is
+    then tested against the other dependencies only; otherwise every
+    image is tested against all of Σ_t.
+    """
+    stable = [d for d in target_dependencies if valuation_stable(d)]
+    checked = list(target_dependencies)
+    if stable and satisfies_all(target, stable):
+        checked = [d for d in checked if not valuation_stable(d)]
+    for valuation in stream:
         image = target.rename_values(valuation)
-        if satisfies_all(image, target_dependencies):
-            worlds.inc()
+        if not checked or satisfies_all(image, checked):
             yield image
 
 
@@ -271,10 +328,11 @@ def _walk_worlds(
     worlds = 0
     box: Optional[Set[AnswerTuple]] = None
     diamond: Set[AnswerTuple] = set()
-    for valuation in valuations(target, extras, anchors=anchors):
-        image = target.rename_values(valuation)
-        if not satisfies_all(image, target_dependencies):
-            continue
+    for image in _worlds(
+        target,
+        target_dependencies,
+        valuations(target, extras, anchors=anchors),
+    ):
         worlds += 1
         result = query.evaluate(image)
         if box is None:

@@ -102,8 +102,9 @@ class Instance:
     def from_ground(cls, atoms: Iterable[Atom]) -> "Instance":
         """A new instance of ``atoms``, which the caller knows are ground.
 
-        The trusted bulk constructor behind cache hits and the JSON
-        decoder: it skips :meth:`add`'s per-atom ``is_ground`` check and
+        The trusted bulk constructor behind cache hits, the JSON decoder
+        and :meth:`rename_values` (so every possible world of the
+        answering walk): it skips :meth:`add`'s per-atom ``is_ground`` check and
         cache invalidation (a new instance has no caches yet).  Atoms are
         inserted in the given order, and duplicates are skipped, as
         ``Instance(atoms)`` would.
@@ -438,8 +439,16 @@ class Instance:
         return result
 
     def rename_values(self, mapping: Mapping[Value, Value]) -> "Instance":
-        """The image of this instance under a value mapping (h(I))."""
-        return Instance(item.rename_values(mapping) for item in self._atoms)
+        """The image of this instance under a value mapping (h(I)).
+
+        ``mapping`` maps values to values, so every image atom is ground
+        and the image is built through :meth:`from_ground`: images are
+        inserted in this instance's iteration order, and atoms the
+        mapping merges are kept once.
+        """
+        return Instance.from_ground(
+            item.rename_values(mapping) for item in self._atoms
+        )
 
     def frozen(self) -> FrozenSet[Atom]:
         """A hashable snapshot of the atom set (used for cycle detection)."""

@@ -20,13 +20,23 @@ Example 2.1, which is a solution but not universal) are deliberately out
 of scope of the enumeration -- they are never CWA-solutions; use
 :func:`repro.cwa.presolution.is_cwa_presolution` to recognize them
 individually.
+
+A state holds its target part only: no chase step changes the source
+part, which all states share.  When the search prunes into a universal
+solution U (:func:`enumerate_cwa_solutions`), a witness choice is
+dropped before its branch is cloned if one of its atoms has no
+single-atom image in U; a branch that passes still needs a homomorphism
+of its whole target part into U.  The budget is checked on the would-be
+branch first, so a search raises :class:`ChaseDivergence` at the same
+choice whether or not the choice would have been pruned.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
+from ..core.atoms import Atom
 from ..core.errors import ChaseDivergence
 from ..core.instance import Instance, isomorphic
 from ..core.terms import Null, Value
@@ -43,9 +53,11 @@ DEFAULT_MAX_DEPTH = 10_000
 class _State:
     """One node of the enumeration tree: a chase state plus the α so far.
 
-    ``source`` is the state's source part, the premise instance of the
-    s-t tgds.  It never changes along a branch (sources are ground,
-    target tgds add target atoms only, egds rename nulls only), so it is
+    ``instance`` is the state's target part, the only part a chase step
+    changes: target tgds and egds match target relations only.
+    ``source`` is the source part, the premise instance of the s-t
+    tgds.  It never changes along a branch (sources are ground, target
+    tgds add target atoms only, egds rename nulls only), so it is
     computed once per enumeration and clones share it.
     """
 
@@ -71,17 +83,18 @@ class _State:
 
 
 def _witness_options(
-    state: _State, arity: int
+    state: _State, arity: int, source_domain: FrozenSet[Value]
 ) -> Iterator[Tuple[Tuple[Value, ...], int]]:
     """Candidate witness tuples for a justification with ``arity``
     existential variables, with the number of fresh nulls consumed.
 
-    Each position picks either an existing active-domain value or a fresh
+    Each position picks either an existing active-domain value (of the
+    source part, ``source_domain``, or of the target part) or a fresh
     null; fresh nulls are introduced in restricted-growth order (the
     first fresh position uses null k, the next new one k+1, ...) so that
     isomorphic choices are enumerated once.
     """
-    existing = sorted(state.instance.active_domain())
+    existing = sorted(source_domain | state.instance.active_domain())
     FRESH = object()
     for pattern in product([FRESH, *existing], repeat=arity):
         witnesses: List[Value] = []
@@ -126,35 +139,97 @@ def _restricted_growth(length: int) -> Iterator[Tuple[int, ...]]:
     yield from extend([])
 
 
+class _Images:
+    """Which atoms have a single-atom image in ``target``.
+
+    An atom ``R(ū)`` has one when some ``R``-atom of ``target`` agrees
+    with it on every constant and repeats a value wherever ``ū``
+    repeats a null.  A homomorphism of a whole branch into ``target``
+    maps each of its atoms to such an image, so an atom without one
+    rules the branch out before it is built.  Answers are memoized by
+    the atom's shape (its relation, its constants, and its nulls
+    numbered by first occurrence): ``target`` never changes during an
+    enumeration.
+    """
+
+    __slots__ = ("target", "_known")
+
+    def __init__(self, target: Instance):
+        self.target = target
+        self._known: Dict[Tuple, bool] = {}
+
+    def has_image(self, item: Atom) -> bool:
+        numbering: Dict[Null, int] = {}
+        shape = tuple(
+            numbering.setdefault(value, len(numbering))
+            if value.__class__ is Null
+            else value
+            for value in item.args
+        )
+        key = (item.relation.name, shape)
+        known = self._known.get(key)
+        if known is None:
+            known = self._known[key] = any(
+                _agrees(shape, candidate.args)
+                for candidate in self.target.probe_relation(key[0])
+            )
+        return known
+
+
+def _agrees(shape: Tuple, args: Tuple[Value, ...]) -> bool:
+    """Does ``args`` match an :class:`_Images` shape?"""
+    bound: Dict[int, Value] = {}
+    for entry, value in zip(shape, args):
+        if entry.__class__ is int:
+            if bound.setdefault(entry, value) != value:
+                return False
+        elif entry != value:
+            return False
+    return True
+
+
 def _branches(
-    setting: DataExchangeSetting,
     state: _State,
     step,
+    source_domain: FrozenSet[Value],
     max_atoms: int,
     max_depth: int,
-    prune_to: Optional[Instance],
+    images: Optional[_Images],
 ) -> List[_State]:
-    """Children of ``state`` at an unassigned justification ``step``."""
+    """Children of ``state`` at an unassigned justification ``step``.
+
+    Each witness choice is first checked against the budget (the
+    would-be branch's atoms, source part included, and depth), then,
+    with ``images``, against the single-atom prefilter; only a choice
+    that passes both is cloned into a branch, which must still map into
+    ``images.target`` as a whole.
+    """
     tgd, premise_match, key = step
+    frontier = premise_match.as_tuple(tgd.frontier)
+    present = state.instance
+    size = len(state.source) + len(present)
+    depth = state.depth + 1
     children: List[_State] = []
     for witnesses, fresh_used in _witness_options(
-        state, len(tgd.existential)
+        state, len(tgd.existential), source_domain
     ):
-        branch = state.clone()
-        branch.alpha[key] = witnesses
-        branch.next_null += fresh_used
-        branch.instance.add_all(
-            tgd.conclusion_atoms_under(premise_match, witnesses)
-        )
-        branch.depth += 1
-        if len(branch.instance) > max_atoms or branch.depth > max_depth:
+        atoms = tgd.conclusion_atoms_at(frontier, witnesses)
+        added = {item for item in atoms if item not in present}
+        if size + len(added) > max_atoms or depth > max_depth:
             raise ChaseDivergence(
-                branch.depth,
+                depth,
                 f"enumeration exceeded its budget (atoms ≤ {max_atoms}, "
                 f"depth ≤ {max_depth})",
             )
-        if prune_to is not None and not has_homomorphism(
-            branch.instance.reduct(setting.target_schema), prune_to
+        if images is not None and not all(map(images.has_image, atoms)):
+            continue
+        branch = state.clone()
+        branch.alpha[key] = witnesses
+        branch.next_null += fresh_used
+        branch.instance.add_all(atoms)
+        branch.depth = depth
+        if images is not None and not has_homomorphism(
+            branch.instance, images.target
         ):
             continue
         children.append(branch)
@@ -173,9 +248,9 @@ def enumerate_cwa_presolutions(
     """All CWA-presolutions with justified values, up to isomorphism.
 
     Budgets: raises :class:`ChaseDivergence` if the search would need
-    more than ``max_atoms`` atoms in a state or ``max_depth`` chase steps
-    on a branch -- for weakly acyclic settings generously sized budgets
-    are never hit.
+    more than ``max_atoms`` atoms in a state (source atoms included) or
+    ``max_depth`` chase steps on a branch -- for weakly acyclic settings
+    generously sized budgets are never hit.
 
     ``prune_to``: if given, branches whose target part admits no
     homomorphism into this instance are cut immediately.  Sound for
@@ -183,7 +258,10 @@ def enumerate_cwa_presolutions(
     because hom-into-U is anti-monotone under adding atoms (restricting
     a homomorphism of a superset gives one of the subset).  Used by
     :func:`enumerate_cwa_solutions` with the canonical universal
-    solution, where it prunes exponentially many dead branches.
+    solution, where it prunes exponentially many dead branches.  A
+    witness choice one of whose conclusion atoms has no single-atom
+    image in ``prune_to`` is cut before its branch is built
+    (:class:`_Images`).
     """
     setting.validate_source(source)
     factory_start = (
@@ -193,17 +271,10 @@ def enumerate_cwa_presolutions(
     # Results deduplicate up to isomorphism: a cheap structural
     # signature first, isomorphism tests only within its bucket.
     signatures: Dict[Tuple, List[Instance]] = {}
-    instance = source.copy()
-    stack = [
-        _State(
-            instance,
-            instance.reduct(setting.source_schema),
-            {},
-            factory_start,
-            set(),
-            0,
-        )
-    ]
+    source_part = source.reduct(setting.source_schema)
+    source_domain = source_part.active_domain()
+    images = _Images(prune_to) if prune_to is not None else None
+    stack = [_State(Instance(), source_part, {}, factory_start, set(), 0)]
     while stack:
         state = stack.pop()
         step = _advance(setting, state)
@@ -218,10 +289,12 @@ def enumerate_cwa_presolutions(
             )
         if step != "done":
             stack.extend(
-                _branches(setting, state, step, max_atoms, max_depth, prune_to)
+                _branches(
+                    state, step, source_domain, max_atoms, max_depth, images
+                )
             )
             continue
-        candidate = state.instance.reduct(setting.target_schema)
+        candidate = state.instance
         if prune_to is not None and not has_homomorphism(candidate, prune_to):
             continue
         signature = (
@@ -311,9 +384,34 @@ def enumerate_cwa_solutions(
 
     By Theorem 4.8 these are the universal members of the presolution
     space; universality is checked by a homomorphism into the canonical
-    universal solution.
+    universal solution (see :func:`enumerate_cwa_solutions_into`).
     """
-    canonical = setting.canonical_universal_solution(source)
+    return enumerate_cwa_solutions_into(
+        setting,
+        source,
+        setting.canonical_universal_solution(source),
+        max_results=max_results,
+        max_atoms=max_atoms,
+        max_depth=max_depth,
+    )
+
+
+def enumerate_cwa_solutions_into(
+    setting: DataExchangeSetting,
+    source: Instance,
+    canonical: Optional[Instance],
+    *,
+    max_results: int = DEFAULT_MAX_RESULTS,
+    max_atoms: int = DEFAULT_MAX_ATOMS,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> List[Instance]:
+    """:func:`enumerate_cwa_solutions`, given ``source``'s canonical
+    universal solution (None when the chase failed), for a caller that
+    has chased already.
+
+    The CWA-solutions are the presolutions with a homomorphism into
+    ``canonical`` (Theorem 4.8); there are none when it is None.
+    """
     if canonical is None:
         return []
     return enumerate_cwa_presolutions(

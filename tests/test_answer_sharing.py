@@ -4,7 +4,8 @@ The four Section 7 semantics read two objects: the core (certain□,
 maybe□) and the CWA-solution space (certain◇, maybe◇).  These tests pin
 that the one-pass computation answers exactly what the four
 single-semantics functions answer, that the answer cache sees the same
-four entries, and that the core and the space are each computed once.
+four entries, and that the chase, the core and the space are each
+computed once.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.answering.semantics as semantics
+import repro.cwa.enumeration as enumeration
 import repro.obs as obs
 from repro.answering import (
     all_four_semantics,
@@ -188,39 +190,82 @@ class _Calls:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count ``enumerate_cwa_solutions``/``core_solution`` calls made by
-    the answering layer."""
+    """Count the answering layer's ``solve``, ``blockwise_core`` and
+    ``cansol`` calls, and every enumeration of a presolution space by
+    any route (``enumerate_cwa_solutions`` and
+    ``enumerate_cwa_solutions_into`` both call
+    ``enumerate_cwa_presolutions``)."""
     found = {}
-    for name in ("enumerate_cwa_solutions", "core_solution", "cansol"):
-        wrapper = _Calls(getattr(semantics, name))
-        monkeypatch.setattr(semantics, name, wrapper)
+    for module, name in (
+        (semantics, "solve"),
+        (semantics, "blockwise_core"),
+        (semantics, "cansol"),
+        (enumeration, "enumerate_cwa_presolutions"),
+    ):
+        wrapper = _Calls(getattr(module, name))
+        monkeypatch.setattr(module, name, wrapper)
         found[name] = wrapper
     return found
 
 
+def _span_count(name: str) -> int:
+    """How often a span named ``name`` ran, under any parent span: every
+    chase a call makes, by any route, opens one ``solve`` span."""
+    return sum(
+        entry["count"]
+        for path, entry in obs.snapshot()["spans"].items()
+        if path.split("/")[-1] == name
+    )
+
+
 class TestWorkBound:
     def test_example_2_1_computes_core_and_space_once(self, calls):
+        """One chase serves both halves: the core half folds its
+        canonical solution, the enumeration prunes into it."""
         query = parse_query("Q(x) :- E(x, y)")
-        all_four_semantics(example_2_1_setting(), example_2_1_source(), query)
-        assert calls["enumerate_cwa_solutions"].count == 1
-        assert calls["core_solution"].count == 1
+        for made in (1, 2):
+            all_four_semantics(
+                example_2_1_setting(), example_2_1_source(), query
+            )
+            assert calls["solve"].count == made
+            assert _span_count("solve") == made
+            assert calls["blockwise_core"].count == made
+            assert calls["enumerate_cwa_presolutions"].count == made
+            assert obs.snapshot()["counters"]["chase.tgd_firings"] == 3 * made
         assert calls["cansol"].count == 0
 
     def test_cansol_path_computes_cansol_once(self, calls):
+        """For the full-tgd-and-egd class CanSol is the canonical
+        solution of the call's one chase: no second chase, no
+        ``cansol``."""
         setting, source, queries = _case("full+egd")
+        one_chase = _tgd_firings_of(setting, source)
+        obs.reset()
+        all_four_semantics(setting, source, parse_query(queries[0]))
+        assert calls["cansol"].count == 0
+        assert calls["solve"].count == 1
+        assert _span_count("solve") == 1
+        assert calls["enumerate_cwa_presolutions"].count == 0
+        assert _tgd_firings() == one_chase
+
+    def test_egds_only_cansol_is_built_once(self, calls):
+        setting, source, queries = _case("egds-only")
         all_four_semantics(setting, source, parse_query(queries[0]))
         assert calls["cansol"].count == 1
-        assert calls["core_solution"].count == 1
-        assert calls["enumerate_cwa_solutions"].count == 0
+        assert calls["solve"].count == 1
+        assert calls["enumerate_cwa_presolutions"].count == 0
 
     def test_explicit_space_is_not_enumerated(self, calls):
         setting, source = example_2_1_setting(), example_2_1_source()
         space = enumerate_cwa_solutions(setting, source)
+        calls["enumerate_cwa_presolutions"].count = 0
+        obs.reset()
         all_four_semantics(
             setting, source, parse_query("Q(x) :- E(x, y)"), solutions=space
         )
-        assert calls["enumerate_cwa_solutions"].count == 0
-        assert calls["core_solution"].count == 1
+        assert calls["enumerate_cwa_presolutions"].count == 0
+        assert calls["solve"].count == 1
+        assert _span_count("solve") == 1
 
     def test_one_walk_per_world(self):
         setting, source = example_2_1_setting(), example_2_1_source()
@@ -233,13 +278,33 @@ class TestWorkBound:
         for name in (
             "answering.valuations_enumerated",
             "answering.worlds_visited",
-            "chase.tgd_firings",
         ):
             assert 2 * shared[name] == separate[name], name
+        # The four single functions chase four times, the shared call once.
+        assert 4 * shared["chase.tgd_firings"] == separate["chase.tgd_firings"]
+
+
+def _space_worlds(setting, source) -> int:
+    """The worlds of every enumerated CWA-solution (the space half's walk)."""
+    from repro.answering.valuations import rep
+
+    return sum(
+        sum(1 for _ in rep(solution, setting.target_dependencies))
+        for solution in enumerate_cwa_solutions(setting, source)
+    )
 
 
 def _tgd_firings() -> int:
     return obs.snapshot()["counters"].get("chase.tgd_firings", 0)
+
+
+def _tgd_firings_of(setting, source) -> int:
+    """The tgd firings of one ``solve`` of ``source``."""
+    from repro.exchange.solve import solve
+
+    obs.reset()
+    solve(setting, source)
+    return _tgd_firings()
 
 
 class TestCache:
@@ -267,8 +332,8 @@ class TestCache:
         warm = all_four_semantics(setting, source, query, cache=cache)
         assert warm == cold
         assert _tgd_firings() == before
-        assert calls["core_solution"].count == 1
-        assert calls["enumerate_cwa_solutions"].count == 1
+        assert calls["solve"].count == 1
+        assert calls["enumerate_cwa_presolutions"].count == 1
         assert obs.snapshot()["counters"]["answering.cache_hits"] == 4
 
     def test_partial_hit_computes_the_rest_once(self, tmp_path, calls):
@@ -281,11 +346,11 @@ class TestCache:
             answer_key(setting, source, query, "certain"),
             lambda: certain_answers(setting, source, query),
         )
-        calls["core_solution"].count = 0
+        calls["solve"].count = 0
         answers = all_four_semantics(setting, source, query, cache=cache)
         assert obs.snapshot()["counters"]["answering.cache_hits"] == 1
-        assert calls["core_solution"].count == 1
-        assert calls["enumerate_cwa_solutions"].count == 1
+        assert calls["solve"].count == 1
+        assert calls["enumerate_cwa_presolutions"].count == 1
         assert answers == _singles(setting, source, query)
 
     def test_space_half_only_when_core_verdicts_cached(self, tmp_path, calls):
@@ -296,8 +361,16 @@ class TestCache:
         keys = self._keys(setting, source, query)
         for name in ("potential_certain", "maybe"):
             cache.invalidate("answers", keys[name])
-        calls["core_solution"].count = 0
-        calls["enumerate_cwa_solutions"].count = 0
+        calls["solve"].count = 0
+        calls["blockwise_core"].count = 0
+        calls["enumerate_cwa_presolutions"].count = 0
+        obs.reset()
         all_four_semantics(setting, source, query, cache=cache)
-        assert calls["core_solution"].count == 0
-        assert calls["enumerate_cwa_solutions"].count == 1
+        # The space half alone: one chase for its canonical solution,
+        # one enumeration, no core and no walk over the core's worlds.
+        assert calls["solve"].count == 1
+        assert calls["blockwise_core"].count == 0
+        assert _span_count("core.blockwise") == 0
+        assert calls["enumerate_cwa_presolutions"].count == 1
+        walked = obs.snapshot()["counters"]["answering.worlds_visited"]
+        assert walked == _space_worlds(setting, source)
