@@ -17,20 +17,25 @@ A tgd d is **α-applicable** to I with (ū, v̄) iff
 tgd is α-applicable to the result; it is *failing* if an egd application
 fails on two constants (Definition 4.2).
 
-The engine below saturates tgds first, then applies egds, re-saturating
-as needed; Lemma 4.5 guarantees that when a successful α-chase exists at
+One kernel, :func:`alpha_rounds`, runs every α-chase of the package:
+it saturates the tgds under α-applicability, applies one egd, and
+repeats.  Lemma 4.5 guarantees that when a successful α-chase exists at
 all, this strategy finds it and its result is independent of strategy.
 Divergence (as with α₃ in Example 4.4) is detected by a step budget and
-by revisiting a previous state.
+by revisiting a previous state.  :func:`alpha_chase` drives it through
+an observed :class:`~.loop.ChaseRun`; the solution-space enumeration
+(:mod:`repro.cwa.enumeration`), whose α may leave a justification
+unassigned, and :func:`repro.cwa.presolution.find_alpha` drive it
+through a :class:`QuietRun`, which no observer sees.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Substitution
-from ..core.errors import DependencyError
+from ..core.errors import ChaseDivergence, DependencyError
 from ..core.instance import Instance
 from ..core.terms import NullFactory, Value
 from ..dependencies.base import Dependency, split_dependencies
@@ -153,6 +158,159 @@ def any_tgd_alpha_applicable(
     return False
 
 
+class QuietRun:
+    """A run of :func:`alpha_rounds` that no observer sees.
+
+    It has :class:`~.loop.ChaseRun`'s firing interface, counts steps and
+    keeps no counter, ledger, trace, attribution row or heartbeat.  It
+    finishes with a bare :class:`ChaseStatus` and raises
+    :class:`ChaseDivergence` when out of steps.
+    """
+
+    __slots__ = ("current", "max_steps", "steps")
+
+    def __init__(self, current: Instance, max_steps: int, steps: int = 0):
+        self.current = current
+        self.max_steps = max_steps
+        self.steps = steps
+
+    def fire(self, tgd: Tgd, binding: Tuple[Value, ...], witnesses) -> None:
+        frontier = binding[: len(tgd.frontier)]
+        self.current.add_all(tgd.conclusion_atoms_at(frontier, witnesses))
+        self.steps += 1
+
+    def merge(self, egd: Egd, old: Value, new: Value) -> None:
+        self.current.replace_value(old, new)
+        self.steps += 1
+
+    def clock(self) -> float:
+        return 0.0
+
+    def attribute(self, *args, **counts) -> None:
+        pass
+
+    beat = attribute
+
+    def finish(self, status: ChaseStatus, reason: str = "") -> ChaseStatus:
+        return status
+
+    def out_of_budget(self):
+        raise ChaseDivergence(
+            self.steps, f"α-chase exceeded {self.max_steps} steps"
+        )
+
+
+def alpha_rounds(
+    run,
+    tgds: Sequence[Tgd],
+    bases: Sequence[Instance],
+    egds: Sequence[Egd],
+    witnesses: Callable[[JustificationKey], Optional[Tuple[Value, ...]]],
+    seen: Set[str],
+    phases=None,
+):
+    """The α-chase kernel: saturate the tgds, apply one egd, repeat.
+
+    ``run`` is a :class:`~.loop.ChaseRun` or a :class:`QuietRun`; the
+    kernel fires, merges and finishes through it.  Each tgd's premise is
+    matched in its ``bases`` entry (the working instance, or a source
+    part no step changes) and its conclusion checked in ``run.current``.
+    ``witnesses`` looks up ``ᾱ(d, ū, v̄)``.  ``seen`` holds the content
+    fingerprints of the states egd steps left; ``phases``, if given, is
+    the (tgd, egd) pair of span stats that time the two phases.
+
+    Returns what ``run.finish`` or ``run.out_of_budget`` returns, or the
+    first ``(tgd, binding, key)`` whose justification ``witnesses``
+    answers with None (not assigned yet).
+    """
+    current = run.current
+    round_index = 0
+    while True:
+        # Saturate tgds under α-applicability.  Each pass materializes
+        # the current matches and fires every one that is still
+        # α-applicable at its own firing time; newly enabled matches are
+        # picked up by the next pass.
+        pass_started = time.perf_counter()
+        try:
+            progressed = True
+            while progressed:
+                progressed = False
+                for tgd, base in zip(tgds, bases):
+                    started = run.clock()
+                    firings = 0
+                    pending = list(tgd.premise_bindings(base))
+                    for binding in pending:
+                        key = binding_key(tgd, binding)
+                        chosen = witnesses(key)
+                        if chosen is None:
+                            return tgd, binding, key
+                        if tgd.conclusion_present_at(current, key[1], chosen):
+                            continue
+                        if run.steps >= run.max_steps:
+                            return run.out_of_budget()
+                        run.fire(tgd, binding, chosen)
+                        progressed = True
+                        firings += 1
+                    if pending:
+                        # α-witnesses need not be fresh, so nulls are
+                        # counted at the engine level only.
+                        run.attribute(
+                            tgd,
+                            round_index,
+                            started,
+                            triggers=len(pending),
+                            firings=firings,
+                        )
+        finally:
+            if phases is not None:
+                phases[0].record(time.perf_counter() - pass_started)
+
+        run.beat(round_index)
+        # tgd fixpoint reached: no tgd is α-applicable.  Check egds.
+        egd_started = time.perf_counter()
+        try:
+            for egd in egds:
+                started = run.clock()
+                violation = egd.first_violation(current)
+                run.attribute(
+                    egd,
+                    round_index,
+                    started,
+                    triggers=1 if violation is not None else 0,
+                )
+                if violation is not None:
+                    break
+            else:
+                return run.finish(ChaseStatus.SUCCESS)
+            left, right = violation
+            direction = Egd.merge_direction(left, right)
+            if direction is None:
+                return run.finish(
+                    ChaseStatus.FAILURE,
+                    f"egd {egd} equated distinct constants {left} and {right}",
+                )
+            # Cycle detection stores content fingerprints, not frozen
+            # atom sets: a 64-character digest per visited state instead
+            # of an O(|I|) copy.
+            snapshot = current.fingerprint()
+            if snapshot in seen:
+                return run.finish(
+                    ChaseStatus.DIVERGED,
+                    "α-chase revisited a state: no successful α-chase "
+                    "exists for this α (it must loop forever, cf. "
+                    "Example 4.4)",
+                )
+            seen.add(snapshot)
+            run.merge(egd, *direction)
+            run.attribute(egd, round_index, merges=1)
+        finally:
+            if phases is not None:
+                phases[1].record(time.perf_counter() - egd_started)
+        round_index += 1
+        if run.steps >= run.max_steps:
+            return run.out_of_budget()
+
+
 def alpha_chase(
     instance: Instance,
     dependencies: Sequence[Dependency],
@@ -177,100 +335,15 @@ def alpha_chase(
         trace=trace,
         fresh_witnesses=False,
     )
-    current = run.current
-    # Cycle detection stores content fingerprints, not frozen atom sets:
-    # a 64-character digest per visited state instead of an O(|I|) copy.
-    seen_states: Set[str] = set()
-
+    bases = [run.current] * len(tgds)
     with span("chase.alpha"):
-        # Phase timing only (egds vs tgds), recorded per saturation round
-        # -- same overhead-budget reasoning as the standard engine.
-        egd_stats = span_stats("egds")
-        tgd_stats = span_stats("tgds")
-        round_index = 0
-        while True:
-            # Saturate tgds under α-applicability.  Each pass materializes
-            # the current matches and fires every one that is still
-            # α-applicable at its own firing time; newly enabled matches are
-            # picked up by the next pass.
-            pass_started = time.perf_counter()
-            try:
-                progressed = True
-                while progressed:
-                    progressed = False
-                    for tgd in tgds:
-                        started = run.clock()
-                        firings = 0
-                        pending = [
-                            (binding, binding_key(tgd, binding))
-                            for binding in tgd.premise_bindings(current)
-                        ]
-                        for binding, key in pending:
-                            witnesses = alpha.witnesses(key)
-                            if tgd.conclusion_present_at(
-                                current, key[1], witnesses
-                            ):
-                                continue
-                            if run.steps >= max_steps:
-                                return run.out_of_budget()
-                            run.fire(tgd, binding, witnesses)
-                            progressed = True
-                            firings += 1
-                        if pending:
-                            # α-witnesses need not be fresh, so nulls are
-                            # counted at the engine level only.
-                            run.attribute(
-                                tgd,
-                                round_index,
-                                started,
-                                triggers=len(pending),
-                                firings=firings,
-                            )
-            finally:
-                tgd_stats.record(time.perf_counter() - pass_started)
-
-            run.beat(round_index)
-            # tgd fixpoint reached: no tgd is α-applicable.  Check egds.
-            egd_started = time.perf_counter()
-            try:
-                violating: Optional[Tuple[Egd, Value, Value]] = None
-                for egd in egds:
-                    started = run.clock()
-                    violation = egd.first_violation(current)
-                    run.attribute(
-                        egd,
-                        round_index,
-                        started,
-                        triggers=1 if violation is not None else 0,
-                    )
-                    if violation is not None:
-                        violating = (egd, *violation)
-                        break
-                if violating is None:
-                    return run.finish(ChaseStatus.SUCCESS)
-                egd, left, right = violating
-                direction = Egd.merge_direction(left, right)
-                if direction is None:
-                    return run.finish(
-                        ChaseStatus.FAILURE,
-                        f"egd {egd} equated distinct constants {left} and {right}",
-                    )
-                snapshot = current.fingerprint()
-                if snapshot in seen_states:
-                    return run.finish(
-                        ChaseStatus.DIVERGED,
-                        "α-chase revisited a state: no successful α-chase "
-                        "exists for this α (it must loop forever, cf. "
-                        "Example 4.4)",
-                    )
-                seen_states.add(snapshot)
-                run.merge(egd, *direction)
-                run.attribute(egd, round_index, merges=1)
-            finally:
-                egd_stats.record(time.perf_counter() - egd_started)
-            round_index += 1
-            if run.steps >= max_steps:
-                return run.out_of_budget()
+        # Phase timing only (tgds vs egds), recorded per saturation pass
+        # and per egd step -- same overhead-budget reasoning as the
+        # standard engine.
+        phases = (span_stats("tgds"), span_stats("egds"))
+        return alpha_rounds(
+            run, tgds, bases, egds, alpha.witnesses, set(), phases
+        )
 
 
 class AlphaChaseSession:

@@ -1,4 +1,4 @@
-"""One firing step, one observer bundle, one round loop for every engine.
+"""One firing step and one observer bundle for every engine; two loops.
 
 A trigger is a justification's pair (ū, v̄) (Section 4 of the paper),
 held as one value tuple ``ū‖v̄`` ordered ``tgd.frontier +
@@ -16,6 +16,9 @@ and finishes through: the working copy, the step and null counts, the
 per-dependency attribution and the heartbeat.  :func:`chase_rounds` is
 the egd-fixpoint → tgd-pass round loop of the two batched engines; its
 only parameter is the :class:`TriggerSource` that feeds each pass.
+The α-chase has one loop of its own, :func:`repro.chase.alpha.alpha_rounds`,
+which ``alpha_chase``, the solution-space enumeration and ``find_alpha``
+all run: through a :class:`ChaseRun`, or an unobserved ``QuietRun``.
 The loop checks the conclusion of each frontier tuple ū at most once
 per run (:class:`SatisfiedTriggers`, keyed on ``binding[:len(frontier)]``).
 """

@@ -4,6 +4,12 @@ Section 5 explores the *space* of CWA-solutions: the core is the unique
 minimal one (Theorem 5.1), but there may be exponentially many pairwise
 hom-incomparable ones (Example 5.3).  This module materializes that space
 for small instances by searching over the witness choices of α directly.
+Each state is driven by the package's one α-kernel
+(:func:`repro.chase.alpha.alpha_rounds`) under its partial α; the
+kernel stops at the first unassigned justification, and the search
+branches there.  A failing or looping chase is a dead branch, and a
+branch that needs more than ``max_depth`` steps raises
+:class:`ChaseDivergence`.
 
 Completeness (up to isomorphism, for CWA-*solutions*): a CWA-solution is
 universal, hence admits a homomorphism into the canonical universal
@@ -22,11 +28,13 @@ of scope of the enumeration -- they are never CWA-solutions; use
 individually.
 
 A state holds its target part only: no chase step changes the source
-part, which all states share.  When the search prunes into a universal
-solution U (:func:`enumerate_cwa_solutions`), a witness choice is
-dropped before its branch is cloned if one of its atoms has no
-single-atom image in U; a branch that passes still needs a homomorphism
-of its whole target part into U.  The budget is checked on the would-be
+part (sources are ground, target tgds add target atoms only, egds
+rename nulls only), which all states share as the s-t tgds' premise
+instance.  When the search prunes into a universal solution U
+(:func:`enumerate_cwa_solutions`), a witness choice is dropped before
+its branch is cloned if one of its atoms has no single-atom image in U;
+a branch that passes still needs a homomorphism of its whole target
+part into U.  The budget is checked on the would-be
 branch first, so a search raises :class:`ChaseDivergence` at the same
 choice whether or not the choice would have been pruned.
 """
@@ -34,14 +42,14 @@ choice whether or not the choice would have been pruned.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.errors import ChaseDivergence
 from ..core.instance import Instance, isomorphic
 from ..core.terms import Null, Value
-from ..chase.alpha import JustificationKey, justification_key
-from ..dependencies.egd import Egd
+from ..chase.alpha import JustificationKey, QuietRun, alpha_rounds
+from ..chase.result import ChaseStatus
 from ..exchange.setting import DataExchangeSetting
 from ..homomorphism.search import has_homomorphism
 
@@ -50,51 +58,47 @@ DEFAULT_MAX_ATOMS = 400
 DEFAULT_MAX_DEPTH = 10_000
 
 
-class _State:
+class _State(QuietRun):
     """One node of the enumeration tree: a chase state plus the α so far.
 
-    ``instance`` is the state's target part, the only part a chase step
+    It is the run the α-kernel (:func:`~repro.chase.alpha.alpha_rounds`)
+    drives, so ``steps`` counts the chase steps of its branch.
+    ``current`` is the state's target part, the only part a chase step
     changes: target tgds and egds match target relations only.
-    ``source`` is the source part, the premise instance of the s-t
-    tgds.  It never changes along a branch (sources are ground, target
-    tgds add target atoms only, egds rename nulls only), so it is
-    computed once per enumeration and clones share it.
     """
 
-    __slots__ = ("instance", "source", "alpha", "next_null", "seen", "depth")
+    __slots__ = ("alpha", "next_null", "seen")
 
-    def __init__(self, instance, source, alpha, next_null, seen, depth):
-        self.instance: Instance = instance
-        self.source: Instance = source
+    def __init__(self, current, max_steps, steps, alpha, next_null, seen):
+        super().__init__(current, max_steps, steps)
         self.alpha: Dict[JustificationKey, Tuple[Value, ...]] = alpha
         self.next_null: int = next_null
         self.seen: Set[str] = seen  # state fingerprints, for egd-loop detection
-        self.depth: int = depth
 
     def clone(self) -> "_State":
         return _State(
-            self.instance.copy(),
-            self.source,
+            self.current.copy(),
+            self.max_steps,
+            self.steps,
             dict(self.alpha),
             self.next_null,
             set(self.seen),
-            self.depth,
         )
 
 
 def _witness_options(
-    state: _State, arity: int, source_domain: FrozenSet[Value]
+    state: _State, arity: int, source: Instance
 ) -> Iterator[Tuple[Tuple[Value, ...], int]]:
     """Candidate witness tuples for a justification with ``arity``
     existential variables, with the number of fresh nulls consumed.
 
     Each position picks either an existing active-domain value (of the
-    source part, ``source_domain``, or of the target part) or a fresh
+    source part ``source`` or of the target part) or a fresh
     null; fresh nulls are introduced in restricted-growth order (the
     first fresh position uses null k, the next new one k+1, ...) so that
     isomorphic choices are enumerated once.
     """
-    existing = sorted(source_domain | state.instance.active_domain())
+    existing = sorted(source.active_domain() | state.current.active_domain())
     FRESH = object()
     for pattern in product([FRESH, *existing], repeat=arity):
         witnesses: List[Value] = []
@@ -191,9 +195,8 @@ def _agrees(shape: Tuple, args: Tuple[Value, ...]) -> bool:
 def _branches(
     state: _State,
     step,
-    source_domain: FrozenSet[Value],
+    source: Instance,
     max_atoms: int,
-    max_depth: int,
     images: Optional[_Images],
 ) -> List[_State]:
     """Children of ``state`` at an unassigned justification ``step``.
@@ -204,32 +207,32 @@ def _branches(
     that passes both is cloned into a branch, which must still map into
     ``images.target`` as a whole.
     """
-    tgd, premise_match, key = step
-    frontier = premise_match.as_tuple(tgd.frontier)
-    present = state.instance
-    size = len(state.source) + len(present)
-    depth = state.depth + 1
+    tgd, _, key = step
+    frontier = key[1]
+    present = state.current
+    size = len(source) + len(present)
+    depth = state.steps + 1
     children: List[_State] = []
     for witnesses, fresh_used in _witness_options(
-        state, len(tgd.existential), source_domain
+        state, len(tgd.existential), source
     ):
         atoms = tgd.conclusion_atoms_at(frontier, witnesses)
         added = {item for item in atoms if item not in present}
-        if size + len(added) > max_atoms or depth > max_depth:
+        if size + len(added) > max_atoms or depth > state.max_steps:
             raise ChaseDivergence(
                 depth,
                 f"enumeration exceeded its budget (atoms ≤ {max_atoms}, "
-                f"depth ≤ {max_depth})",
+                f"depth ≤ {state.max_steps})",
             )
         if images is not None and not all(map(images.has_image, atoms)):
             continue
         branch = state.clone()
         branch.alpha[key] = witnesses
         branch.next_null += fresh_used
-        branch.instance.add_all(atoms)
-        branch.depth = depth
+        branch.current.add_all(atoms)
+        branch.steps = depth
         if images is not None and not has_homomorphism(
-            branch.instance, images.target
+            branch.current, images.target
         ):
             continue
         children.append(branch)
@@ -272,29 +275,28 @@ def enumerate_cwa_presolutions(
     # signature first, isomorphism tests only within its bucket.
     signatures: Dict[Tuple, List[Instance]] = {}
     source_part = source.reduct(setting.source_schema)
-    source_domain = source_part.active_domain()
     images = _Images(prune_to) if prune_to is not None else None
-    stack = [_State(Instance(), source_part, {}, factory_start, set(), 0)]
+    tgds, egds = setting.tgds, setting.target_egds
+    source_premise = [tgd in setting.st_dependencies for tgd in tgds]
+    stack = [_State(Instance(), max_depth, 0, {}, factory_start, set())]
     while stack:
         state = stack.pop()
-        step = _advance(setting, state)
-        if step == "dead":
-            continue
-        if step == "budget":
-            raise ChaseDivergence(
-                state.depth,
-                f"enumeration exceeded its budget (atoms ≤ {max_atoms}, "
-                f"depth ≤ {max_depth}); the setting may admit unboundedly "
-                "large CWA-presolutions",
-            )
-        if step != "done":
+        verdict = alpha_rounds(
+            state,
+            tgds,
+            [source_part if st else state.current for st in source_premise],
+            egds,
+            state.alpha.get,
+            state.seen,
+        )
+        if isinstance(verdict, tuple):  # an unassigned justification
             stack.extend(
-                _branches(
-                    state, step, source_domain, max_atoms, max_depth, images
-                )
+                _branches(state, verdict, source_part, max_atoms, images)
             )
             continue
-        candidate = state.instance
+        if verdict is not ChaseStatus.SUCCESS:
+            continue  # a failing α-chase, or one that loops forever
+        candidate = state.current
         if prune_to is not None and not has_homomorphism(candidate, prune_to):
             continue
         signature = (
@@ -312,64 +314,6 @@ def enumerate_cwa_presolutions(
         if len(results) >= max_results:
             break
     return results
-
-
-def _advance(setting: DataExchangeSetting, state: _State):
-    """Drive ``state`` forward until a branch point, an end, or death.
-
-    Returns "done" (successful result), "dead" (failing branch),
-    "budget", or an unassigned justification (tgd, premise match, key).
-    """
-    while True:
-        # 1. Fire assigned-but-unsatisfied justifications (deterministic).
-        fired = False
-        for tgd in setting.tgds:
-            base = (
-                state.source
-                if tgd in setting.st_dependencies
-                else state.instance
-            )
-            # Materialize before firing: the compiled matcher iterates
-            # live index buckets and target tgds add to the very
-            # instance being matched.
-            for premise_match in list(tgd.premise_matches(base)):
-                key = justification_key(tgd, premise_match)
-                witnesses = state.alpha.get(key)
-                if witnesses is None:
-                    return (tgd, premise_match, key)
-                if not tgd.conclusion_present(
-                    state.instance, premise_match, witnesses
-                ):
-                    state.instance.add_all(
-                        tgd.conclusion_atoms_under(premise_match, witnesses)
-                    )
-                    state.depth += 1
-                    if state.depth > DEFAULT_MAX_DEPTH:
-                        return "budget"
-                    fired = True
-        if fired:
-            continue
-
-        # 2. tgd fixpoint: apply egds.
-        violation = None
-        for egd in setting.target_egds:
-            violation_pair = egd.first_violation(state.instance)
-            if violation_pair is not None:
-                violation = (egd, violation_pair)
-                break
-        if violation is None:
-            return "done"
-        egd, (left, right) = violation
-        direction = Egd.merge_direction(left, right)
-        if direction is None:
-            return "dead"  # failing α-chase
-        snapshot = state.instance.fingerprint()
-        if snapshot in state.seen:
-            return "dead"  # the chase loops forever for this α
-        state.seen.add(snapshot)
-        old, new = direction
-        state.instance.replace_value(old, new)
-        state.depth += 1
 
 
 def enumerate_cwa_solutions(

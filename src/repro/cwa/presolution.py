@@ -17,11 +17,14 @@ Section 6).  The algorithm here searches for the witnessing α directly:
    conclusion realized *inside* G by the witnesses the justification was
    assigned: collect, per match, the candidate witness tuples
    ``{w̄ | atoms of ψ[ū, w̄] ⊆ G}``.  An empty candidate set refutes T.
-3. Choose one candidate per match (backtracking) and compute the least
-   fixpoint: start from S and fire a match's chosen atoms once its
-   premise holds.  T is a CWA-presolution iff some choice makes the
-   fixpoint equal G exactly (successful chases of a null-free S apply
-   only tgds -- Lemma 4.5 -- so a tgd-only derivation suffices).
+3. Choose one candidate per match (backtracking) and α-chase S with
+   the tgds alone under the chosen witnesses, through the α-kernel
+   :func:`~repro.chase.alpha.alpha_rounds`.  T is a CWA-presolution iff
+   some choice makes the result equal G exactly (successful chases of a
+   null-free S apply only tgds -- Lemma 4.5 -- so a tgd-only derivation
+   suffices).  Every state of that chase lies inside G, and target tgds
+   have conjunctive premises, so each premise match it meets is one
+   over G and has a chosen witness tuple.
 
 The search is exponential only in the number of matches with several
 candidates, which is small on realistic instances.
@@ -29,12 +32,19 @@ candidates, which is small on realistic instances.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.atoms import Atom, Substitution
 from ..core.instance import Instance
 from ..core.terms import Value
-from ..chase.alpha import ExplicitAlpha, JustificationKey, justification_key
+from ..chase.alpha import (
+    ExplicitAlpha,
+    JustificationKey,
+    QuietRun,
+    alpha_rounds,
+    binding_key,
+)
+from ..chase.result import ChaseStatus
 from ..chase.satisfaction import satisfies_all
 from ..exchange.setting import DataExchangeSetting
 from ..logic.matching import match
@@ -43,20 +53,19 @@ from ..logic.matching import match
 class _Match:
     """A premise match of a tgd over G, with its candidate witness tuples."""
 
-    __slots__ = ("tgd", "key", "premise_match", "candidates")
+    __slots__ = ("tgd", "key", "candidates")
 
-    def __init__(self, tgd, key, premise_match, candidates):
+    def __init__(self, tgd, key, candidates):
         self.tgd = tgd
         self.key: JustificationKey = key
-        self.premise_match: Substitution = premise_match
         self.candidates: Tuple[Tuple[Value, ...], ...] = candidates
 
 
 def _candidate_witnesses(
-    tgd, premise_match: Substitution, goal: Instance
+    tgd, frontier: Tuple[Value, ...], goal: Instance
 ) -> Tuple[Tuple[Value, ...], ...]:
-    """All w̄ with atoms(ψ[ū, w̄]) ⊆ goal."""
-    frontier_binding = premise_match.restrict(tgd.frontier_set)
+    """All w̄ with atoms(ψ[ū, w̄]) ⊆ goal, for ū = ``frontier``."""
+    frontier_binding = Substitution(dict(zip(tgd.frontier, frontier)))
     found: Set[Tuple[Value, ...]] = set()
     for sub in match(tgd.conclusion_atoms, goal, initial=frontier_binding):
         found.add(sub.as_tuple(tgd.existential))
@@ -75,56 +84,16 @@ def _collect_matches(
     seen_keys: Set[JustificationKey] = set()
     for tgd in setting.tgds:
         base = source if tgd in setting.st_dependencies else goal
-        for premise_match in tgd.premise_matches(base):
-            key = justification_key(tgd, premise_match)
+        for binding in tgd.premise_bindings(base):
+            key = binding_key(tgd, binding)
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            candidates = _candidate_witnesses(tgd, premise_match, goal)
+            candidates = _candidate_witnesses(tgd, key[1], goal)
             if not candidates:
                 return None
-            matches.append(_Match(tgd, key, premise_match, candidates))
+            matches.append(_Match(tgd, key, candidates))
     return matches
-
-
-def _fixpoint(
-    source: Instance,
-    matches: Sequence[_Match],
-    choice: Dict[JustificationKey, Tuple[Value, ...]],
-) -> Instance:
-    """The tgd-only α-chase result under the chosen witnesses.
-
-    Starts from S and fires each match once its premise holds in the
-    current instance; the result is the unique fixpoint.
-    """
-    current = source.copy()
-    pending = list(matches)
-    progressed = True
-    while progressed and pending:
-        progressed = False
-        remaining: List[_Match] = []
-        for item in pending:
-            if _premise_holds(item, current):
-                witnesses = choice[item.key]
-                current.add_all(
-                    item.tgd.conclusion_atoms_under(item.premise_match, witnesses)
-                )
-                progressed = True
-            else:
-                remaining.append(item)
-        pending = remaining
-    return current
-
-
-def _premise_holds(item: _Match, instance: Instance) -> bool:
-    tgd = item.tgd
-    if tgd.premise_atoms is not None:
-        return all(
-            item.premise_match.apply(atom) in instance
-            for atom in tgd.premise_atoms
-        )
-    # FO premise (s-t): holds over the source by construction of matches.
-    return True
 
 
 def find_alpha(
@@ -151,21 +120,20 @@ def find_alpha(
         return None
 
     goal_atoms = goal.frozen()
-    target_atom_count = len(goal)
 
     # Forced matches (single candidate) first; then fewest-candidates.
     matches.sort(key=lambda item: len(item.candidates))
 
     choice: Dict[JustificationKey, Tuple[Value, ...]] = {}
 
-    def atoms_of_choice(item: _Match, witnesses: Tuple[Value, ...]):
-        return item.tgd.conclusion_atoms_under(item.premise_match, witnesses)
-
     # Precompute, per match, the atoms each candidate would add, and the
     # union over the suffix matches[i:] -- the coverage prune then costs
     # a subset test instead of a full rescan.
     candidate_atoms: List[List[Set[Atom]]] = [
-        [set(atoms_of_choice(item, witnesses)) for witnesses in item.candidates]
+        [
+            set(item.tgd.conclusion_atoms_at(item.key[1], witnesses))
+            for witnesses in item.candidates
+        ]
         for item in matches
     ]
     suffix_cover: List[Set[Atom]] = [set() for _ in range(len(matches) + 1)]
@@ -181,8 +149,13 @@ def find_alpha(
         if index == len(matches):
             if uncovered:
                 return False
-            result = _fixpoint(source, matches, choice)
-            return len(result) == target_atom_count and result == goal
+            # Every firing adds an atom of G, so |G| steps are enough.
+            run = QuietRun(source.copy(), len(goal))
+            tgds = setting.tgds
+            bases = [run.current] * len(tgds)
+            verdict = alpha_rounds(run, tgds, bases, (), choice.get, set())
+            result = run.current
+            return verdict is ChaseStatus.SUCCESS and result == goal
         if not uncovered <= suffix_cover[index]:
             return False
         item = matches[index]

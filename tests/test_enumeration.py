@@ -1,5 +1,11 @@
 """Tests for enumerating CWA-(pre)solutions; Example 5.3."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import isomorphic
@@ -125,6 +131,86 @@ class TestEnumerationSoundness:
         assert len(solutions[0]) == 0
 
 
+class TestDepthBudget:
+    """``max_depth`` bounds every chase step of a branch, the
+    deterministic ones between branch points included."""
+
+    @pytest.mark.parametrize("max_depth", [5, 14])
+    def test_too_small_a_depth_raises(self, max_depth, setting_2_1, source_2_1):
+        from repro.core.errors import ChaseDivergence
+
+        with pytest.raises(ChaseDivergence):
+            enumerate_cwa_presolutions(
+                setting_2_1, source_2_1, max_depth=max_depth
+            )
+
+    def test_fifteen_steps_are_enough_for_example_2_1(
+        self, setting_2_1, source_2_1
+    ):
+        """Example 2.1's longest branch, a dead one, takes 15 steps
+        (its successful ones take at most 4); with that budget the
+        enumeration is the default one."""
+        bounded = enumerate_cwa_presolutions(
+            setting_2_1, source_2_1, max_depth=15
+        )
+        unbounded = enumerate_cwa_presolutions(setting_2_1, source_2_1)
+        assert len(bounded) == 173
+        assert [item.sorted_atoms() for item in bounded] == [
+            item.sorted_atoms() for item in unbounded
+        ]
+
+
+class TestSilence:
+    """The enumeration and ``find_alpha`` chase without observers: no
+    ``chase.*`` counter, ledger step, attribution row or heartbeat."""
+
+    def test_enumeration_and_find_alpha_leave_no_trace(
+        self, monkeypatch, setting_2_1, source_2_1
+    ):
+        import io
+
+        import repro.obs as obs
+        from repro.cwa import find_alpha
+        from repro.exchange import DataExchangeSetting
+        from repro.obs import attribution
+        from repro.obs.provenance import recording
+
+        canonical = setting_2_1.canonical_universal_solution(source_2_1)
+        core = core_solution(setting_2_1, source_2_1)
+        # The canonical solution's own chase is not the enumeration's.
+        monkeypatch.setattr(
+            DataExchangeSetting,
+            "canonical_universal_solution",
+            lambda self, source, **options: canonical,
+        )
+        stream = io.StringIO()
+        monkeypatch.setattr(
+            attribution, "_HEARTBEAT", attribution.Heartbeat(stream)
+        )
+
+        def observed(ledger):
+            counters = obs.snapshot()["counters"]
+            return (
+                {
+                    name: value
+                    for name, value in counters.items()
+                    if name.startswith("chase.")
+                },
+                len(ledger),
+                json.dumps(attribution.dependencies(), sort_keys=True),
+                stream.getvalue(),
+            )
+
+        with attribution.attributing(), recording() as ledger:
+            before = observed(ledger)
+            solutions = enumerate_cwa_solutions(setting_2_1, source_2_1)
+            alpha = find_alpha(setting_2_1, source_2_1, core)
+            after = observed(ledger)
+        assert len(solutions) == 3
+        assert alpha is not None
+        assert after == before
+
+
 class TestSourcePartComputedOnce:
     """The s-t tgds match the source part, which no chase step changes,
     so the enumeration takes its reduct once, not once per step."""
@@ -225,3 +311,82 @@ class TestBatteryWalks:
         obs.reset()
         assert counters["answering.valuations_enumerated"] == valuations
         assert counters["answering.worlds_visited"] == worlds
+
+
+def _pinned_inputs():
+    """Examples 2.1, 5.3 (n = 1, 2) and 80 random weakly acyclic draws."""
+    from repro.generators.settings_library import (
+        example_2_1_setting,
+        example_2_1_source,
+        example_5_3_setting,
+    )
+
+    from .test_space_kernels import _draw
+
+    yield example_2_1_setting(), example_2_1_source()
+    yield example_5_3_setting(), example_5_3_source(1)
+    yield example_5_3_setting(), example_5_3_source(2)
+    for seed in range(80):
+        yield _draw(seed)
+
+
+def solutions_digest() -> dict:
+    """One digest of ``enumerate_cwa_solutions`` on :func:`_pinned_inputs`:
+    the ordered list of each input's solutions, null names included."""
+    digest = hashlib.sha256()
+    inputs = solutions = 0
+    for setting, source in _pinned_inputs():
+        found = enumerate_cwa_solutions(setting, source)
+        inputs += 1
+        solutions += len(found)
+        listing = [repr(item.sorted_atoms()) for item in found]
+        digest.update(repr(listing).encode() + b"\n")
+    return {
+        "hash": sys.hash_info.algorithm,
+        "inputs": inputs,
+        "solutions": solutions,
+        "digest": digest.hexdigest(),
+    }
+
+
+#: :func:`solutions_digest` under ``PYTHONHASHSEED=0``, one literal per
+#: string hash algorithm.  The order of the solutions follows set
+#: iteration order, so the digest moves with the hash seed.  Regenerate
+#: with ``PYTHONHASHSEED=0 PYTHONPATH=src python -c "from
+#: tests.test_enumeration import solutions_digest; print(solutions_digest())"``
+#: from the repository root.
+SOLUTIONS_DIGEST = {
+    "siphash13": "40c6aebea6c2045244fc65187a39e8cb86e5b3adae35b568481d84ac2466fa27",
+}
+
+
+class TestSolutionsPinned:
+    """The solution lists, their order and their null names are pinned."""
+
+    def test_solutions_digest(self):
+        import repro
+
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import json; from tests.test_enumeration import "
+                "solutions_digest; print(json.dumps(solutions_digest()))",
+            ],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={
+                "PYTHONHASHSEED": "0",
+                "PYTHONPATH": src_dir,
+                "PATH": "/usr/bin:/bin",
+            },
+            check=True,
+        )
+        document = json.loads(completed.stdout)
+        if document["hash"] not in SOLUTIONS_DIGEST:
+            pytest.skip(f"no digest for string hash {document['hash']}")
+        assert (document["inputs"], document["solutions"]) == (83, 111)
+        assert document["digest"] == SOLUTIONS_DIGEST[document["hash"]]
