@@ -17,6 +17,7 @@ from .semantics import (
     maybe_answers,
     persistent_maybe_answers,
     potential_certain_answers,
+    solutions_for,
 )
 from .valuations import (
     certain_and_maybe_on,
@@ -50,6 +51,7 @@ __all__ = [
     "persistent_maybe_answers",
     "potential_certain_answers",
     "rep",
+    "solutions_for",
     "u_certain_answers",
     "ucq_certain_answers",
     "valuation_pool",

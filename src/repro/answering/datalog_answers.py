@@ -18,10 +18,9 @@ from typing import FrozenSet, Optional, Tuple
 
 from ..core.instance import Instance
 from ..core.terms import Value
-from ..cwa.solution import core_solution
 from ..exchange.setting import DataExchangeSetting
 from ..logic.datalog import DatalogProgram
-from .semantics import NoCwaSolutionError
+from .semantics import solutions_for
 
 
 def datalog_certain_answers(
@@ -35,13 +34,9 @@ def datalog_certain_answers(
 
     The program's EDB predicates must be target relations of the
     setting; IDB predicates are free names.  Pass ``solution`` to reuse
-    an already-computed CWA-solution.
+    an already-computed CWA-solution; otherwise the core of
+    :func:`~repro.answering.semantics.solutions_for` is used.
     """
-    target = solution
-    if target is None:
-        target = core_solution(setting, source)
-    if target is None:
-        raise NoCwaSolutionError(
-            "no CWA-solution exists for this source instance"
-        )
-    return program.certain_part(target)
+    if solution is None:
+        (solution,) = solutions_for(setting, source, "certain")
+    return program.certain_part(solution)

@@ -21,14 +21,11 @@ from typing import Tuple
 
 from ..core.instance import Instance
 from ..core.terms import Value
-from ..cwa.solution import cansol, core_solution
 from ..exchange.setting import DataExchangeSetting
 from ..logic.queries import Query
 from ..obs import span
-from .semantics import NoCwaSolutionError
+from .semantics import BOX, SEMANTICS_NAMES, solutions_for
 from .valuations import certain_holds_on, maybe_holds_on
-
-SEMANTICS = ("certain", "potential_certain", "persistent_maybe", "maybe")
 
 
 class AnswerLanguage:
@@ -43,78 +40,40 @@ class AnswerLanguage:
         query: Query,
         semantics: str = "certain",
     ):
-        if semantics not in SEMANTICS:
+        if semantics not in SEMANTICS_NAMES:
             raise ValueError(
-                f"semantics must be one of {SEMANTICS}, got {semantics!r}"
+                f"semantics must be one of {SEMANTICS_NAMES}, "
+                f"got {semantics!r}"
             )
         self.setting = setting
         self.query = query
         self.semantics = semantics
 
     def __call__(self, source: Instance, answer: Tuple[Value, ...] = ()) -> bool:
-        """Decide ``⟨S, ū⟩ ∈ L_answers(D, Q)``."""
+        """Decide ``⟨S, ū⟩ ∈ L_answers(D, Q)``.
+
+        ū is decided on each solution :func:`solutions_for` returns,
+        with its own constants anchored (a set-level computation would
+        report fresh-constant generic witnesses instead of ū itself).
+        For an intersecting semantics that list is the core alone.
+        """
         if len(answer) != self.query.arity:
             raise ValueError(
                 f"answer arity {len(answer)} does not match query arity "
                 f"{self.query.arity}"
             )
+        holds = certain_holds_on if self.semantics in BOX else maybe_holds_on
         with span(f"answering.decide.{self.semantics}"):
-            if self.semantics in ("certain", "persistent_maybe"):
-                solution = core_solution(self.setting, source)
-                if solution is None:
-                    raise NoCwaSolutionError("no CWA-solution exists")
-                decide = (
-                    certain_holds_on
-                    if self.semantics == "certain"
-                    else maybe_holds_on
-                )
-                return decide(
-                    self.query,
-                    answer,
-                    solution,
-                    self.setting.target_dependencies,
-                )
-            # The ◇-over-solutions semantics: fast path through CanSol when
-            # available, else the full set computation.
-            if (
-                self.setting.target_dependencies_are_egds_only
-                or self.setting.is_full_and_egd_setting
-            ):
-                solution = cansol(self.setting, source)
-                if solution is None:
-                    raise NoCwaSolutionError("no CWA-solution exists")
-                decide = (
-                    certain_holds_on
-                    if self.semantics == "potential_certain"
-                    else maybe_holds_on
-                )
-                return decide(
-                    self.query,
-                    answer,
-                    solution,
-                    self.setting.target_dependencies,
-                )
-            # General settings: decide per enumerated CWA-solution, with the
-            # tuple's own constants anchored (a set-level computation would
-            # report fresh-constant generic witnesses instead of ū itself).
-            from ..cwa.enumeration import enumerate_cwa_solutions
-
-            solutions = enumerate_cwa_solutions(self.setting, source)
-            if not solutions:
-                raise NoCwaSolutionError("no CWA-solution exists")
-            decide = (
-                certain_holds_on
-                if self.semantics == "potential_certain"
-                else maybe_holds_on
-            )
             return any(
-                decide(
+                holds(
                     self.query,
                     answer,
                     solution,
                     self.setting.target_dependencies,
                 )
-                for solution in solutions
+                for solution in solutions_for(
+                    self.setting, source, self.semantics
+                )
             )
 
 

@@ -22,7 +22,6 @@ from typing import Optional
 
 from ..core.errors import UnsupportedQueryError
 from ..core.instance import Instance
-from ..cwa.solution import core_solution
 from ..exchange.setting import DataExchangeSetting
 from ..logic.queries import (
     AnswerSet,
@@ -30,7 +29,7 @@ from ..logic.queries import (
     Query,
     UnionOfConjunctiveQueries,
 )
-from .semantics import NoCwaSolutionError
+from .semantics import NoCwaSolutionError, solutions_for
 
 
 def _require_pure_ucq(query: Query) -> None:
@@ -63,17 +62,13 @@ def ucq_certain_answers(
 ) -> AnswerSet:
     """``certain□(Q,S) = certain◇(Q,S)`` for a pure UCQ, in PTIME.
 
-    Pass ``solution`` to reuse an already-computed CWA-solution.
+    Pass ``solution`` to reuse an already-computed CWA-solution;
+    otherwise the core of :func:`solutions_for` is used.
     """
     _require_pure_ucq(query)
-    target = solution
-    if target is None:
-        target = core_solution(setting, source)
-    if target is None:
-        raise NoCwaSolutionError(
-            "no CWA-solution exists for this source instance"
-        )
-    return query.certain_part(target)
+    if solution is None:
+        (solution,) = solutions_for(setting, source, "certain")
+    return query.certain_part(solution)
 
 
 def u_certain_answers(

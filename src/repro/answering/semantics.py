@@ -10,12 +10,17 @@ the target schema, with ``S_CWA`` the set of CWA-solutions:
 
 Theorem 7.1 reduces the □-intersections to the minimal CWA-solution
 (the core) and, for the restricted classes of Proposition 5.4, the
-◇-unions to CanSol.  This module implements both the direct definitions
-(over an explicit or enumerated solution space) and the fast paths, so
-tests can cross-validate them.
+◇-unions to CanSol.  :func:`solutions_for` is the one place that
+applies it: it returns the CWA-solutions a semantics is answered on,
+and every answering path folds its list -- the four single-semantics
+functions, :func:`all_four_semantics`, the membership tests of
+:mod:`~repro.answering.decision`, the PTIME UCQ and datalog answers and
+the 3-SAT deciders of :mod:`~repro.reductions.threesat`.
+:func:`answers_over_space` is the direct definition over any explicit
+space, so tests can cross-validate the two.
 
 :func:`all_four_semantics` shares the work the four definitions have in
-common.  Two halves each compute one input once and walk each of its
+common.  Two halves each read one list once and walk each of its
 possible worlds once, folding every ``Q(R)`` into a □ (∩) and a ◇ (∪)
 accumulator together:
 
@@ -62,7 +67,24 @@ def _no_solution() -> NoCwaSolutionError:
     )
 
 
+SEMANTICS_NAMES = ("certain", "potential_certain", "persistent_maybe", "maybe")
+
+#: The semantics that intersect over the CWA-solutions, so that Theorem
+#: 7.1 answers them on the core alone.
+INTERSECTING = ("certain", "persistent_maybe")
+
+#: The semantics that read ``□Q(T)`` of each solution T; the others
+#: read ``◇Q(T)``.
+BOX = ("certain", "potential_certain")
+
 Chase = Callable[[], ExchangeResult]
+
+
+def _require_known(semantics: str) -> None:
+    if semantics not in SEMANTICS_NAMES:
+        raise ReproError(
+            f"unknown semantics {semantics!r}; pick one of {SEMANTICS_NAMES}"
+        )
 
 
 def _chase(setting: DataExchangeSetting, source: Instance) -> Chase:
@@ -73,45 +95,48 @@ def _chase(setting: DataExchangeSetting, source: Instance) -> Chase:
     )
 
 
-def _core(exchange: Chase) -> Instance:
-    """``Core_D(S)``, the minimal CWA-solution: the chase's canonical
-    solution folded by :func:`blockwise_core`, as :func:`solve` folds
-    it; raises if none exists."""
-    canonical = exchange().canonical_solution
-    if canonical is None:
-        raise _no_solution()
-    return blockwise_core(canonical)
-
-
-def _cansol(
-    setting: DataExchangeSetting, source: Instance, exchange: Chase
-) -> Instance:
-    """``CanSol_D(S)``, maximal in Proposition 5.4's classes; raises if
-    no CWA-solution exists.
-
-    For egds-only settings it is :func:`cansol`'s construction; for the
-    full-tgd-and-egd class it is the chase's canonical solution, which
-    is what :func:`cansol` returns there.
-    """
-    if setting.target_dependencies_are_egds_only:
-        maximal = cansol(setting, source)
-    else:
-        maximal = exchange().canonical_solution
-    if maximal is None:
-        raise _no_solution()
-    return maximal
-
-
-def _solution_space(
+def solutions_for(
     setting: DataExchangeSetting,
     source: Instance,
-    solutions: Optional[Sequence[Instance]],
-    exchange: Chase,
+    semantics: str,
+    *,
+    solutions: Optional[Sequence[Instance]] = None,
+    exchange: Optional[Chase] = None,
 ) -> List[Instance]:
-    """``solutions``, else the CWA-solutions enumerated into the chase's
-    canonical solution; raises when the space is empty."""
-    if solutions is not None:
+    """The CWA-solutions ``semantics`` is answered on (Theorem 7.1).
+
+    * certain□ and maybe□ (the intersections): ``[Core_D(S)]``, the
+      chase's canonical solution folded by :func:`blockwise_core`, as
+      :func:`solve` folds it; ``solutions`` is not read;
+    * certain◇ and maybe◇ (the unions): ``solutions`` when given, else
+      ``[CanSol_D(S)]`` in Proposition 5.4's classes, else the
+      CWA-solutions enumerated into the chase's canonical solution.
+      CanSol is :func:`cansol`'s construction for egds-only settings
+      and the chase's canonical solution for the full-tgd-and-egd
+      class, which is what :func:`cansol` returns there.
+
+    ``exchange`` is the lazy chase of S (:func:`_chase`) of a caller
+    that reads several semantics; by default the call chases on its
+    own.  Every answering path -- the four semantics, their membership
+    tests, the PTIME UCQ and datalog answers and the 3-SAT deciders --
+    reads this list.  Raises :class:`NoCwaSolutionError` when it would
+    be empty.
+    """
+    _require_known(semantics)
+    if exchange is None:
+        exchange = _chase(setting, source)
+    if semantics in INTERSECTING:
+        canonical = exchange().canonical_solution
+        found = [] if canonical is None else [blockwise_core(canonical)]
+    elif solutions is not None:
         found = list(solutions)
+    elif _cansol_applies(setting):
+        maximal = (
+            cansol(setting, source)
+            if setting.target_dependencies_are_egds_only
+            else exchange().canonical_solution
+        )
+        found = [] if maximal is None else [maximal]
     else:
         found = enumerate_cwa_solutions_into(
             setting, source, exchange().canonical_solution
@@ -121,6 +146,21 @@ def _solution_space(
     return found
 
 
+def _answers(
+    setting: DataExchangeSetting,
+    source: Instance,
+    query: Query,
+    semantics: str,
+    solutions: Optional[Sequence[Instance]] = None,
+) -> AnswerSet:
+    return answers_over_space(
+        query,
+        solutions_for(setting, source, semantics, solutions=solutions),
+        setting.target_dependencies,
+        semantics,
+    )
+
+
 def certain_answers(
     setting: DataExchangeSetting,
     source: Instance,
@@ -128,9 +168,7 @@ def certain_answers(
 ) -> AnswerSet:
     """``certain□(Q, S)``, via Theorem 7.1: ``□Q(Core_D(S))``."""
     with span("answering.certain"):
-        return certain_on(
-            query, _core(_chase(setting, source)), setting.target_dependencies
-        )
+        return _answers(setting, source, query, "certain")
 
 
 def persistent_maybe_answers(
@@ -140,9 +178,7 @@ def persistent_maybe_answers(
 ) -> AnswerSet:
     """``maybe□(Q, S)``, via Theorem 7.1: ``◇Q(Core_D(S))``."""
     with span("answering.persistent_maybe"):
-        return maybe_on(
-            query, _core(_chase(setting, source)), setting.target_dependencies
-        )
+        return _answers(setting, source, query, "persistent_maybe")
 
 
 def potential_certain_answers(
@@ -152,25 +188,17 @@ def potential_certain_answers(
     *,
     solutions: Optional[Sequence[Instance]] = None,
 ) -> AnswerSet:
-    """``certain◇(Q, S)``.
+    """``certain◇(Q, S)``: ``⋃ □Q(T)`` over :func:`solutions_for`.
 
-    Fast path (Theorem 7.1): ``□Q(CanSol_D(S))`` when the setting is in
-    one of Proposition 5.4's classes.  Otherwise the union over the
-    CWA-solution space is computed directly -- pass ``solutions`` to
-    reuse an enumerated space, or let the function enumerate one (small
-    inputs only; maximal CWA-solutions may not exist, Example 5.3).
+    That is ``□Q(CanSol_D(S))`` (Theorem 7.1) when the setting is in one
+    of Proposition 5.4's classes; otherwise the union over the
+    CWA-solution space -- pass ``solutions`` to reuse an enumerated
+    space, or let the function enumerate one (small inputs only;
+    maximal CWA-solutions may not exist, Example 5.3).
     """
     with span("answering.potential_certain"):
-        exchange = _chase(setting, source)
-        if solutions is None and _cansol_applies(setting):
-            return certain_on(
-                query,
-                _cansol(setting, source, exchange),
-                setting.target_dependencies,
-            )
-        space = _solution_space(setting, source, solutions, exchange)
-        return answers_over_space(
-            query, space, setting.target_dependencies, "potential_certain"
+        return _answers(
+            setting, source, query, "potential_certain", solutions
         )
 
 
@@ -181,20 +209,10 @@ def maybe_answers(
     *,
     solutions: Optional[Sequence[Instance]] = None,
 ) -> AnswerSet:
-    """``maybe◇(Q, S)`` -- same strategy as
-    :func:`potential_certain_answers`, with ◇Q in place of □Q."""
+    """``maybe◇(Q, S)`` -- as :func:`potential_certain_answers`, with
+    ◇Q in place of □Q."""
     with span("answering.maybe"):
-        exchange = _chase(setting, source)
-        if solutions is None and _cansol_applies(setting):
-            return maybe_on(
-                query,
-                _cansol(setting, source, exchange),
-                setting.target_dependencies,
-            )
-        space = _solution_space(setting, source, solutions, exchange)
-        return answers_over_space(
-            query, space, setting.target_dependencies, "maybe"
-        )
+        return _answers(setting, source, query, "maybe", solutions)
 
 
 def _cansol_applies(setting: DataExchangeSetting) -> bool:
@@ -202,9 +220,6 @@ def _cansol_applies(setting: DataExchangeSetting) -> bool:
         setting.target_dependencies_are_egds_only
         or setting.is_full_and_egd_setting
     )
-
-
-SEMANTICS_NAMES = ("certain", "potential_certain", "persistent_maybe", "maybe")
 
 
 def _cached_answers(cache, key: str, compute) -> AnswerSet:
@@ -234,49 +249,6 @@ def _answers_from_payload(payload: dict) -> Optional[AnswerSet]:
         return None
 
 
-def _core_pair(
-    setting: DataExchangeSetting,
-    query: Query,
-    exchange: Chase,
-) -> Tuple[AnswerSet, AnswerSet]:
-    """``(certain□, maybe□)``: one walk over the core's worlds (Thm 7.1)."""
-    with span("answering.over_core"):
-        return certain_and_maybe_on(
-            query, _core(exchange), setting.target_dependencies
-        )
-
-
-def _space_pair(
-    setting: DataExchangeSetting,
-    source: Instance,
-    query: Query,
-    solutions: Optional[Sequence[Instance]],
-    exchange: Chase,
-) -> Tuple[AnswerSet, AnswerSet]:
-    """``(certain◇, maybe◇)``: one walk over each solution's worlds.
-
-    The space is CanSol alone when Theorem 7.1 applies, as in
-    :func:`potential_certain_answers` and :func:`maybe_answers`;
-    otherwise ``solutions``, or the space enumerated into the canonical
-    solution of ``exchange``, the chase the core half reads too.
-    """
-    with span("answering.over_space"):
-        if solutions is None and _cansol_applies(setting):
-            return certain_and_maybe_on(
-                query,
-                _cansol(setting, source, exchange),
-                setting.target_dependencies,
-            )
-        per_target = _per_solution(
-            query,
-            _solution_space(setting, source, solutions, exchange),
-            setting.target_dependencies,
-        )
-        boxes = frozenset().union(*(box for box, _ in per_target))
-        diamonds = frozenset().union(*(diamond for _, diamond in per_target))
-        return boxes, diamonds
-
-
 def all_four_semantics(
     setting: DataExchangeSetting,
     source: Instance,
@@ -300,12 +272,37 @@ def all_four_semantics(
     :func:`repro.engine.fingerprint.answer_key`.
     """
     exchange = _chase(setting, source)
-    core_pair = lru_cache(maxsize=None)(
-        lambda: _core_pair(setting, query, exchange)
-    )
-    space_pair = lru_cache(maxsize=None)(
-        lambda: _space_pair(setting, source, query, solutions, exchange)
-    )
+
+    def half(semantics: str, name: str):
+        """``(⋃ □Q(T), ⋃ ◇Q(T))`` over the solutions of ``semantics``,
+        one walk over each solution's worlds, run on the first call.
+        For an intersecting semantics the solutions are the core alone,
+        so the unions are ``(certain□, maybe□)``."""
+
+        @lru_cache(maxsize=None)
+        def walk() -> Tuple[AnswerSet, AnswerSet]:
+            with span(name):
+                pairs = [
+                    certain_and_maybe_on(
+                        query, target, setting.target_dependencies
+                    )
+                    for target in solutions_for(
+                        setting,
+                        source,
+                        semantics,
+                        solutions=solutions,
+                        exchange=exchange,
+                    )
+                ]
+            return (
+                frozenset().union(*(box for box, _ in pairs)),
+                frozenset().union(*(diamond for _, diamond in pairs)),
+            )
+
+        return walk
+
+    core_pair = half("certain", "answering.over_core")
+    space_pair = half("maybe", "answering.over_space")
     computations = {
         "certain": lambda: core_pair()[0],
         "potential_certain": lambda: space_pair()[0],
@@ -326,29 +323,6 @@ def all_four_semantics(
     }
 
 
-def _per_solution(
-    query: Query,
-    space: List[Instance],
-    target_dependencies,
-    box_only: bool = False,
-) -> List[Tuple[AnswerSet, Optional[AnswerSet]]]:
-    """Each solution's ``(□Q, ◇Q)``, in solution order.
-
-    ``box_only`` computes □Q alone, with :func:`certain_on`'s early exit,
-    and puts None in place of ◇Q.
-    """
-    target_dependencies = tuple(target_dependencies)
-    if box_only:
-        return [
-            (certain_on(query, target, target_dependencies), None)
-            for target in space
-        ]
-    return [
-        certain_and_maybe_on(query, target, target_dependencies)
-        for target in space
-    ]
-
-
 def answers_over_space(
     query: Query,
     solutions: Iterable[Instance],
@@ -359,27 +333,18 @@ def answers_over_space(
 
     ``mode`` is one of ``"certain"`` (⋂□), ``"potential_certain"`` (⋃□),
     ``"persistent_maybe"`` (⋂◇), ``"maybe"`` (⋃◇); any other name raises
-    :class:`ReproError`.  Used by tests to cross-validate the fast paths
-    of Theorem 7.1.
+    :class:`ReproError`.  The four single-semantics functions fold it
+    over :func:`solutions_for`; tests pass it whole spaces to
+    cross-validate Theorem 7.1.  A □ mode walks each solution with
+    :func:`certain_on`'s early exit.
     """
-    if mode not in SEMANTICS_NAMES:
-        raise ReproError(
-            f"unknown semantics {mode!r}; pick one of {SEMANTICS_NAMES}"
-        )
-    box = mode in ("certain", "potential_certain")
-    intersect = mode in ("certain", "persistent_maybe")
-    per_target = _per_solution(
-        query, list(solutions), target_dependencies, box_only=box
-    )
-    result: Optional[frozenset] = None
-    for pair in per_target:
-        answers = pair[0 if box else 1]
-        if result is None:
-            result = answers
-        elif intersect:
-            result &= answers
-        else:
-            result |= answers
-    if result is None:
+    _require_known(mode)
+    on = certain_on if mode in BOX else maybe_on
+    target_dependencies = tuple(target_dependencies)
+    per_target = [
+        on(query, target, target_dependencies) for target in solutions
+    ]
+    if not per_target:
         raise NoCwaSolutionError("empty solution space")
-    return result
+    fold = frozenset.intersection if mode in INTERSECTING else frozenset.union
+    return fold(*per_target)

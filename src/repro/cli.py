@@ -410,14 +410,20 @@ def command_explain(args: argparse.Namespace) -> int:
 def _dependency_plan_roles(dependency):
     """The ``(role, plan-cache key)`` list a dependency evaluates with.
 
-    These mirror the exact ``match``/``exists_match`` call sites: a tgd
-    matches its premise with no pre-bound keys and checks its conclusion
-    with the frontier pre-bound; an egd matches its premise only.  FO
-    premises (``premise_atoms is None``) have no compiled plan.
+    These mirror the semi-naive chase's ``match``/``exists_match`` call
+    sites: a tgd checks its conclusion with the frontier pre-bound, and
+    matches its premise with no pre-bound keys only when the premise has
+    more than one atom (a one-atom premise's bindings are read straight
+    off the delta, with no matcher call); an egd matches its premise
+    only.  FO premises (``premise_atoms is None``) have no compiled
+    plan.  Delta-seeded completion joins are other plans.
     """
     roles = []
     if dependency.is_tgd:
-        if dependency.premise_atoms is not None:
+        if (
+            dependency.premise_atoms is not None
+            and len(dependency.premise_atoms) > 1
+        ):
             roles.append(
                 ("premise", tuple(dependency.premise_atoms), (), frozenset())
             )

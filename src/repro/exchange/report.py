@@ -4,7 +4,7 @@
 wants before trusting an exchange: the setting's acyclicity class, the
 chase outcome, canonical solution and core sizes, the Gaifman block
 census, per-null justifications (recovered through the α witness of the
-core), a sample of certain/maybe answers per target relation, and a
+core), a sample of certain□/maybe□ answers per target relation, and a
 telemetry snapshot (spans, counters, gauges) of the work performed.
 ``render`` turns it into text; the CLI exposes it as
 ``python -m repro report`` (add ``--profile`` for a per-phase table on
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..chase.loop import DEFAULT_MAX_STEPS
 from ..core.errors import ChaseDivergence
 from ..core.instance import Instance
 from ..core.terms import Variable
@@ -45,7 +46,8 @@ class ExchangeReport:
         self.result = result
         self.diverged = diverged
         self.justifications: List[Tuple[str, str]] = []
-        #: Per target relation: (name, |certain□|, |maybe◇|) on the core.
+        #: Per target relation: (name, |certain□|, |maybe□|), read off the
+        #: core (Theorem 7.1: ``□Q(Core)`` and ``◇Q(Core)``).
         self.answer_samples: List[Tuple[str, int, int]] = []
         #: Telemetry snapshot (``repro.obs`` schema); filled by ``report``.
         self.metrics: Optional[dict] = None
@@ -74,9 +76,11 @@ class ExchangeReport:
         """Atomic-query answer counts per target relation, on the core.
 
         For each target relation R/k the sample evaluates
-        ``Q(x̄) :- R(x̄)`` under certain□ and maybe◇ on the minimal
-        CWA-solution -- a cheap summary of how much of the target is
-        definite versus merely possible.  Skipped when the core has too
+        ``Q(x̄) :- R(x̄)`` on the minimal CWA-solution, whose □Q and ◇Q
+        are certain□ and maybe□ (persistent maybe) by Theorem 7.1 -- a
+        cheap summary of how much of the target is definite versus
+        possible in every CWA-solution.  maybe◇ ranges over the whole
+        solution space and is not sampled.  Skipped when the core has too
         many nulls for valuation enumeration to stay cheap.
         """
         from ..answering.valuations import certain_and_maybe_on
@@ -113,7 +117,7 @@ def report(
     setting: DataExchangeSetting,
     source: Instance,
     *,
-    max_steps: int = 200_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
     cache=None,
 ) -> ExchangeReport:
     """Build the report; chase divergence is captured, not raised.
@@ -202,7 +206,7 @@ def render(exchange_report: ExchangeReport) -> str:
         for name, certain, maybe in exchange_report.answer_samples:
             lines.append(
                 f"  {name}: {certain} certain□ answer(s), "
-                f"{maybe} maybe◇ answer(s)"
+                f"{maybe} maybe□ answer(s)"
             )
     lines.extend(_metrics_lines(exchange_report))
     return "\n".join(lines)

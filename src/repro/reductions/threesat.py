@@ -223,23 +223,23 @@ def decide_sat_via_maybe_answers(formula: ThreeSat) -> bool:
     quantified variable of ¬Q and is only feasible on tiny inputs
     (tests cross-check the two on such inputs).
 
-    maybe◇ ranges over *all* CWA-solutions; since every CWA-solution's
-    worlds are included in CanSol's (the setting has no target
-    dependencies, so Proposition 5.4 applies and Rep(T) ⊆ Rep(CanSol)),
-    evaluating on CanSol is exact, matching Theorem 7.1.
+    maybe◇ ranges over *all* CWA-solutions; the setting has no target
+    dependencies, so Proposition 5.4 applies and
+    :func:`~repro.answering.semantics.solutions_for` answers it on
+    CanSol alone, whose worlds include every CWA-solution's (Theorem
+    7.1).
     """
+    from ..answering.semantics import solutions_for
     from ..answering.valuations import certain_on
-    from ..cwa.solution import cansol
 
     setting = threesat_setting()
     source = encode_formula(formula)
-    solution = cansol(setting, source)
-    if solution is None:
-        raise RuntimeError("the reduction setting always has solutions")
-    certain = certain_on(
-        unsat_query(), solution, setting.target_dependencies, anchors=()
+    return any(
+        not certain_on(
+            unsat_query(), solution, setting.target_dependencies, anchors=()
+        )
+        for solution in solutions_for(setting, source, "maybe")
     )
-    return not bool(certain)
 
 
 def decide_unsat_via_certain_answers(
@@ -250,9 +250,10 @@ def decide_unsat_via_certain_answers(
 ) -> bool:
     """φ unsatisfiable ⟺ the certain answer of Q on S_φ is true.
 
-    ``semantics`` is "certain" (certain□, evaluated on the core per
-    Theorem 7.1) or "potential_certain" (certain◇, evaluated on CanSol:
-    the setting has no target dependencies, so Proposition 5.4 applies).
+    ``semantics`` is "certain" (certain□) or "potential_certain"
+    (certain◇); :func:`~repro.answering.semantics.solutions_for` answers
+    the first on the core (Theorem 7.1) and the second on CanSol (the
+    setting has no target dependencies, so Proposition 5.4 applies).
 
     With ``fast_anchors=True`` the valuation enumeration uses an empty
     anchor set, which is sound for this reduction: every term the query
@@ -264,22 +265,18 @@ def decide_unsat_via_certain_answers(
     Bell(#vars + 2) worlds instead of (pool size)^(#vars + 2).  Tests
     cross-check both modes.
     """
+    from ..answering.semantics import solutions_for
     from ..answering.valuations import certain_on
-    from ..cwa.solution import cansol, core_solution
 
+    if semantics not in ("certain", "potential_certain"):
+        raise ValueError(f"unknown semantics {semantics!r}")
     setting = threesat_setting()
     source = encode_formula(formula)
     query = unsat_query()
     anchors = () if fast_anchors else None
-    if semantics == "certain":
-        solution = core_solution(setting, source)
-    elif semantics == "potential_certain":
-        solution = cansol(setting, source)
-    else:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    if solution is None:
-        raise RuntimeError("the reduction setting always has solutions")
-    answers = certain_on(
-        query, solution, setting.target_dependencies, anchors=anchors
+    return any(
+        certain_on(
+            query, solution, setting.target_dependencies, anchors=anchors
+        )
+        for solution in solutions_for(setting, source, semantics)
     )
-    return bool(answers)

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 import repro.answering.semantics as semantics
 import repro.cwa.enumeration as enumeration
 import repro.obs as obs
+from itertools import product
+
 from repro.answering import (
+    AnswerLanguage,
     all_four_semantics,
     certain_answers,
     maybe_answers,
@@ -23,6 +26,7 @@ from repro.answering import (
     potential_certain_answers,
 )
 from repro.answering.semantics import _cached_answers
+from repro.core.terms import Const
 from repro.cwa.enumeration import enumerate_cwa_solutions
 from repro.engine import ResultCache
 from repro.engine.fingerprint import answer_key
@@ -176,6 +180,56 @@ class TestParity:
         )
 
 
+class TestMembership:
+    """``AnswerLanguage`` reads the same solutions as the answer sets."""
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        relation=st.integers(min_value=0, max_value=3),
+        shape=st.sampled_from(
+            ["Q(x) :- {r}(x, y)", "Q(x, y) :- {r}(x, y)", "Q() :- {r}(x, x)"]
+        ),
+    )
+    def test_language_agrees_with_answer_sets(self, seed, relation, shape):
+        setting = random_weakly_acyclic_setting(seed, levels=2)
+        source = random_source_for(
+            setting, seed=seed, atoms_per_relation=1, domain_size=3
+        )
+        name = f"T{relation // 2}_{relation % 2}"
+        query = parse_query(shape.format(r=name), setting.target_schema)
+        singles = (
+            certain_answers,
+            potential_certain_answers,
+            persistent_maybe_answers,
+            maybe_answers,
+        )
+        canonical = setting.canonical_universal_solution(source)
+        if canonical is None:
+            for semantics_name in SEMANTICS:
+                with pytest.raises(semantics.NoCwaSolutionError):
+                    AnswerLanguage(setting, query, semantics_name)(
+                        source, (Const("a"),) * query.arity
+                    )
+            return
+        # The source constants every CWA-solution holds.  A ◇ answer set
+        # reports any other constant as a generic witness (a fresh
+        # constant), while membership anchors the tuple's own constants.
+        constants = sorted(set(source.constants()) & set(canonical.constants()))
+        for semantics_name, single in zip(SEMANTICS, singles):
+            answers = single(setting, source, query)
+            language = AnswerLanguage(setting, query, semantics_name)
+            for answer in product(constants, repeat=query.arity):
+                assert language(source, answer) == (answer in answers), (
+                    semantics_name,
+                    answer,
+                )
+
+
 class _Calls:
     """Counts calls of a wrapped function."""
 
@@ -264,6 +318,15 @@ class TestWorkBound:
             setting, source, parse_query("Q(x) :- E(x, y)"), solutions=space
         )
         assert calls["enumerate_cwa_presolutions"].count == 0
+        assert calls["solve"].count == 1
+        assert _span_count("solve") == 1
+
+    @pytest.mark.parametrize("name", SEMANTICS)
+    def test_membership_call_chases_once(self, calls, name):
+        language = AnswerLanguage(
+            example_2_1_setting(), parse_query("Q(x) :- E(x, y)"), name
+        )
+        language(example_2_1_source(), (Const("a"),))
         assert calls["solve"].count == 1
         assert _span_count("solve") == 1
 

@@ -476,6 +476,21 @@ class TestExplainPlan:
                     assert "estimated_rows" in step
                     assert "seconds" in step
 
+    def test_every_listed_plan_runs(self, setting_file, source_file, capsys):
+        # One-atom tgd premises (st1, st2, t1) read their bindings off
+        # the delta with no matcher call, so they list no premise plan.
+        import json
+
+        main(["explain-plan", "--json", setting_file, source_file])
+        document = json.loads(capsys.readouterr().out)
+        listed = {
+            (dep["name"], plan["role"]): plan["uses"]
+            for dep in document["dependencies"]
+            for plan in dep["plans"]
+        }
+        assert listed and all(uses > 0 for uses in listed.values()), listed
+        assert ("t2", "premise") in listed
+
     def test_attribution_stays_off_afterwards(
         self, setting_file, source_file, capsys
     ):

@@ -41,6 +41,43 @@ class TestReport:
         ]
         assert counters["answering.valuations_enumerated"] == 30
 
+    @pytest.mark.parametrize("example", ["2.1", "5.3"])
+    def test_answer_samples_are_certain_and_persistent_maybe(self, example):
+        # □Q and ◇Q of the core are certain□ and maybe□ (Theorem 7.1);
+        # maybe◇ differs on both examples (E of 2.1: 3, F of 5.3: 5).
+        from repro.answering import certain_answers, persistent_maybe_answers
+        from repro.core.atoms import Atom
+        from repro.core.terms import Variable
+        from repro.generators.settings_library import (
+            example_2_1_setting,
+            example_2_1_source,
+            example_5_3_setting,
+            example_5_3_source,
+        )
+        from repro.logic.queries import ConjunctiveQuery
+
+        if example == "2.1":
+            setting, source = example_2_1_setting(), example_2_1_source()
+        else:
+            setting, source = example_5_3_setting(), example_5_3_source(1)
+        exchange_report = report(setting, source)
+        text = render(exchange_report)
+        assert "maybe◇" not in text
+        for name, certain, maybe in exchange_report.answer_samples:
+            relation = setting.target_schema[name]
+            variables = tuple(
+                Variable(f"x{i}") for i in range(relation.arity)
+            )
+            query = ConjunctiveQuery(variables, [Atom(relation, variables)])
+            assert certain == len(certain_answers(setting, source, query))
+            assert maybe == len(
+                persistent_maybe_answers(setting, source, query)
+            )
+            assert (
+                f"  {name}: {certain} certain□ answer(s), "
+                f"{maybe} maybe□ answer(s)"
+            ) in text
+
     def test_no_solution_report(self):
         setting = DataExchangeSetting.from_strings(
             Schema.of(Src=2),

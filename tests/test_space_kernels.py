@@ -44,6 +44,11 @@ from repro.logic import parse_instance, parse_query
 #: relation stays below it; a draw that hits it is skipped.
 PRESOLUTION_ATOMS = 16
 
+#: The unpruned enumeration's result cap.  Uncapped, ``_draw(3080)``
+#: (one CWA-solution) runs for minutes before its space is exhausted;
+#: capped here it stops within a second, and the draw is skipped.
+PRESOLUTION_RESULTS = 500
+
 #: Solutions with more nulls than this are not walked (the valuation
 #: count grows like a Bell number).
 MAX_WALK_NULLS = 4
@@ -158,12 +163,19 @@ class TestOneWorldTest:
 
 
 def _enumerate_or_skip(setting, source):
+    """The unpruned presolution space, or None when the draw is skipped:
+    its chase hits :data:`PRESOLUTION_ATOMS`, or the list reaches
+    :data:`PRESOLUTION_RESULTS` and may be cut short."""
     try:
-        return enumerate_cwa_presolutions(
-            setting, source, max_atoms=PRESOLUTION_ATOMS
+        found = enumerate_cwa_presolutions(
+            setting,
+            source,
+            max_atoms=PRESOLUTION_ATOMS,
+            max_results=PRESOLUTION_RESULTS,
         )
     except ChaseDivergence:
         return None
+    return None if len(found) >= PRESOLUTION_RESULTS else found
 
 
 class TestDifferential:
