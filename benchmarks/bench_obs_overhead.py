@@ -45,8 +45,8 @@ def quiet_telemetry():
     previous = obs.install_sink(obs.NULL_SINK)
     obs.reset()
     # The overhead bound below is only meaningful for the default
-    # configuration: attributed execution (explain-plan's profiled
-    # matcher) must never be on in a bench leg.
+    # configuration: attributed execution (explain-plan's per-step
+    # rows) must never be on in a bench leg.
     assert not obs.attribution.enabled(), (
         "attributed execution is on; the obs overhead gate measures "
         "the default path (attribution must stay opt-in)"

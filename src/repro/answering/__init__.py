@@ -26,7 +26,6 @@ from .valuations import (
     maybe_holds_on,
     maybe_on,
     rep,
-    valuation_pool,
     valuations,
 )
 
@@ -54,6 +53,5 @@ __all__ = [
     "solutions_for",
     "u_certain_answers",
     "ucq_certain_answers",
-    "valuation_pool",
     "valuations",
 ]

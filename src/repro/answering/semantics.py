@@ -176,7 +176,13 @@ def persistent_maybe_answers(
     source: Instance,
     query: Query,
 ) -> AnswerSet:
-    """``maybe□(Q, S)``, via Theorem 7.1: ``◇Q(Core_D(S))``."""
+    """``maybe□(Q, S)``, via Theorem 7.1: ``◇Q(Core_D(S))``.
+
+    Constants outside the anchor set (those of the solution, of ``Q``
+    and of the target dependencies) are reported as generic witnesses
+    ``_cN``, so ``ū in persistent_maybe_answers(...)`` is no membership
+    test; :func:`~repro.answering.decision.persistent_maybe_language` is.
+    """
     with span("answering.persistent_maybe"):
         return _answers(setting, source, query, "persistent_maybe")
 
@@ -210,7 +216,12 @@ def maybe_answers(
     solutions: Optional[Sequence[Instance]] = None,
 ) -> AnswerSet:
     """``maybe◇(Q, S)`` -- as :func:`potential_certain_answers`, with
-    ◇Q in place of □Q."""
+    ◇Q in place of □Q.
+
+    Constants outside the anchor set show up as generic witnesses
+    ``_cN``, as in :func:`persistent_maybe_answers`; decide a concrete
+    ``ū`` with :func:`~repro.answering.decision.maybe_language`.
+    """
     with span("answering.maybe"):
         return _answers(setting, source, query, "maybe", solutions)
 

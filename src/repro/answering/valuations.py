@@ -431,12 +431,3 @@ def maybe_holds_on(
     return answer in maybe_on(
         query, target, target_dependencies, extra_constants=constants
     )
-
-
-def valuation_pool(
-    target: Instance,
-    extra_constants: Iterable[Const] = (),
-) -> List[Const]:
-    """The anchor set plus the reserved fresh constants (for reporting)."""
-    base = default_anchors(target, extra_constants)
-    return sorted(set(base) | set(fresh_constants(len(target.nulls()), base)))

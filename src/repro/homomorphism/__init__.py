@@ -4,7 +4,6 @@ from .blocks import block_atoms, block_statistics, blockwise_core, null_blocks
 from .core_computation import core, fold_step, is_core, retracts_to
 from .search import (
     Homomorphism,
-    apply_homomorphism,
     endomorphisms,
     find_homomorphism,
     has_homomorphism,
@@ -16,7 +15,6 @@ from .search import (
 
 __all__ = [
     "Homomorphism",
-    "apply_homomorphism",
     "block_atoms",
     "block_statistics",
     "blockwise_core",

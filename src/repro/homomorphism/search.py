@@ -122,11 +122,6 @@ def hom_equivalent(left: Instance, right: Instance) -> bool:
     return has_homomorphism(left, right) and has_homomorphism(right, left)
 
 
-def apply_homomorphism(mapping: Homomorphism, instance: Instance) -> Instance:
-    """The image ``h(I)`` of an instance under a homomorphism."""
-    return instance.rename_values(mapping)
-
-
 def is_homomorphism(mapping: Homomorphism, source: Instance, target: Instance) -> bool:
     """Verify that ``mapping`` really is a homomorphism (used in tests).
 

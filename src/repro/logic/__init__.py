@@ -31,7 +31,6 @@ from .queries import (
     FirstOrderQuery,
     Query,
     UnionOfConjunctiveQueries,
-    boolean,
     canonical_query,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "Truth",
     "UnionOfConjunctiveQueries",
     "atoms_of",
-    "boolean",
     "canonical_query",
     "conjunction",
     "disjunction",

@@ -29,10 +29,9 @@ as it happens, to one ``(candidates, backtracks)`` counter pair: that of
 the innermost ``attributed`` block, or else the unregistered
 :data:`repro.logic.plans.UNSCOPED` pair.  When **attributed execution**
 is on (:func:`repro.obs.attribution.enabled`, the ``repro explain-plan``
-path), the compiled route switches to a profiled executor that also
-charges per-step probe/candidate/row counts and self-time to the plan's
-record in the attribution table -- see
-:meth:`repro.logic.plans.CompiledPattern.matches`.
+path), the same compiled executor also charges per-step
+probe/candidate/row counts and self-time to the plan's record in the
+attribution table -- see :meth:`repro.logic.plans.CompiledPattern._run`.
 """
 
 from __future__ import annotations

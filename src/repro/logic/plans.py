@@ -38,7 +38,7 @@ order straight off the slot array, one tuple per match, and
 :meth:`CompiledPattern.exists` decides whether any match extends a
 tuple of pre-bound values.  Pre-bound variables hold the leading slots
 in name order, so a caller seeds them from a tuple without a dict.
-All three run the same executors and count the same work.
+All three run the one executor and count the same work.
 
 Inequalities are scheduled at the earliest step where both sides are
 bound (or before the first step, when the initial substitution already
@@ -556,8 +556,9 @@ class CompiledPattern:
     ) -> Optional[Iterator[bool]]:
         """The executor over seeded ``slots``; None if a start check fails.
 
-        The profiled executor runs when attribution is on, the plain one
-        otherwise; both count into the ``(candidates, backtracks)`` pair.
+        It counts into the ``(candidates, backtracks)`` pair; when
+        attribution is on it also fills the plan's per-step rows.  A
+        plan with no steps matches once.
         """
         for akind, aval, bkind, bval in self.start_checks:
             left = slots[aval] if akind else aval
@@ -565,13 +566,14 @@ class CompiledPattern:
             if left is right:
                 return None
         candidates, backtracks = counters
+        stats = None
         if _attribution.enabled():
             record = self._attr_record()
             record["uses"] += 1
-            return self._run_profiled(
-                instance, slots, 0, record["counts"], candidates, backtracks
-            )
-        return self._run(instance, slots, 0, candidates, backtracks)
+            stats = record["counts"]
+        if not self.steps:
+            return iter((True,))
+        return self._run(instance, slots, 0, candidates, backtracks, stats)
 
     def _run(
         self,
@@ -580,18 +582,29 @@ class CompiledPattern:
         depth: int,
         candidates: Counter,
         backtracks: Counter,
+        stats: Optional[List[List]],
     ) -> Iterator[bool]:
-        """The executor: yields once per complete match (slots are set).
+        """The executor from step ``depth`` on: yields once per complete
+        match (slots are set).  The last step yields to the consumer
+        itself rather than through a frame with no step to run.
 
         A candidate is one fact (or ground probe) considered; a
         backtrack is a candidate that failed its checks, or the undoing
         of a non-empty binding -- the interpreted matcher's notion.
+
+        ``stats`` is None unless attribution is on; then ``stats[depth]``
+        is the step's ``[probes, candidates, emitted, seconds]`` row in
+        the plan record.  The frame reads the candidate counter and the
+        clock when it starts, around each yield and when it ends, so a
+        step's candidates and self-time leave out child steps and
+        consumer time.
         """
         steps = self.steps
-        if depth == len(steps):
-            yield True
-            return
         rel, const_checks, prior_checks, self_checks, binds, ineqs, argprog, probes = steps[depth]
+        if stats is not None:
+            row = stats[depth]
+            seen = candidates.value
+            started = perf_counter()
 
         if argprog is not None:
             # Fully bound: one hash probe, no candidate iteration.  No
@@ -602,26 +615,37 @@ class CompiledPattern:
                 slots[entry] if type(entry) is int else entry
                 for entry in argprog
             )
-            if instance.has_tuple(rel, args):
-                yield from self._run(
-                    instance, slots, depth + 1, candidates, backtracks
-                )
-            else:
+            found = instance.has_tuple(rel, args)
+            if not found:
                 backtracks.value += 1
+            if stats is not None:
+                row[0] += 1
+                row[1] += 1
+                row[2] += found
+                row[3] += perf_counter() - started
+            if found:
+                if depth + 1 == len(steps):
+                    yield True
+                else:
+                    yield from self._run(
+                        instance, slots, depth + 1, candidates, backtracks, stats
+                    )
             return
 
         bucket = instance.probe_relation(rel)
         best = len(bucket)
         for position, kind, value in probes:
+            if stats is not None:
+                row[0] += 1
             probe = instance.probe_position(
                 rel, position, slots[value] if kind else value
             )
             count = len(probe)
             if count < best:
-                if not count:
-                    return
                 best = count
                 bucket = probe
+                if not count:
+                    break
 
         for fact in bucket:
             candidates.value += 1
@@ -653,116 +677,26 @@ class CompiledPattern:
                     ok = False
                     break
             if ok:
-                yield from self._run(
-                    instance, slots, depth + 1, candidates, backtracks
-                )
-            if binds:
-                backtracks.value += 1
-            for _, slot in binds:
-                slots[slot] = None
-
-    def _run_profiled(
-        self,
-        instance: Instance,
-        slots: List,
-        depth: int,
-        stats: List[List],
-        candidates: Counter,
-        backtracks: Counter,
-    ) -> Iterator[bool]:
-        """Attributed executor: per-step probes/candidates/emitted/time.
-
-        ``stats[depth]`` is the step's mutable ``[probes, candidates,
-        emitted, seconds]`` row in the attribution plan record.  Self-
-        time excludes child steps *and* consumer time: the clock pauses
-        across the recursive ``yield from`` and resumes when control
-        returns to this frame.  The counter pair gets exactly the
-        increments :meth:`_run` makes.
-        """
-        steps = self.steps
-        if depth == len(steps):
-            yield True
-            return
-        row = stats[depth]
-        rel, const_checks, prior_checks, self_checks, binds, ineqs, argprog, probes = steps[depth]
-
-        started = perf_counter()
-        if argprog is not None:
-            row[0] += 1
-            row[1] += 1
-            candidates.value += 1
-            args = tuple(
-                slots[entry] if type(entry) is int else entry
-                for entry in argprog
-            )
-            if instance.has_tuple(rel, args):
-                row[2] += 1
-                row[3] += perf_counter() - started
-                yield from self._run_profiled(
-                    instance, slots, depth + 1, stats, candidates, backtracks
-                )
-            else:
-                backtracks.value += 1
-                row[3] += perf_counter() - started
-            return
-
-        bucket = instance.probe_relation(rel)
-        best = len(bucket)
-        for position, kind, value in probes:
-            row[0] += 1
-            probe = instance.probe_position(
-                rel, position, slots[value] if kind else value
-            )
-            count = len(probe)
-            if count < best:
-                if not count:
+                if stats is not None:
+                    row[1] += candidates.value - seen
+                    row[2] += 1
                     row[3] += perf_counter() - started
-                    return
-                best = count
-                bucket = probe
-
-        for fact in bucket:
-            row[1] += 1
-            candidates.value += 1
-            fact_args = fact.args
-            ok = True
-            for position, value in const_checks:
-                if fact_args[position] is not value:
-                    ok = False
-                    break
-            if ok:
-                for position, slot in prior_checks:
-                    if fact_args[position] is not slots[slot]:
-                        ok = False
-                        break
-            if ok:
-                for position, earlier in self_checks:
-                    if fact_args[position] is not fact_args[earlier]:
-                        ok = False
-                        break
-            if not ok:
-                backtracks.value += 1
-                continue
-            for position, slot in binds:
-                slots[slot] = fact_args[position]
-            for akind, aval, bkind, bval in ineqs:
-                left = slots[aval] if akind else aval
-                right = slots[bval] if bkind else bval
-                if left is right:
-                    ok = False
-                    break
-            if ok:
-                row[2] += 1
-                row[3] += perf_counter() - started
-                yield from self._run_profiled(
-                    instance, slots, depth + 1, stats, candidates, backtracks
-                )
-                started = perf_counter()
+                if depth + 1 == len(steps):
+                    yield True
+                else:
+                    yield from self._run(
+                        instance, slots, depth + 1, candidates, backtracks, stats
+                    )
+                if stats is not None:
+                    seen = candidates.value
+                    started = perf_counter()
             if binds:
                 backtracks.value += 1
             for _, slot in binds:
                 slots[slot] = None
-        row[3] += perf_counter() - started
+        if stats is not None:
+            row[1] += candidates.value - seen
+            row[3] += perf_counter() - started
 
     def explain(self) -> str:
         """A human-readable rendering of the plan (docs and debugging)."""

@@ -236,11 +236,6 @@ class FirstOrderQuery(Query):
         return f"Q({head}) := {self.formula!r}"
 
 
-def boolean(query: Query, instance: Instance) -> bool:
-    """Evaluate a Boolean query to a Python bool."""
-    return bool(query.evaluate(instance))
-
-
 def canonical_query(instance: Instance) -> ConjunctiveQuery:
     """The canonical (Boolean) conjunctive query of an instance.
 

@@ -98,7 +98,7 @@ def plan_record(identity: str, label: str, steps: List[dict]) -> dict:
     steps), ``checks`` (number of fail-first checks), and ``probe`` (a
     short probe description).  The returned record's ``counts`` entry
     holds one ``[probes, candidates, emitted, seconds]`` list per step;
-    the profiled executor mutates those lists in place.
+    the plan executor mutates those lists in place when attribution is on.
     """
     found = _PLANS.get(identity)
     if found is None:

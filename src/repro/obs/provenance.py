@@ -856,3 +856,13 @@ class recording:
         global _ACTIVE
         _ACTIVE = self._previous
         return False
+
+
+class paused(recording):
+    """Switch recording off for the block, as for a datalog query's
+    fixpoint over a solution: a chase that is no step of the exchange."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        self.ledger = None

@@ -94,3 +94,34 @@ class TestConstantsInQueries:
         query = parse_query("Q() :- F('a', 'zzz')")
         assert not certain_answers(setting_2_1, source_2_1, query)
         assert maybe_answers(setting_2_1, source_2_1, query)
+
+
+class TestGenericWitnesses:
+    """◇ answer sets report constants outside the anchor set as ``_cN``."""
+
+    @pytest.fixture
+    def setting(self):
+        return DataExchangeSetting.from_strings(
+            Schema.of(S=2), Schema.of(T=2), ["S(x, y) -> exists z . T(x, z)"]
+        )
+
+    def test_answer_sets_hold_a_witness_not_b(self, setting):
+        from repro.answering import maybe_answers, persistent_maybe_answers
+
+        source = parse_instance("S('a','b')")
+        query = parse_query("Q(y) :- T(x, y)")
+        expected = frozenset({(Const("a"),), (Const("_c0"),)})
+        assert maybe_answers(setting, source, query) == expected
+        assert persistent_maybe_answers(setting, source, query) == expected
+        assert (Const("b"),) not in expected
+
+    def test_languages_accept_b(self, setting):
+        from repro.answering.decision import (
+            maybe_language,
+            persistent_maybe_language,
+        )
+
+        source = parse_instance("S('a','b')")
+        query = parse_query("Q(y) :- T(x, y)")
+        assert maybe_language(setting, query)(source, (Const("b"),))
+        assert persistent_maybe_language(setting, query)(source, (Const("b"),))

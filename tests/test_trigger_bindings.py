@@ -6,7 +6,7 @@ check it with :meth:`Tgd.conclusion_holds_at` and fire it through
 :meth:`Tgd.conclusion_atoms_at`.  These tests pin that the tuple
 entry points agree with the substitution matcher they replace: same
 bindings in the same order and with the same counted work, through the
-compiled, interpreted and profiled executors alike.
+compiled executor (with attribution off and on) and the interpreted one.
 """
 
 from hypothesis import given, settings
