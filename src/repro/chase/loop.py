@@ -102,7 +102,8 @@ class ChaseRun:
         """Add ``ψ[ū, w̄]`` for the trigger ``binding = ū‖v̄`` and notify
         every observer; returns the new atoms."""
         added = tgd.conclusion_atoms_at(binding[: len(tgd.frontier)], witnesses)
-        fresh = [atom for atom in added if self.current.add(atom)]
+        add = self.current.add_ground
+        fresh = [atom for atom in added if add(atom)]
         self.steps += 1
         self._firings.inc()
         if self._initial_nulls is None:
@@ -292,7 +293,10 @@ def chase_rounds(
     the trigger source rules out (:meth:`TriggerSource.may_violate`)
     is skipped likewise, with its all-zero attribution row.  The chase
     ends after a pass that fires nothing, or when the trigger source
-    has no pass to run.  ``trigger_source`` builds that source from
+    has no pass to run.  The step budget is tested right before each
+    firing and each merge, so a run that needs exactly ``max_steps``
+    steps succeeds and one that needs more diverges at the first step
+    past the budget.  ``trigger_source`` builds that source from
     the tgds and the working instance, which is ``instance`` itself,
     chased in place.
     """
@@ -313,8 +317,6 @@ def chase_rounds(
                 pass_started = time.perf_counter()
                 try:
                     while True:
-                        if run.steps >= max_steps:
-                            return run.out_of_budget()
                         for egd in egds:
                             started = run.clock()
                             if not feed.may_violate(egd):
@@ -330,6 +332,8 @@ def chase_rounds(
                                     ChaseStatus.FAILURE,
                                     "an egd equated two distinct constants",
                                 )
+                            if run.steps >= max_steps:
+                                return run.out_of_budget()
                             old, new = direction
                             run.merge(egd, old, new)
                             memo.forget(old)
@@ -342,8 +346,6 @@ def chase_rounds(
                             break
                 finally:
                     egd_stats.record(time.perf_counter() - pass_started)
-            elif run.steps >= max_steps:
-                return run.out_of_budget()
 
             if not feed.pending():
                 return run.finish(ChaseStatus.SUCCESS)
@@ -357,12 +359,12 @@ def chase_rounds(
                     width = len(tgd.frontier)
                     firings = 0
                     for binding in triggers:
-                        if run.steps >= max_steps:
-                            return run.out_of_budget()
                         key = binding[:width]
                         if key in satisfied:
                             continue
                         if not tgd.conclusion_holds_at(current, key):
+                            if run.steps >= max_steps:
+                                return run.out_of_budget()
                             witnesses = factory.fresh_tuple(len(tgd.existential))
                             feed.added(run.fire(tgd, binding, witnesses))
                             firings += 1

@@ -11,6 +11,12 @@ the matcher from the delta:
         for every delta atom unifiable with p,
             complete the match against the full instance.
 
+A completion depends only on the seed's *join key*, the values of its
+variables that the rest of the premise also uses, so a pass runs one
+completion join per distinct key of a seed position and splices each
+fact's own values into the shared completions: the bindings, and their
+order, are those of one join per fact.
+
 Egd applications rewrite atoms; rewritten atoms re-enter the delta so
 matches they enable are found again.  A later merge of the same egd
 fixpoint can rewrite them once more, so a pass after a merge first
@@ -38,6 +44,7 @@ from ..dependencies.base import Dependency
 from ..dependencies.egd import Egd
 from ..dependencies.tgd import Tgd
 from ..logic.matching import match_tuples
+from ..logic.plans import tuple_getter
 from .loop import DEFAULT_MAX_STEPS, TriggerSource, chase_rounds
 from .result import ChaseOutcome
 
@@ -46,14 +53,29 @@ class _Seed:
     """One premise position of a tgd's delta join, compiled once per run.
 
     ``pattern`` is the premise atom a delta fact is unified with and
-    ``rest`` the premise without it.  The same ``rest`` tuple is reused
-    on every pass, so its completion join compiles once and every later
-    pass is a pure plan-cache hit (keyed by ``pattern``'s variables).
-    With no ``rest`` (a one-atom premise) the unified fact is the whole
-    match, and :meth:`unify` reads its binding ``ū‖v̄`` straight off it.
+    ``rest`` the premise without it.  A unified fact fixes the values of
+    ``pattern``'s variables; only those that also occur in ``rest`` --
+    the fact's *join key*, :attr:`keys` -- constrain the completion join
+    of ``rest``.  So facts with one key share one completion join, and a
+    binding ``ū‖v̄`` is the fact's own values (:attr:`reads`) spliced
+    with one completion (the values of :attr:`joined`).  The same
+    ``rest`` tuple is reused on every pass, so its completion join
+    compiles once and every later pass is a pure plan-cache hit (keyed
+    by :attr:`keys`).  With no ``rest`` (a one-atom premise) the unified
+    fact is the whole match, and :meth:`unify` reads its binding
+    straight off it.
     """
 
-    __slots__ = ("relation", "rest", "variables", "reads", "checks")
+    __slots__ = (
+        "relation",
+        "rest",
+        "checks",
+        "reads",
+        "keys",
+        "key_of",
+        "joined",
+        "splice",
+    )
 
     def __init__(
         self, pattern: Atom, rest: Tuple[Atom, ...], order: Tuple[Variable, ...]
@@ -69,17 +91,35 @@ class _Seed:
                 checks.append((position, first[arg]))
             else:
                 first[arg] = position
-        #: ``pattern``'s variables sorted by name: the completion join's
-        #: pre-bound variables, in the order its plan seeds them.
-        self.variables = tuple(sorted(first, key=lambda v: v.name))
-        #: The position in a unified fact of each of ``variables``, or,
-        #: without a ``rest``, of each variable of the binding ``order``.
-        self.reads = tuple(
-            first[variable] for variable in (self.variables if rest else order)
-        )
         #: ``(position, constant)`` and ``(position, earlier position)``
         #: equalities a fact must meet to unify with ``pattern``.
         self.checks = tuple(checks)
+        own = [variable for variable in order if variable in first]
+        #: The position in a unified fact of each of ``pattern``'s
+        #: variables, in binding order.
+        self.reads = tuple(first[variable] for variable in own)
+        shared = {term for atom in rest for term in atom.args}
+        #: The join key's variables, sorted by name: the completion
+        #: join's pre-bound variables, in the order its plan seeds them.
+        self.keys = tuple(
+            sorted((v for v in first if v in shared), key=lambda v: v.name)
+        )
+        #: Reads a unified fact's join key off its arguments.
+        self.key_of = tuple_getter([first[variable] for variable in self.keys])
+        #: The variables only ``rest`` binds, in binding order: what a
+        #: completion join yields.
+        self.joined = tuple(
+            variable for variable in order if variable not in first
+        )
+        #: Reorders ``own values + completion`` into the binding order,
+        #: or None when it already is in that order.
+        placed = {
+            variable: index
+            for index, variable in enumerate(own + list(self.joined))
+        }
+        picks = [placed[variable] for variable in order]
+        in_order = picks == list(range(len(picks)))
+        self.splice = None if in_order else tuple_getter(picks)
 
     def unify(self, fact: Atom) -> Optional[Tuple[Value, ...]]:
         """The values :attr:`reads` names in ``fact``, or None when
@@ -130,7 +170,8 @@ class DeltaSource(TriggerSource):
     * a premise with an atom whose relation is all new (every atom of it
       is in the delta, as on a from-scratch chase's first pass) takes
       one full scan: each of its matches uses a delta atom;
-    * any other premise seeds its completion joins from the delta;
+    * any other premise seeds its completion joins from the delta,
+      one join per seed position and join key (:class:`_Seed`);
     * an egd none of whose premise relations has a delta atom is not
       checked (:meth:`may_violate`).
 
@@ -183,7 +224,9 @@ class DeltaSource(TriggerSource):
 
         Seeded joins deduplicate across seed positions (a match touching
         two delta atoms would otherwise be reported twice); the binding
-        itself is the dedup key.
+        itself is the dedup key.  Facts are visited in delta order and
+        each fact's completions in match order, whether its key's join
+        ran for it or for an earlier fact.
         """
         groups = self._groups
         seeds = self._seeds[id(tgd)]
@@ -207,19 +250,30 @@ class DeltaSource(TriggerSource):
                 yield from tgd.premise_bindings(instance)
                 return
         seen: Set[Tuple[Value, ...]] = set()
-        order = tgd.binding_order
         for seed, bucket in zip(seeds, buckets):
-            for fact in bucket or ():
-                values = seed.unify(fact)
-                if values is None:
+            if not bucket:
+                continue
+            # One completion join per join key, for this call only: the
+            # chase materializes a tgd's triggers before it fires any.
+            completions: Dict[Tuple[Value, ...], List[Tuple[Value, ...]]] = {}
+            rest, keys, joined = seed.rest, seed.keys, seed.joined
+            key_of, splice = seed.key_of, seed.splice
+            for fact in bucket:
+                own = seed.unify(fact)
+                if own is None:
                     continue
-                for binding in match_tuples(
-                    seed.rest,
-                    instance,
-                    order,
-                    prebound=seed.variables,
-                    values=values,
-                ):
+                key = key_of(fact.args)
+                tails = completions.get(key)
+                if tails is None:
+                    tails = completions[key] = list(
+                        match_tuples(
+                            rest, instance, joined, prebound=keys, values=key
+                        )
+                    )
+                for tail in tails:
+                    binding = own + tail
+                    if splice is not None:
+                        binding = splice(binding)
                     if binding not in seen:
                         seen.add(binding)
                         yield binding

@@ -127,6 +127,15 @@ class Instance:
         """
         if not item.is_ground:
             raise SchemaError(f"cannot add non-ground atom {item!r} to an instance")
+        return self.add_ground(item)
+
+    def add_ground(self, item: Atom) -> bool:
+        """:meth:`add` for an atom the caller knows is ground.
+
+        The chase's write path: a fired conclusion holds frontier values
+        and witnesses only, so the per-atom ``is_ground`` check is
+        skipped.  Caches are invalidated as by :meth:`add`.
+        """
         if item in self._atoms:
             return False
         self._invalidate_caches()

@@ -139,11 +139,11 @@ class DatalogProgram:
         Nulls are ordinary values (naive evaluation), as Lemma 7.7
         requires.  A full tgd invents no value, so the chase fires at
         most once per head atom over the active domain and the head
-        constants: that count, plus one, is its step budget.  An open
+        constants: that count is its step budget.  An open
         provenance ledger records none of it.
         """
         domain = len(instance.active_domain() | self._head_values)
-        budget = 1 + sum(
+        budget = sum(
             domain ** rule.head.relation.arity for rule in self.rules
         )
         with provenance.paused():

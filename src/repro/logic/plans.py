@@ -26,7 +26,9 @@ for execution:
   constants or already-bound variables does not iterate candidates at
   all: it assembles the argument tuple and asks
   :meth:`repro.core.instance.Instance.has_tuple` -- an O(1) hash probe
-  against the per-relation full-tuple index.
+  against the per-relation full-tuple index.  A plan made only of such
+  steps (a full tgd's conclusion check) is answered by its probes
+  alone, with no generator (:attr:`CompiledPattern.ground`).
 * **Identity comparisons.**  :class:`repro.core.terms.Const` and
   :class:`repro.core.terms.Null` are interned, so every equality test in
   the inner loop is a pointer comparison (``is``).
@@ -64,6 +66,7 @@ from collections import OrderedDict
 from operator import itemgetter
 from time import perf_counter
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterator,
@@ -221,6 +224,7 @@ class CompiledPattern:
         "out_pairs",
         "start_checks",
         "steps",
+        "ground",
         "slot_of",
         "_readers",
         "_identity",
@@ -339,6 +343,10 @@ class CompiledPattern:
             (rel, cc, pc, sc, bi, tuple(iq), ap, pr)
             for rel, cc, pc, sc, bi, iq, ap, pr in steps
         )
+        #: Every step is a ground probe (vacuously so with no steps):
+        #: :meth:`_execute` answers the plan without a :meth:`_run`
+        #: generator.
+        self.ground = all(step[6] is not None for step in self.steps)
         self.n_slots = len(slot_of)
         self.out_pairs: Tuple[Tuple[Variable, int], ...] = tuple(out_pairs)
         #: Variable -> slot, for pre-bound and pattern variables alike.
@@ -537,14 +545,7 @@ class CompiledPattern:
         """
         reader = self._readers.get(variables)
         if reader is None:
-            positions = tuple(self.slot_of[variable] for variable in variables)
-            if len(positions) > 1:
-                reader = itemgetter(*positions)
-            elif positions:
-                only = positions[0]
-                reader = lambda slots: (slots[only],)  # noqa: E731
-            else:
-                reader = lambda slots: ()  # noqa: E731
+            reader = tuple_getter([self.slot_of[v] for v in variables])
             self._readers[variables] = reader
         return reader
 
@@ -554,11 +555,15 @@ class CompiledPattern:
         slots: List,
         counters: Tuple[Counter, Counter],
     ) -> Optional[Iterator[bool]]:
-        """The executor over seeded ``slots``; None if a start check fails.
+        """The executor over seeded ``slots``; None when nothing matches
+        before the search starts.
 
         It counts into the ``(candidates, backtracks)`` pair; when
         attribution is on it also fills the plan's per-step rows.  A
-        plan with no steps matches once.
+        :attr:`ground` plan (every step a ground probe, such as a full
+        tgd's conclusion check, or no step at all) is answered here,
+        probe by probe until the first miss, with the counts and rows
+        :meth:`_run` would give it: it matches once or not at all.
         """
         for akind, aval, bkind, bval in self.start_checks:
             left = slots[aval] if akind else aval
@@ -571,7 +576,18 @@ class CompiledPattern:
             record = self._attr_record()
             record["uses"] += 1
             stats = record["counts"]
-        if not self.steps:
+        if self.ground:
+            for step_index, step in enumerate(self.steps):
+                if not _probe(
+                    instance,
+                    step[0],
+                    step[6],
+                    slots,
+                    candidates,
+                    backtracks,
+                    None if stats is None else stats[step_index],
+                ):
+                    return None
             return iter((True,))
         return self._run(instance, slots, 0, candidates, backtracks, stats)
 
@@ -601,6 +617,7 @@ class CompiledPattern:
         """
         steps = self.steps
         rel, const_checks, prior_checks, self_checks, binds, ineqs, argprog, probes = steps[depth]
+        row = None
         if stats is not None:
             row = stats[depth]
             seen = candidates.value
@@ -610,20 +627,9 @@ class CompiledPattern:
             # Fully bound: one hash probe, no candidate iteration.  No
             # inequality can first become checkable here (a step without
             # binds resolves nothing new).
-            candidates.value += 1
-            args = tuple(
-                slots[entry] if type(entry) is int else entry
-                for entry in argprog
-            )
-            found = instance.has_tuple(rel, args)
-            if not found:
-                backtracks.value += 1
-            if stats is not None:
-                row[0] += 1
-                row[1] += 1
-                row[2] += found
-                row[3] += perf_counter() - started
-            if found:
+            if _probe(
+                instance, rel, argprog, slots, candidates, backtracks, row
+            ):
                 if depth + 1 == len(steps):
                     yield True
                 else:
@@ -712,3 +718,47 @@ class CompiledPattern:
                 f"prior={len(pc)} self={len(sc)} binds={len(bi)} ineqs={len(iq)}"
             )
         return "\n".join(lines)
+
+
+def tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], Tuple]:
+    """A callable reading ``positions`` off a sequence, always as a tuple
+    (``itemgetter`` alone gives a bare value for one position)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        only = positions[0]
+        return lambda values: (values[only],)
+    return lambda values: ()
+
+
+def _probe(
+    instance: Instance,
+    relation: str,
+    argprog: Tuple,
+    slots: List,
+    candidates: Counter,
+    backtracks: Counter,
+    row: Optional[List],
+) -> bool:
+    """One ground step: is its argument tuple a fact of ``relation``?
+
+    The probe counts as one candidate, and a miss as one backtrack.
+    ``row`` is the step's attribution row, or None when attribution is
+    off: the probe adds one probe and one candidate to it, one emitted
+    match on a hit, and its own time.
+    """
+    if row is not None:
+        started = perf_counter()
+    candidates.value += 1
+    args = tuple(
+        [slots[entry] if type(entry) is int else entry for entry in argprog]
+    )
+    found = instance.has_tuple(relation, args)
+    if not found:
+        backtracks.value += 1
+    if row is not None:
+        row[0] += 1
+        row[1] += 1
+        row[2] += found
+        row[3] += perf_counter() - started
+    return found

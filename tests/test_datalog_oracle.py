@@ -122,7 +122,7 @@ def test_evaluate_matches_naive_fixpoint(name):
 
 
 def test_fixpoint_saturating_every_head_atom():
-    """The step budget leaves room after the last possible firing."""
+    """The step budget covers every possible firing, the last one too."""
     program = parse_program(
         """
         seen(x) :- edge(x, y).

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.chase import satisfies_all, standard_chase
 from repro.chase.seminaive import seminaive_chase
-from repro.core import Atom, Const, Instance, RelationSymbol
+from repro.core import Atom, Const, Instance, Null, RelationSymbol
 from repro.dependencies import parse_dependencies
 from repro.homomorphism import hom_equivalent
 from repro.logic import parse_instance
@@ -110,6 +110,42 @@ class TestAgreementWithStandard:
             parse_instance("E('a','b')"), deps, trace=True
         )
         assert len(outcome.trace) == 1
+
+
+class TestStepBudget:
+    """The budget is tested right before a firing or a merge, so a
+    chase that fits its budget exactly succeeds."""
+
+    @pytest.mark.parametrize("engine", [seminaive_chase, standard_chase])
+    def test_firings_that_use_up_the_budget(self, engine):
+        deps = parse_dependencies(["E(x, y) -> P(x)"])
+        source = parse_instance("E('a','b'), E('a','c')")
+        outcome = engine(source, deps, max_steps=1)
+        assert outcome.successful
+        assert outcome.steps == 1
+
+    @pytest.mark.parametrize("engine", [seminaive_chase, standard_chase])
+    def test_nothing_to_do_with_no_budget(self, engine):
+        deps = parse_dependencies(
+            ["E(x, y) -> exists z . E(y, z)", "E(x, y) & E(x, z) -> y = z"]
+        )
+        outcome = engine(Instance(), deps, max_steps=0)
+        assert outcome.successful
+        assert outcome.steps == 0
+
+    @pytest.mark.parametrize("engine", [seminaive_chase, standard_chase])
+    def test_a_merge_past_the_budget_diverges(self, engine):
+        deps = parse_dependencies(["F(x, y) & F(x, z) -> y = z"])
+        source = Instance(
+            [
+                Atom(RelationSymbol("F", 2), (Const("a"), Null(0))),
+                Atom(RelationSymbol("F", 2), (Const("a"), Const("b"))),
+            ]
+        )
+        assert engine(source, deps, max_steps=0).diverged
+        outcome = engine(source, deps, max_steps=1)
+        assert outcome.successful
+        assert outcome.steps == 1
 
 
 STALE_DEPS = parse_dependencies(
