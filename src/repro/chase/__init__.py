@@ -20,7 +20,7 @@ from .explain import (
     why_not,
 )
 from .oblivious import fire_all_source_justifications, oblivious_chase
-from .result import ChaseOutcome, ChaseStatus, ChaseStep
+from .result import ChaseOutcome, ChaseStatus
 from .satisfaction import (
     satisfies_all,
     satisfies_egd,
@@ -41,7 +41,6 @@ __all__ = [
     "CHASE_ENGINES",
     "ChaseOutcome",
     "ChaseStatus",
-    "ChaseStep",
     "ExplainedStep",
     "ExplicitAlpha",
     "FreshAlpha",

@@ -32,7 +32,7 @@ through a :class:`QuietRun`, which no observer sees.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Substitution
 from ..core.errors import ChaseDivergence, DependencyError
@@ -43,7 +43,7 @@ from ..dependencies.egd import Egd
 from ..dependencies.tgd import Tgd
 from ..obs import span, span_stats
 from .loop import ChaseRun
-from .result import ChaseOutcome, ChaseStatus, ChaseStep
+from .result import ChaseOutcome, ChaseStatus
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -317,7 +317,6 @@ def alpha_chase(
     alpha: Alpha,
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
-    trace: bool = False,
 ) -> ChaseOutcome:
     """Run an α-chase of ``instance`` with ``dependencies`` under ``alpha``.
 
@@ -332,7 +331,6 @@ def alpha_chase(
         "α-chase",
         instance.copy(),
         max_steps=max_steps,
-        trace=trace,
         fresh_witnesses=False,
     )
     bases = [run.current] * len(tgds)
@@ -357,7 +355,6 @@ class AlphaChaseSession:
     def __init__(self, instance: Instance, alpha: Alpha):
         self.instance = instance.copy()
         self.alpha = alpha
-        self.history: List[ChaseStep] = []
         self.failed = False
 
     def apply_tgd(self, tgd: Tgd, u: Sequence[Value], v: Sequence[Value]) -> None:
@@ -377,9 +374,7 @@ class AlphaChaseSession:
             raise DependencyError(
                 f"{tgd} is not α-applicable: ψ[ū, ᾱ] already holds"
             )
-        added = tgd.conclusion_atoms_under(binding, witnesses)
-        new_atoms = [atom for atom in added if self.instance.add(atom)]
-        self.history.append(ChaseStep("tgd", tgd, added=new_atoms))
+        self.instance.add_all(tgd.conclusion_atoms_under(binding, witnesses))
 
     def _premise_holds(self, tgd: Tgd, binding: Substitution) -> bool:
         if tgd.premise_atoms is not None:
@@ -406,11 +401,8 @@ class AlphaChaseSession:
         direction = Egd.merge_direction(left, right)
         if direction is None:
             self.failed = True
-            self.history.append(ChaseStep("egd", egd, merged=(left, right)))
             return False
-        old, new = direction
-        self.instance.replace_value(old, new)
-        self.history.append(ChaseStep("egd", egd, merged=(old, new)))
+        self.instance.replace_value(*direction)
         return True
 
     def is_successful_result(self, dependencies: Sequence[Dependency]) -> bool:

@@ -1,37 +1,36 @@
 """Rendering chase runs the way the paper writes them.
 
-Example 4.4 presents chases as sequences I₀, I₁, ..., Iₘ with one
-dependency application per step.  :func:`explain` replays a traced
-:class:`ChaseOutcome` into that shape, and :func:`narrate` renders it as
-text for examples, teaching, and debugging data exchange settings.
+The provenance ledger (:class:`~repro.obs.provenance.ProvenanceLedger`)
+is the chase's step record: a run under
+:func:`repro.obs.provenance.recording` appends one ``tgd`` step per
+firing and one ``egd`` step per merge, in chase order.  Both
+narrations read it:
 
-Two narration modes coexist:
-
-* **linear replay** (:func:`explain` / :func:`narrate`) follows the
-  chase *sequence* -- exactly the presentation of Example 4.4;
+* **linear replay** (:func:`explain` / :func:`narrate`) replays the
+  recorded tgd and egd steps of one run as the chase *sequence* I₀,
+  I₁, ..., Iₘ -- exactly the presentation of Example 4.4;
 * **DAG-aware narration** (:func:`narrate_why` / :func:`why_not`) walks
-  a :class:`~repro.obs.provenance.ProvenanceLedger` *derivation DAG*
-  backwards from one fact to its justifying source atoms -- the paper's
-  justification chains (Sections 3-4), available whenever the chase ran
-  under :func:`repro.obs.provenance.recording`.
+  the ledger's *derivation DAG* backwards from one fact to its
+  justifying source atoms -- the paper's justification chains
+  (Sections 3-4).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List
 
 from ..core.atoms import Atom
 from ..core.instance import Instance
-from ..obs.provenance import ProvenanceLedger
-from .result import ChaseOutcome, ChaseStep
+from ..obs.provenance import ProvenanceLedger, Step
+from .result import ChaseOutcome
 
 
 class ExplainedStep:
-    """One chase step together with the instance it produced."""
+    """One recorded chase step together with the instance it produced."""
 
     __slots__ = ("index", "step", "instance")
 
-    def __init__(self, index: int, step: ChaseStep, instance: Instance):
+    def __init__(self, index: int, step: Step, instance: Instance):
         self.index = index
         self.step = step
         self.instance = instance
@@ -42,30 +41,38 @@ class ExplainedStep:
                 f"{name} ↦ {value}" for name, value in self.step.binding
             )
             added = ", ".join(repr(atom) for atom in self.step.added)
-            name = self.step.dependency.name or "tgd"
+            name = self.step.dependency or "tgd"
             action = f"α-apply {name}" if not added else f"apply {name}"
             detail = f" with {binding}" if binding else ""
             return f"I{self.index} = I{self.index - 1} ∪ {{{added}}}  ({action}{detail})"
         old, new = self.step.merged
-        name = self.step.dependency.name or "egd"
+        name = self.step.dependency or "egd"
         return (
             f"I{self.index}: apply {name}, replacing {old} by {new}"
         )
 
 
-def explain(initial: Instance, outcome: ChaseOutcome) -> List[ExplainedStep]:
-    """Replay a traced outcome into the I₀, I₁, ... presentation.
+def explain(
+    initial: Instance, outcome: ChaseOutcome, steps: Iterable[Step]
+) -> List[ExplainedStep]:
+    """Replay a recorded run into the I₀, I₁, ... presentation.
 
-    Requires the chase to have been run with ``trace=True``; raises
-    otherwise (an untraced outcome has nothing to replay).
+    ``steps`` are the ledger steps the run recorded (``ledger.steps``
+    of a ``with recording() as ledger:`` block around the chase); its
+    tgd and egd steps are replayed on a copy of ``initial`` and every
+    other kind is skipped.  Raises ValueError when the run took steps
+    but recorded none: it ran without a ledger, so there is nothing
+    to replay.
     """
-    if outcome.steps and not outcome.trace:
+    replayed = [step for step in steps if step.kind in ("tgd", "egd")]
+    if outcome.steps and not replayed:
         raise ValueError(
-            "the chase was not traced; rerun with trace=True to explain it"
+            "the chase recorded no steps; run it under "
+            "repro.obs.provenance.recording() to explain it"
         )
     current = initial.copy()
     explained: List[ExplainedStep] = []
-    for index, step in enumerate(outcome.trace, start=1):
+    for index, step in enumerate(replayed, start=1):
         if step.kind == "tgd":
             current.add_all(step.added)
         else:
@@ -79,25 +86,28 @@ def explain(initial: Instance, outcome: ChaseOutcome) -> List[ExplainedStep]:
 def narrate(
     initial: Instance,
     outcome: ChaseOutcome,
+    steps: Iterable[Step],
     *,
     show_instances: bool = False,
 ) -> str:
-    """A textual account of a traced chase run.
+    """A textual account of a recorded chase run (see :func:`explain`).
 
     >>> from repro.chase import standard_chase
     >>> from repro.logic import parse_instance
     >>> from repro.dependencies import parse_dependencies
+    >>> from repro.obs.provenance import recording
     >>> deps = parse_dependencies(["E(x, y) -> exists z . F(y, z)"])
-    >>> outcome = standard_chase(parse_instance("E('a','b')"), deps, trace=True)
-    >>> print(narrate(parse_instance("E('a','b')"), outcome))  # doctest: +ELLIPSIS
+    >>> with recording() as ledger:
+    ...     outcome = standard_chase(parse_instance("E('a','b')"), deps)
+    >>> print(narrate(parse_instance("E('a','b')"), outcome, ledger.steps))  # doctest: +ELLIPSIS
     I0 = {E(a, b)}
-    I1 = I0 ∪ {F(b, ⊥...)}  (apply tgd with x ↦ a, y ↦ b)
+    I1 = I0 ∪ {F(b, ⊥...)}  (apply tgd with y ↦ b, x ↦ a)
     result: success after 1 step(s), 1 null(s) created, in ...s
     """
     lines: List[str] = []
     atoms = ", ".join(repr(a) for a in initial.sorted_atoms())
     lines.append(f"I0 = {{{atoms}}}")
-    for item in explain(initial, outcome):
+    for item in explain(initial, outcome, steps):
         lines.append(item.describe())
         if show_instances:
             lines.append(f"    I{item.index} = {item.instance!r}")

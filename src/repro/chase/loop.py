@@ -7,12 +7,13 @@ standard chase (Remark 4.3) and α-chase (Definitions 4.1 and 4.2)
 share their firing step: add ``ψ[ū, w̄]`` for a trigger's ū and a
 witness tuple w̄.  Only the applicability check differs (``I ⊭ ∃z̄ ψ``
 versus ``I ⊭ ψ[ū, ᾱ]``) and, for the batched engines, where a pass
-finds its triggers.  No substitution is built per trigger; one is
-built per firing only when a provenance ledger or the trace needs it.
+finds its triggers.  No substitution is built, per trigger or per
+firing: the provenance ledger records the binding tuple itself.
 
 :class:`ChaseRun` is the observer bundle every engine fires, merges
 and finishes through: the working copy, the step and null counts, the
-``chase.*`` counters and gauges, the provenance ledger, the trace,
+``chase.*`` counters and gauges, the provenance ledger (the run's
+only step record, which :func:`repro.chase.narrate` replays),
 per-dependency attribution and the heartbeat.  :func:`chase_rounds` is
 the egd-fixpoint → tgd-pass round loop of the two batched engines; its
 only parameter is the :class:`TriggerSource` that feeds each pass.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.atoms import Atom, Substitution
+from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.terms import Null, NullFactory, Value
 from ..dependencies.base import Dependency, split_dependencies
@@ -36,7 +37,7 @@ from ..dependencies.egd import Egd
 from ..dependencies.tgd import Tgd
 from ..obs import attribution, counter, gauge, span, span_stats
 from ..obs.provenance import active_ledger
-from .result import ChaseOutcome, ChaseStatus, ChaseStep
+from .result import ChaseOutcome, ChaseStatus
 
 #: Step budget of the batched engines (standard and semi-naive).
 DEFAULT_MAX_STEPS = 200_000
@@ -65,13 +66,11 @@ class ChaseRun:
         instance: Instance,
         *,
         max_steps: int = DEFAULT_MAX_STEPS,
-        trace: bool = False,
         fresh_witnesses: bool = True,
     ):
         self.engine = engine
         self.label = label
         self.max_steps = max_steps
-        self.trace = trace
         self._initial_nulls = (
             None if fresh_witnesses else set(instance.nulls())
         )
@@ -80,7 +79,6 @@ class ChaseRun:
         self.nulls_created = 0
         #: Rounds of :func:`chase_rounds`; the α-chase reports 0.
         self.rounds = 0
-        self.log: List[ChaseStep] = []
         self.started = time.perf_counter()
         self._firings = counter("chase.tgd_firings")
         self._merges = counter("chase.egd_merges")
@@ -110,16 +108,9 @@ class ChaseRun:
             self.nulls_created += len(witnesses)
             self._nulls.inc(len(witnesses))
         if self.ledger is not None:
-            premise_match = Substitution(dict(zip(tgd.binding_order, binding)))
             self.ledger.record_firing(
-                self.engine, tgd, premise_match, fresh, witnesses
+                self.engine, tgd, binding, fresh, witnesses
             )
-        if self.trace:
-            named = tuple(
-                (variable.name, value)
-                for variable, value in zip(tgd.binding_order, binding)
-            )
-            self.log.append(ChaseStep("tgd", tgd, binding=named, added=fresh))
         return fresh
 
     def merge(self, egd: Egd, old: Value, new: Value) -> None:
@@ -129,8 +120,6 @@ class ChaseRun:
         self._merges.inc()
         if self.ledger is not None:
             self.ledger.record_merge(self.engine, egd, old, new)
-        if self.trace:
-            self.log.append(ChaseStep("egd", egd, merged=(old, new)))
 
     def clock(self) -> float:
         """Start time of one attributed observation (0.0 when off)."""
@@ -188,7 +177,6 @@ class ChaseRun:
             status,
             self.current,
             self.steps,
-            self.log,
             reason,
             elapsed_seconds=time.perf_counter() - self.started,
             nulls_created=created,
@@ -277,7 +265,6 @@ def chase_rounds(
     trigger_source: Callable[[Sequence[Tgd], Instance], TriggerSource],
     *,
     max_steps: int,
-    trace: bool,
     null_factory: Optional[NullFactory],
 ) -> ChaseOutcome:
     """The batched standard chase: rounds of egd fixpoint, then tgd pass.
@@ -301,7 +288,7 @@ def chase_rounds(
     chased in place.
     """
     tgds, egds = split_dependencies(list(dependencies))
-    run = ChaseRun(engine, label, instance, max_steps=max_steps, trace=trace)
+    run = ChaseRun(engine, label, instance, max_steps=max_steps)
     current = run.current
     factory = null_factory or current.null_factory()
     feed = trigger_source(tgds, current)

@@ -41,7 +41,6 @@ def oblivious_chase(
     dependencies: Sequence[Dependency],
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
-    trace: bool = False,
     null_factory: Optional[NullFactory] = None,
 ) -> Tuple[ChaseOutcome, FreshAlpha]:
     """Run the α-chase under the canonical fresh-null α.
@@ -53,7 +52,7 @@ def oblivious_chase(
     alpha = FreshAlpha(factory)
     with span("chase.oblivious"):
         outcome = alpha_chase(
-            instance, dependencies, alpha, max_steps=max_steps, trace=trace
+            instance, dependencies, alpha, max_steps=max_steps
         )
     return outcome, alpha
 

@@ -1,20 +1,20 @@
-"""Chase outcomes and traces.
+"""Chase outcomes.
 
 Every chase engine returns a :class:`ChaseOutcome` describing how the run
 ended (Definition 4.2 distinguishes *successful*, *failing*, and infinite
 chases -- we report the latter as *diverged*, detected by a step budget or
-by revisiting a state), the resulting instance, and an optional step-by-
-step trace used by the worked examples and by tests.
+by revisiting a state) and the resulting instance.  The run's steps are
+not part of the outcome: a chase run under
+:func:`repro.obs.provenance.recording` records each tgd firing and egd
+merge in the provenance ledger, from which :func:`repro.chase.narrate`
+replays the run.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
 
-from ..core.atoms import Atom
 from ..core.instance import Instance
-from ..core.terms import Value
 
 
 class ChaseStatus(enum.Enum):
@@ -23,33 +23,6 @@ class ChaseStatus(enum.Enum):
     SUCCESS = "success"
     FAILURE = "failure"  # an egd equated two distinct constants
     DIVERGED = "diverged"  # budget exhausted or a state repeated
-
-
-class ChaseStep:
-    """One step of a chase: a tgd firing or an egd application."""
-
-    __slots__ = ("kind", "dependency", "binding", "added", "merged")
-
-    def __init__(
-        self,
-        kind: str,
-        dependency,
-        binding: Tuple[Tuple[str, Value], ...] = (),
-        added: Sequence[Atom] = (),
-        merged: Optional[Tuple[Value, Value]] = None,
-    ):
-        self.kind = kind  # "tgd" or "egd"
-        self.dependency = dependency
-        self.binding = binding
-        self.added = tuple(added)
-        self.merged = merged
-
-    def __repr__(self) -> str:
-        if self.kind == "tgd":
-            atoms = ", ".join(repr(a) for a in self.added)
-            return f"fire {self.dependency.name or 'tgd'}: add {{{atoms}}}"
-        old, new = self.merged
-        return f"apply {self.dependency.name or 'egd'}: {old} := {new}"
 
 
 class ChaseOutcome:
@@ -64,8 +37,6 @@ class ChaseOutcome:
         the run stopped -- useful for diagnostics).
     steps:
         Number of dependency applications performed.
-    trace:
-        Step records if tracing was requested, else empty.
     reason:
         Human-readable explanation for non-success outcomes.
     elapsed_seconds:
@@ -82,7 +53,6 @@ class ChaseOutcome:
         "status",
         "instance",
         "steps",
-        "trace",
         "reason",
         "elapsed_seconds",
         "nulls_created",
@@ -94,7 +64,6 @@ class ChaseOutcome:
         status: ChaseStatus,
         instance: Instance,
         steps: int,
-        trace: Sequence[ChaseStep] = (),
         reason: str = "",
         *,
         elapsed_seconds: float = 0.0,
@@ -104,7 +73,6 @@ class ChaseOutcome:
         self.status = status
         self.instance = instance
         self.steps = steps
-        self.trace: List[ChaseStep] = list(trace)
         self.reason = reason
         self.elapsed_seconds = elapsed_seconds
         self.nulls_created = nulls_created

@@ -298,7 +298,6 @@ def seminaive_chase(
     dependencies: Sequence[Dependency],
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
-    trace: bool = False,
     null_factory: Optional[NullFactory] = None,
     initial_delta: Optional[Sequence[Atom]] = None,
 ) -> ChaseOutcome:
@@ -325,6 +324,5 @@ def seminaive_chase(
         dependencies,
         lambda tgds, current: DeltaSource(tgds, current, initial_delta),
         max_steps=max_steps,
-        trace=trace,
         null_factory=null_factory,
     )

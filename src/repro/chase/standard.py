@@ -27,7 +27,6 @@ def standard_chase(
     dependencies: Sequence[Dependency],
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
-    trace: bool = False,
     null_factory: Optional[NullFactory] = None,
 ) -> ChaseOutcome:
     """Run the standard chase of ``instance`` with ``dependencies``.
@@ -50,6 +49,5 @@ def standard_chase(
         dependencies,
         TriggerSource,
         max_steps=max_steps,
-        trace=trace,
         null_factory=null_factory,
     )

@@ -4,7 +4,8 @@ Commands
 --------
 ``solve``      chase a source instance and print the canonical universal
                solution and the core (= the minimal CWA-solution).
-``chase``      run the chase with a narrated trace.
+``chase``      run the chase and narrate it as I₀, I₁, ..., Iₘ
+               (``explain`` without ``--why``).
 ``certain``    answer a query under one of the four CWA semantics.
 ``check``      classify a candidate target instance (solution /
                universal / CWA-presolution / CWA-solution).
@@ -14,6 +15,8 @@ Commands
                Gaifman blocks, core size, per-null justifications.
 ``explain``    paper-style I₀, I₁, ..., Iₘ chase narration, with
                optional DAG-aware justification of one fact (--why).
+               Both narrations are read off the provenance ledger the
+               chase records (into ``--provenance``'s, when given).
 ``explain-plan``  EXPLAIN ANALYZE for the chase: run a solve with
                attributed execution on and print, per dependency, the
                compiled match plans actually used -- join order, probe
@@ -280,21 +283,6 @@ def _solve_incremental(
     return session.result
 
 
-def command_chase(args: argparse.Namespace) -> int:
-    from .chase import narrate, seminaive_chase
-
-    setting = load_setting(args.setting)
-    source = load_instance(args.source, setting)
-    outcome = seminaive_chase(
-        source,
-        list(setting.all_dependencies),
-        max_steps=args.max_steps,
-        trace=True,
-    )
-    print(narrate(source, outcome, show_instances=args.show_instances))
-    return 0 if outcome.successful else 1
-
-
 def command_certain(args: argparse.Namespace) -> int:
     from .answering import (
         certain_answers,
@@ -377,29 +365,26 @@ def _parse_fact(text: str, setting: DataExchangeSetting) -> "Atom":
 
 
 def command_explain(args: argparse.Namespace) -> int:
+    """``repro explain`` and ``repro chase``: narrate a semi-naive chase.
+
+    The I₀, I₁, ..., Iₘ narration is replayed from the steps the run
+    records in a provenance ledger; ``--why`` (``explain`` only) adds
+    the justification chain of one fact, walked off the same ledger.
+    """
     from .chase import narrate, narrate_why, seminaive_chase
     from .obs.provenance import active_ledger, recording
 
     setting = load_setting(args.setting)
     source = load_instance(args.source, setting)
-    # Reuse an outer ledger (--provenance) when one is already recording;
-    # otherwise record locally so --why can walk the derivation DAG.
-    recorder = None
-    ledger = active_ledger()
-    if ledger is None:
-        recorder = recording()
-        ledger = recorder.__enter__()
-    try:
+    # Record into the outer ledger (--provenance) when one is installed,
+    # else into a ledger of this command's own.
+    with recording(active_ledger()) as ledger:
+        mark = len(ledger)
         outcome = seminaive_chase(
-            source,
-            list(setting.all_dependencies),
-            max_steps=args.max_steps,
-            trace=True,
+            source, list(setting.all_dependencies), max_steps=args.max_steps
         )
-    finally:
-        if recorder is not None:
-            recorder.__exit__(None, None, None)
-    print(narrate(source, outcome, show_instances=args.show_instances))
+    steps = ledger.steps[mark:]
+    print(narrate(source, outcome, steps, show_instances=args.show_instances))
     if args.why:
         fact = _parse_fact(args.why, setting)
         print()
@@ -726,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     chase.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     chase.add_argument("--show-instances", action="store_true")
     _add_obs_flags(chase)
-    chase.set_defaults(run=command_chase)
+    chase.set_defaults(run=command_explain, why=None)
 
     certain = commands.add_parser("certain", help="answer a query")
     certain.add_argument("setting")
@@ -765,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain_cmd = commands.add_parser(
         "explain",
-        help="paper-style I0, I1, ..., Im narration of a traced chase",
+        help="paper-style I0, I1, ..., Im narration of a chase",
     )
     explain_cmd.add_argument("setting")
     explain_cmd.add_argument("source")

@@ -187,6 +187,14 @@ class Atom:
             "_hash": self._hash,
         }
 
+    def __setstate__(self, state):
+        # The hash depends on the string hash seed, which may differ in
+        # the loading process: recompute it rather than trust the pickle.
+        fields = state[1]
+        self.relation = fields["relation"]
+        self.args = fields["args"]
+        self._hash = hash(("Atom", self.relation, self.args))
+
     def __repr__(self) -> str:
         inner = ", ".join(str(arg) for arg in self.args)
         return f"{self.relation.name}({inner})"

@@ -40,6 +40,10 @@ class RelationSymbol:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # The hash depends on the string hash seed: recompute it on load.
+        return (RelationSymbol, (self.name, self.arity))
+
     def __lt__(self, other) -> bool:
         if isinstance(other, RelationSymbol):
             return (self.name, self.arity) < (other.name, other.arity)

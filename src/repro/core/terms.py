@@ -192,6 +192,10 @@ class Variable(Term):
         self.name = str(name)
         self._hash = hash(("Variable", self.name))
 
+    def __reduce__(self):
+        # The hash depends on the string hash seed: recompute it on load.
+        return (Variable, (self.name,))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Variable) and self.name == other.name
 

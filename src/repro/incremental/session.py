@@ -316,7 +316,6 @@ class DeltaSession:
                     self._dependencies,
                     lambda tgds, current: DeltaSource(tgds, current, initial),
                     max_steps=self.max_steps,
-                    trace=False,
                     null_factory=self._factory,
                 )
             counter("incremental.delta_rounds").inc(outcome.rounds)

@@ -284,24 +284,27 @@ class ProvenanceLedger:
         self,
         via: str,
         tgd,
-        premise_match,
+        binding: Tuple[Value, ...],
         added: Sequence[Atom],
         witnesses: Sequence[Value],
     ) -> None:
         """One tgd firing: trigger binding, parent facts, produced facts.
 
-        ``premise_match`` is the engine's substitution; the binding and
-        the parent facts (premise atoms under the binding) are derived
-        here so the engines stay one-call-per-firing.  FO premises
-        (some s-t tgds) have no atom list; their parents are empty.
+        ``binding`` is the trigger ``ū‖v̄`` as the engines hold it, one
+        value per variable of ``tgd.binding_order``; the named binding
+        and the parent facts (premise atoms under the binding) are
+        derived here so the engines stay one-call-per-firing.  FO
+        premises (some s-t tgds) have no atom list; their parents are
+        empty.
         """
-        binding = tuple(
-            (variable.name, premise_match[variable])
-            for variable in tuple(tgd.frontier) + tuple(tgd.premise_only)
+        order = tgd.binding_order
+        named = tuple(
+            (variable.name, value) for variable, value in zip(order, binding)
         )
         if tgd.premise_atoms is not None:
+            mapping = dict(zip(order, binding))
             parents = tuple(
-                premise_match.apply(item) for item in tgd.premise_atoms
+                item.substitute(mapping) for item in tgd.premise_atoms
             )
         else:
             parents = ()
@@ -315,7 +318,7 @@ class ProvenanceLedger:
                 "tgd",
                 via=via,
                 dependency=tgd.name or "",
-                binding=binding,
+                binding=named,
                 parents=parents,
                 added=tuple(added),
                 witnesses=witness_pairs,

@@ -4,7 +4,9 @@ The harness behind ``tests/test_chase_observers.py``.  For each case in
 :data:`RUNS` it reports the outcome fields, the trace, the provenance
 ledger (by fingerprint), the ``chase.*`` counters and gauges, the
 per-dependency attribution table (without times), and the heartbeat
-records (without wall-clock fields).
+records (without wall-clock fields).  The ``trace`` of a run is its
+ledger's tgd and egd steps, written as the chase sequence's ``fire``
+and ``apply`` lines.
 
 Trigger order follows set iteration order, which depends on the string
 hash, so golden values are taken in a child process under a fixed
@@ -120,7 +122,7 @@ def _continuation():
 def _batched(engine, build, **options):
     def prepare():
         instance, deps = build()
-        return lambda trace: engine(instance, deps, trace=trace, **options)
+        return lambda: engine(instance, deps, **options)
 
     return prepare
 
@@ -131,22 +133,22 @@ def _resumed(engine):
         options = {"null_factory": instance.null_factory()}
         if engine is seminaive_chase:
             options["initial_delta"] = insertion
-        return lambda trace: engine(instance, deps, trace=trace, **options)
+        return lambda: engine(instance, deps, **options)
 
     return prepare
 
 
 def _oblivious():
     source, deps = _example_2_1()
-    return lambda trace: oblivious_chase(source, deps, trace=trace)[0]
+    return lambda: oblivious_chase(source, deps)[0]
 
 
 def _alpha_st_only():
     setting = example_2_1_setting()
     source = example_2_1_source()
     deps = list(setting.st_dependencies)
-    return lambda trace: alpha_chase(
-        source, deps, FreshAlpha(source.null_factory()), trace=trace
+    return lambda: alpha_chase(
+        source, deps, FreshAlpha(source.null_factory())
     )
 
 
@@ -154,7 +156,7 @@ def _fire_all():
     setting = example_2_1_setting()
     source = example_2_1_source()
 
-    def execute(trace):
+    def execute():
         result, table = fire_all_source_justifications(
             source, setting.st_dependencies
         )
@@ -217,8 +219,27 @@ def _telemetry() -> dict:
 def quiet(prepare) -> dict:
     execute = prepare()
     obs.reset()
-    result = execute(False)
+    result = execute()
     return {"outcome": _outcome_fields(result), **_telemetry()}
+
+
+def _trace(result, ledger) -> list:
+    """One line per tgd firing and egd merge the run recorded.
+
+    ``fire_all_source_justifications`` returns no chase outcome and
+    gets no sequence, although its firings are in the ledger.
+    """
+    if isinstance(result, tuple):
+        return []
+    lines = []
+    for step in ledger.steps:
+        if step.kind == "tgd":
+            atoms = ", ".join(repr(item) for item in step.added)
+            lines.append(f"fire {step.dependency or 'tgd'}: add {{{atoms}}}")
+        elif step.kind == "egd":
+            old, new = step.merged
+            lines.append(f"apply {step.dependency or 'egd'}: {old} := {new}")
+    return lines
 
 
 def observed(prepare) -> dict:
@@ -228,7 +249,7 @@ def observed(prepare) -> dict:
     attribution._HEARTBEAT = attribution.Heartbeat(stream)
     try:
         with attribution.attributing(), recording() as ledger:
-            result = execute(True)
+            result = execute()
     finally:
         attribution._HEARTBEAT = None
     beats = [json.loads(line) for line in stream.getvalue().splitlines()]
@@ -239,11 +260,10 @@ def observed(prepare) -> dict:
         name: {key: value for key, value in record.items() if key != "seconds"}
         for name, record in attribution.dependencies().items()
     }
-    trace = getattr(result, "trace", [])
     return {
         "outcome": _outcome_fields(result),
         **_telemetry(),
-        "trace": [repr(step) for step in trace],
+        "trace": _trace(result, ledger),
         "ledger": fingerprint_ledger(ledger),
         "ledger_steps": len(ledger),
         "attribution": dependencies,

@@ -194,3 +194,66 @@ def test_pickled_atoms_carry_no_cached_keys():
             hash(item) for item in shipped
         ]
         assert sorted(back) == expected
+
+
+_PICKLE_IN_CHILD = """
+import pickle, sys
+from repro.core import RelationSymbol, Variable
+from repro.logic import parse_instance
+instance = parse_instance("E('a','b'), E('b','c'), F('c', #1)")
+payload = (instance, RelationSymbol("E", 2), Variable("x"))
+with open(sys.argv[1], "wb") as handle:
+    pickle.dump(payload, handle)
+"""
+
+_LOAD_IN_CHILD = """
+import json, pickle, sys
+from repro.core import RelationSymbol, Variable
+from repro.core.instance import isomorphic
+from repro.logic import parse_instance
+with open(sys.argv[1], "rb") as handle:
+    loaded, symbol, variable = pickle.load(handle)
+fresh = parse_instance("E('a','b'), E('b','c'), F('c', #1)")
+json.dump(
+    {
+        "instance_equal": loaded == fresh,
+        "atoms_found": all(item in loaded for item in fresh),
+        "isomorphic": isomorphic(loaded, fresh),
+        "self_isomorphic": isomorphic(loaded, loaded),
+        "symbol_found": RelationSymbol("E", 2) in {symbol},
+        "variable_found": Variable("x") in {variable},
+    },
+    sys.stdout,
+)
+"""
+
+
+def test_pickles_load_under_another_hash_seed(tmp_path):
+    """A pickle made under one ``PYTHONHASHSEED`` loads whole under another.
+
+    String hashes differ between the two processes, so every hash the
+    pickled objects cache must be recomputed on load.
+    """
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    path = str(tmp_path / "payload.pickle")
+
+    def child(code, seed):
+        return subprocess.run(
+            [sys.executable, "-c", code, path],
+            capture_output=True,
+            text=True,
+            env={"PYTHONHASHSEED": seed, "PYTHONPATH": src_dir},
+            check=True,
+        ).stdout
+
+    child(_PICKLE_IN_CHILD, "1")
+    checks = json.loads(child(_LOAD_IN_CHILD, "2"))
+    assert checks == dict.fromkeys(checks, True)
+    assert len(checks) == 6

@@ -494,14 +494,25 @@ class TestExplainPlan:
     def test_attribution_stays_off_afterwards(
         self, setting_file, source_file, capsys
     ):
+        """``explain-plan`` switches attribution on for its own solve
+        only: it leaves ``attribution.enabled()`` and the
+        ``REPRO_ATTRIBUTION`` variable as it found them, whether the
+        suite runs with attribution off or on."""
         import os
 
         from repro.obs import attribution
 
-        main(["explain-plan", setting_file, source_file])
-        capsys.readouterr()
-        assert not attribution.enabled()
-        assert "REPRO_ATTRIBUTION" not in os.environ
+        was_enabled = attribution.enabled()
+        variable = os.environ.get("REPRO_ATTRIBUTION")
+        try:
+            for initially in (False, True):
+                attribution.enable(initially)
+                main(["explain-plan", setting_file, source_file])
+                capsys.readouterr()
+                assert attribution.enabled() is initially
+                assert os.environ.get("REPRO_ATTRIBUTION") == variable
+        finally:
+            attribution.enable(was_enabled)
 
 
 class TestProgressFlag:

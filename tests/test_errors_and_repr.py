@@ -9,19 +9,14 @@ from repro.core import (
     Const,
     DependencyError,
     Instance,
-    Null,
     ParseError,
     ReproError,
     SchemaError,
     UnsupportedQueryError,
-    atom,
-    RelationSymbol,
 )
 from repro.core.errors import NotASolutionError
 from repro.dependencies import parse_dependency
 from repro.logic import parse_instance, parse_query
-
-E = RelationSymbol("E", 2)
 
 
 class TestHierarchy:
@@ -115,14 +110,3 @@ class TestRepresentations:
         )
         result = solve(setting, parse_instance("Src('a','b'), Src('a','c')"))
         assert "no solution" in repr(result)
-
-    def test_alpha_repr_objects(self):
-        from repro.chase import ChaseStep
-        from repro.dependencies import parse_dependency
-
-        tgd = parse_dependency("E(x, y) -> F(y, x)")
-        step = ChaseStep("tgd", tgd, added=(atom(E, "a", "b"),))
-        assert "add" in repr(step)
-        egd = parse_dependency("F(x, y) & F(x, z) -> y = z")
-        merge = ChaseStep("egd", egd, merged=(Null(3), Const("a")))
-        assert ":=" in repr(merge)

@@ -36,30 +36,32 @@ class TestExplain:
             ]
         )
         source = parse_instance("E('a','b'), E('b','c')")
-        outcome = standard_chase(source, deps, trace=True)
-        steps = explain(source, outcome)
+        with recording() as ledger:
+            outcome = standard_chase(source, deps)
+        steps = explain(source, outcome, ledger.steps)
         assert steps
         assert steps[-1].instance == outcome.instance
 
     def test_untraced_outcome_rejected(self):
         deps = parse_dependencies(["E(x, y) -> exists z . F(y, z)"])
         source = parse_instance("E('a','b')")
-        outcome = standard_chase(source, deps, trace=False)
+        outcome = standard_chase(source, deps)
         with pytest.raises(ValueError):
-            explain(source, outcome)
+            explain(source, outcome, ())
 
     def test_zero_step_chase_explained(self):
         deps = parse_dependencies(["E(x, y) -> exists z . F(y, z)"])
         source = parse_instance("F('b','w'), E('a','b')")
-        outcome = standard_chase(source, deps, trace=False)
+        outcome = standard_chase(source, deps)
         assert outcome.steps == 0
-        assert explain(source, outcome) == []
+        assert explain(source, outcome, ()) == []
 
     def test_narrate_structure(self):
         deps = parse_dependencies(["E(x, y) -> exists z . F(y, z)"])
         source = parse_instance("E('a','b')")
-        outcome = standard_chase(source, deps, trace=True)
-        text = narrate(source, outcome)
+        with recording() as ledger:
+            outcome = standard_chase(source, deps)
+        text = narrate(source, outcome, ledger.steps)
         assert text.startswith("I0 = {E(a, b)}")
         assert "I1 = I0 ∪" in text
         assert "result: success after 1 step(s)" in text
@@ -73,8 +75,9 @@ class TestExplain:
             ]
         )
         source = parse_instance("E('a','b'), G('a','c')")
-        outcome = standard_chase(source, deps, trace=True)
-        text = narrate(source, outcome)
+        with recording() as ledger:
+            outcome = standard_chase(source, deps)
+        text = narrate(source, outcome, ledger.steps)
         assert "replacing" in text
 
     def test_narrate_alpha_chase(self, setting_2_1, source_2_1):
@@ -94,10 +97,11 @@ class TestExplain:
             },
             fallback=NullFactory(100),
         )
-        outcome = alpha_chase(
-            source_2_1, list(setting_2_1.all_dependencies), alpha, trace=True
-        )
-        text = narrate(source_2_1, outcome, show_instances=True)
+        with recording() as ledger:
+            outcome = alpha_chase(
+                source_2_1, list(setting_2_1.all_dependencies), alpha
+            )
+        text = narrate(source_2_1, outcome, ledger.steps, show_instances=True)
         assert "result: success" in text
         assert "I4" in text
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.chase import standard_chase
-from repro.chase.result import ChaseOutcome, ChaseStep
+from repro.chase.result import ChaseOutcome
 from repro.chase.seminaive import seminaive_chase
 from repro.core.atoms import Atom
 from repro.homomorphism import find_homomorphism
@@ -27,6 +27,7 @@ from repro.obs import (
     RecordingSink,
     TeeSink,
 )
+from repro.obs.provenance import Step, recording
 
 
 @pytest.fixture(autouse=True)
@@ -94,13 +95,14 @@ class TestSpans:
 
 class TestCounterAccuracy:
     def test_example_2_1_chase_counters(self, setting_2_1, source_2_1):
-        outcome = standard_chase(
-            source_2_1, list(setting_2_1.all_dependencies), trace=True
-        )
+        with recording() as ledger:
+            outcome = standard_chase(
+                source_2_1, list(setting_2_1.all_dependencies)
+            )
         assert outcome.successful
         counters = obs.snapshot()["counters"]
-        tgd_steps = [s for s in outcome.trace if s.kind == "tgd"]
-        egd_steps = [s for s in outcome.trace if s.kind == "egd"]
+        tgd_steps = [s for s in ledger.steps if s.kind == "tgd"]
+        egd_steps = [s for s in ledger.steps if s.kind == "egd"]
         assert counters["chase.tgd_firings"] == len(tgd_steps) == 3
         assert counters["chase.egd_merges"] == len(egd_steps) == 0
         assert counters["chase.nulls_created"] == 3
@@ -204,7 +206,7 @@ class TestSinks:
     def test_null_sink_adds_no_attributes_to_hot_path_objects(self):
         # The default configuration must not decorate chase objects:
         # slotted classes stay slotted and carry no telemetry fields.
-        for cls in (Atom, ChaseStep, ChaseOutcome):
+        for cls in (Atom, Step, ChaseOutcome):
             slots = cls.__slots__
             assert not any(
                 marker in name

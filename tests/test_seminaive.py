@@ -10,6 +10,7 @@ from repro.core import Atom, Const, Instance, Null, RelationSymbol
 from repro.dependencies import parse_dependencies
 from repro.homomorphism import hom_equivalent
 from repro.logic import parse_instance
+from repro.obs.provenance import recording
 
 M = RelationSymbol("M", 2)
 N = RelationSymbol("N", 2)
@@ -106,10 +107,9 @@ class TestAgreementWithStandard:
 
     def test_trace(self):
         deps = parse_dependencies(["E(x, y) -> exists z . F(y, z)"])
-        outcome = seminaive_chase(
-            parse_instance("E('a','b')"), deps, trace=True
-        )
-        assert len(outcome.trace) == 1
+        with recording() as ledger:
+            seminaive_chase(parse_instance("E('a','b')"), deps)
+        assert [step.kind for step in ledger.steps] == ["source", "tgd"]
 
 
 class TestStepBudget:
@@ -214,8 +214,8 @@ def stale_delta_sources(draw):
     return Instance(atoms)
 
 
-def _merged_away(outcome):
-    return {step.merged[0] for step in outcome.trace if step.kind == "egd"}
+def _merged_away(ledger):
+    return {step.merged[0] for step in ledger.steps if step.kind == "egd"}
 
 
 @pytest.mark.parametrize(
@@ -229,10 +229,11 @@ def test_seminaive_keeps_no_merged_away_null(deps, sources, data):
     """Parity with the standard chase, and no null an egd merged away
     survives: hom-equivalence alone cannot see a stale ``S(⊥0)``."""
     source = data.draw(sources)
-    semi = seminaive_chase(source, deps, trace=True)
+    with recording() as ledger:
+        semi = seminaive_chase(source, deps)
     full = standard_chase(source, deps)
     assert semi.status == full.status
     if semi.successful:
         assert satisfies_all(semi.instance, deps)
         assert hom_equivalent(semi.instance, full.instance)
-        assert not _merged_away(semi) & semi.instance.nulls()
+        assert not _merged_away(ledger) & semi.instance.nulls()

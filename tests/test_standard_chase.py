@@ -4,6 +4,9 @@ from repro.chase import ChaseStatus, satisfies_all, standard_chase, violations
 from repro.core import Const, Instance, Schema, atom, RelationSymbol
 from repro.dependencies import parse_dependencies, parse_dependency
 from repro.logic import parse_instance
+from repro.obs.provenance import recording
+
+from .test_trigger_memo import chase_steps
 
 
 class TestBasicChase:
@@ -91,11 +94,15 @@ class TestDivergence:
 
 
 class TestTrace:
+    """The provenance ledger records each step of the chase."""
+
     def test_trace_records_steps(self):
         deps = parse_dependencies(["E(x, y) -> exists z . F(y, z)"])
-        outcome = standard_chase(parse_instance("E('a','b')"), deps, trace=True)
-        assert len(outcome.trace) == outcome.steps == 1
-        step = outcome.trace[0]
+        with recording() as ledger:
+            outcome = standard_chase(parse_instance("E('a','b')"), deps)
+        steps = chase_steps(ledger)
+        assert len(steps) == outcome.steps == 1
+        step = steps[0]
         assert step.kind == "tgd"
         assert len(step.added) == 1
 
@@ -107,10 +114,9 @@ class TestTrace:
                 "F(x, y) & F(x, z) -> y = z",
             ]
         )
-        outcome = standard_chase(
-            parse_instance("E('a','b'), G('a','c')"), deps, trace=True
-        )
-        kinds = [step.kind for step in outcome.trace]
+        with recording() as ledger:
+            standard_chase(parse_instance("E('a','b'), G('a','c')"), deps)
+        kinds = [step.kind for step in chase_steps(ledger)]
         assert "egd" in kinds
 
 

@@ -266,7 +266,7 @@ class TestFoPremise:
     def test_chase_agrees_with_the_substitution_loop(self):
         setting, source = fo_setting(), fo_source()
         dependencies = list(setting.all_dependencies)
-        outcome = assert_same_run(source, dependencies)
+        outcome, _ = assert_same_run(source, dependencies)
         assert outcome.successful
         semi = seminaive_chase(source, dependencies)
         assert semi.instance == outcome.instance

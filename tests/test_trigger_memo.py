@@ -31,6 +31,7 @@ from repro.generators import (
     random_weakly_acyclic_setting,
 )
 from repro.obs import attribution
+from repro.obs.provenance import recording
 
 
 def reference_chase(instance, dependencies, null_factory=None):
@@ -80,26 +81,47 @@ def reference_chase(instance, dependencies, null_factory=None):
             return ChaseStatus.SUCCESS, log, current
 
 
-def step_log(outcome):
+def name_uniquely(dependencies):
+    """Give every dependency its own name, so that the dependency label
+    of a ledger step identifies the dependency it records."""
+    for index, dependency in enumerate(dependencies):
+        dependency.name = f"dep{index}"
+
+
+def chase_steps(ledger):
+    """The tgd and egd steps a chase recorded, in chase order."""
+    return [step for step in ledger.steps if step.kind in ("tgd", "egd")]
+
+
+def step_log(steps):
     return [
         (step.kind, step.dependency, step.binding, list(step.added), step.merged)
-        for step in outcome.trace
+        for step in steps
     ]
 
 
 def assert_same_run(instance, dependencies, null_factory=None, other_factory=None):
-    status, expected, final = reference_chase(instance, dependencies, null_factory)
-    outcome = standard_chase(
-        instance, dependencies, trace=True, null_factory=other_factory
-    )
+    """Chase like :func:`reference_chase`; returns the outcome and the
+    tgd and egd steps the run recorded."""
+    name_uniquely(dependencies)
+    status, log, final = reference_chase(instance, dependencies, null_factory)
+    expected = [
+        (kind, dependency.name, binding, added, merged)
+        for kind, dependency, binding, added, merged in log
+    ]
+    with recording() as ledger:
+        outcome = standard_chase(
+            instance, dependencies, null_factory=other_factory
+        )
     assert outcome.status is status
-    actual = step_log(outcome)
+    steps = chase_steps(ledger)
+    actual = step_log(steps)
     assert len(actual) == len(expected)
     for index, (got, want) in enumerate(zip(actual, expected)):
         assert got == want, f"step {index}"
     if status is ChaseStatus.SUCCESS:
         assert outcome.instance == final
-    return outcome
+    return outcome, steps
 
 
 class TestStepForStep:
@@ -127,9 +149,9 @@ class TestStepForStep:
             Atom(relation, tuple(Const(f"c{rng.randrange(5)}") for _ in "xy"))
             for _ in range(25)
         )
-        outcome = assert_same_run(source, dependencies)
+        outcome, steps = assert_same_run(source, dependencies)
         assert outcome.successful
-        assert any(step.kind == "egd" for step in outcome.trace)
+        assert any(step.kind == "egd" for step in steps)
 
     def test_merge_rewrites_a_memoized_frontier_tuple(self):
         """A merged-away null that comes back must be checked again.
@@ -157,18 +179,18 @@ class TestStepForStep:
                 Atom(B, (Const("b"),)),
             ]
         )
-        outcome = assert_same_run(
+        outcome, steps = assert_same_run(
             source, dependencies, NullFactory(start=2), NullFactory(start=2)
         )
         assert outcome.successful
         assert satisfies_all(outcome.instance, dependencies)
-        kinds = [(step.kind, step.merged) for step in outcome.trace]
+        kinds = [(step.kind, step.merged) for step in steps]
         merge = kinds.index(("egd", (null, Const("b"))))
         t2 = dependencies[1]
         refired = [
             step
-            for step in outcome.trace[merge + 1 :]
-            if step.dependency is t2
+            for step in steps[merge + 1 :]
+            if step.dependency == t2.name
             and step.binding == (("z", null), ("x", Const("c")))
         ]
         assert len(refired) == 1
