@@ -6,10 +6,8 @@ from .alpha import (
     ExplicitAlpha,
     FreshAlpha,
     JustificationKey,
-    alpha_applicable_matches,
     alpha_chase,
     any_tgd_alpha_applicable,
-    justification_key,
 )
 from .explain import (
     ExplainedStep,
@@ -50,11 +48,9 @@ __all__ = [
     "survival",
     "why_not",
     "JustificationKey",
-    "alpha_applicable_matches",
     "alpha_chase",
     "any_tgd_alpha_applicable",
     "fire_all_source_justifications",
-    "justification_key",
     "oblivious_chase",
     "satisfies_all",
     "satisfies_egd",

@@ -32,9 +32,8 @@ through a :class:`QuietRun`, which no observer sees.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterator, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
-from ..core.atoms import Substitution
 from ..core.errors import ChaseDivergence, DependencyError
 from ..core.instance import Instance
 from ..core.terms import NullFactory, Value
@@ -56,11 +55,6 @@ def binding_key(tgd: Tgd, binding: Tuple[Value, ...]) -> JustificationKey:
     """The key (d, ū, v̄) of a premise binding ``ū‖v̄``."""
     width = len(tgd.frontier)
     return (tgd, binding[:width], binding[width:])
-
-
-def justification_key(tgd: Tgd, premise_match: Substitution) -> JustificationKey:
-    """The key (d, ū, v̄) of a premise match."""
-    return binding_key(tgd, premise_match.as_tuple(tgd.binding_order))
 
 
 class Alpha:
@@ -137,24 +131,17 @@ class FreshAlpha(Alpha):
         return dict(self._memo)
 
 
-def alpha_applicable_matches(
-    instance: Instance, tgd: Tgd, alpha: Alpha
-) -> Iterator[Tuple[Substitution, Tuple[Value, ...]]]:
-    """All (premise match, witness tuple) pairs where d is α-applicable."""
-    for premise_match in tgd.premise_matches(instance):
-        key = justification_key(tgd, premise_match)
-        witnesses = alpha.witnesses(key)
-        if not tgd.conclusion_present(instance, premise_match, witnesses):
-            yield premise_match, witnesses
-
-
 def any_tgd_alpha_applicable(
     instance: Instance, tgds: Sequence[Tgd], alpha: Alpha
 ) -> bool:
     """Condition (c) of Definition 4.2(1), negated."""
     for tgd in tgds:
-        for _ in alpha_applicable_matches(instance, tgd, alpha):
-            return True
+        for binding in tgd.premise_bindings(instance):
+            key = binding_key(tgd, binding)
+            if not tgd.conclusion_present_at(
+                instance, key[1], alpha.witnesses(key)
+            ):
+                return True
     return False
 
 
@@ -359,42 +346,26 @@ class AlphaChaseSession:
 
     def apply_tgd(self, tgd: Tgd, u: Sequence[Value], v: Sequence[Value]) -> None:
         """α-apply ``tgd`` with tuples ū and v̄ (Definition 4.1)."""
-        binding = Substitution(
-            dict(zip(tgd.frontier, u)) | dict(zip(tgd.premise_only, v))
-        )
         if len(u) != len(tgd.frontier) or len(v) != len(tgd.premise_only):
             raise DependencyError("tuple lengths do not match x̄ / ȳ")
-        if not self._premise_holds(tgd, binding):
+        u, v = tuple(u), tuple(v)
+        if u + v not in tgd.premise_bindings(self.instance):
             raise DependencyError(
                 f"{tgd} is not α-applicable: premise fails under ū={u}, v̄={v}"
             )
-        key = (tgd, tuple(u), tuple(v))
-        witnesses = self.alpha.witnesses(key)
-        if tgd.conclusion_present(self.instance, binding, witnesses):
+        witnesses = self.alpha.witnesses((tgd, u, v))
+        if tgd.conclusion_present_at(self.instance, u, witnesses):
             raise DependencyError(
                 f"{tgd} is not α-applicable: ψ[ū, ᾱ] already holds"
             )
-        self.instance.add_all(tgd.conclusion_atoms_under(binding, witnesses))
-
-    def _premise_holds(self, tgd: Tgd, binding: Substitution) -> bool:
-        if tgd.premise_atoms is not None:
-            return all(
-                binding.apply(atom) in self.instance
-                for atom in tgd.premise_atoms
-            )
-        from ..logic.evaluation import holds
-
-        assignment = {variable: binding[variable] for variable in binding}
-        return holds(tgd.premise_formula, self.instance, assignment)
+        self.instance.add_all(tgd.conclusion_atoms_at(u, witnesses))
 
     def apply_egd(self, egd: Egd, left: Value, right: Value) -> bool:
         """Apply ``egd`` to a violating pair; returns False if it fails."""
         if left == right:
             raise DependencyError("egd application needs two distinct values")
-        if (left, right) not in set(egd.violations(self.instance)) and (
-            right,
-            left,
-        ) not in set(egd.violations(self.instance)):
+        violations = set(egd.violations(self.instance))
+        if (left, right) not in violations and (right, left) not in violations:
             raise DependencyError(
                 f"{egd} cannot be applied: ({left}, {right}) is not a violation"
             )

@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional, Tuple
 
 from ..core.instance import Instance
+from ..core.terms import Value
 from ..dependencies.base import Dependency, split_dependencies
 from ..dependencies.egd import Egd
 from ..dependencies.tgd import Tgd
 
 
-def violated_tgd_match(instance: Instance, tgd: Tgd):
-    """A premise match of ``tgd`` whose conclusion fails, or None.
+def violated_tgd_match(
+    instance: Instance, tgd: Tgd
+) -> Optional[Tuple[Value, ...]]:
+    """The binding ``ū‖v̄`` of a premise match of ``tgd`` whose conclusion
+    fails, or None.
 
     "Fails" uses the standard (existential) reading: no witnesses for z̄
     exist at all, cf. condition (2) in Remark 4.3.
     """
-    for premise_match in tgd.premise_matches(instance):
-        if not tgd.conclusion_holds(instance, premise_match):
-            return premise_match
+    width = len(tgd.frontier)
+    for binding in tgd.premise_bindings(instance):
+        if not tgd.conclusion_holds_at(instance, binding[:width]):
+            return binding
     return None
 
 
@@ -51,9 +56,13 @@ def violations(
     problems: List[str] = []
     tgds, egds = split_dependencies(list(dependencies))
     for tgd in tgds:
-        premise_match = violated_tgd_match(instance, tgd)
-        if premise_match is not None:
-            problems.append(f"tgd {tgd} violated under {premise_match}")
+        binding = violated_tgd_match(instance, tgd)
+        if binding is not None:
+            values = ", ".join(
+                f"{variable} ↦ {value}"
+                for variable, value in zip(tgd.binding_order, binding)
+            )
+            problems.append(f"tgd {tgd} violated under {{{values}}}")
     for egd in egds:
         violation = egd.first_violation(instance)
         if violation is not None:

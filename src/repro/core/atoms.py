@@ -244,9 +244,8 @@ def atom(relation: RelationSymbol, *args) -> Atom:
 class Substitution:
     """An immutable assignment from variables to terms.
 
-    Used by the matcher and the chase; supports functional extension
-    (returns a new substitution, never mutates), which keeps backtracking
-    code obviously correct.
+    What :func:`repro.logic.matching.match` yields per match; extension
+    returns a new substitution and never mutates.
     """
 
     __slots__ = ("_mapping",)
@@ -272,36 +271,11 @@ class Substitution:
     def items(self):
         return self._mapping.items()
 
-    def extend(self, variable: Variable, term: Term) -> "Substitution":
-        """A new substitution that additionally maps ``variable`` to ``term``."""
-        mapping = dict(self._mapping)
-        mapping[variable] = term
-        return Substitution(mapping)
-
     def extend_many(self, pairs: Iterable[Tuple[Variable, Term]]) -> "Substitution":
         """A new substitution extended by every pair in ``pairs``."""
         mapping = dict(self._mapping)
         mapping.update(pairs)
         return Substitution(mapping)
-
-    def apply(self, atom_: Atom) -> Atom:
-        """Apply this substitution to an atom."""
-        return atom_.substitute(self._mapping)
-
-    def restrict(self, variables_: Iterable[Variable]) -> "Substitution":
-        """The restriction of this substitution to ``variables_``.
-
-        A set or frozenset is used as given; any other iterable is
-        collected into a set first.
-        """
-        keep = (
-            variables_
-            if isinstance(variables_, (set, frozenset))
-            else set(variables_)
-        )
-        return Substitution(
-            {v: t for v, t in self._mapping.items() if v in keep}
-        )
 
     def as_tuple(self, variables_: Iterable[Variable]) -> Tuple[Term, ...]:
         """The image of ``variables_`` as a tuple, in the given order."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.atoms import Atom, Substitution
+from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.terms import Value
 from ..chase.alpha import (
@@ -47,7 +47,7 @@ from ..chase.alpha import (
 from ..chase.result import ChaseStatus
 from ..chase.satisfaction import satisfies_all
 from ..exchange.setting import DataExchangeSetting
-from ..logic.matching import match
+from ..logic.matching import match_tuples
 
 
 class _Match:
@@ -65,11 +65,14 @@ def _candidate_witnesses(
     tgd, frontier: Tuple[Value, ...], goal: Instance
 ) -> Tuple[Tuple[Value, ...], ...]:
     """All w̄ with atoms(ψ[ū, w̄]) ⊆ goal, for ū = ``frontier``."""
-    frontier_binding = Substitution(dict(zip(tgd.frontier, frontier)))
-    found: Set[Tuple[Value, ...]] = set()
-    for sub in match(tgd.conclusion_atoms, goal, initial=frontier_binding):
-        found.add(sub.as_tuple(tgd.existential))
-    return tuple(sorted(found))
+    found = match_tuples(
+        tgd.conclusion_atoms,
+        goal,
+        tgd.existential,
+        prebound=tgd.frontier,
+        values=frontier,
+    )
+    return tuple(sorted(set(found)))
 
 
 def _collect_matches(

@@ -20,7 +20,7 @@ from ..core.instance import Instance
 from ..core.schema import RelationSymbol, Schema
 from ..core.terms import Null, Value, Variable
 from ..logic.formulas import is_conjunction_of_atoms
-from ..logic.matching import match
+from ..logic.matching import match_tuples
 from ..logic.parser import _Parser
 from ..logic import formulas as fo
 from .base import Dependency
@@ -72,14 +72,12 @@ class Egd(Dependency):
         in the sense of Definition 4.1.
         """
         seen: Set[Tuple[Value, Value]] = set()
-        for substitution in match(self.premise_atoms, instance):
-            left_value = substitution[self.left]
-            right_value = substitution[self.right]
-            if left_value != right_value:
-                pair = (left_value, right_value)
-                if pair not in seen:
-                    seen.add(pair)
-                    yield pair
+        for pair in match_tuples(
+            self.premise_atoms, instance, (self.left, self.right)
+        ):
+            if pair[0] != pair[1] and pair not in seen:
+                seen.add(pair)
+                yield pair
 
     def first_violation(self, instance: Instance) -> Optional[Tuple[Value, Value]]:
         """The first violating pair, or None if the egd is satisfied."""

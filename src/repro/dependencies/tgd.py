@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.atoms import Atom, Substitution
+from ..core.atoms import Atom
 from ..core.errors import DependencyError
 from ..core.instance import Instance
 from ..core.schema import RelationSymbol, Schema
@@ -162,12 +162,6 @@ class Tgd(Dependency):
             self.premise_formula, base, self.binding_order
         )
 
-    def premise_matches(self, instance: Instance) -> Iterator[Substitution]:
-        """All substitutions (ū for x̄, v̄ for ȳ) with ``I ⊨ ϕ[ū, v̄]``."""
-        order = self.binding_order
-        for binding in self.premise_bindings(instance):
-            yield Substitution(dict(zip(order, binding)))
-
     def conclusion_holds_at(self, instance: Instance, frontier: Sequence[Value]) -> bool:
         """Standard-chase trigger test: ``I ⊨ ∃z̄ ψ[ū, z̄]`` for ū = ``frontier``.
 
@@ -177,12 +171,6 @@ class Tgd(Dependency):
         """
         return exists_match_at(
             self.conclusion_atoms, instance, self.frontier, frontier
-        )
-
-    def conclusion_holds(self, instance: Instance, premise_match: Substitution) -> bool:
-        """:meth:`conclusion_holds_at` for the frontier of a premise match."""
-        return self.conclusion_holds_at(
-            instance, premise_match.as_tuple(self.frontier)
         )
 
     def conclusion_atoms_at(
@@ -209,14 +197,6 @@ class Tgd(Dependency):
             for relation, template in self._conclusion_templates
         )
 
-    def conclusion_atoms_under(
-        self, premise_match: Substitution, witnesses: Sequence[Value]
-    ) -> Tuple[Atom, ...]:
-        """:meth:`conclusion_atoms_at` for the frontier of a premise match."""
-        return self.conclusion_atoms_at(
-            premise_match.as_tuple(self.frontier), witnesses
-        )
-
     def conclusion_present_at(
         self,
         instance: Instance,
@@ -231,17 +211,6 @@ class Tgd(Dependency):
         return all(
             atom in instance
             for atom in self.conclusion_atoms_at(frontier, witnesses)
-        )
-
-    def conclusion_present(
-        self,
-        instance: Instance,
-        premise_match: Substitution,
-        witnesses: Sequence[Value],
-    ) -> bool:
-        """:meth:`conclusion_present_at` for the frontier of a premise match."""
-        return self.conclusion_present_at(
-            instance, premise_match.as_tuple(self.frontier), witnesses
         )
 
     # ------------------------------------------------------------------

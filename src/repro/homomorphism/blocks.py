@@ -46,7 +46,7 @@ and the cost is then exponential only in the largest block.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.instance import Instance
@@ -189,7 +189,7 @@ def block_pattern(
 
 def minimize_block(
     working: Instance, owned: List[Atom], *, via: str = "blockwise"
-) -> Optional[Tuple[Dict[Null, Value], Tuple[Atom, ...], bool]]:
+) -> Tuple[bool, bool]:
     """Fold one block of ``working`` in place as far as it goes.
 
     ``owned`` is the block's sorted owned atoms (an entry of
@@ -200,21 +200,14 @@ def minimize_block(
     next round works on the survivors.  Retractions are recorded in the
     active provenance ledger under ``via``.
 
-    Returns None when nothing folded, else ``(mapping, images,
-    crossed)``:
-
-    * ``mapping`` -- the applied folds composed into one endomorphism
-      of the block's nulls (identity entries included);
-    * ``images`` -- sorted tuple ``mapping(owned)``: replaying the fold
-      on a later instance is ``(I \\ owned) ∪ images``;
-    * ``crossed`` -- True when some fold mapped a null onto a null of
-      *another* block.  The result is exact either way, but memoized
-      per-block replay (:mod:`repro.incremental.core`) assumes folds
-      stay inside their block.
+    Returns ``(folded, crossed)``: ``folded`` is True when some round
+    folded; ``crossed`` is True when some fold mapped a null onto a null
+    of *another* block.  The result is exact either way, but the
+    incremental core's per-block memo (:mod:`repro.incremental.core`)
+    assumes folds stay inside their block.
     """
     pattern, back = block_pattern(owned)
     block = frozenset(back.values())
-    total: Dict[Null, Value] = {null: null for null in block}
     folded = crossed = False
     survivors = owned
     while True:
@@ -242,16 +235,11 @@ def minimize_block(
             isinstance(value, Null) and value not in block
             for value in mapping.values()
         )
-        total = {null: mapping.get(value, value) for null, value in total.items()}
         survivors = sorted(images.intersection(survivors), key=Atom.sort_key)
         if not survivors:
             break
         pattern, back = block_pattern(survivors)
-    if not folded:
-        return None
-    images = {item.rename_values(total) for item in owned}
-    images = tuple(sorted(images, key=Atom.sort_key))
-    return total, images, crossed
+    return folded, crossed
 
 
 def blockwise_core(instance: Instance) -> Instance:

@@ -174,10 +174,10 @@ def _minimize_into(
     """Minimize ``blocks`` in order and register them; False on a crossing."""
     for owned in blocks:
         counter("incremental.blocks_reminimized").inc()
-        fold = minimize_block(working, owned, via="incremental")
-        if fold is not None and fold[2]:
+        folded, crossed = minimize_block(working, owned, via="incremental")
+        if crossed:
             return False
-        memo.register(owned, fold is not None)
+        memo.register(owned, folded)
     return True
 
 

@@ -57,6 +57,7 @@ from ..core.errors import ReproError
 from ..core.instance import Instance
 from ..core.schema import RelationSymbol
 from ..core.terms import Value
+from ..io import cell_from_json, cell_to_json
 
 SCHEMA = "repro.obs/prov/v1"
 
@@ -696,8 +697,6 @@ class ProvenanceLedger:
 
 
 def _atom_to_json(item: Atom) -> dict:
-    from ..io import cell_to_json
-
     return {
         "rel": item.relation.name,
         "args": [cell_to_json(value) for value in item.args],
@@ -705,26 +704,12 @@ def _atom_to_json(item: Atom) -> dict:
 
 
 def _atom_from_json(body) -> Atom:
-    from ..io import cell_from_json
-
     try:
         name = body["rel"]
         args = tuple(cell_from_json(cell) for cell in body["args"])
     except (TypeError, KeyError):
         raise ReproError(f"malformed provenance atom {body!r}") from None
     return Atom(RelationSymbol(name, len(args)), args)
-
-
-def _value_to_json(value: Value):
-    from ..io import cell_to_json
-
-    return cell_to_json(value)
-
-
-def _value_from_json(cell) -> Value:
-    from ..io import cell_from_json
-
-    return cell_from_json(cell)
 
 
 def _step_to_json(step: Step) -> dict:
@@ -735,7 +720,7 @@ def _step_to_json(step: Step) -> dict:
         body["dep"] = step.dependency
     if step.binding:
         body["binding"] = [
-            [name, _value_to_json(value)] for name, value in step.binding
+            [name, cell_to_json(value)] for name, value in step.binding
         ]
     if step.parents:
         body["parents"] = [_atom_to_json(item) for item in step.parents]
@@ -743,12 +728,12 @@ def _step_to_json(step: Step) -> dict:
         body["added"] = [_atom_to_json(item) for item in step.added]
     if step.witnesses:
         body["witnesses"] = [
-            [name, _value_to_json(value)] for name, value in step.witnesses
+            [name, cell_to_json(value)] for name, value in step.witnesses
         ]
     if step.merged is not None:
         body["merged"] = [
-            _value_to_json(step.merged[0]),
-            _value_to_json(step.merged[1]),
+            cell_to_json(step.merged[0]),
+            cell_to_json(step.merged[1]),
         ]
     if step.rewrites:
         body["rewrites"] = [
@@ -759,7 +744,7 @@ def _step_to_json(step: Step) -> dict:
         body["dropped"] = [_atom_to_json(item) for item in step.dropped]
     if step.mapping:
         body["mapping"] = [
-            [_value_to_json(old), _value_to_json(new)]
+            [cell_to_json(old), cell_to_json(new)]
             for old, new in step.mapping
         ]
     return body
@@ -777,7 +762,7 @@ def _step_from_json(index: int, body) -> Step:
         merged = body.get("merged")
         if merged is not None:
             old, new = merged
-            merged = (_value_from_json(old), _value_from_json(new))
+            merged = (cell_from_json(old), cell_from_json(new))
         elif kind == "egd":
             raise ReproError(f"egd provenance step {index} has no merged pair")
         return Step(
@@ -786,7 +771,7 @@ def _step_from_json(index: int, body) -> Step:
             via=body.get("via", ""),
             dependency=body.get("dep", ""),
             binding=tuple(
-                (name, _value_from_json(cell))
+                (name, cell_from_json(cell))
                 for name, cell in body.get("binding", ())
             ),
             parents=tuple(
@@ -794,7 +779,7 @@ def _step_from_json(index: int, body) -> Step:
             ),
             added=tuple(_atom_from_json(it) for it in body.get("added", ())),
             witnesses=tuple(
-                (name, _value_from_json(cell))
+                (name, cell_from_json(cell))
                 for name, cell in body.get("witnesses", ())
             ),
             merged=merged,
@@ -806,7 +791,7 @@ def _step_from_json(index: int, body) -> Step:
                 _atom_from_json(it) for it in body.get("dropped", ())
             ),
             mapping=tuple(
-                (_value_from_json(old), _value_from_json(new))
+                (cell_from_json(old), cell_from_json(new))
                 for old, new in body.get("mapping", ())
             ),
         )

@@ -9,11 +9,21 @@ from repro.chase import (
     FreshAlpha,
     alpha_chase,
     any_tgd_alpha_applicable,
-    justification_key,
     oblivious_chase,
     satisfies_all,
 )
-from repro.core import Const, DependencyError, Instance, Null, NullFactory, isomorphic
+from repro.core import (
+    Const,
+    DependencyError,
+    Instance,
+    Null,
+    NullFactory,
+    RelationSymbol,
+    Schema,
+    atom,
+    isomorphic,
+)
+from repro.exchange import DataExchangeSetting
 from repro.logic import parse_instance
 
 
@@ -140,6 +150,30 @@ class TestManualSession:
         session = AlphaChaseSession(source, alpha)
         with pytest.raises(DependencyError):
             session.apply_egd(d4, Const("b"), Const("c"))
+
+    def test_fo_premise_ranges_over_the_source_domain(self):
+        """Footnote 2: an FO premise's quantifiers range over the active
+        domain of the σ-reduct, so a null st2 added does not refute
+        ∀y in st1's premise."""
+        setting = DataExchangeSetting.from_strings(
+            Schema.of(P=1, N=2),
+            Schema.of(T=1, U=2),
+            [
+                "P(x) & (forall y . (P(y) | N(x, y))) -> T(x)",
+                "P(x) -> exists z . U(x, z)",
+            ],
+        )
+        st1, st2 = setting.st_dependencies
+        source = parse_instance("P('a'), N('a', 'a')")
+        dependencies = list(setting.all_dependencies)
+        chased = alpha_chase(source, dependencies, FreshAlpha(NullFactory(5)))
+        assert chased.successful
+        session = AlphaChaseSession(source, FreshAlpha(NullFactory(5)))
+        session.apply_tgd(st2, values("a"), ())
+        session.apply_tgd(st1, values("a"), ())
+        assert session.is_successful_result(dependencies)
+        assert session.instance == chased.instance
+        assert atom(RelationSymbol("T", 1), "a") in session.instance
 
 
 class TestLemma45:

@@ -64,29 +64,11 @@ class TestAtom:
 
 
 class TestSubstitution:
-    def test_extend_is_functional(self):
-        base = Substitution()
-        extended = base.extend(Variable("x"), Const("a"))
-        assert Variable("x") not in base
-        assert extended[Variable("x")] == Const("a")
-
     def test_extend_many(self):
         sub = Substitution().extend_many(
             [(Variable("x"), Const("a")), (Variable("y"), Const("b"))]
         )
         assert len(sub) == 2
-
-    def test_apply(self):
-        sub = Substitution({Variable("x"): Const("a"), Variable("y"): Null(0)})
-        assert sub.apply(Atom(R, (Variable("x"), Variable("y")))) == Atom(
-            R, (Const("a"), Null(0))
-        )
-
-    def test_restrict(self):
-        sub = Substitution({Variable("x"): Const("a"), Variable("y"): Const("b")})
-        restricted = sub.restrict([Variable("x")])
-        assert Variable("x") in restricted
-        assert Variable("y") not in restricted
 
     def test_as_tuple_preserves_order(self):
         sub = Substitution({Variable("x"): Const("a"), Variable("y"): Const("b")})

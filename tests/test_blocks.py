@@ -15,6 +15,7 @@ from repro.homomorphism.blocks import (
     null_blocks,
 )
 from repro.logic import parse_instance
+from repro.obs.provenance import recording
 
 E = RelationSymbol("E", 2)
 
@@ -96,12 +97,14 @@ class TestMinimizeBlock:
     def test_folds_in_place_and_reports_the_fold(self):
         inst = parse_instance("E('a', #1), E('a', 'b'), E('c', #2)")
         first = block_index(inst)[0]
-        fold = minimize_block(inst, first)
-        assert fold is not None
-        mapping, images, crossed = fold
-        assert mapping == {Null(1): Const("b")}
-        assert images == (Atom(E, (Const("a"), Const("b"))),)
+        with recording() as ledger:
+            folded, crossed = minimize_block(inst, first)
+        assert folded
         assert not crossed
+        [step] = ledger.steps
+        assert step.kind == "retract"
+        assert step.mapping == ((Null(1), Const("b")),)
+        assert step.dropped == (Atom(E, (Const("a"), Null(1))),)
         # Only the folded block's atom left; the other block is intact.
         assert inst == parse_instance("E('a', 'b'), E('c', #2)")
 
@@ -109,14 +112,17 @@ class TestMinimizeBlock:
         inst = parse_instance("E('a', #1), E('a', #2), E(#2, 'b')")
         first = block_index(inst)[0]
         assert first == [Atom(E, (Const("a"), Null(1)))]
-        mapping, images, crossed = minimize_block(inst, first)
-        assert mapping == {Null(1): Null(2)}
+        with recording() as ledger:
+            folded, crossed = minimize_block(inst, first)
+        assert folded
+        [step] = ledger.steps
+        assert step.mapping == ((Null(1), Null(2)),)
         assert crossed
         assert len(inst) == 2
 
-    def test_returns_none_when_block_is_minimal(self):
+    def test_reports_no_fold_when_block_is_minimal(self):
         inst = parse_instance("E('a', #1)")
-        assert minimize_block(inst, block_index(inst)[0]) is None
+        assert minimize_block(inst, block_index(inst)[0]) == (False, False)
         assert inst == parse_instance("E('a', #1)")
 
     def test_pattern_cache_reuse_is_counted(self):

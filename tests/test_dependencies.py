@@ -59,46 +59,48 @@ class TestTgdSemantics:
     def test_premise_matches(self):
         tgd = parse_dependency("E(x, y) -> exists z . F(y, z)")
         inst = parse_instance("E('a','b'), E('b','c')")
-        matches = list(tgd.premise_matches(inst))
+        matches = list(tgd.premise_bindings(inst))
         assert len(matches) == 2
 
     def test_conclusion_holds(self):
         tgd = parse_dependency("E(x, y) -> exists z . F(y, z)")
         inst = parse_instance("E('a','b'), F('b','w')")
-        match = next(iter(tgd.premise_matches(inst)))
-        assert tgd.conclusion_holds(inst, match)
+        binding = next(iter(tgd.premise_bindings(inst)))
+        assert tgd.conclusion_holds_at(inst, binding[: len(tgd.frontier)])
 
     def test_conclusion_fails_without_witness(self):
         tgd = parse_dependency("E(x, y) -> exists z . F(y, z)")
         inst = parse_instance("E('a','b'), F('q','w')")
-        match = next(iter(tgd.premise_matches(inst)))
-        assert not tgd.conclusion_holds(inst, match)
+        binding = next(iter(tgd.premise_bindings(inst)))
+        assert not tgd.conclusion_holds_at(inst, binding[: len(tgd.frontier)])
 
     def test_conclusion_atoms_under(self):
         tgd = parse_dependency("E(x, y) -> exists z . F(y, z)")
         inst = parse_instance("E('a','b')")
-        match = next(iter(tgd.premise_matches(inst)))
-        atoms = tgd.conclusion_atoms_under(match, (Null(5),))
+        binding = next(iter(tgd.premise_bindings(inst)))
+        atoms = tgd.conclusion_atoms_at(binding[: len(tgd.frontier)], (Null(5),))
         assert atoms == (atom(F, "b", Null(5)),)
 
     def test_conclusion_present(self):
         tgd = parse_dependency("E(x, y) -> exists z . F(y, z)")
         inst = parse_instance("E('a','b'), F('b',#5)")
-        match = next(iter(tgd.premise_matches(inst)))
-        assert tgd.conclusion_present(inst, match, (Null(5),))
-        assert not tgd.conclusion_present(inst, match, (Null(6),))
+        binding = next(iter(tgd.premise_bindings(inst)))
+        frontier = binding[: len(tgd.frontier)]
+        assert tgd.conclusion_present_at(inst, frontier, (Null(5),))
+        assert not tgd.conclusion_present_at(inst, frontier, (Null(6),))
 
     def test_witness_arity_checked(self):
         tgd = parse_dependency("E(x, y) -> exists z . F(y, z)")
         inst = parse_instance("E('a','b')")
-        match = next(iter(tgd.premise_matches(inst)))
+        binding = next(iter(tgd.premise_bindings(inst)))
         with pytest.raises(DependencyError):
-            tgd.conclusion_atoms_under(match, ())
+            tgd.conclusion_atoms_at(binding[: len(tgd.frontier)], ())
 
     def test_fo_premise_matching(self):
         tgd = Tgd.parse("(exists y . E(x, y)) -> G(x)")
         inst = parse_instance("E('a','b'), E('b','c')")
-        matched = {m[Variable("x")] for m in tgd.premise_matches(inst)}
+        assert tgd.binding_order == (Variable("x"),)
+        matched = {binding[0] for binding in tgd.premise_bindings(inst)}
         assert matched == {Const("a"), Const("b")}
 
     def test_relations(self):

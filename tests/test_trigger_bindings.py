@@ -4,7 +4,7 @@ The chase engines enumerate each trigger as a binding tuple ordered
 ``tgd.frontier + tgd.premise_only`` (:meth:`Tgd.premise_bindings`),
 check it with :meth:`Tgd.conclusion_holds_at` and fire it through
 :meth:`Tgd.conclusion_atoms_at`.  These tests pin that the tuple
-entry points agree with the substitution matcher they replace: same
+entry points agree with the substitutions of :func:`match`: same
 bindings in the same order and with the same counted work, through the
 compiled executor (with attribution off and on) and the interpreted one.
 """
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chase import seminaive_chase, standard_chase
-from repro.chase.alpha import binding_key, justification_key
+from repro.chase.alpha import binding_key
 from repro.core import Atom, Const, Instance, Null, RelationSymbol, Substitution
 from repro.core.schema import Schema
 from repro.dependencies import parse_dependency
@@ -71,10 +71,6 @@ def assert_bindings_agree(tgds, instance):
         )
         assert actual == expected, tgd
         assert actual_work == expected_work, tgd
-        assert [
-            found.as_tuple(tgd.binding_order)
-            for found in tgd.premise_matches(instance)
-        ] == expected
 
 
 #: Join premises: the random settings' premises are single atoms.
@@ -140,8 +136,12 @@ class TestPremiseBindings:
         [binding] = list(tgd.premise_bindings(instance))
         assert [v.name for v in tgd.binding_order] == ["x", "w", "y"]
         assert binding == (a, c, b)
-        [premise_match] = list(tgd.premise_matches(instance))
-        assert binding_key(tgd, binding) == justification_key(tgd, premise_match)
+        [premise_match] = list(match(tgd.premise_atoms, instance))
+        assert binding_key(tgd, binding) == (
+            tgd,
+            premise_match.as_tuple(tgd.frontier),
+            premise_match.as_tuple(tgd.premise_only),
+        )
         assert binding_key(tgd, binding) == (tgd, (a,), (c, b))
 
 
@@ -161,13 +161,13 @@ class TestConclusionHoldsAt:
     @staticmethod
     def assert_agrees(tgds, instance):
         for tgd in tgds:
-            for premise_match in tgd.premise_matches(instance):
+            for premise_match in match(tgd.premise_atoms, instance):
                 frontier = premise_match.as_tuple(tgd.frontier)
                 expected, expected_work = counted(
                     lambda: exists_match(
                         tgd.conclusion_atoms,
                         instance,
-                        initial=premise_match.restrict(tgd.frontier_set),
+                        initial=Substitution(dict(zip(tgd.frontier, frontier))),
                     )
                 )
                 actual, actual_work = counted(
@@ -175,15 +175,12 @@ class TestConclusionHoldsAt:
                 )
                 assert actual == expected
                 assert actual_work == expected_work
-                assert tgd.conclusion_holds(instance, premise_match) == expected
 
 
-def substituted(tgd, premise_match, witnesses):
+def substituted(tgd, frontier, witnesses):
     """``ψ[ū, w̄]`` by substituting into the conclusion atoms."""
-    binding = premise_match.restrict(tgd.frontier_set).extend_many(
-        zip(tgd.existential, witnesses)
-    )
-    return tuple(binding.apply(item) for item in tgd.conclusion_atoms)
+    values = dict(zip(tgd.frontier + tgd.existential, frontier + witnesses))
+    return tuple(item.substitute(values) for item in tgd.conclusion_atoms)
 
 
 class TestConclusionAtomsAt:
@@ -195,23 +192,19 @@ class TestConclusionAtomsAt:
         "no existentials": "E(x, y) -> G(y, x) & F(x, y, x)",
     }
 
-    def test_equals_conclusion_atoms_under(self):
+    def test_equals_substituted_conclusion(self):
         E = RelationSymbol("E", 2)
         a, b = Const("a"), Const("b")
         instance = Instance([Atom(E, (a, b)), Atom(E, (b, b))])
         for name, text in self.CASES.items():
             tgd = parse_dependency(text)
             witnesses = tuple(Null(7 + i) for i in range(len(tgd.existential)))
-            matches = list(tgd.premise_matches(instance))
+            matches = list(match(tgd.premise_atoms, instance))
             assert matches, name
             for premise_match in matches:
                 frontier = premise_match.as_tuple(tgd.frontier)
-                expected = substituted(tgd, premise_match, witnesses)
+                expected = substituted(tgd, frontier, witnesses)
                 assert tgd.conclusion_atoms_at(frontier, witnesses) == expected, name
-                assert (
-                    tgd.conclusion_atoms_under(premise_match, witnesses)
-                    == expected
-                ), name
 
     def test_shapes(self):
         empty = parse_dependency(self.CASES["empty frontier"])
@@ -258,10 +251,6 @@ class TestFoPremise:
         )
         assert expected
         assert list(tgd.premise_bindings(source)) == expected
-        assert [
-            Substitution(dict(zip(tgd.binding_order, values)))
-            for values in expected
-        ] == list(tgd.premise_matches(source))
 
     def test_chase_agrees_with_the_substitution_loop(self):
         setting, source = fo_setting(), fo_source()

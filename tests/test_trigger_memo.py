@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 
 from repro.chase import satisfies_all, standard_chase
 from repro.chase.result import ChaseStatus
-from repro.core import Atom, Const, Instance, Null, NullFactory, RelationSymbol
+from repro.core import (
+    Atom,
+    Const,
+    Instance,
+    Null,
+    NullFactory,
+    RelationSymbol,
+    Substitution,
+)
 from repro.core.schema import Schema
 from repro.dependencies import parse_dependencies
 from repro.dependencies.base import split_dependencies
@@ -30,8 +38,26 @@ from repro.generators import (
     random_source_for,
     random_weakly_acyclic_setting,
 )
+from repro.logic.evaluation import satisfying_assignments
+from repro.logic.matching import exists_match, match
 from repro.obs import attribution
 from repro.obs.provenance import recording
+
+
+def premise_matches(tgd, instance):
+    """The premise matches of ``tgd`` in ``instance``, as substitutions.
+
+    Conjunctive premises run :func:`match`; FO premises are evaluated
+    over the active domain of their σ-reduct (footnote 2).
+    """
+    if tgd.has_conjunctive_premise:
+        return match(tgd.premise_atoms, instance)
+    base = instance.reduct(tgd.premise_schema)
+    order = tgd.binding_order
+    return (
+        Substitution(dict(zip(order, values)))
+        for values in satisfying_assignments(tgd.premise_formula, base, order)
+    )
 
 
 def reference_chase(instance, dependencies, null_factory=None):
@@ -62,13 +88,23 @@ def reference_chase(instance, dependencies, null_factory=None):
                 break
         fired = False
         for tgd in tgds:
-            for premise_match in list(tgd.premise_matches(current)):
-                if tgd.conclusion_holds(current, premise_match):
+            for premise_match in list(premise_matches(tgd, current)):
+                frontier = {
+                    variable: premise_match[variable] for variable in tgd.frontier
+                }
+                if exists_match(
+                    tgd.conclusion_atoms, current, initial=Substitution(frontier)
+                ):
                     continue
                 witnesses = factory.fresh_tuple(len(tgd.existential))
+                values = dict(frontier)
+                values.update(zip(tgd.existential, witnesses))
                 added = [
                     item
-                    for item in tgd.conclusion_atoms_under(premise_match, witnesses)
+                    for item in (
+                        conclusion.substitute(values)
+                        for conclusion in tgd.conclusion_atoms
+                    )
                     if current.add(item)
                 ]
                 binding = tuple(
