@@ -17,7 +17,7 @@ from repro.core import Atom, RelationSymbol, Variable
 from repro.generators import example_2_1_scaled_source
 from repro.generators.settings_library import example_2_1_setting
 from repro.logic import plans
-from repro.logic.matching import match
+from repro.logic.matching import match, match_interpreted
 
 E = RelationSymbol("E", 2)
 F = RelationSymbol("F", 2)
@@ -32,9 +32,9 @@ def _canonical(pairs, seed=13):
     return setting.canonical_universal_solution(source)
 
 
-def _drain(patterns, instance, inequalities=()):
+def _drain(patterns, instance, inequalities=(), matcher=match):
     total = 0
-    for _ in match(patterns, instance, inequalities=inequalities):
+    for _ in matcher(patterns, instance, (), inequalities=inequalities):
         total += 1
     return total
 
@@ -53,13 +53,16 @@ class TestMatchThroughput:
         patterns = (Atom(E, (x, y)), Atom(F, (x, z)))
         count = benchmark(_drain, patterns, target)
         assert count > 0
+        assert count == _drain(patterns, target, matcher=match_interpreted)
 
     def test_match_join_with_inequality(self, benchmark):
         """Join plus pruning inequality (egd-premise shape)."""
         target = _canonical(32)
         patterns = (Atom(F, (x, y)), Atom(F, (x, z)))
         count = benchmark(_drain, patterns, target, ((y, z),))
-        assert count >= 0
+        assert count == _drain(
+            patterns, target, ((y, z),), matcher=match_interpreted
+        )
 
     def test_match_star_pattern(self, benchmark):
         """A 3-atom star: one hub variable joining three relations."""
@@ -67,6 +70,7 @@ class TestMatchThroughput:
         patterns = (Atom(E, (x, y)), Atom(F, (x, z)), Atom(E, (x, w)))
         count = benchmark(_drain, patterns, target)
         assert count > 0
+        assert count == _drain(patterns, target, matcher=match_interpreted)
 
 
 class TestPlanOverheads:

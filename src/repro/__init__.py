@@ -81,7 +81,7 @@ from .chase import (
     standard_chase,
 )
 from .chase.seminaive import seminaive_chase
-from .homomorphism import blockwise_core, core, find_homomorphism, has_homomorphism
+from .homomorphism import blockwise_core, find_homomorphism, has_homomorphism
 from .cwa import (
     cansol,
     core_solution,
@@ -152,7 +152,6 @@ __all__ = [
     "certain_on",
     "const",
     "copying_setting",
-    "core",
     "core_solution",
     "cwa_solution_exists",
     "enumerate_cwa_presolutions",

@@ -43,7 +43,7 @@ from ..core.terms import NullFactory, Value, Variable
 from ..dependencies.base import Dependency
 from ..dependencies.egd import Egd
 from ..dependencies.tgd import Tgd
-from ..logic.matching import match_tuples
+from ..logic.matching import match
 from ..logic.plans import tuple_getter
 from .loop import DEFAULT_MAX_STEPS, TriggerSource, chase_rounds
 from .result import ChaseOutcome
@@ -266,9 +266,7 @@ class DeltaSource(TriggerSource):
                 tails = completions.get(key)
                 if tails is None:
                     tails = completions[key] = list(
-                        match_tuples(
-                            rest, instance, joined, prebound=keys, values=key
-                        )
+                        match(rest, instance, joined, prebound=keys, values=key)
                     )
                 for tail in tails:
                     binding = own + tail

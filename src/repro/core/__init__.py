@@ -5,7 +5,7 @@ constants, labeled nulls, relation symbols, schemas, ground atoms, and
 instances with incomplete data.
 """
 
-from .atoms import Atom, Substitution, atom
+from .atoms import Atom, atom
 from .errors import (
     ArityError,
     ChaseDivergence,
@@ -50,7 +50,6 @@ __all__ = [
     "ReproError",
     "Schema",
     "SchemaError",
-    "Substitution",
     "Term",
     "UnsupportedQueryError",
     "Value",

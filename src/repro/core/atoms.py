@@ -1,4 +1,4 @@
-"""Atoms and substitutions.
+"""Atoms.
 
 An instance is a finite set of atoms ``R(u1, ..., ur)`` (Section 2).  Atoms
 over *values* populate instances; atoms over values *and variables* occur
@@ -9,7 +9,7 @@ inside formulas and dependencies.  Both are represented by :class:`Atom`;
 from __future__ import annotations
 
 import json
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import ArityError
 from .schema import RelationSymbol
@@ -80,7 +80,7 @@ class Atom:
         """Apply a substitution to every argument.
 
         Arguments absent from ``mapping`` are left unchanged, so partial
-        substitutions are allowed (used during backtracking matching).
+        substitutions are allowed (formula rewriting uses them).
         """
         return Atom(
             self.relation,
@@ -240,55 +240,3 @@ def atom(relation: RelationSymbol, *args) -> Atom:
     )
     return Atom(relation, coerced)
 
-
-class Substitution:
-    """An immutable assignment from variables to terms.
-
-    What :func:`repro.logic.matching.match` yields per match; extension
-    returns a new substitution and never mutates.
-    """
-
-    __slots__ = ("_mapping",)
-
-    def __init__(self, mapping: Mapping[Variable, Term] = None):
-        self._mapping: Dict[Variable, Term] = dict(mapping or {})
-
-    def get(self, variable: Variable, default=None):
-        return self._mapping.get(variable, default)
-
-    def __getitem__(self, variable: Variable) -> Term:
-        return self._mapping[variable]
-
-    def __contains__(self, variable: Variable) -> bool:
-        return variable in self._mapping
-
-    def __len__(self) -> int:
-        return len(self._mapping)
-
-    def __iter__(self):
-        return iter(self._mapping)
-
-    def items(self):
-        return self._mapping.items()
-
-    def extend_many(self, pairs: Iterable[Tuple[Variable, Term]]) -> "Substitution":
-        """A new substitution extended by every pair in ``pairs``."""
-        mapping = dict(self._mapping)
-        mapping.update(pairs)
-        return Substitution(mapping)
-
-    def as_tuple(self, variables_: Iterable[Variable]) -> Tuple[Term, ...]:
-        """The image of ``variables_`` as a tuple, in the given order."""
-        return tuple(self._mapping[v] for v in variables_)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Substitution) and self._mapping == other._mapping
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._mapping.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{v} ↦ {t}" for v, t in sorted(self._mapping.items(), key=lambda p: p[0].name)
-        )
-        return f"{{{inner}}}"

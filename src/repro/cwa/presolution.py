@@ -47,7 +47,7 @@ from ..chase.alpha import (
 from ..chase.result import ChaseStatus
 from ..chase.satisfaction import satisfies_all
 from ..exchange.setting import DataExchangeSetting
-from ..logic.matching import match_tuples
+from ..logic.matching import match
 
 
 class _Match:
@@ -65,7 +65,7 @@ def _candidate_witnesses(
     tgd, frontier: Tuple[Value, ...], goal: Instance
 ) -> Tuple[Tuple[Value, ...], ...]:
     """All w̄ with atoms(ψ[ū, w̄]) ⊆ goal, for ū = ``frontier``."""
-    found = match_tuples(
+    found = match(
         tgd.conclusion_atoms,
         goal,
         tgd.existential,

@@ -20,7 +20,7 @@ from ..core.instance import Instance
 from ..core.schema import RelationSymbol, Schema
 from ..core.terms import Null, Value, Variable
 from ..logic.formulas import is_conjunction_of_atoms
-from ..logic.matching import match_tuples
+from ..logic.matching import match
 from ..logic.parser import _Parser
 from ..logic import formulas as fo
 from .base import Dependency
@@ -72,7 +72,7 @@ class Egd(Dependency):
         in the sense of Definition 4.1.
         """
         seen: Set[Tuple[Value, Value]] = set()
-        for pair in match_tuples(
+        for pair in match(
             self.premise_atoms, instance, (self.left, self.right)
         ):
             if pair[0] != pair[1] and pair not in seen:

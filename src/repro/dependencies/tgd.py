@@ -31,7 +31,7 @@ from ..core.schema import RelationSymbol, Schema
 from ..core.terms import Value, Variable
 from ..logic.evaluation import satisfying_assignments
 from ..logic.formulas import Formula, is_conjunction_of_atoms
-from ..logic.matching import exists_match_at, match_tuples
+from ..logic.matching import exists_match, match
 from ..logic.parser import _Parser
 from ..logic import formulas as fo
 from .base import Dependency, format_variables
@@ -152,7 +152,7 @@ class Tgd(Dependency):
         FO premises are evaluated over the active domain of their σ-reduct.
         """
         if self.premise_atoms is not None:
-            return match_tuples(self.premise_atoms, instance, self.binding_order)
+            return match(self.premise_atoms, instance, self.binding_order)
         base = (
             instance.reduct(self.premise_schema)
             if self.premise_schema is not None
@@ -169,8 +169,11 @@ class Tgd(Dependency):
         (2) in Remark 4.3 of the paper.  ``frontier`` lists the values of
         x̄ in :attr:`frontier` order.
         """
-        return exists_match_at(
-            self.conclusion_atoms, instance, self.frontier, frontier
+        return exists_match(
+            self.conclusion_atoms,
+            instance,
+            prebound=self.frontier,
+            values=frontier,
         )
 
     def conclusion_atoms_at(

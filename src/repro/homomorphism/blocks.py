@@ -51,7 +51,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.terms import Null, Value, Variable
-from ..logic.matching import attributed, first_match
+from ..logic.matching import attributed, match
 from ..obs import counter, span
 from ..obs.provenance import active_ledger
 
@@ -207,6 +207,7 @@ def minimize_block(
     assumes folds stay inside their block.
     """
     pattern, back = block_pattern(owned)
+    variables = tuple(back)
     block = frozenset(back.values())
     folded = crossed = False
     survivors = owned
@@ -215,7 +216,7 @@ def minimize_block(
             working.discard(atom)
             _RETRACTS.inc()
             with attributed("hom"):
-                found = first_match(pattern, working)
+                found = next(match(pattern, working, variables), None)
             working.add(atom)
             if found is not None:
                 break
@@ -223,7 +224,7 @@ def minimize_block(
             break
         _FOLDS.inc()
         folded = True
-        mapping = {back[variable]: value for variable, value in found.items()}
+        mapping = dict(zip(back.values(), found))
         images = {item.rename_values(mapping) for item in survivors}
         dropped = [item for item in survivors if item not in images]
         for item in dropped:
@@ -239,6 +240,7 @@ def minimize_block(
         if not survivors:
             break
         pattern, back = block_pattern(survivors)
+        variables = tuple(back)
     return folded, crossed
 
 

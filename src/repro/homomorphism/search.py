@@ -18,7 +18,7 @@ from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.terms import Null, Value, Variable
 
-from ..logic.matching import attributed, first_match, match
+from ..logic.matching import attributed, match
 from ..obs import counter
 
 Homomorphism = Dict[Value, Value]
@@ -53,25 +53,22 @@ def canonical_pattern(instance: Instance) -> Tuple[Tuple[Atom, ...], Dict[Variab
     return pattern, back
 
 
-_canonical_pattern = canonical_pattern
-
-
 def homomorphism_via_pattern(
     pattern: Tuple[Atom, ...],
     back: Dict[Variable, Null],
     target: Instance,
 ) -> Optional[Homomorphism]:
-    """One search with a precomputed canonical pattern (see above).
+    """The first match of a canonical pattern (see above) in ``target``,
+    as a homomorphism on the pattern's nulls, or None.
 
-    Counts exactly like :func:`find_homomorphism`: one ``hom.searches``
-    increment and ``hom``-attributed matcher work.
+    One ``hom.searches`` increment and ``hom``-attributed matcher work.
     """
     _SEARCHES.inc()
     with attributed("hom"):
-        substitution = first_match(pattern, target)
-    if substitution is None:
+        found = next(match(pattern, target, tuple(back)), None)
+    if found is None:
         return None
-    return {back[variable]: value for variable, value in substitution.items()}
+    return dict(zip(back.values(), found))
 
 
 def homomorphisms(source: Instance, target: Instance) -> Iterator[Homomorphism]:
@@ -81,31 +78,23 @@ def homomorphisms(source: Instance, target: Instance) -> Iterator[Homomorphism]:
     are fixed and omitted.
     """
     _SEARCHES.inc()
-    pattern, back = _canonical_pattern(source)
-    matches = match(pattern, target)
+    pattern, back = canonical_pattern(source)
+    matches = match(pattern, target, tuple(back))
+    nulls = tuple(back.values())
     # The search binds the ``hom`` counter pair when it starts, and its
     # later resumptions keep counting into it.  The scope must not stay
     # open across the yields below: while the consumer holds this
     # generator suspended, its own matching is not ``hom`` work.
     with attributed("hom"):
-        substitution = next(matches, None)
-    while substitution is not None:
-        yield {
-            back[variable]: value
-            for variable, value in substitution.items()
-        }
-        substitution = next(matches, None)
+        found = next(matches, None)
+    while found is not None:
+        yield dict(zip(nulls, found))
+        found = next(matches, None)
 
 
 def find_homomorphism(source: Instance, target: Instance) -> Optional[Homomorphism]:
     """The first homomorphism from ``source`` to ``target``, or None."""
-    _SEARCHES.inc()
-    pattern, back = _canonical_pattern(source)
-    with attributed("hom"):
-        substitution = first_match(pattern, target)
-    if substitution is None:
-        return None
-    return {back[variable]: value for variable, value in substitution.items()}
+    return homomorphism_via_pattern(*canonical_pattern(source), target)
 
 
 def has_homomorphism(source: Instance, target: Instance) -> bool:

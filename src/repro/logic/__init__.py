@@ -18,7 +18,7 @@ from .formulas import (
     disjunction,
     is_conjunction_of_atoms,
 )
-from .matching import exists_match, first_match, match
+from .matching import exists_match, match
 from .parser import (
     parse_atom,
     parse_formula,
@@ -59,7 +59,6 @@ __all__ = [
     "disjunction",
     "evaluation_domain",
     "exists_match",
-    "first_match",
     "holds",
     "is_conjunction_of_atoms",
     "match",

@@ -164,12 +164,11 @@ def _exists_via_matcher(
         return None
 
     from .matching import exists_match
-    from ..core.atoms import Substitution
 
     # Pre-bind the free variables from the ambient assignment.
     free = body.free_variables() - frozenset(formula.variables)
     try:
-        initial = Substitution({v: assignment[v] for v in free})
+        bound = {v: assignment[v] for v in free}
     except KeyError:
         return None
 
@@ -191,11 +190,14 @@ def _exists_via_matcher(
             extra[right] = left_value
         elif left_value != right_value:
             return False
-    if extra:
-        initial = initial.extend_many(extra.items())
-
+    bound.update(extra)
+    prebound = tuple(sorted(bound, key=lambda v: v.name))
     return exists_match(
-        atoms, instance, initial=initial, inequalities=inequalities
+        atoms,
+        instance,
+        prebound=prebound,
+        values=tuple([bound[v] for v in prebound]),
+        inequalities=inequalities,
     )
 
 

@@ -7,11 +7,15 @@ One matcher powers the whole library:
 * finding homomorphisms (an instance is matched as the canonical query of
   itself, cf. Chandra-Merlin, reference [3] of the paper).
 
-The matcher enumerates all substitutions ``θ`` of the pattern variables by
-values of the instance such that every pattern atom ``A`` satisfies
+The matcher enumerates all assignments ``θ`` of the pattern variables
+to values of the instance such that every pattern atom ``A`` satisfies
 ``θ(A) ∈ I`` and every inequality ``s ≠ t`` satisfies ``θ(s) ≠ θ(t)``.
+It answers in value tuples: :func:`match` yields ``θ`` of the variables
+it is asked for, one tuple per match, and :func:`exists_match` decides
+whether a match exists.  Pre-bound variables are a name-ordered tuple
+seeded from a tuple of values.
 
-By default ``match()`` routes through the **compiled plans** of
+By default both route through the **compiled plans** of
 :mod:`repro.logic.plans`: each distinct (pattern, inequalities,
 pre-bound variables) triple is compiled once -- static fail-first join
 order, slot arrays, index-probe programs, O(1) ground probes -- and the
@@ -20,9 +24,9 @@ execution.  The original interpreted matcher below stays as
 the **reference oracle** (:func:`match_interpreted`, and the fallback
 when :func:`repro.logic.plans.enabled` is False): at each step it picks
 the *most constrained* remaining atom -- the one with the fewest
-candidate instance atoms given the current partial substitution --
+candidate instance atoms given the current partial assignment --
 using the instance's (relation, position, value) index.  The hypothesis
-parity suite asserts the two enumerate identical substitution sets.
+parity suite asserts the two enumerate identical tuple sets.
 
 Every executor adds each candidate it tries and each backtrack it takes,
 as it happens, to one ``(candidates, backtracks)`` counter pair: that of
@@ -39,7 +43,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.atoms import Atom, Substitution
+from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.terms import Term, Value, Variable
 from ..obs import Counter, counter
@@ -218,87 +222,92 @@ def _search(
         remaining.insert(index, pattern)
 
 
-def match(
+def _interpreted(
     patterns: Sequence[Atom],
     instance: Instance,
-    *,
-    initial: Optional[Substitution] = None,
-    inequalities: Sequence[Inequality] = (),
-) -> Iterator[Substitution]:
-    """Enumerate all substitutions matching ``patterns`` inside ``instance``.
-
-    ``initial`` pre-binds some variables (used when chasing: the premise
-    variables are matched, then the conclusion is matched with them fixed).
-    ``inequalities`` are checked as soon as both sides become bound, so
-    they prune the search rather than filter afterwards.
-
-    Yields complete substitutions covering every variable of ``patterns``
-    (plus whatever ``initial`` already bound).
-    """
-    bound: Dict[Variable, Value] = {}
-    if initial is not None:
-        for variable, term in initial.items():
-            if not isinstance(term, Value):
-                raise TypeError(
-                    f"initial substitution must map to values, got {term!r}"
-                )
-            bound[variable] = term
-
-    counters = _ACTIVE_COUNTERS or plans.UNSCOPED
-
-    if plans.enabled():
-        plan = plans.plan_for(patterns, inequalities, bound)
-        yield from plan.matches(instance, bound, counters)
-        return
-
+    variables: Tuple[Variable, ...],
+    prebound: Tuple[Variable, ...],
+    values: Sequence[Value],
+    inequalities: Sequence[Inequality],
+    counters: Tuple[Counter, Counter],
+) -> Iterator[Tuple[Value, ...]]:
+    """The interpreted search behind :func:`match`'s signature."""
+    if tuple(prebound) != tuple(sorted(prebound, key=lambda v: v.name)):
+        raise ValueError(
+            f"pre-bound variables must be in name order, got {prebound!r}"
+        )
+    if len(values) != len(prebound):
+        raise ValueError(
+            f"{len(prebound)} pre-bound values expected, got {len(values)}"
+        )
+    for value in values:
+        if not isinstance(value, Value):
+            raise TypeError(f"pre-bound values must be values, got {value!r}")
+    bound: Dict[Variable, Value] = dict(zip(prebound, values))
     if not _inequalities_hold(inequalities, bound):
         return
     for result in _search(
         list(patterns), instance, bound, inequalities, *counters
     ):
-        yield Substitution(result)
+        yield tuple([result[variable] for variable in variables])
 
 
-def match_tuples(
+def match(
     patterns: Sequence[Atom],
     instance: Instance,
     variables: Tuple[Variable, ...],
     *,
     prebound: Tuple[Variable, ...] = (),
     values: Sequence[Value] = (),
+    inequalities: Sequence[Inequality] = (),
 ) -> Iterator[Tuple[Value, ...]]:
-    """The values of ``variables`` per match of ``patterns``, as tuples.
+    """The values of ``variables`` per match of ``patterns`` in ``instance``.
 
-    Enumerates the matches of :func:`match`, in the same order and with
-    the same counted work, with ``prebound`` (sorted by name) bound to
-    ``values``; yields each match's ``variables`` as a tuple instead of
-    a :class:`Substitution`.
+    ``prebound`` fixes variables before the search: a tuple in name
+    order (else ``ValueError``), bound to the values ``values`` in
+    that order (used when chasing: the premise is matched, then the
+    conclusion is checked with its frontier fixed).  ``inequalities``
+    are checked as soon as both sides become bound, so they prune the
+    search rather than filter afterwards.  Each of ``variables`` must be
+    pre-bound or occur in ``patterns``.
+
+    >>> from repro.logic import parse_instance
+    >>> from repro.core import Atom, RelationSymbol, Variable
+    >>> E, x, y = RelationSymbol("E", 2), Variable("x"), Variable("y")
+    >>> edges = parse_instance("E('a','b'), E('b','b')")
+    >>> list(match((Atom(E, (x, y)),), edges, (y, x), inequalities=((x, y),)))
+    [(Const('b'), Const('a'))]
     """
     counters = _ACTIVE_COUNTERS or plans.UNSCOPED
     if plans.enabled():
-        plan = plans.plan_for(patterns, (), prebound)
-        yield from plan.project(instance, variables, values, counters)
+        plan = plans.plan_for(patterns, inequalities, prebound)
+        yield from plan.project(instance, variables, prebound, values, counters)
         return
-    bound = dict(zip(prebound, values))
-    for result in _search(list(patterns), instance, bound, (), *counters):
-        yield tuple([result[variable] for variable in variables])
+    yield from _interpreted(
+        patterns, instance, variables, prebound, values, inequalities, counters
+    )
 
 
-def exists_match_at(
+def exists_match(
     patterns: Sequence[Atom],
     instance: Instance,
-    prebound: Tuple[Variable, ...],
-    values: Sequence[Value],
+    *,
+    prebound: Tuple[Variable, ...] = (),
+    values: Sequence[Value] = (),
+    inequalities: Sequence[Inequality] = (),
 ) -> bool:
-    """:func:`exists_match` with ``prebound`` (sorted by name) bound to
-    ``values``, without building a :class:`Substitution`."""
+    """True if :func:`match` would yield at least once.
+
+    Stops at the first match, counting exactly the work of taking one
+    item from :func:`match`.
+    """
     counters = _ACTIVE_COUNTERS or plans.UNSCOPED
     if plans.enabled():
-        return plans.plan_for(patterns, (), prebound).exists(
-            instance, values, counters
-        )
-    bound = dict(zip(prebound, values))
-    for _ in _search(list(patterns), instance, bound, (), *counters):
+        plan = plans.plan_for(patterns, inequalities, prebound)
+        return plan.exists(instance, prebound, values, counters)
+    for _ in _interpreted(
+        patterns, instance, (), prebound, values, inequalities, counters
+    ):
         return True
     return False
 
@@ -306,57 +315,19 @@ def exists_match_at(
 def match_interpreted(
     patterns: Sequence[Atom],
     instance: Instance,
+    variables: Tuple[Variable, ...],
     *,
-    initial: Optional[Substitution] = None,
+    prebound: Tuple[Variable, ...] = (),
+    values: Sequence[Value] = (),
     inequalities: Sequence[Inequality] = (),
-) -> Iterator[Substitution]:
+) -> Iterator[Tuple[Value, ...]]:
     """The interpreted reference matcher, bypassing compiled plans.
 
     Same contract as :func:`match`.  The parity suite diffs the two;
     keep this path semantically frozen.  Its work is counted into the
     unregistered ``plans.UNSCOPED`` pair whatever scope is active.
     """
-    bound: Dict[Variable, Value] = {}
-    if initial is not None:
-        for variable, term in initial.items():
-            if not isinstance(term, Value):
-                raise TypeError(
-                    f"initial substitution must map to values, got {term!r}"
-                )
-            bound[variable] = term
-    if not _inequalities_hold(inequalities, bound):
-        return
-    for result in _search(
-        list(patterns), instance, bound, inequalities, *plans.UNSCOPED
-    ):
-        yield Substitution(result)
-
-
-def exists_match(
-    patterns: Sequence[Atom],
-    instance: Instance,
-    *,
-    initial: Optional[Substitution] = None,
-    inequalities: Sequence[Inequality] = (),
-) -> bool:
-    """True if at least one match exists (short-circuits)."""
-    for _ in match(
-        patterns, instance, initial=initial, inequalities=inequalities
-    ):
-        return True
-    return False
-
-
-def first_match(
-    patterns: Sequence[Atom],
-    instance: Instance,
-    *,
-    initial: Optional[Substitution] = None,
-    inequalities: Sequence[Inequality] = (),
-) -> Optional[Substitution]:
-    """The first match found, or None."""
-    for result in match(
-        patterns, instance, initial=initial, inequalities=inequalities
-    ):
-        return result
-    return None
+    return _interpreted(
+        patterns, instance, variables, prebound, values, inequalities,
+        plans.UNSCOPED,
+    )

@@ -33,18 +33,16 @@ for execution:
   :class:`repro.core.terms.Null` are interned, so every equality test in
   the inner loop is a pointer comparison (``is``).
 
-Besides :meth:`CompiledPattern.matches`, which yields substitutions,
-a plan has two tuple entry points for the chase's hot path:
-:meth:`CompiledPattern.project` yields the values of a given variable
-order straight off the slot array, one tuple per match, and
-:meth:`CompiledPattern.exists` decides whether any match extends a
-tuple of pre-bound values.  Pre-bound variables hold the leading slots
-in name order, so a caller seeds them from a tuple without a dict.
-All three run the one executor and count the same work.
+A plan has two entry points: :meth:`CompiledPattern.project` yields
+the values of a given variable order straight off the slot array, one
+tuple per match, and :meth:`CompiledPattern.exists` decides whether any
+match extends a tuple of pre-bound values.  Pre-bound variables hold
+the leading slots in name order, so a caller seeds them from a tuple
+without a dict.  Both run the one executor and count the same work.
 
 Inequalities are scheduled at the earliest step where both sides are
-bound (or before the first step, when the initial substitution already
-decides them), so they prune the search exactly as eagerly as in the
+bound (or before the first step, when the pre-bound values already
+decide them), so they prune the search exactly as eagerly as in the
 interpreted matcher.  Inequalities that can never be fully bound are
 dropped -- the interpreted semantics treat them as vacuously true.
 
@@ -76,7 +74,7 @@ from typing import (
     Tuple,
 )
 
-from ..core.atoms import Atom, Substitution
+from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.terms import Term, Value, Variable
 from ..obs import attribution as _attribution
@@ -221,7 +219,6 @@ class CompiledPattern:
         "initial_keys",
         "n_slots",
         "prebound",
-        "out_pairs",
         "start_checks",
         "steps",
         "ground",
@@ -244,13 +241,13 @@ class CompiledPattern:
         # Slot numbering is deterministic given the key: pre-bound
         # variables first (sorted by name), then first occurrence in the
         # chosen join order.
-        slot_of: Dict[Variable, int] = {}
-        for variable in sorted(initial_keys, key=lambda v: v.name):
-            slot_of[variable] = len(slot_of)
-        self.prebound: Tuple[Tuple[Variable, int], ...] = tuple(
-            (variable, slot)
-            for variable, slot in slot_of.items()
+        #: The pre-bound variables in name order: slots 0, 1, ...
+        self.prebound: Tuple[Variable, ...] = tuple(
+            sorted(initial_keys, key=lambda v: v.name)
         )
+        slot_of: Dict[Variable, int] = {
+            variable: slot for slot, variable in enumerate(self.prebound)
+        }
 
         order = self._join_order(patterns, initial_keys)
 
@@ -259,7 +256,6 @@ class CompiledPattern:
         # inequality scheduling).
         bound_at: Dict[Variable, int] = {v: -1 for v in initial_keys}
         steps: List[Tuple] = []
-        out_pairs: List[Tuple[Variable, int]] = []
         for step_index, atom_index in enumerate(order):
             pattern = patterns[atom_index]
             const_checks: List[Tuple[int, Value]] = []
@@ -281,7 +277,6 @@ class CompiledPattern:
                         slot_of[term] = slot
                     new_here[term] = position
                     binds.append((position, slot))
-                    out_pairs.append((term, slot))
             for variable in new_here:
                 bound_at[variable] = step_index
             probes = tuple(
@@ -348,7 +343,6 @@ class CompiledPattern:
         #: generator.
         self.ground = all(step[6] is not None for step in self.steps)
         self.n_slots = len(slot_of)
-        self.out_pairs: Tuple[Tuple[Variable, int], ...] = tuple(out_pairs)
         #: Variable -> slot, for pre-bound and pattern variables alike.
         self.slot_of: Dict[Variable, int] = slot_of
         self._readers: Dict[Tuple[Variable, ...], object] = {}
@@ -453,51 +447,25 @@ class CompiledPattern:
     # Execution
     # ------------------------------------------------------------------
 
-    def matches(
-        self,
-        instance: Instance,
-        initial_map: Dict[Variable, Value],
-        counters: Tuple[Counter, Counter] = UNSCOPED,
-    ) -> Iterator[Substitution]:
-        """Enumerate substitutions, counting work into ``counters``.
-
-        ``initial_map`` must bind exactly ``self.initial_keys`` (the
-        plan was compiled for that key set).  ``counters`` is a
-        ``(candidates, backtracks)`` pair; each increment is written as
-        it happens, so closing the generator early leaves exact totals.
-        """
-        slots: List[Optional[Value]] = [None] * self.n_slots
-        for variable, slot in self.prebound:
-            slots[slot] = initial_map[variable]
-        runner = self._execute(instance, slots, counters)
-        if runner is None:
-            return
-        out_pairs = self.out_pairs
-        for _ in runner:
-            result = dict(initial_map)
-            for variable, slot in out_pairs:
-                result[variable] = slots[slot]
-            substitution = Substitution.__new__(Substitution)
-            substitution._mapping = result
-            yield substitution
-
     def project(
         self,
         instance: Instance,
         variables: Tuple[Variable, ...],
-        initial: Sequence[Value] = (),
+        prebound: Tuple[Variable, ...] = (),
+        values: Sequence[Value] = (),
         counters: Tuple[Counter, Counter] = UNSCOPED,
     ) -> Iterator[Tuple[Value, ...]]:
         """The values of ``variables`` per match, one tuple each.
 
-        No dict and no :class:`Substitution`: each tuple is read straight
-        off the slot array.  ``initial`` seeds the pre-bound slots, which
-        come first and in variable-name order (see :meth:`_seeded`).
-        Every variable must be pre-bound or bound by the pattern.  Work
-        is counted exactly as by :meth:`matches`.
+        Each tuple is read straight off the slot array.  ``values``
+        seeds the pre-bound variables ``prebound`` (see :meth:`_seeded`).
+        Every variable must be pre-bound or bound by the pattern.
+        ``counters`` is a ``(candidates, backtracks)`` pair; each
+        increment is written as it happens, so closing the generator
+        early leaves exact totals.
         """
         read = self._reader(variables)
-        slots = self._seeded(initial)
+        slots = self._seeded(prebound, values)
         runner = self._execute(instance, slots, counters)
         if runner is None:
             return
@@ -507,34 +475,50 @@ class CompiledPattern:
     def exists(
         self,
         instance: Instance,
-        initial: Sequence[Value] = (),
+        prebound: Tuple[Variable, ...] = (),
+        values: Sequence[Value] = (),
         counters: Tuple[Counter, Counter] = UNSCOPED,
     ) -> bool:
-        """True if some match extends the pre-bound values ``initial``.
+        """True if some match extends the pre-bound ``values``.
 
         Stops at the first match, counting exactly the work of taking
-        one item from :meth:`matches`.
+        one item from :meth:`project`.
         """
-        runner = self._execute(instance, self._seeded(initial), counters)
+        runner = self._execute(
+            instance, self._seeded(prebound, values), counters
+        )
         if runner is None:
             return False
         for _ in runner:
             return True
         return False
 
-    def _seeded(self, initial: Sequence[Value]) -> List[Optional[Value]]:
-        """A slot array with the pre-bound slots set from ``initial``.
+    def _seeded(
+        self, prebound: Tuple[Variable, ...], values: Sequence[Value]
+    ) -> List[Optional[Value]]:
+        """A slot array with the pre-bound slots set from ``values``.
 
         Pre-bound variables hold the leading slots in name order, so
-        ``initial[i]`` is the value of the ``i``-th pre-bound variable
-        by name.
+        ``prebound`` must be :attr:`prebound` itself -- another order
+        would seed the wrong slots -- and ``values[i]`` is the value of
+        its ``i``-th variable.
         """
-        if len(initial) != len(self.prebound):
+        order = self.prebound
+        if prebound != order and tuple(prebound) != order:
             raise ValueError(
-                f"{len(self.prebound)} pre-bound values expected, "
-                f"got {len(initial)}"
+                f"pre-bound variables must be in name order {order!r}, "
+                f"got {prebound!r}"
             )
-        slots: List[Optional[Value]] = list(initial)
+        if len(values) != len(order):
+            raise ValueError(
+                f"{len(order)} pre-bound values expected, got {len(values)}"
+            )
+        for value in values:
+            if not isinstance(value, Value):
+                raise TypeError(
+                    f"pre-bound values must be values, got {value!r}"
+                )
+        slots: List[Optional[Value]] = list(values)
         slots.extend([None] * (self.n_slots - len(slots)))
         return slots
 

@@ -32,7 +32,7 @@ from .formulas import (
     conjunction,
     disjunction,
 )
-from .matching import Inequality, match, match_tuples
+from .matching import Inequality, match
 
 AnswerTuple = Tuple[Value, ...]
 AnswerSet = FrozenSet[AnswerTuple]
@@ -111,14 +111,9 @@ class ConjunctiveQuery(Query):
         return bool(self.inequalities)
 
     def evaluate(self, instance: Instance) -> AnswerSet:
-        if not self.inequalities:
-            # The same matches and counted work, read as head tuples
-            # without a substitution per match.
-            return frozenset(match_tuples(self.body, instance, self.head))
         return frozenset(
-            substitution.as_tuple(self.head)
-            for substitution in match(
-                self.body, instance, inequalities=self.inequalities
+            match(
+                self.body, instance, self.head, inequalities=self.inequalities
             )
         )
 

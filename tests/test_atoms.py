@@ -1,4 +1,4 @@
-"""Unit tests for atoms and substitutions."""
+"""Unit tests for atoms."""
 
 import pickle
 
@@ -12,7 +12,6 @@ from repro.core import (
     Const,
     Null,
     RelationSymbol,
-    Substitution,
     Variable,
     atom,
 )
@@ -61,30 +60,6 @@ class TestAtom:
 
     def test_repr(self):
         assert repr(atom(R, "a", Null(1))) == "R(a, ⊥1)"
-
-
-class TestSubstitution:
-    def test_extend_many(self):
-        sub = Substitution().extend_many(
-            [(Variable("x"), Const("a")), (Variable("y"), Const("b"))]
-        )
-        assert len(sub) == 2
-
-    def test_as_tuple_preserves_order(self):
-        sub = Substitution({Variable("x"): Const("a"), Variable("y"): Const("b")})
-        assert sub.as_tuple([Variable("y"), Variable("x")]) == (
-            Const("b"),
-            Const("a"),
-        )
-
-    def test_get_default(self):
-        assert Substitution().get(Variable("x")) is None
-
-    def test_equality(self):
-        left = Substitution({Variable("x"): Const("a")})
-        right = Substitution({Variable("x"): Const("a")})
-        assert left == right
-        assert hash(left) == hash(right)
 
 
 # ----------------------------------------------------------------------

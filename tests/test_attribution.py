@@ -21,7 +21,7 @@ from repro.chase.oblivious import (
 from repro.chase.seminaive import seminaive_chase
 from repro.chase.standard import standard_chase
 from repro.logic import plans
-from repro.logic.matching import attributed, match
+from repro.logic.matching import attributed, match, match_interpreted
 from repro.obs import attribution
 
 @pytest.fixture(autouse=True)
@@ -85,10 +85,13 @@ class TestPlanStats:
     def test_profiled_matches_agree_with_plain(self, setting_2_1, source_2_1):
         tgd = setting_2_1.st_dependencies[0]
         plan = plans.plan_for(tuple(tgd.premise_atoms), (), frozenset())
-        plain = list(plan.matches(source_2_1, {}))
+        plain = list(plan.project(source_2_1, tgd.binding_order))
         with attribution.attributing():
-            profiled = list(plan.matches(source_2_1, {}))
-        assert [s._mapping for s in plain] == [s._mapping for s in profiled]
+            profiled = list(plan.project(source_2_1, tgd.binding_order))
+        assert plain == profiled
+        assert sorted(plain) == sorted(
+            match_interpreted(tgd.premise_atoms, source_2_1, tgd.binding_order)
+        )
         # Both executors charge the same work to the active scope.
         egd = setting_2_1.target_dependencies[1]
         canonical = setting_2_1.canonical_universal_solution(source_2_1)
@@ -96,7 +99,7 @@ class TestPlanStats:
         for context in (nullcontext(), attribution.attributing()):
             obs.reset()
             with context, attributed("probe"):
-                assert list(match(egd.premise_atoms, canonical))
+                assert list(match(egd.premise_atoms, canonical, ()))
             pairs.append(
                 (
                     obs.counter("probe.candidates").value,

@@ -23,7 +23,7 @@ from repro.core import Atom, Const, Instance, Null, RelationSymbol
 from repro.core.terms import Value
 from repro.dependencies import parse_dependencies
 from repro.exchange import solve
-from repro.logic.matching import match_tuples
+from repro.logic.matching import match
 
 from .test_trigger_memo import closure_setting, strongly_connected_digraph
 
@@ -113,7 +113,7 @@ def per_fact_reference(tgd, instance, delta):
                     break
             else:
                 prebound = tuple(sorted(theta, key=lambda v: v.name))
-                for binding in match_tuples(
+                for binding in match(
                     rest,
                     instance,
                     tgd.binding_order,
@@ -152,13 +152,13 @@ class TestPerFactReference:
     def test_a_premise_without_a_shared_variable_joins_once(self, monkeypatch):
         """With key ``()`` each seed position runs one completion join."""
         joins = []
-        original = seminaive.match_tuples
+        original = seminaive.match
 
         def counted(*args, **kwargs):
             joins.append(kwargs["values"])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(seminaive, "match_tuples", counted)
+        monkeypatch.setattr(seminaive, "match", counted)
         tgd = TGDS[1]
         instance = Instance(
             [Atom(R, (a, b)) for a in VALUES for b in VALUES[:2]]
@@ -180,7 +180,7 @@ class TestWorkBound:
         joins = []
         seeded = []
         triples = set()
-        match_original = seminaive.match_tuples
+        match_original = seminaive.match
         unify_original = seminaive._Seed.unify
         advance_original = DeltaSource.advance
 
@@ -201,7 +201,7 @@ class TestWorkBound:
             passes[0] += 1
             advance_original(source)
 
-        monkeypatch.setattr(seminaive, "match_tuples", counted_match)
+        monkeypatch.setattr(seminaive, "match", counted_match)
         monkeypatch.setattr(seminaive._Seed, "unify", counted_unify)
         monkeypatch.setattr(DeltaSource, "advance", counted_advance)
         source = strongly_connected_digraph(20, 40, seed=3)

@@ -82,12 +82,6 @@ class TestRepresentations:
         assert "∪" in repr(parse_query("Q(x) :- E(x, y) ; Q(x) :- E(y, x)"))
         assert ":=" in repr(parse_query("Q(x) := exists y . E(x, y)"))
 
-    def test_substitution_repr(self):
-        from repro.core import Substitution, Variable
-
-        sub = Substitution({Variable("x"): Const("a")})
-        assert "x ↦ a" in repr(sub)
-
     def test_setting_repr(self, setting_2_1):
         text = repr(setting_2_1)
         assert "Σ_st" in text and "Σ_t" in text

@@ -628,3 +628,27 @@ class TestCopyOnWriteIsolation:
         assert list(shared) == [atom(E, "a", "b")]
         assert not a.atoms_of(E) and b.atoms_of(E) == {atom(E, "a", "b")}
         assert _internals(a) == _internals(Instance(list(a)))
+
+
+def test_the_core_subpackage_is_importable_by_its_dotted_path():
+    """``repro`` exports no name that shadows its ``core`` subpackage,
+    so ``import repro.core.instance as m`` resolves the submodule."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    probe = (
+        "import repro, repro.core.instance as m\n"
+        "assert m.Instance is repro.Instance\n"
+        "assert m.isomorphic is repro.core.instance.isomorphic\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )

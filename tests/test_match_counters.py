@@ -1,13 +1,14 @@
 """Golden ``hom`` work counters for every matcher executor.
 
-The matcher has three executors: the compiled plan (the default), the
-profiled plan that attributed execution (``repro explain-plan``)
-switches to, and the interpreted reference search that
+The matcher has two executors: the compiled plan (the default), which
+also fills per-step rows when attributed execution (``repro
+explain-plan``) is on, and the interpreted reference search that
 ``plans.interpreted_only()`` forces.  Each charges the candidates it
 tries and the backtracks it takes to the counter pair of the innermost
 ``attributed`` scope; ``bench/compare.py`` checks ``hom.candidates`` as
-its work identity.  These literals pin that count per executor, so a
-change to any executor's bookkeeping shows up here first.
+its work identity.  These literals pin that count per executor, with
+attribution off ("plain") and on ("profiled"), so a change to any
+executor's bookkeeping shows up here first.
 
 The inputs run in a child process under a fixed hash seed: the order
 in which a core folds its atoms follows set iteration order.

@@ -1,12 +1,14 @@
 """Tests for the backtracking conjunctive matcher."""
 
-from itertools import product
+from contextlib import nullcontext
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Atom, Const, Instance, Null, RelationSymbol, Substitution, Variable, atom
-from repro.logic.matching import exists_match, first_match, match
+from repro.core import Atom, Const, Instance, Null, RelationSymbol, Variable, atom
+from repro.logic import plans
+from repro.logic.matching import exists_match, match, match_interpreted
 
 E = RelationSymbol("E", 2)
 P = RelationSymbol("P", 1)
@@ -15,10 +17,10 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 
 
 def all_matches(patterns, instance, inequalities=()):
-    return {
-        sub.as_tuple(sorted({v for a in patterns for v in a.variables}, key=lambda v: v.name))
-        for sub in match(patterns, instance, inequalities=inequalities)
-    }
+    variables = tuple(
+        sorted({v for a in patterns for v in a.variables}, key=lambda v: v.name)
+    )
+    return set(match(patterns, instance, variables, inequalities=inequalities))
 
 
 class TestSingleAtom:
@@ -72,23 +74,43 @@ class TestJoins:
         assert len(all_matches(patterns, inst)) == 3  # three rotations
 
     def test_empty_pattern_matches_once(self):
-        results = list(match([], Instance([atom(P, "a")])))
-        assert len(results) == 1
+        results = list(match([], Instance([atom(P, "a")]), ()))
+        assert results == [()]
 
 
 class TestInitialBindings:
     def test_initial_restricts(self):
         inst = Instance([atom(E, "a", "b"), atom(E, "b", "c")])
-        initial = Substitution({x: Const("b")})
-        results = list(match([Atom(E, (x, y))], inst, initial=initial))
-        assert len(results) == 1
-        assert results[0][y] == Const("c")
+        results = list(
+            match([Atom(E, (x, y))], inst, (y,), prebound=(x,), values=(Const("b"),))
+        )
+        assert results == [(Const("c"),)]
 
     def test_initial_preserved_in_output(self):
         inst = Instance([atom(P, "a")])
-        initial = Substitution({z: Const("q")})
-        result = first_match([Atom(P, (x,))], inst, initial=initial)
-        assert result[z] == Const("q")
+        results = list(
+            match([Atom(P, (x,))], inst, (x, z), prebound=(z,), values=(Const("q"),))
+        )
+        assert results == [(Const("a"), Const("q"))]
+
+    @pytest.mark.parametrize("executor", [nullcontext, plans.interpreted_only])
+    def test_prebound_out_of_name_order_is_rejected(self, executor):
+        # Values bind to the pre-bound variables in name order, so any
+        # other order would silently bind x to b and y to a.
+        inst = Instance([atom(E, "a", "b")])
+        patterns = [Atom(E, (x, y))]
+        swapped = dict(prebound=(y, x), values=(Const("b"), Const("a")))
+        with executor():
+            with pytest.raises(ValueError):
+                list(match(patterns, inst, (x, y), **swapped))
+            with pytest.raises(ValueError):
+                exists_match(patterns, inst, **swapped)
+        with pytest.raises(ValueError):
+            list(match_interpreted(patterns, inst, (x, y), **swapped))
+        in_order = dict(prebound=(x, y), values=(Const("a"), Const("b")))
+        assert list(match(patterns, inst, (x, y), **in_order)) == [
+            (Const("a"), Const("b"))
+        ]
 
 
 class TestInequalities:
@@ -108,12 +130,12 @@ class TestInequalities:
 
     def test_violated_initial_inequality(self):
         inst = Instance([atom(P, "a")])
-        initial = Substitution({x: Const("a")})
-        assert (
-            first_match(
-                [Atom(P, (x,))], inst, initial=initial, inequalities=[(x, Const("a"))]
-            )
-            is None
+        assert not exists_match(
+            [Atom(P, (x,))],
+            inst,
+            prebound=(x,),
+            values=(Const("a"),),
+            inequalities=[(x, Const("a"))],
         )
 
     def test_nulls_differ_from_constants(self):

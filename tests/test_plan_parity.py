@@ -1,9 +1,9 @@
 """Parity suite: compiled match plans vs the interpreted reference matcher.
 
 The compiled executor of ``repro.logic.plans`` must enumerate exactly the
-substitution set of the interpreted matcher (order-insensitive) on every
-pattern: hypothesis drives random patterns, inequalities, initial
-bindings, and instances through both paths, and the paper examples are
+match tuples of the interpreted matcher (order-insensitive) on every
+pattern: hypothesis drives random patterns, inequalities, pre-bound
+values, and instances through both paths, and the paper examples are
 checked end-to-end by fingerprint (``fp/v1``) through both paths.
 """
 
@@ -18,13 +18,12 @@ from repro.core import (
     Instance,
     Null,
     RelationSymbol,
-    Substitution,
     Variable,
     atom,
 )
 from repro.engine import fingerprint_answers, fingerprint_instance
 from repro.logic import plans
-from repro.logic.matching import match, match_interpreted
+from repro.logic.matching import exists_match, match, match_interpreted
 
 E = RelationSymbol("E", 2)
 P = RelationSymbol("P", 1)
@@ -34,24 +33,46 @@ VARS = [Variable(name) for name in ("x", "y", "z", "w")]
 VALUES = [Const("a"), Const("b"), Const("c"), Null(0), Null(1)]
 
 
-def _freeze(substitution: Substitution):
-    return frozenset(substitution.items())
-
-
 def both_paths(patterns, instance, *, initial=None, inequalities=()):
-    compiled = {
-        _freeze(s)
-        for s in match(
-            patterns, instance, initial=initial, inequalities=inequalities
+    """The match sets of both matchers, each match as a frozenset of
+    ``(variable, value)`` pairs over the pattern and ``initial``'s
+    variables; ``initial`` is a dict of pre-bound values.
+
+    Also checks that :func:`exists_match` agrees with the interpreted
+    enumeration.
+    """
+    initial = initial or {}
+    prebound = tuple(sorted(initial, key=lambda v: v.name))
+    values = tuple(initial[variable] for variable in prebound)
+    variables = tuple(
+        sorted(
+            {v for item in patterns for v in item.variables} | set(initial),
+            key=lambda v: v.name,
         )
-    }
-    interpreted = {
-        _freeze(s)
-        for s in match_interpreted(
-            patterns, instance, initial=initial, inequalities=inequalities
+    )
+    found = []
+    for matcher in (match, match_interpreted):
+        found.append(
+            {
+                frozenset(zip(variables, row))
+                for row in matcher(
+                    patterns,
+                    instance,
+                    variables,
+                    prebound=prebound,
+                    values=values,
+                    inequalities=inequalities,
+                )
+            }
         )
-    }
-    return compiled, interpreted
+    assert exists_match(
+        patterns,
+        instance,
+        prebound=prebound,
+        values=values,
+        inequalities=inequalities,
+    ) == bool(found[1])
+    return found[0], found[1]
 
 
 # ----------------------------------------------------------------------
@@ -96,9 +117,7 @@ def random_pattern(draw):
         bound_vars = draw(
             st.sets(st.sampled_from(VARS), min_size=0, max_size=2)
         )
-        initial = Substitution(
-            {v: draw(st.sampled_from(VALUES)) for v in bound_vars}
-        )
+        initial = {v: draw(st.sampled_from(VALUES)) for v in bound_vars}
     return pattern, inequalities, initial
 
 
@@ -135,7 +154,7 @@ class TestEdgeCases:
         assert len(compiled) == 1
 
     def test_empty_premise_with_initial(self):
-        initial = Substitution({VARS[0]: Const("q")})
+        initial = {VARS[0]: Const("q")}
         compiled, interpreted = both_paths(
             (), Instance([atom(P, "a")]), initial=initial
         )
@@ -143,7 +162,7 @@ class TestEdgeCases:
 
     def test_empty_premise_violated_initial_inequality(self):
         x = VARS[0]
-        initial = Substitution({x: Const("a")})
+        initial = {x: Const("a")}
         compiled, interpreted = both_paths(
             (),
             Instance(),
@@ -160,7 +179,7 @@ class TestEdgeCases:
         )
         compiled, interpreted = both_paths(patterns, inst)
         assert compiled == interpreted
-        assert len(compiled) == 1  # the empty substitution
+        assert len(compiled) == 1  # the empty match
 
     def test_all_constants_pattern_absent(self):
         inst = Instance([atom(E, "a", "b")])
@@ -202,10 +221,11 @@ class TestEdgeCases:
         assert len(compiled) == 1
 
     def test_initial_must_map_to_values(self):
-        bad = Substitution({VARS[0]: VARS[1]})
         for matcher in (match, match_interpreted):
             try:
-                list(matcher((), Instance(), initial=bad))
+                list(
+                    matcher((), Instance(), (), prebound=(VARS[0],), values=(VARS[1],))
+                )
             except TypeError:
                 pass
             else:  # pragma: no cover - parity of the error contract
@@ -230,7 +250,7 @@ class TestPlanCache:
         patterns = (Atom(E, (x, y)),)
         inst = Instance([atom(E, "a", "b")])
         for _ in range(5):
-            list(match(patterns, inst))
+            list(match(patterns, inst, (x, y)))
         assert compilations.value == before_compiles + 1
         assert hits.value == before_hits + 4
 
@@ -238,7 +258,7 @@ class TestPlanCache:
         plans.reset_cache()
         for i in range(plans._CACHE_LIMIT + 40):
             relation = RelationSymbol(f"R{i}", 1)
-            list(match((Atom(relation, (VARS[0],)),), Instance()))
+            list(match((Atom(relation, (VARS[0],)),), Instance(), ()))
         assert plans.cache_size() <= plans._CACHE_LIMIT
 
     def test_interpreted_only_toggle(self):
@@ -294,8 +314,11 @@ class TestInterning:
         assert not hasattr(clone, "_key")
         assert clone.args[0] is item.args[0]
         assert clone.args[1] is item.args[1]
-        substitution = Substitution({VARS[0]: Const("a")})
-        assert pickle.loads(pickle.dumps(substitution)) == substitution
+        x, y = VARS[:2]
+        [found] = match((Atom(E, (x, y)),), Instance([item]), (x, y))
+        clone = pickle.loads(pickle.dumps(found))
+        assert clone == found
+        assert clone[1] is found[1]
 
     def test_deepcopy_preserves_identity(self):
         import copy

@@ -199,9 +199,8 @@ def random_queries(draw):
 
 def _reference_answers(query, instance):
     return frozenset(
-        substitution.as_tuple(query.head)
-        for substitution in match_interpreted(
-            query.body, instance, inequalities=query.inequalities
+        match_interpreted(
+            query.body, instance, query.head, inequalities=query.inequalities
         )
     )
 
@@ -231,7 +230,7 @@ class TestEvaluationParity:
         with attributed(scope):
             before = candidates.value, backtracks.value
             for _ in match(
-                query.body, instance, inequalities=query.inequalities
+                query.body, instance, (), inequalities=query.inequalities
             ):
                 pass
             middle = candidates.value, backtracks.value

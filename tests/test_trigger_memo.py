@@ -24,7 +24,6 @@ from repro.core import (
     Null,
     NullFactory,
     RelationSymbol,
-    Substitution,
 )
 from repro.core.schema import Schema
 from repro.dependencies import parse_dependencies
@@ -45,19 +44,18 @@ from repro.obs.provenance import recording
 
 
 def premise_matches(tgd, instance):
-    """The premise matches of ``tgd`` in ``instance``, as substitutions.
+    """The premise matches of ``tgd`` in ``instance``, as dicts.
 
     Conjunctive premises run :func:`match`; FO premises are evaluated
     over the active domain of their σ-reduct (footnote 2).
     """
-    if tgd.has_conjunctive_premise:
-        return match(tgd.premise_atoms, instance)
-    base = instance.reduct(tgd.premise_schema)
     order = tgd.binding_order
-    return (
-        Substitution(dict(zip(order, values)))
-        for values in satisfying_assignments(tgd.premise_formula, base, order)
-    )
+    if tgd.has_conjunctive_premise:
+        found = match(tgd.premise_atoms, instance, order)
+    else:
+        base = instance.reduct(tgd.premise_schema)
+        found = satisfying_assignments(tgd.premise_formula, base, order)
+    return (dict(zip(order, values)) for values in found)
 
 
 def reference_chase(instance, dependencies, null_factory=None):
@@ -93,7 +91,10 @@ def reference_chase(instance, dependencies, null_factory=None):
                     variable: premise_match[variable] for variable in tgd.frontier
                 }
                 if exists_match(
-                    tgd.conclusion_atoms, current, initial=Substitution(frontier)
+                    tgd.conclusion_atoms,
+                    current,
+                    prebound=tgd.frontier,
+                    values=tuple(frontier.values()),
                 ):
                     continue
                 witnesses = factory.fresh_tuple(len(tgd.existential))
