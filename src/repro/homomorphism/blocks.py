@@ -14,7 +14,12 @@ Hence
   current instance.
 
 One pass over one working copy suffices, and its result is a core
-without any further certification:
+without any further certification.  The kernel
+(:func:`minimize_block`) asks the matcher for a match of a block's
+pattern into ``I \\ {A}`` by skipping ``A`` in the search
+(``match(..., without=A)``), so a retract attempt reads the copy and
+never writes it; the copy changes only when a fold discards the atoms
+it drops.  Why one pass is exact:
 
 * block folds only delete atoms, and only atoms of their own block.  A
   fold maps the block's atoms onto atoms that are already present, and
@@ -46,7 +51,7 @@ and the cost is then exponential only in the largest block.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from ..core.atoms import Atom
 from ..core.instance import Instance
@@ -65,60 +70,68 @@ _PATTERN_REUSE = counter("core.block_pattern_reuse")
 def null_blocks(instance: Instance) -> List[FrozenSet[Null]]:
     """Connected components of nulls under atom co-occurrence.
 
-    Deterministic order (by smallest null identifier per block).
+    Deterministic order (by smallest null identifier per block).  Every
+    null occurs in an atom its block owns, so a block's nulls are those
+    of its :func:`block_index` entry.
     """
-    parent: Dict[Null, Null] = {}
-
-    def find(item: Null) -> Null:
-        root = item
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:
-            parent[item], item = root, parent[item]
-        return root
-
-    def union(left: Null, right: Null) -> None:
-        left_root, right_root = find(left), find(right)
-        if left_root != right_root:
-            if right_root < left_root:
-                left_root, right_root = right_root, left_root
-            parent[right_root] = left_root
-
-    for null in instance.nulls():
-        parent[null] = null
-    for atom in instance:
-        nulls = [value for value in atom.args if isinstance(value, Null)]
-        for other in nulls[1:]:
-            union(nulls[0], other)
-
-    components: Dict[Null, Set[Null]] = {}
-    for null in parent:
-        components.setdefault(find(null), set()).add(null)
     return [
-        frozenset(component)
-        for _, component in sorted(
-            components.items(), key=lambda pair: pair[0]
+        frozenset(
+            value for atom in owned for value in atom.args
+            if isinstance(value, Null)
         )
+        for owned in block_index(instance)
     ]
 
 
-def block_index(instance: Instance) -> List[List[Atom]]:
-    """The sorted owned atoms of every block, in :func:`null_blocks` order.
+def block_index(atoms: Iterable[Atom]) -> List[List[Atom]]:
+    """The sorted owned atoms of every block, by smallest null.
 
-    One pass over the atoms: every null-carrying atom's nulls lie in a
-    single block, so its first null names its owner.
+    ``atoms`` is an instance or any iterable of distinct ground atoms.
+    One pass over them: a union-find joins the nulls of each atom, and
+    the atom is filed under its first null, which lies in the same block
+    as all of its others.  A ground instance has no blocks and is not
+    walked.
     """
-    blocks = null_blocks(instance)
-    block_of = {null: index for index, block in enumerate(blocks) for null in block}
-    owned_by: List[List[Atom]] = [[] for _ in blocks]
-    for atom in instance:
+    if isinstance(atoms, Instance) and atoms.is_ground:
+        return []
+    parent: Dict[Null, Null] = {}
+    filed: Dict[Null, List[Atom]] = {}
+
+    def find(item: Null) -> Null:
+        root = item
+        while parent[root] is not root:
+            root = parent[root]
+        while parent[item] is not root:
+            parent[item], item = root, parent[item]
+        return root
+
+    for atom in atoms:
+        first = None
         for value in atom.args:
-            if isinstance(value, Null):
-                owned_by[block_of[value]].append(atom)
-                break
-    for owned in owned_by:
+            if value.__class__ is not Null:
+                continue
+            if value not in parent:
+                parent[value] = value
+            if first is None:
+                first = value
+                filed.setdefault(value, []).append(atom)
+                continue
+            # Union by smallest null: every root is its block's minimum.
+            left, right = find(first), find(value)
+            if left is not right:
+                if right < left:
+                    left, right = right, left
+                parent[right] = left
+
+    owned_by: Dict[Null, List[Atom]] = {}
+    for null, owned in filed.items():
+        owned_by.setdefault(find(null), []).extend(owned)
+    blocks = []
+    for root in sorted(owned_by):
+        owned = owned_by[root]
         owned.sort(key=Atom.sort_key)
-    return owned_by
+        blocks.append(owned)
+    return blocks
 
 
 def block_atoms(instance: Instance, block: FrozenSet[Null]) -> List[Atom]:
@@ -193,12 +206,14 @@ def minimize_block(
     """Fold one block of ``working`` in place as far as it goes.
 
     ``owned`` is the block's sorted owned atoms (an entry of
-    :func:`block_index`).  Each round drops one owned atom, searches a
-    block-local match of the block pattern into the rest (drop, search,
-    put back), and applies the first one found: the owned atoms outside
-    the image are deleted -- the images are already present -- and the
-    next round works on the survivors.  Retractions are recorded in the
-    active provenance ledger under ``via``.
+    :func:`block_index`).  Each round tries the owned atoms in turn:
+    it searches a block-local match of the block pattern into
+    ``working`` less that atom, skipped by the matcher rather than
+    discarded (``without=``), and applies the first match found: the
+    owned atoms outside the image are deleted -- the images are already
+    present -- and the next round works on the survivors.  Those
+    deletions are the only writes to ``working``.  Retractions are
+    recorded in the active provenance ledger under ``via``.
 
     Returns ``(folded, crossed)``: ``folded`` is True when some round
     folded; ``crossed`` is True when some fold mapped a null onto a null
@@ -213,11 +228,11 @@ def minimize_block(
     survivors = owned
     while True:
         for atom in survivors:
-            working.discard(atom)
             _RETRACTS.inc()
             with attributed("hom"):
-                found = next(match(pattern, working, variables), None)
-            working.add(atom)
+                found = next(
+                    match(pattern, working, variables, without=atom), None
+                )
             if found is not None:
                 break
         else:

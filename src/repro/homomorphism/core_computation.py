@@ -55,6 +55,13 @@ def fold_step(instance: Instance) -> Optional[Instance]:
     all of its atoms (the attempts then share one compiled plan), and a
     single working copy is mutated -- drop the atom, search, put it
     back -- so a round over n atoms costs one copy, not n.
+
+    The block kernel (:func:`~repro.homomorphism.blocks.minimize_block`)
+    skips the atom inside the matcher instead of writing.  This function
+    keeps the write path on purpose: it is the independent certificate
+    (``is_core``, ``core``, ``retracts_to``) that the tests and the
+    benchmark's oracle check hold the kernel's cores against, so it
+    shares no skipping code with it.
     """
     blocks = block_index(instance)
     if not blocks:

@@ -229,7 +229,7 @@ def _delta_pass(
     # Blocks never visited keep their outcome: reused without a search.
     counter("incremental.blocks_skipped").inc(len(memo.blocks) - memo.folded)
     counter("incremental.blocks_replayed").inc(memo.folded)
-    blocks = block_index(Instance(atom for atom in region if atom in instance))
+    blocks = block_index(atom for atom in region if atom in instance)
     if not _minimize_into(memo, core, blocks):
         return _fall_back(instance, memo)
     return core.copy(), False

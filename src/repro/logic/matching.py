@@ -260,6 +260,7 @@ def match(
     prebound: Tuple[Variable, ...] = (),
     values: Sequence[Value] = (),
     inequalities: Sequence[Inequality] = (),
+    without: Optional[Atom] = None,
 ) -> Iterator[Tuple[Value, ...]]:
     """The values of ``variables`` per match of ``patterns`` in ``instance``.
 
@@ -271,6 +272,18 @@ def match(
     search rather than filter afterwards.  Each of ``variables`` must be
     pre-bound or occur in ``patterns``.
 
+    ``without`` is one atom to match around: the matches are those into
+    ``instance`` less that atom, and the work counted is that of a
+    search on a copy with it discarded, but ``instance`` is not written
+    to.  It serves the block kernel's retract attempts
+    (:func:`repro.homomorphism.blocks.minimize_block`).  Under
+    :class:`repro.logic.plans.interpreted_only` the reference search
+    runs on such a copy.
+
+    With ``variables=()`` every match yields ``()``, which is falsy:
+    ``any(match(patterns, instance, ()))`` is False even when a match
+    exists.  Ask :func:`exists_match` instead.
+
     >>> from repro.logic import parse_instance
     >>> from repro.core import Atom, RelationSymbol, Variable
     >>> E, x, y = RelationSymbol("E", 2), Variable("x"), Variable("y")
@@ -281,8 +294,13 @@ def match(
     counters = _ACTIVE_COUNTERS or plans.UNSCOPED
     if plans.enabled():
         plan = plans.plan_for(patterns, inequalities, prebound)
-        yield from plan.project(instance, variables, prebound, values, counters)
+        yield from plan.project(
+            instance, variables, prebound, values, counters, without
+        )
         return
+    if without is not None:
+        instance = instance.copy()
+        instance.discard(without)
     yield from _interpreted(
         patterns, instance, variables, prebound, values, inequalities, counters
     )

@@ -39,6 +39,10 @@ tuple per match, and :meth:`CompiledPattern.exists` decides whether any
 match extends a tuple of pre-bound values.  Pre-bound variables hold
 the leading slots in name order, so a caller seeds them from a tuple
 without a dict.  Both run the one executor and count the same work.
+:meth:`CompiledPattern.project` also takes ``without``, one atom to
+match around: the executor sizes buckets as if the atom were gone and
+never offers it as a candidate, so the block kernel's retract attempts
+search ``I \\ {A}`` without writing to ``I``.
 
 Inequalities are scheduled at the earliest step where both sides are
 bound (or before the first step, when the pre-bound values already
@@ -71,6 +75,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -454,6 +459,7 @@ class CompiledPattern:
         prebound: Tuple[Variable, ...] = (),
         values: Sequence[Value] = (),
         counters: Tuple[Counter, Counter] = UNSCOPED,
+        without: Optional[Atom] = None,
     ) -> Iterator[Tuple[Value, ...]]:
         """The values of ``variables`` per match, one tuple each.
 
@@ -462,11 +468,12 @@ class CompiledPattern:
         Every variable must be pre-bound or bound by the pattern.
         ``counters`` is a ``(candidates, backtracks)`` pair; each
         increment is written as it happens, so closing the generator
-        early leaves exact totals.
+        early leaves exact totals.  ``without`` is an atom the search
+        treats as absent from ``instance`` (see :meth:`_execute`).
         """
         read = self._reader(variables)
         slots = self._seeded(prebound, values)
-        runner = self._execute(instance, slots, counters)
+        runner = self._execute(instance, slots, counters, without)
         if runner is None:
             return
         for _ in runner:
@@ -538,6 +545,7 @@ class CompiledPattern:
         instance: Instance,
         slots: List,
         counters: Tuple[Counter, Counter],
+        without: Optional[Atom] = None,
     ) -> Optional[Iterator[bool]]:
         """The executor over seeded ``slots``; None when nothing matches
         before the search starts.
@@ -548,7 +556,14 @@ class CompiledPattern:
         tgd's conclusion check, or no step at all) is answered here,
         probe by probe until the first miss, with the counts and rows
         :meth:`_run` would give it: it matches once or not at all.
+
+        ``without`` is an atom to search around: the executor matches
+        into ``instance`` less that atom, with the choices, counts and
+        rows of a search over a copy with it discarded, and never writes
+        to ``instance``.  An atom ``instance`` lacks changes nothing.
         """
+        if without is not None and without not in instance:
+            without = None
         for akind, aval, bkind, bval in self.start_checks:
             left = slots[aval] if akind else aval
             right = slots[bval] if bkind else bval
@@ -570,10 +585,13 @@ class CompiledPattern:
                     candidates,
                     backtracks,
                     None if stats is None else stats[step_index],
+                    without,
                 ):
                     return None
             return iter((True,))
-        return self._run(instance, slots, 0, candidates, backtracks, stats)
+        return self._run(
+            instance, slots, 0, candidates, backtracks, stats, without
+        )
 
     def _run(
         self,
@@ -583,6 +601,7 @@ class CompiledPattern:
         candidates: Counter,
         backtracks: Counter,
         stats: Optional[List[List]],
+        without: Optional[Atom],
     ) -> Iterator[bool]:
         """The executor from step ``depth`` on: yields once per complete
         match (slots are set).  The last step yields to the consumer
@@ -598,6 +617,12 @@ class CompiledPattern:
         clock when it starts, around each yield and when it ends, so a
         step's candidates and self-time leave out child steps and
         consumer time.
+
+        ``without`` is None or an atom of ``instance`` to search around.
+        A step of its relation sizes every bucket holding it as one atom
+        smaller, so it picks the bucket, and cuts at the empty bucket,
+        that a search with the atom discarded would; it then never
+        offers the atom as a candidate.
         """
         steps = self.steps
         rel, const_checks, prior_checks, self_checks, binds, ineqs, argprog, probes = steps[depth]
@@ -612,30 +637,42 @@ class CompiledPattern:
             # inequality can first become checkable here (a step without
             # binds resolves nothing new).
             if _probe(
-                instance, rel, argprog, slots, candidates, backtracks, row
+                instance, rel, argprog, slots, candidates, backtracks, row,
+                without,
             ):
                 if depth + 1 == len(steps):
                     yield True
                 else:
                     yield from self._run(
-                        instance, slots, depth + 1, candidates, backtracks, stats
+                        instance, slots, depth + 1, candidates, backtracks,
+                        stats, without,
                     )
             return
 
+        # The skipped atom, when it is of this step's relation.
+        skip = without
+        if skip is not None and skip.relation.name != rel:
+            skip = None
         bucket = instance.probe_relation(rel)
         best = len(bucket)
+        if skip is not None:
+            best -= 1
         for position, kind, value in probes:
             if stats is not None:
                 row[0] += 1
-            probe = instance.probe_position(
-                rel, position, slots[value] if kind else value
-            )
+            if kind:
+                value = slots[value]
+            probe = instance.probe_position(rel, position, value)
             count = len(probe)
+            if skip is not None and skip.args[position] is value:
+                count -= 1
             if count < best:
                 best = count
                 bucket = probe
                 if not count:
                     break
+        if skip is not None and skip in bucket:
+            bucket = _skipping(bucket, skip)
 
         for fact in bucket:
             candidates.value += 1
@@ -675,7 +712,8 @@ class CompiledPattern:
                     yield True
                 else:
                     yield from self._run(
-                        instance, slots, depth + 1, candidates, backtracks, stats
+                        instance, slots, depth + 1, candidates, backtracks,
+                        stats, without,
                     )
                 if stats is not None:
                     seen = candidates.value
@@ -723,13 +761,16 @@ def _probe(
     candidates: Counter,
     backtracks: Counter,
     row: Optional[List],
+    without: Optional[Atom],
 ) -> bool:
     """One ground step: is its argument tuple a fact of ``relation``?
 
     The probe counts as one candidate, and a miss as one backtrack.
     ``row`` is the step's attribution row, or None when attribution is
     off: the probe adds one probe and one candidate to it, one emitted
-    match on a hit, and its own time.
+    match on a hit, and its own time.  A probe for ``without``, an atom
+    the search treats as absent, is the miss it would be if the atom
+    were discarded.
     """
     if row is not None:
         started = perf_counter()
@@ -737,7 +778,11 @@ def _probe(
     args = tuple(
         [slots[entry] if type(entry) is int else entry for entry in argprog]
     )
-    found = instance.has_tuple(relation, args)
+    found = instance.has_tuple(relation, args) and not (
+        without is not None
+        and without.relation.name == relation
+        and without.args == args
+    )
     if not found:
         backtracks.value += 1
     if row is not None:
@@ -746,3 +791,15 @@ def _probe(
         row[2] += found
         row[3] += perf_counter() - started
     return found
+
+
+def _skipping(bucket: Set[Atom], skip: Atom) -> Iterator[Atom]:
+    """The atoms of ``bucket`` in its own order, less ``skip``.
+
+    The hash compare settles every other atom without an ``__eq__``
+    call.
+    """
+    skip_hash = skip._hash
+    for fact in bucket:
+        if fact._hash != skip_hash or fact != skip:
+            yield fact

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Atom, Const, Instance, Null, RelationSymbol, isomorphic
+from repro.generators import example_2_1_scaled_source
+from repro.generators.settings_library import example_2_1_setting
 from repro.homomorphism import core, fold_step
 from repro.homomorphism.blocks import (
     block_atoms,
@@ -16,6 +18,7 @@ from repro.homomorphism.blocks import (
 )
 from repro.logic import parse_instance
 from repro.obs.provenance import recording
+from .test_core_certification import symmetric_canonical
 
 E = RelationSymbol("E", 2)
 
@@ -138,6 +141,47 @@ class TestMinimizeBlock:
         minimize_block(inst, owned)
         assert obs.counter("core.block_pattern_reuse").value > before
         obs.reset()
+
+
+class TestKernelWrites:
+    """A retract attempt matches around its atom instead of dropping it:
+    the only writes are the discards of atoms a fold drops."""
+
+    @staticmethod
+    def _core_and_writes(monkeypatch, instance):
+        writes = {"discard": 0, "insert": 0}
+        discard, insert = Instance.discard, Instance._insert
+
+        def counted_discard(self, item):
+            writes["discard"] += 1
+            return discard(self, item)
+
+        def counted_insert(self, item):
+            writes["insert"] += 1
+            return insert(self, item)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Instance, "discard", counted_discard)
+            patched.setattr(Instance, "_insert", counted_insert)
+            result = blockwise_core(instance)
+        return result, writes
+
+    def test_a_core_is_minimized_without_writes(self, monkeypatch):
+        canonical = symmetric_canonical(10)
+        result, writes = self._core_and_writes(monkeypatch, canonical)
+        assert result == canonical
+        assert writes == {"discard": 0, "insert": 0}
+
+    def test_only_folded_atoms_are_discarded(self, monkeypatch):
+        canonical = example_2_1_setting().canonical_universal_solution(
+            example_2_1_scaled_source(32, seed=1)
+        )
+        result, writes = self._core_and_writes(monkeypatch, canonical)
+        assert len(result) < len(canonical)
+        assert writes == {
+            "discard": len(canonical) - len(result),
+            "insert": 0,
+        }
 
 
 class TestBlockIndex:

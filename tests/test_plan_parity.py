@@ -8,6 +8,7 @@ checked end-to-end by fingerprint (``fp/v1``) through both paths.
 """
 
 import pickle
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,13 @@ from repro.core import (
 )
 from repro.engine import fingerprint_answers, fingerprint_instance
 from repro.logic import plans
-from repro.logic.matching import exists_match, match, match_interpreted
+from repro.logic.matching import (
+    attributed,
+    exists_match,
+    match,
+    match_interpreted,
+)
+from repro.obs import attribution, counter
 
 E = RelationSymbol("E", 2)
 P = RelationSymbol("P", 1)
@@ -140,6 +147,188 @@ def test_parity_on_triangle_join(instance):
         patterns, instance, inequalities=((x, y),)
     )
     assert compiled == interpreted
+
+
+# ----------------------------------------------------------------------
+# Matching around one atom: ``match(..., without=A)`` against I less A
+# ----------------------------------------------------------------------
+
+#: A relation no drawn pattern reads.
+R = RelationSymbol("R", 1)
+
+
+@st.composite
+def without_case(draw):
+    """A pattern, an instance, and an atom A to match around.
+
+    Half the patterns are ground: constants and pre-bound variables
+    only, so every step is a ground probe.  A is an atom of the instance
+    (sometimes an equal copy rather than the stored object), an arbitrary
+    atom that may be absent, or an atom of :data:`R`, which may be in the
+    instance but is never read.
+    """
+    instance = draw(random_instance())
+    if draw(st.booleans()):
+        x, y = VARS[:2]
+        terms = [x, y, Const("a"), Const("b"), Null(0)]
+        patterns = tuple(
+            Atom(
+                (relation := draw(st.sampled_from([E, P, T]))),
+                tuple(
+                    draw(st.sampled_from(terms))
+                    for _ in range(relation.arity)
+                ),
+            )
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))
+        )
+        inequalities = ()
+        initial = {x: draw(st.sampled_from(VALUES)) for x in (x, y)}
+    else:
+        patterns, inequalities, initial = draw(random_pattern())
+    for value in draw(st.lists(st.sampled_from(VALUES), max_size=2)):
+        instance.add(Atom(R, (value,)))
+    kind = draw(st.sampled_from(["member", "any", "unread"]))
+    if kind == "member" and len(instance):
+        chosen = draw(st.sampled_from(instance.sorted_atoms()))
+        if draw(st.booleans()):
+            chosen = Atom(chosen.relation, chosen.args)
+    elif kind == "unread":
+        chosen = Atom(R, (draw(st.sampled_from(VALUES)),))
+    else:
+        relation = draw(st.sampled_from([E, P, T]))
+        chosen = Atom(
+            relation,
+            tuple(draw(st.sampled_from(VALUES)) for _ in range(relation.arity)),
+        )
+    return patterns, inequalities, initial or {}, instance, chosen
+
+
+def _drain(patterns, instance, variables, prebound, values, inequalities,
+           **options):
+    """The answers of one full ``match`` as a multiset, and its counted
+    ``(candidates, backtracks)``."""
+    candidates = counter("parity_without.candidates")
+    backtracks = counter("parity_without.backtracks")
+    before = candidates.value, backtracks.value
+    with attributed("parity_without"):
+        answers = Counter(
+            match(
+                patterns, instance, variables, prebound=prebound,
+                values=values, inequalities=inequalities, **options,
+            )
+        )
+    return answers, (
+        candidates.value - before[0], backtracks.value - before[1]
+    )
+
+
+def _rows(plan):
+    """The plan's per-step ``[probes, candidates, emitted]`` rows."""
+    record = attribution.plans().get(plan.identity)
+    return None if record is None else [row[:3] for row in record["counts"]]
+
+
+def assert_matches_as_discarded(
+    patterns, instance, chosen, *, initial=None, inequalities=()
+):
+    """``match(..., without=chosen)`` against a search of a copy of
+    ``instance`` with ``chosen`` discarded: the same answers as a
+    multiset (set order may differ after a copy-on-write clone), the
+    same counted work and, with attribution on, the same per-step rows.
+    The interpreted path honours ``without`` too, and nothing writes to
+    ``instance``."""
+    initial = initial or {}
+    prebound = tuple(sorted(initial, key=lambda v: v.name))
+    values = tuple(initial[variable] for variable in prebound)
+    variables = tuple(
+        sorted(
+            {v for item in patterns for v in item.variables} | set(initial),
+            key=lambda v: v.name,
+        )
+    )
+    args = (patterns, instance, variables, prebound, values, inequalities)
+    reduced = instance.copy()
+    reduced.discard(chosen)
+    reduced_args = (patterns, reduced) + args[2:]
+    before = instance.sorted_atoms()
+    expected = Counter(
+        match_interpreted(
+            patterns, reduced, variables, prebound=prebound, values=values,
+            inequalities=inequalities,
+        )
+    )
+    plan = plans.plan_for(patterns, inequalities, prebound)
+    previously = attribution.enabled()
+    for attributing in (False, True):
+        attribution.reset()
+        attribution.enable(attributing)
+        try:
+            answers, work = _drain(*args, without=chosen)
+            rows = _rows(plan)
+            attribution.reset()
+            reference, reference_work = _drain(*reduced_args)
+            assert _rows(plan) == rows
+        finally:
+            attribution.enable(previously)
+            attribution.reset()
+        assert answers == reference == expected
+        assert work == reference_work
+    with plans.interpreted_only():
+        interpreted, _ = _drain(*args, without=chosen)
+    assert interpreted == expected
+    assert instance.sorted_atoms() == before
+
+
+@given(without_case())
+@settings(max_examples=200, deadline=None)
+def test_without_matches_and_counts_as_the_discarded_copy(case):
+    patterns, inequalities, initial, instance, chosen = case
+    assert_matches_as_discarded(
+        patterns, instance, chosen, initial=initial,
+        inequalities=inequalities,
+    )
+
+
+class TestWithout:
+    def test_a_bucket_holding_the_atom_counts_one_smaller(self):
+        # E('a', y) probes the E('a', _) bucket: with E(a, b) skipped it
+        # holds one atom, fewer than the two other E atoms.
+        y = VARS[1]
+        inst = Instance([atom(E, "a", "b"), atom(E, "a", "c"), atom(E, "b", "b")])
+        assert_matches_as_discarded(
+            (Atom(E, (Const("a"), y)),), inst, atom(E, "a", "b")
+        )
+
+    def test_an_absent_atom_changes_no_bucket_size(self):
+        # T(a, c, a) is absent: T('a', 'b', z) must still pick the
+        # one-atom T(_, 'b', _) bucket over the two-atom T('a', _, _).
+        z = VARS[2]
+        inst = Instance(
+            [atom(T, "a", "b", "c"), atom(T, "a", "c", "c"), atom(T, "b", "c", "c")]
+        )
+        assert_matches_as_discarded(
+            (Atom(T, (Const("a"), Const("b"), z)),), inst, atom(T, "a", "c", "a")
+        )
+
+    def test_a_ground_probe_for_the_atom_misses(self):
+        x = VARS[0]
+        inst = Instance([atom(E, "a", "b"), atom(P, "a")])
+        assert_matches_as_discarded(
+            (Atom(P, (x,)), Atom(E, (x, Const("b")))),
+            inst,
+            atom(E, "a", "b"),
+            initial={x: Const("a")},
+        )
+
+    def test_an_equal_copy_of_a_stored_atom_is_skipped(self):
+        x = VARS[0]
+        inst = Instance([atom(P, "a"), atom(P, "b")])
+        stored = next(item for item in inst if item.args[0] == Const("a"))
+        copy = Atom(stored.relation, stored.args)
+        assert copy is not stored
+        assert list(match((Atom(P, (x,)),), inst, (x,), without=copy)) == [
+            (Const("b"),)
+        ]
 
 
 # ----------------------------------------------------------------------
