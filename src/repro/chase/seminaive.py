@@ -43,8 +43,8 @@ from ..core.terms import NullFactory, Value, Variable
 from ..dependencies.base import Dependency
 from ..dependencies.egd import Egd
 from ..dependencies.tgd import Tgd
-from ..logic.matching import match
-from ..logic.plans import tuple_getter
+from ..logic.matching import match_plan
+from ..logic.plans import plan_for, tuple_getter
 from .loop import DEFAULT_MAX_STEPS, TriggerSource, chase_rounds
 from .result import ChaseOutcome
 
@@ -58,12 +58,12 @@ class _Seed:
     the fact's *join key*, :attr:`keys` -- constrain the completion join
     of ``rest``.  So facts with one key share one completion join, and a
     binding ``ū‖v̄`` is the fact's own values (:attr:`reads`) spliced
-    with one completion (the values of :attr:`joined`).  The same
-    ``rest`` tuple is reused on every pass, so its completion join
-    compiles once and every later pass is a pure plan-cache hit (keyed
-    by :attr:`keys`).  With no ``rest`` (a one-atom premise) the unified
-    fact is the whole match, and :meth:`unify` reads its binding
-    straight off it.
+    with one completion (the values of :attr:`joined`).  The seed
+    resolves the completion join's plan (``rest`` with :attr:`keys`
+    pre-bound) when it is built and holds it for the run, so no join,
+    on any pass, makes a plan-cache lookup (:meth:`complete`).  With no
+    ``rest`` (a one-atom premise) the unified fact is the whole match,
+    and :meth:`unify` reads its binding straight off it.
     """
 
     __slots__ = (
@@ -75,6 +75,7 @@ class _Seed:
         "key_of",
         "joined",
         "splice",
+        "plan",
     )
 
     def __init__(
@@ -120,6 +121,8 @@ class _Seed:
         picks = [placed[variable] for variable in order]
         in_order = picks == list(range(len(picks)))
         self.splice = None if in_order else tuple_getter(picks)
+        #: The completion join's held plan, or None with no ``rest``.
+        self.plan = plan_for(rest, (), self.keys) if rest else None
 
     def unify(self, fact: Atom) -> Optional[Tuple[Value, ...]]:
         """The values :attr:`reads` names in ``fact``, or None when
@@ -131,6 +134,13 @@ class _Seed:
             ):
                 return None
         return tuple([args[position] for position in self.reads])
+
+    def complete(
+        self, instance: Instance, key: Tuple[Value, ...]
+    ) -> List[Tuple[Value, ...]]:
+        """The completion join of join key ``key``: the values of
+        :attr:`joined` per match of ``rest``, in match order."""
+        return list(match_plan(self.plan, instance, self.joined, key))
 
 
 def _seed_decomposition(tgd: Tgd) -> Optional[Tuple[_Seed, ...]]:
@@ -185,9 +195,8 @@ class DeltaSource(TriggerSource):
         instance: Instance,
         initial_delta: Optional[Sequence[Atom]] = None,
     ):
-        # Delta-join decompositions, once per run: each (seed, rest) pair
-        # keeps its identity across passes so completions hit the plan
-        # cache.
+        # Delta-join decompositions, once per run: each seed holds its
+        # completion join's plan across passes.
         self._seeds = {id(tgd): _seed_decomposition(tgd) for tgd in tgds}
         self._instance = instance
         self._groups = _group_into(
@@ -256,7 +265,6 @@ class DeltaSource(TriggerSource):
             # One completion join per join key, for this call only: the
             # chase materializes a tgd's triggers before it fires any.
             completions: Dict[Tuple[Value, ...], List[Tuple[Value, ...]]] = {}
-            rest, keys, joined = seed.rest, seed.keys, seed.joined
             key_of, splice = seed.key_of, seed.splice
             for fact in bucket:
                 own = seed.unify(fact)
@@ -265,9 +273,7 @@ class DeltaSource(TriggerSource):
                 key = key_of(fact.args)
                 tails = completions.get(key)
                 if tails is None:
-                    tails = completions[key] = list(
-                        match(rest, instance, joined, prebound=keys, values=key)
-                    )
+                    tails = completions[key] = seed.complete(instance, key)
                 for tail in tails:
                     binding = own + tail
                     if splice is not None:

@@ -395,13 +395,13 @@ def command_explain(args: argparse.Namespace) -> int:
 def _dependency_plan_roles(dependency):
     """The ``(role, plan-cache key)`` list a dependency evaluates with.
 
-    These mirror the semi-naive chase's ``match``/``exists_match`` call
-    sites: a tgd checks its conclusion with the frontier pre-bound, and
+    These mirror the plans the semi-naive chase runs: a tgd checks its
+    conclusion with the frontier pre-bound (its held plan), and
     matches its premise with no pre-bound keys only when the premise has
     more than one atom (a one-atom premise's bindings are read straight
     off the delta, with no matcher call); an egd matches its premise
-    only.  FO premises (``premise_atoms is None``) have no compiled
-    plan.  Delta-seeded completion joins are other plans.
+    only (its held plan).  FO premises (``premise_atoms is None``) have
+    no compiled plan.  Delta-seeded completion joins are other plans.
     """
     roles = []
     if dependency.is_tgd:

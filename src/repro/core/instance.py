@@ -166,16 +166,30 @@ class Instance:
             _put(self._by_relation, relations, name, item)
             _put(self._by_tuple, tuples, name, item.args)
         else:
-            self._by_relation.setdefault(name, set()).add(item)
+            # A new bucket is built holding its first member, so no
+            # throwaway empty set is made per write.
+            bucket = self._by_relation.get(name)
+            if bucket is None:
+                self._by_relation[name] = {item}
+            else:
+                bucket.add(item)
             # Reuse the atom's own args tuple: the full-tuple index costs
             # one pointer per atom, not a copy of the arguments.
-            self._by_tuple.setdefault(name, set()).add(item.args)
+            bucket = self._by_tuple.get(name)
+            if bucket is None:
+                self._by_tuple[name] = {item.args}
+            else:
+                bucket.add(item.args)
         for position, value in enumerate(item.args):
             key = (name, position, value)
             if shared:
                 _put(by_position, positions, key, item)
             else:
-                by_position.setdefault(key, set()).add(item)
+                bucket = by_position.get(key)
+                if bucket is None:
+                    by_position[key] = {item}
+                else:
+                    bucket.add(item)
             if value.__class__ is Null:
                 self._null_refs[value] = self._null_refs.get(value, 0) + 1
 

@@ -23,7 +23,23 @@ from ..core.terms import Variable
 
 
 class Dependency:
-    """Common interface of tgds and egds."""
+    """Common interface of tgds and egds.
+
+    A dependency holds the compiled plan of the one pattern it matches
+    over and over (:attr:`_held_plan`: a tgd's conclusion check, an
+    egd's premise), resolved on first use.  The plan is derived data:
+    it takes no part in equality, hashing or ``repr``, and is left out
+    of the pickled state, so a copy resolves its own.
+    """
+
+    #: The held :class:`repro.logic.plans.CompiledPattern`, or None
+    #: until first use.
+    _held_plan = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_held_plan", None)
+        return state
 
     def premise_relations(self) -> FrozenSet[RelationSymbol]:
         """Relation symbols used in the premise."""

@@ -20,8 +20,9 @@ from ..core.instance import Instance
 from ..core.schema import RelationSymbol, Schema
 from ..core.terms import Null, Value, Variable
 from ..logic.formulas import is_conjunction_of_atoms
-from ..logic.matching import match
+from ..logic.matching import match_plan
 from ..logic.parser import _Parser
+from ..logic.plans import plan_for
 from ..logic import formulas as fo
 from .base import Dependency
 
@@ -69,12 +70,14 @@ class Egd(Dependency):
         """Pairs ``(u_k, u_l)`` with ``I ⊨ ϕ[ū]`` and ``u_k ≠ u_l``.
 
         These are exactly the matches to which the egd "can be applied"
-        in the sense of Definition 4.1.
+        in the sense of Definition 4.1.  The premise runs through the
+        egd's held plan, resolved on the first call.
         """
+        plan = self._held_plan
+        if plan is None:
+            plan = self._held_plan = plan_for(self.premise_atoms, (), ())
         seen: Set[Tuple[Value, Value]] = set()
-        for pair in match(
-            self.premise_atoms, instance, (self.left, self.right)
-        ):
+        for pair in match_plan(plan, instance, (self.left, self.right)):
             if pair[0] != pair[1] and pair not in seen:
                 seen.add(pair)
                 yield pair

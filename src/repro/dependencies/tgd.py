@@ -31,8 +31,9 @@ from ..core.schema import RelationSymbol, Schema
 from ..core.terms import Value, Variable
 from ..logic.evaluation import satisfying_assignments
 from ..logic.formulas import Formula, is_conjunction_of_atoms
-from ..logic.matching import exists_match, match
+from ..logic.matching import _check_values, exists_plan, match
 from ..logic.parser import _Parser
+from ..logic.plans import plan_for
 from ..logic import formulas as fo
 from .base import Dependency, format_variables
 
@@ -167,14 +168,19 @@ class Tgd(Dependency):
 
         Used by the standard chase (fire only if this fails) -- condition
         (2) in Remark 4.3 of the paper.  ``frontier`` lists the values of
-        x̄ in :attr:`frontier` order.
+        x̄ in :attr:`frontier` order: too few or too many raise
+        ValueError, and one that is not a value raises TypeError.  The
+        check runs the tgd's held plan for ψ with x̄ pre-bound, resolved
+        on the first call: for a full tgd, a ground plan of one probe per
+        atom.
         """
-        return exists_match(
-            self.conclusion_atoms,
-            instance,
-            prebound=self.frontier,
-            values=frontier,
-        )
+        _check_values(self.frontier, frontier)
+        plan = self._held_plan
+        if plan is None:
+            plan = self._held_plan = plan_for(
+                self.conclusion_atoms, (), self.frontier
+            )
+        return exists_plan(plan, instance, frontier)
 
     def conclusion_atoms_at(
         self, frontier: Sequence[Value], witnesses: Sequence[Value]

@@ -56,7 +56,8 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..core.terms import Null, Value, Variable
-from ..logic.matching import attributed, match
+from ..logic.matching import attributed, match_plan
+from ..logic.plans import plan_for
 from ..obs import counter, span
 from ..obs.provenance import active_ledger
 
@@ -173,8 +174,8 @@ def block_pattern(
     other value is frozen (treated as rigid), so the extension of any
     match by the identity is an endomorphism of the whole instance.
     Computed once per owned set and reused for every dropped-atom
-    attempt -- the attempts then share one compiled plan -- and memoized
-    across invocations for unchanged blocks.
+    attempt -- the attempts of a kernel round then run one held plan --
+    and memoized across invocations for unchanged blocks.
     """
     key = tuple(owned)
     cached = _PATTERN_CACHE.get(key)
@@ -212,7 +213,10 @@ def minimize_block(
     discarded (``without=``), and applies the first match found: the
     owned atoms outside the image are deleted -- the images are already
     present -- and the next round works on the survivors.  Those
-    deletions are the only writes to ``working``.  Retractions are
+    deletions are the only writes to ``working``.  Every attempt of a
+    round matches the same pattern, so a round resolves its compiled
+    plan once and each attempt runs it directly (``match_plan``); the
+    attempts' matcher work counts under ``hom``.  Retractions are
     recorded in the active provenance ledger under ``via``.
 
     Returns ``(folded, crossed)``: ``folded`` is True when some round
@@ -227,16 +231,17 @@ def minimize_block(
     folded = crossed = False
     survivors = owned
     while True:
-        for atom in survivors:
-            _RETRACTS.inc()
-            with attributed("hom"):
+        plan = plan_for(pattern, (), ())
+        with attributed("hom"):
+            for atom in survivors:
+                _RETRACTS.inc()
                 found = next(
-                    match(pattern, working, variables, without=atom), None
+                    match_plan(plan, working, variables, without=atom), None
                 )
-            if found is not None:
+                if found is not None:
+                    break
+            else:
                 break
-        else:
-            break
         _FOLDS.inc()
         folded = True
         mapping = dict(zip(back.values(), found))

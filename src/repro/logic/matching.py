@@ -15,14 +15,18 @@ it is asked for, one tuple per match, and :func:`exists_match` decides
 whether a match exists.  Pre-bound variables are a name-ordered tuple
 seeded from a tuple of values.
 
-By default both route through the **compiled plans** of
-:mod:`repro.logic.plans`: each distinct (pattern, inequalities,
-pre-bound variables) triple is compiled once -- static fail-first join
-order, slot arrays, index-probe programs, O(1) ground probes -- and the
-plan is cached, so the repeated evaluations of a chase pay only for
-execution.  The original interpreted matcher below stays as
-the **reference oracle** (:func:`match_interpreted`, and the fallback
-when :func:`repro.logic.plans.enabled` is False): at each step it picks
+Both look up the **compiled plan** of :mod:`repro.logic.plans` for
+their (pattern, inequalities, pre-bound variables) triple -- compiled
+once: static fail-first join order, slot arrays, index-probe programs,
+O(1) ground probes -- and run it through one dispatch pair,
+:func:`match_plan` and :func:`exists_plan`.  Owners of a fixed pattern
+(a tgd's conclusion check, an egd's premise, a semi-naive seed, a
+block-kernel round) resolve their plan once and call the pair directly.
+The pair is the one place that picks the executor: the compiled plan,
+or, when :func:`repro.logic.plans.enabled` is False, the original
+interpreted matcher below over the plan's patterns, inequalities and
+pre-bound variables.  That matcher stays as the **reference oracle**
+(:func:`match_interpreted`): at each step it picks
 the *most constrained* remaining atom -- the one with the fewest
 candidate instance atoms given the current partial assignment --
 using the instance's (relation, position, value) index.  The hypothesis
@@ -231,18 +235,8 @@ def _interpreted(
     inequalities: Sequence[Inequality],
     counters: Tuple[Counter, Counter],
 ) -> Iterator[Tuple[Value, ...]]:
-    """The interpreted search behind :func:`match`'s signature."""
-    if tuple(prebound) != tuple(sorted(prebound, key=lambda v: v.name)):
-        raise ValueError(
-            f"pre-bound variables must be in name order, got {prebound!r}"
-        )
-    if len(values) != len(prebound):
-        raise ValueError(
-            f"{len(prebound)} pre-bound values expected, got {len(values)}"
-        )
-    for value in values:
-        if not isinstance(value, Value):
-            raise TypeError(f"pre-bound values must be values, got {value!r}")
+    """The interpreted search behind :func:`match`'s signature, over
+    checked pre-bound variables and values (:func:`_check_prebound`)."""
     bound: Dict[Variable, Value] = dict(zip(prebound, values))
     if not _inequalities_hold(inequalities, bound):
         return
@@ -250,6 +244,91 @@ def _interpreted(
         list(patterns), instance, bound, inequalities, *counters
     ):
         yield tuple([result[variable] for variable in variables])
+
+
+def _check_prebound(
+    prebound: Tuple[Variable, ...], values: Sequence[Value]
+) -> None:
+    """Reject pre-bound variables out of name order (or repeated) and
+    values that are too few, too many, or not values.
+
+    Values bind to the pre-bound variables in name order, so any other
+    order would silently bind the wrong variables.
+    """
+    for earlier, later in zip(prebound, prebound[1:]):
+        if not earlier.name < later.name:
+            raise ValueError(
+                f"pre-bound variables must be in name order, got {prebound!r}"
+            )
+    _check_values(prebound, values)
+
+
+def _check_values(
+    prebound: Tuple[Variable, ...], values: Sequence[Value]
+) -> None:
+    """Reject values that are too few, too many, or not values, for
+    pre-bound variables already known to be in name order (a held
+    plan's, such as a tgd's frontier)."""
+    if len(values) != len(prebound):
+        raise ValueError(
+            f"{len(prebound)} pre-bound values expected, got {len(values)}"
+        )
+    for value in values:
+        if not isinstance(value, Value):
+            raise TypeError(f"pre-bound values must be values, got {value!r}")
+
+
+def match_plan(
+    plan: plans.CompiledPattern,
+    instance: Instance,
+    variables: Tuple[Variable, ...],
+    values: Sequence[Value] = (),
+    *,
+    without: Optional[Atom] = None,
+) -> Iterator[Tuple[Value, ...]]:
+    """The values of ``variables`` per match of ``plan`` in ``instance``.
+
+    ``values`` are those of ``plan.prebound``, in that order; they are
+    not checked (:func:`match` checks them).  This and
+    :func:`exists_plan` are the one place that picks the executor: the
+    compiled plan, or under :class:`repro.logic.plans.interpreted_only`
+    the interpreted search over ``plan.patterns``, ``plan.inequalities``
+    and ``plan.prebound``, run on a copy less ``without`` when that is
+    given.  Work counts into the active ``attributed`` pair, bound when
+    the generator starts.
+    """
+    counters = _ACTIVE_COUNTERS or plans.UNSCOPED
+    if plans.enabled():
+        yield from plan.project(instance, variables, values, counters, without)
+        return
+    if without is not None:
+        instance = instance.copy()
+        instance.discard(without)
+    yield from _interpreted(
+        plan.patterns, instance, variables, plan.prebound, values,
+        plan.inequalities, counters,
+    )
+
+
+def exists_plan(
+    plan: plans.CompiledPattern,
+    instance: Instance,
+    values: Sequence[Value] = (),
+) -> bool:
+    """True if :func:`match_plan` would yield at least once.
+
+    Stops at the first match, counting exactly the work of taking one
+    item from :func:`match_plan`.
+    """
+    counters = _ACTIVE_COUNTERS or plans.UNSCOPED
+    if plans.enabled():
+        return plan.exists(instance, values, counters)
+    for _ in _interpreted(
+        plan.patterns, instance, (), plan.prebound, values,
+        plan.inequalities, counters,
+    ):
+        return True
+    return False
 
 
 def match(
@@ -291,18 +370,13 @@ def match(
     >>> list(match((Atom(E, (x, y)),), edges, (y, x), inequalities=((x, y),)))
     [(Const('b'), Const('a'))]
     """
-    counters = _ACTIVE_COUNTERS or plans.UNSCOPED
-    if plans.enabled():
-        plan = plans.plan_for(patterns, inequalities, prebound)
-        yield from plan.project(
-            instance, variables, prebound, values, counters, without
-        )
-        return
-    if without is not None:
-        instance = instance.copy()
-        instance.discard(without)
-    yield from _interpreted(
-        patterns, instance, variables, prebound, values, inequalities, counters
+    _check_prebound(prebound, values)
+    return match_plan(
+        plans.plan_for(patterns, inequalities, prebound),
+        instance,
+        variables,
+        values,
+        without=without,
     )
 
 
@@ -319,15 +393,10 @@ def exists_match(
     Stops at the first match, counting exactly the work of taking one
     item from :func:`match`.
     """
-    counters = _ACTIVE_COUNTERS or plans.UNSCOPED
-    if plans.enabled():
-        plan = plans.plan_for(patterns, inequalities, prebound)
-        return plan.exists(instance, prebound, values, counters)
-    for _ in _interpreted(
-        patterns, instance, (), prebound, values, inequalities, counters
-    ):
-        return True
-    return False
+    _check_prebound(prebound, values)
+    return exists_plan(
+        plans.plan_for(patterns, inequalities, prebound), instance, values
+    )
 
 
 def match_interpreted(
@@ -345,6 +414,7 @@ def match_interpreted(
     keep this path semantically frozen.  Its work is counted into the
     unregistered ``plans.UNSCOPED`` pair whatever scope is active.
     """
+    _check_prebound(prebound, values)
     return _interpreted(
         patterns, instance, variables, prebound, values, inequalities,
         plans.UNSCOPED,

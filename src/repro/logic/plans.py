@@ -6,8 +6,16 @@ the patterns it is asked about -- tgd and egd premises, conjunctive
 queries, canonical queries of instances -- are fixed for the life of a
 chase or a homomorphism search.  This module compiles each distinct
 ``(pattern, inequalities, pre-bound variables)`` triple **once** into a
-:class:`CompiledPattern` and caches it, so repeated evaluation pays only
-for execution:
+:class:`CompiledPattern` and caches it (:func:`plan_for`), so repeated
+evaluation pays only for execution.  Owners of a fixed pattern go one
+step further and **hold** its plan: they resolve it through
+:func:`plan_for` on first use and run it through
+:func:`repro.logic.matching.match_plan` or
+:func:`repro.logic.matching.exists_plan` from then on, with no cache
+lookup.  They are a tgd's conclusion check, an egd's premise, a
+semi-naive seed's completion join (:mod:`repro.chase.seminaive`) and a
+block-kernel round (:func:`repro.homomorphism.blocks.minimize_block`).
+A plan is:
 
 * **Static join order.**  A greedy fail-first order is fixed at compile
   time from static selectivity: atoms with more constants and already
@@ -27,8 +35,10 @@ for execution:
   all: it assembles the argument tuple and asks
   :meth:`repro.core.instance.Instance.has_tuple` -- an O(1) hash probe
   against the per-relation full-tuple index.  A plan made only of such
-  steps (a full tgd's conclusion check) is answered by its probes
-  alone, with no generator (:attr:`CompiledPattern.ground`).
+  steps (a full tgd's conclusion check) is a :attr:`CompiledPattern.ground`
+  plan: one routine (:meth:`CompiledPattern._ground`) answers it probe
+  by probe, reading each argument tuple straight off the pre-bound
+  values, with no slot array and no generator.
 * **Identity comparisons.**  :class:`repro.core.terms.Const` and
   :class:`repro.core.terms.Null` are interned, so every equality test in
   the inner loop is a pointer comparison (``is``).
@@ -38,11 +48,12 @@ the values of a given variable order straight off the slot array, one
 tuple per match, and :meth:`CompiledPattern.exists` decides whether any
 match extends a tuple of pre-bound values.  Pre-bound variables hold
 the leading slots in name order, so a caller seeds them from a tuple
-without a dict.  Both run the one executor and count the same work.
-:meth:`CompiledPattern.project` also takes ``without``, one atom to
-match around: the executor sizes buckets as if the atom were gone and
-never offers it as a candidate, so the block kernel's retract attempts
-search ``I \\ {A}`` without writing to ``I``.
+without a dict; the plan trusts that order and arity, which the public
+entry points of :mod:`repro.logic.matching` check.  Both count the same
+work for the same match.  :meth:`CompiledPattern.project` also takes
+``without``, one atom to match around: the executor sizes buckets as if
+the atom were gone and never offers it as a candidate, so the block
+kernel's retract attempts search ``I \\ {A}`` without writing to ``I``.
 
 Inequalities are scheduled at the earliest step where both sides are
 bound (or before the first step, when the pre-bound values already
@@ -57,8 +68,10 @@ either materializes matches first or abandons the generator before
 mutating (see ``docs/performance.md``).
 
 Telemetry: ``plan.compilations`` counts cache misses (actual compiles),
-``plan.cache_hits`` counts reuses.  The cache is a bounded LRU so
-long-running multi-scenario processes cannot grow it without limit.
+``plan.cache_hits`` counts reuses; both count :func:`plan_for` lookups
+only, so a held plan's runs count in neither.  The cache is a bounded
+LRU so long-running multi-scenario processes cannot grow it without
+limit; a held plan outlives its eviction, since plans are immutable.
 """
 
 from __future__ import annotations
@@ -172,9 +185,11 @@ def plan_for(
     """The compiled plan for this triple, compiling at most once.
 
     The cache key is content-based: two tuples of equal atoms share a
-    plan.  Call sites that hold on to their pattern tuples (tgd/egd
+    plan.  Call sites that hold on to their pattern tuples (tgd
     premises, cached canonical patterns) hit the cache with nothing but
-    cached-hash tuple hashing.
+    cached-hash tuple hashing.  Owners of a fixed pattern call this once
+    and hold the plan (see the module docstring); every other match
+    looks its plan up here on each call.
     """
     key = (
         patterns if type(patterns) is tuple else tuple(patterns),
@@ -200,15 +215,16 @@ def plan_for(
 
 # A step is the tuple
 #   (relation_name, const_checks, prior_checks, self_checks, binds,
-#    ineq_checks, argprog, probes)
+#    ineq_checks, args_of, probes)
 # with
 #   const_checks: ((position, value), ...)      fact arg must BE value
 #   prior_checks: ((position, slot), ...)       fact arg must BE slots[slot]
 #   self_checks:  ((position, position0), ...)  repeated new variable
 #   binds:        ((position, slot), ...)       first occurrence: bind slot
 #   ineq_checks:  ((akind, aval, bkind, bval), ...)  kind 1 = slot, 0 = value
-#   argprog:      None, or a tuple of Value-or-slot-int entries -- when set
-#                 the step is fully bound and runs as a has_tuple probe
+#   args_of:      None, or a callable reading the step's argument tuple
+#                 off a slot array -- when set the step is fully bound and
+#                 runs as a has_tuple probe
 #   probes:       ((position, kind, value_or_slot), ...) index-probe options
 
 
@@ -289,11 +305,13 @@ class CompiledPattern:
                 + [(position, 1, slot) for position, slot in prior_checks]
             )
             if binds:
-                argprog = None
+                args_of = None
             else:
-                argprog = tuple(
-                    term if isinstance(term, Value) else slot_of[term]
-                    for term in pattern.args
+                args_of = _args_reader(
+                    [
+                        term if isinstance(term, Value) else slot_of[term]
+                        for term in pattern.args
+                    ]
                 )
             steps.append(
                 (
@@ -303,7 +321,7 @@ class CompiledPattern:
                     tuple(self_checks),
                     tuple(binds),
                     [],  # inequality checks, filled below
-                    argprog,
+                    args_of,
                     probes,
                 )
             )
@@ -344,8 +362,8 @@ class CompiledPattern:
             for rel, cc, pc, sc, bi, iq, ap, pr in steps
         )
         #: Every step is a ground probe (vacuously so with no steps):
-        #: :meth:`_execute` answers the plan without a :meth:`_run`
-        #: generator.
+        #: :meth:`_ground` answers the plan straight off the pre-bound
+        #: values, without a slot array or a :meth:`_run` generator.
         self.ground = all(step[6] is not None for step in self.steps)
         self.n_slots = len(slot_of)
         #: Variable -> slot, for pre-bound and pattern variables alike.
@@ -456,33 +474,36 @@ class CompiledPattern:
         self,
         instance: Instance,
         variables: Tuple[Variable, ...],
-        prebound: Tuple[Variable, ...] = (),
         values: Sequence[Value] = (),
         counters: Tuple[Counter, Counter] = UNSCOPED,
         without: Optional[Atom] = None,
     ) -> Iterator[Tuple[Value, ...]]:
         """The values of ``variables`` per match, one tuple each.
 
-        Each tuple is read straight off the slot array.  ``values``
-        seeds the pre-bound variables ``prebound`` (see :meth:`_seeded`).
-        Every variable must be pre-bound or bound by the pattern.
-        ``counters`` is a ``(candidates, backtracks)`` pair; each
-        increment is written as it happens, so closing the generator
-        early leaves exact totals.  ``without`` is an atom the search
-        treats as absent from ``instance`` (see :meth:`_execute`).
+        ``values`` are the values of :attr:`prebound`, in that order;
+        every variable must be pre-bound or bound by the pattern.  A
+        :attr:`ground` plan reads its tuple straight off ``values``
+        (:meth:`_ground`); any other reads it off the slot array of
+        :meth:`_search`.  ``counters`` is a ``(candidates,
+        backtracks)`` pair; each increment is written as it happens, so
+        closing the generator early leaves exact totals.  ``without`` is
+        an atom the search treats as absent from ``instance`` (see
+        :meth:`_search`).
         """
-        read = self._reader(variables)
-        slots = self._seeded(prebound, values)
-        runner = self._execute(instance, slots, counters, without)
-        if runner is None:
+        if self.start_checks and not self._admits(values):
             return
-        for _ in runner:
+        read = self._reader(variables)
+        if self.ground:
+            if self._ground(instance, values, counters, without):
+                yield read(values)
+            return
+        slots = self._seeded(values)
+        for _ in self._search(instance, slots, counters, without):
             yield read(slots)
 
     def exists(
         self,
         instance: Instance,
-        prebound: Tuple[Variable, ...] = (),
         values: Sequence[Value] = (),
         counters: Tuple[Counter, Counter] = UNSCOPED,
     ) -> bool:
@@ -491,40 +512,32 @@ class CompiledPattern:
         Stops at the first match, counting exactly the work of taking
         one item from :meth:`project`.
         """
-        runner = self._execute(
-            instance, self._seeded(prebound, values), counters
-        )
-        if runner is None:
+        if self.start_checks and not self._admits(values):
             return False
-        for _ in runner:
+        if self.ground:
+            return self._ground(instance, values, counters)
+        for _ in self._search(instance, self._seeded(values), counters):
             return True
         return False
 
-    def _seeded(
-        self, prebound: Tuple[Variable, ...], values: Sequence[Value]
-    ) -> List[Optional[Value]]:
+    def _admits(self, values: Sequence[Value]) -> bool:
+        """False when the pre-bound ``values`` violate an inequality
+        that is decided before the first step (:attr:`start_checks`)."""
+        for akind, aval, bkind, bval in self.start_checks:
+            left = values[aval] if akind else aval
+            right = values[bval] if bkind else bval
+            if left is right:
+                return False
+        return True
+
+    def _seeded(self, values: Sequence[Value]) -> List[Optional[Value]]:
         """A slot array with the pre-bound slots set from ``values``.
 
         Pre-bound variables hold the leading slots in name order, so
-        ``prebound`` must be :attr:`prebound` itself -- another order
-        would seed the wrong slots -- and ``values[i]`` is the value of
-        its ``i``-th variable.
+        ``values[i]`` is the value of the ``i``-th variable of
+        :attr:`prebound`.  Callers pass values in that order (the public
+        entry points of :mod:`repro.logic.matching` check it).
         """
-        order = self.prebound
-        if prebound != order and tuple(prebound) != order:
-            raise ValueError(
-                f"pre-bound variables must be in name order {order!r}, "
-                f"got {prebound!r}"
-            )
-        if len(values) != len(order):
-            raise ValueError(
-                f"{len(order)} pre-bound values expected, got {len(values)}"
-            )
-        for value in values:
-            if not isinstance(value, Value):
-                raise TypeError(
-                    f"pre-bound values must be values, got {value!r}"
-                )
         slots: List[Optional[Value]] = list(values)
         slots.extend([None] * (self.n_slots - len(slots)))
         return slots
@@ -540,22 +553,59 @@ class CompiledPattern:
             self._readers[variables] = reader
         return reader
 
-    def _execute(
+    def _uses(self) -> Optional[List[List]]:
+        """Count one use of the plan when attribution is on, and return
+        its per-step rows; None when attribution is off."""
+        if not _attribution.enabled():
+            return None
+        record = self._attr_record()
+        record["uses"] += 1
+        return record["counts"]
+
+    def _ground(
+        self,
+        instance: Instance,
+        values: Sequence[Value],
+        counters: Tuple[Counter, Counter],
+        without: Optional[Atom] = None,
+    ) -> bool:
+        """Answer a :attr:`ground` plan: does every probe hit?
+
+        A ground plan binds nothing, so ``values`` is its whole slot
+        array and each step reads its argument tuple straight off them:
+        no slot array is built and no generator runs.  Probes
+        (:func:`_probe`) run in step order until the first miss, with
+        the counts and attribution rows of a probe step of :meth:`_run`:
+        the plan matches once or not at all.  A probe for ``without``,
+        an atom the search treats as absent, misses.
+        """
+        stats = self._uses()
+        candidates, backtracks = counters
+        for index, step in enumerate(self.steps):
+            if not _probe(
+                instance,
+                step[0],
+                step[6](values),
+                candidates,
+                backtracks,
+                None if stats is None else stats[index],
+                without,
+            ):
+                return False
+        return True
+
+    def _search(
         self,
         instance: Instance,
         slots: List,
         counters: Tuple[Counter, Counter],
         without: Optional[Atom] = None,
-    ) -> Optional[Iterator[bool]]:
-        """The executor over seeded ``slots``; None when nothing matches
-        before the search starts.
+    ) -> Iterator[bool]:
+        """The backtracking executor over seeded ``slots``, for a plan
+        that is not :attr:`ground`.
 
         It counts into the ``(candidates, backtracks)`` pair; when
-        attribution is on it also fills the plan's per-step rows.  A
-        :attr:`ground` plan (every step a ground probe, such as a full
-        tgd's conclusion check, or no step at all) is answered here,
-        probe by probe until the first miss, with the counts and rows
-        :meth:`_run` would give it: it matches once or not at all.
+        attribution is on it also fills the plan's per-step rows.
 
         ``without`` is an atom to search around: the executor matches
         into ``instance`` less that atom, with the choices, counts and
@@ -564,33 +614,9 @@ class CompiledPattern:
         """
         if without is not None and without not in instance:
             without = None
-        for akind, aval, bkind, bval in self.start_checks:
-            left = slots[aval] if akind else aval
-            right = slots[bval] if bkind else bval
-            if left is right:
-                return None
         candidates, backtracks = counters
-        stats = None
-        if _attribution.enabled():
-            record = self._attr_record()
-            record["uses"] += 1
-            stats = record["counts"]
-        if self.ground:
-            for step_index, step in enumerate(self.steps):
-                if not _probe(
-                    instance,
-                    step[0],
-                    step[6],
-                    slots,
-                    candidates,
-                    backtracks,
-                    None if stats is None else stats[step_index],
-                    without,
-                ):
-                    return None
-            return iter((True,))
         return self._run(
-            instance, slots, 0, candidates, backtracks, stats, without
+            instance, slots, 0, candidates, backtracks, self._uses(), without
         )
 
     def _run(
@@ -625,19 +651,19 @@ class CompiledPattern:
         offers the atom as a candidate.
         """
         steps = self.steps
-        rel, const_checks, prior_checks, self_checks, binds, ineqs, argprog, probes = steps[depth]
+        rel, const_checks, prior_checks, self_checks, binds, ineqs, args_of, probes = steps[depth]
         row = None
         if stats is not None:
             row = stats[depth]
             seen = candidates.value
             started = perf_counter()
 
-        if argprog is not None:
+        if args_of is not None:
             # Fully bound: one hash probe, no candidate iteration.  No
             # inequality can first become checkable here (a step without
             # binds resolves nothing new).
             if _probe(
-                instance, rel, argprog, slots, candidates, backtracks, row,
+                instance, rel, args_of(slots), candidates, backtracks, row,
                 without,
             ):
                 if depth + 1 == len(steps):
@@ -753,17 +779,31 @@ def tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], Tuple]:
     return lambda values: ()
 
 
+def _args_reader(entries: List) -> Callable[[Sequence], Tuple]:
+    """A callable building a ground step's argument tuple from a slot
+    array: an int entry is a slot, any other entry a constant."""
+    if all(type(entry) is int for entry in entries):
+        return tuple_getter(entries)
+    entries = tuple(entries)
+    return lambda slots: tuple(
+        [slots[entry] if type(entry) is int else entry for entry in entries]
+    )
+
+
 def _probe(
     instance: Instance,
     relation: str,
-    argprog: Tuple,
-    slots: List,
+    args: Tuple[Value, ...],
     candidates: Counter,
     backtracks: Counter,
     row: Optional[List],
     without: Optional[Atom],
 ) -> bool:
-    """One ground step: is its argument tuple a fact of ``relation``?
+    """One ground probe: is ``args`` a fact of ``relation``?
+
+    The one probe routine, for every step of a ground plan
+    (:meth:`CompiledPattern._ground`) and the probe steps of
+    :meth:`CompiledPattern._run`.
 
     The probe counts as one candidate, and a miss as one backtrack.
     ``row`` is the step's attribution row, or None when attribution is
@@ -775,9 +815,6 @@ def _probe(
     if row is not None:
         started = perf_counter()
     candidates.value += 1
-    args = tuple(
-        [slots[entry] if type(entry) is int else entry for entry in argprog]
-    )
     found = instance.has_tuple(relation, args) and not (
         without is not None
         and without.relation.name == relation

@@ -152,13 +152,13 @@ class TestPerFactReference:
     def test_a_premise_without_a_shared_variable_joins_once(self, monkeypatch):
         """With key ``()`` each seed position runs one completion join."""
         joins = []
-        original = seminaive.match
+        original = seminaive.match_plan
 
-        def counted(*args, **kwargs):
-            joins.append(kwargs["values"])
-            return original(*args, **kwargs)
+        def counted(plan, instance, variables, values=(), **kwargs):
+            joins.append(values)
+            return original(plan, instance, variables, values, **kwargs)
 
-        monkeypatch.setattr(seminaive, "match", counted)
+        monkeypatch.setattr(seminaive, "match_plan", counted)
         tgd = TGDS[1]
         instance = Instance(
             [Atom(R, (a, b)) for a in VALUES for b in VALUES[:2]]
@@ -180,7 +180,7 @@ class TestWorkBound:
         joins = []
         seeded = []
         triples = set()
-        match_original = seminaive.match
+        match_original = seminaive.match_plan
         unify_original = seminaive._Seed.unify
         advance_original = DeltaSource.advance
 
@@ -201,7 +201,7 @@ class TestWorkBound:
             passes[0] += 1
             advance_original(source)
 
-        monkeypatch.setattr(seminaive, "match", counted_match)
+        monkeypatch.setattr(seminaive, "match_plan", counted_match)
         monkeypatch.setattr(seminaive._Seed, "unify", counted_unify)
         monkeypatch.setattr(DeltaSource, "advance", counted_advance)
         source = strongly_connected_digraph(20, 40, seed=3)

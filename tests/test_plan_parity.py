@@ -10,6 +10,7 @@ checked end-to-end by fingerprint (``fp/v1``) through both paths.
 import pickle
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +28,10 @@ from repro.logic import plans
 from repro.logic.matching import (
     attributed,
     exists_match,
+    exists_plan,
     match,
     match_interpreted,
+    match_plan,
 )
 from repro.obs import attribution, counter
 
@@ -476,6 +479,160 @@ class TestPlanCache:
             (Atom(P, (x,)), Atom(E, (x, Const("b")))), (), frozenset({x})
         )
         assert all(step[6] is not None for step in plan.steps)
+
+
+# ----------------------------------------------------------------------
+# All-probe plans: every step a ground probe
+# ----------------------------------------------------------------------
+
+_a, _b, _c = Const("a"), Const("b"), Const("c")
+_x, _y = VARS[:2]
+
+GROUND_INSTANCE = Instance(
+    [
+        atom(E, "a", "b"),
+        atom(E, "b", "a"),
+        atom(E, "a", "c"),
+        atom(P, "a"),
+        atom(P, "b"),
+        atom(T, "a", "a", "b"),
+        atom(T, "a", "b", "a"),
+        atom(T, "a", "c", "a"),
+    ]
+)
+
+#: name -> (patterns, inequalities, pre-bound values, whether a match
+#: exists, counted (candidates, backtracks), and the plan's attributed
+#: (uses, per-step [probes, candidates, emitted] rows), or None when the
+#: plan is never used).  Steps run in the plan's join order: more fixed
+#: arguments first.
+GROUND_CASES = {
+    "constant, hit": (
+        (Atom(E, (_x, _b)),), (), {_x: _a},
+        True, (1, 0), (1, [[1, 1, 1]]),
+    ),
+    "constant, miss": (
+        (Atom(E, (_x, _b)),), (), {_x: _b},
+        False, (1, 1), (1, [[1, 1, 0]]),
+    ),
+    "all-constant atom": (
+        (Atom(P, (_a,)), Atom(E, (_x, _b))), (), {_x: _a},
+        True, (2, 0), (1, [[1, 1, 1], [1, 1, 1]]),
+    ),
+    "repeated pre-bound variables, hit": (
+        (Atom(T, (_x, _x, _y)), Atom(E, (_y, _x))), (), {_x: _a, _y: _b},
+        True, (2, 0), (1, [[1, 1, 1], [1, 1, 1]]),
+    ),
+    "repeated pre-bound variables, miss": (
+        (Atom(T, (_x, _x, _y)), Atom(E, (_y, _x))), (), {_x: _b, _y: _a},
+        False, (1, 1), (1, [[1, 1, 0], [0, 0, 0]]),
+    ),
+    "three atoms, all hit": (
+        (Atom(E, (_x, _y)), Atom(P, (_y,)), Atom(T, (_x, _y, _a))), (),
+        {_x: _a, _y: _b},
+        True, (3, 0), (1, [[1, 1, 1], [1, 1, 1], [1, 1, 1]]),
+    ),
+    "three atoms, first probe misses": (
+        (Atom(E, (_x, _y)), Atom(P, (_y,)), Atom(T, (_x, _y, _b))), (),
+        {_x: _a, _y: _b},
+        False, (1, 1), (1, [[1, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    ),
+    "three atoms, last probe misses": (
+        (Atom(E, (_x, _y)), Atom(P, (_y,)), Atom(T, (_x, _y, _a))), (),
+        {_x: _a, _y: _c},
+        False, (3, 1), (1, [[1, 1, 1], [1, 1, 1], [1, 1, 0]]),
+    ),
+    "start-check inequality fails": (
+        (Atom(E, (_x, _y)),), ((_x, _y),), {_x: _a, _y: _a},
+        False, (0, 0), None,
+    ),
+    "start-check inequality holds": (
+        (Atom(E, (_x, _y)),), ((_x, _y),), {_x: _a, _y: _b},
+        True, (1, 0), (1, [[1, 1, 1]]),
+    ),
+    "start-check inequality with a constant": (
+        (Atom(P, (_x,)),), ((_x, _a),), {_x: _a},
+        False, (0, 0), None,
+    ),
+}
+
+
+def _ground_runs(patterns, inequalities, initial):
+    """Each way of asking an all-probe plan, as a zero-argument callable
+    answering whether a match exists: :func:`exists_match`, the first
+    item of :func:`match`, and the held-plan pair.  A projection must
+    read the pre-bound values back."""
+    prebound = tuple(sorted(initial, key=lambda v: v.name))
+    values = tuple(initial[variable] for variable in prebound)
+    plan = plans.plan_for(patterns, inequalities, prebound)
+    keyword = dict(prebound=prebound, values=values, inequalities=inequalities)
+
+    def first(found):
+        assert found in (None, values)
+        return found is not None
+
+    return plan, {
+        "exists_match": lambda: exists_match(
+            patterns, GROUND_INSTANCE, **keyword
+        ),
+        "match": lambda: first(
+            next(match(patterns, GROUND_INSTANCE, prebound, **keyword), None)
+        ),
+        "exists_plan": lambda: exists_plan(plan, GROUND_INSTANCE, values),
+        "match_plan": lambda: first(
+            next(match_plan(plan, GROUND_INSTANCE, prebound, values), None)
+        ),
+    }
+
+
+class TestGroundPlans:
+    @pytest.mark.parametrize("case", sorted(GROUND_CASES))
+    def test_probes_answer_and_count_as_before(self, case):
+        patterns, inequalities, initial, found, work, rows = GROUND_CASES[case]
+        prebound = tuple(sorted(initial, key=lambda v: v.name))
+        oracle = list(
+            match_interpreted(
+                patterns, GROUND_INSTANCE, prebound, prebound=prebound,
+                values=tuple(initial[variable] for variable in prebound),
+                inequalities=inequalities,
+            )
+        )
+        assert bool(oracle) is found
+        plan, runs = _ground_runs(patterns, inequalities, initial)
+        assert plan.ground
+        candidates = counter("parity_ground.candidates")
+        backtracks = counter("parity_ground.backtracks")
+        previously = attribution.enabled()
+        for name, run in runs.items():
+            for attributing in (False, True):
+                attribution.reset()
+                attribution.enable(attributing)
+                try:
+                    before = candidates.value, backtracks.value
+                    with attributed("parity_ground"):
+                        answer = run()
+                    counted = (
+                        candidates.value - before[0],
+                        backtracks.value - before[1],
+                    )
+                    record = attribution.plans().get(plan.identity)
+                finally:
+                    attribution.enable(previously)
+                    attribution.reset()
+                assert answer is found, name
+                assert counted == work, name
+                if attributing:
+                    assert (
+                        None if record is None
+                        else (
+                            record["uses"],
+                            [row[:3] for row in record["counts"]],
+                        )
+                    ) == rows, name
+                else:
+                    assert record is None, name
+            with plans.interpreted_only():
+                assert run() is found, name
 
 
 # ----------------------------------------------------------------------
